@@ -14,6 +14,7 @@ from .errors import (
     InputError,
     InvalidCartan,
     InvalidParam,
+    InvariantViolated,
     LparamsError,
     NoRoots,
     NormalizationRequired,

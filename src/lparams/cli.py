@@ -21,6 +21,7 @@ from typing import List, Optional
 from .errors import (
     InputError,
     InvalidParam,
+    InvariantViolated,
     LparamsError,
     NormalizationRequired,
     NotInvolution,
@@ -125,7 +126,14 @@ def _fmt_param(p: LParam) -> str:
 def _build_group(args) -> LGroup:
     if not args.group:
         raise InputError("--group is required for this command")
-    return parse_inner_class(build_datum(args.group), args.inner_class)
+    d = build_datum(args.group)
+    inner = args.inner_class
+    if inner.lstrip().startswith("["):
+        try:
+            inner = json.loads(inner)
+        except json.JSONDecodeError:
+            pass  # parse_inner_class reports it as an unknown inner class
+    return parse_inner_class(d, inner)
 
 
 def _datum_involution(d, text):
@@ -243,6 +251,8 @@ def cmd_weilrep(args, rep: Report) -> int:
 
 
 def cmd_fuzz(args, rep: Report) -> int:
+    if args.count < 1:
+        raise InputError(f"--count must be at least 1, got {args.count}")
     L = _build_group(args)
     rep.note("group", args.group)
     rep.note("inner_class", args.inner_class)
@@ -321,7 +331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args, rep)
     except NormalizationRequired as exc:
         return rep.finish(NEEDS_NORMALIZATION, str(exc))
-    except (InvalidParam, NotInvolution) as exc:
+    except (InvalidParam, NotInvolution, InvariantViolated) as exc:
         return rep.finish(MATH_FAIL, str(exc))
     except LparamsError as exc:
         return rep.finish(PARSE_ERROR, str(exc))

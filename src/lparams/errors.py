@@ -57,6 +57,13 @@ class PreconditionViolated(LparamsError):
     """Documented operation precondition does not hold."""
 
 
+class InvariantViolated(LparamsError):
+    """An internal mathematical invariant failed (CLI exit code 1).
+
+    Raised instead of an assert, so the check survives python -O.
+    """
+
+
 class NormalizationRequired(LparamsError):
     """Parameter is not in the position the operation needs.
 

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cache
+from math import lcm
 from random import Random
 from typing import List, Sequence, Tuple
 
 from .errors import (
     ContextMismatch,
     InputError,
+    InvariantViolated,
     NormalizationRequired,
     NotInvolution,
     ValidityC,
@@ -50,12 +53,12 @@ from .rootdata import (
     all_roots,
     based_aut,
     build_datum,
+    cartan_matrix,
     coaction,
     compose_aut,
     expand_in_simples,
     rho_check,
     transpose_aut,
-    xcostar_reflections,
 )
 from .tits import (
     ExtTitsElem,
@@ -79,7 +82,10 @@ from .torus import (
 from .weyl import (
     WeylElem,
     apply_aut_to_weyl,
+    descent,
     neg_w0_aut,
+    parabolic_subgroup,
+    simple_reflection,
     weyl_act,
     weyl_enumerate,
     weyl_from_word,
@@ -176,7 +182,8 @@ def phi_j(p: LParam) -> ExtTitsElem:
 
 
 def _from_phi_j(L: LGroup, lam, g: ExtTitsElem) -> LParam:
-    assert g.eps == 1
+    if g.eps != 1:
+        raise InvariantViolated("the image of j left the delta coset")
     return make_param(L, lam, g.t, g.w)
 
 
@@ -197,18 +204,31 @@ def conjugate_param(p: LParam, by) -> LParam:
 
 
 def params_equivalent(p: LParam, q: LParam) -> bool:
-    """Conjugacy under the torus and the normalizer: brute force over W plus a lattice solve."""
+    """Conjugacy under the torus and the normalizer.
+
+    The pairing descent carries lambda_p and lambda_q to the dominant point
+    of their W-orbit by x and y. If the points differ the parameters are not
+    conjugate; otherwise the u with u(lambda_p) = lambda_q are exactly
+    y^{-1} s x for s in the stabilizer W_J of the dominant point, J the
+    simple indices of zero pairing. Each such u conjugates p, and the torus
+    parts are compared by a lattice solve. The cost scales with |W_J|, which
+    is 1 for regular lambda, not with |W|.
+    """
     if p.L != q.L:
         raise ContextMismatch("parameters for different L-groups")
-    n = p.L.dual_datum.rank
-    for u in weyl_enumerate(p.L.dual_datum):
-        if tuple(mat_vec(u.matrix, p.lam)) != tuple(q.lam):
-            continue
-        pc = conjugate_param(p, u)
+    d = p.L.dual_datum
+    dom, x, pairings = _dominance_descent(d, p.lam)
+    dom_q, y, _ = _dominance_descent(d, q.lam)
+    if dom != dom_q:
+        return False
+    n = d.rank
+    one_minus = tuple(tuple((1 if r == c else 0) - q.theta[r][c] for c in range(n))
+                      for r in range(n))
+    zero = [i + 1 for i, (re, im) in enumerate(pairings) if re == 0 and im == 0]
+    for s in parabolic_subgroup(d, zero):
+        pc = conjugate_param(p, weyl_from_word(d, [*y, *s.word, *reversed(x)]))
         if pc.w != q.w:
             continue
-        one_minus = tuple(tuple((1 if r == c else 0) - q.theta[r][c] for c in range(n))
-                          for r in range(n))
         if solve_congruence(one_minus, vsub(q.mu.entries, pc.mu.entries)) is not None:
             return True
     return False
@@ -217,8 +237,41 @@ def params_equivalent(p: LParam, q: LParam) -> bool:
 # ---------------------------------------------------------------------------
 # invariants
 
-def _lex_nonneg(val: GaussQ) -> bool:
-    return val.re > 0 or (val.re == 0 and val.im >= 0)
+def _dominance_descent(d: RootDatum, vec):
+    """(dominant point, reflection indices in order applied, final simple pairings).
+
+    The real and imaginary parts are carried as integer vectors over one
+    common denominator. The simple pairings p_j = <alpha_j, v> are computed
+    once; reflecting by s_i updates them through the Cartan matrix,
+    p_j -= <alpha_j, alpha-check_i> p_i, and v by v -= p_i alpha-check_i.
+    With indices (i_1, ..., i_k) the point reached is s_{i_k} ... s_{i_1} (vec).
+    Pairings are returned as scaled (real, imaginary) pairs, good for sign
+    and zero tests.
+    """
+    v = gvec(vec)
+    den = lcm(*(x.denominator for z in v for x in (z.re, z.im)))
+    re = [int(z.re * den) for z in v]
+    im = [int(z.im * den) for z in v]
+    pre = [vdot(a, re) for a in d.simple_roots]
+    pim = [vdot(a, im) for a in d.simple_roots]
+    cartan = cartan_matrix(d)
+    steps: List[int] = []
+    for _ in range(len(all_roots(d)) + 1):
+        i = next((k for k in range(d.nsimple)
+                  if pre[k] < 0 or (pre[k] == 0 and pim[k] < 0)), None)
+        if i is None:
+            point = tuple(GaussQ(Q(a, den), Q(b, den)) for a, b in zip(re, im))
+            return point, steps, list(zip(pre, pim))
+        steps.append(i + 1)
+        ri, ii = pre[i], pim[i]
+        cv = d.simple_coroots[i]
+        re = [x - ri * c for x, c in zip(re, cv)]
+        im = [x - ii * c for x, c in zip(im, cv)]
+        for j, row in enumerate(cartan):
+            if row[i]:
+                pre[j] -= row[i] * ri
+                pim[j] -= row[i] * ii
+    raise InvariantViolated("dominance descent failed to terminate")
 
 
 def dominant_rep(d: RootDatum, vec: GVec) -> GVec:
@@ -226,18 +279,11 @@ def dominant_rep(d: RootDatum, vec: GVec) -> GVec:
 
     Dominance is taken for the lexicographic order on (real, imaginary) parts
     of each simple pairing; that order linearizes the orbit like a field
-    order, so the dominant point is unique and greedy ascent reaches it.
+    order, so the dominant point is unique and greedy ascent reaches it. The
+    simple pairings are updated through the Cartan matrix at each reflection
+    rather than recomputed.
     """
-    v = tuple(gvec(vec))
-    refls = xcostar_reflections(d)
-    guard = len(all_roots(d)) + 1
-    for _ in range(guard):
-        i = next((k for k in range(d.nsimple)
-                  if not _lex_nonneg(_pair(d.simple_roots[k], v))), None)
-        if i is None:
-            return v
-        v = tuple(mat_vec(refls[i], v))
-    raise AssertionError("dominance ascent failed to terminate")
+    return _dominance_descent(d, vec)[0]
 
 
 def inf_char(p: LParam) -> GVec:
@@ -389,15 +435,20 @@ def levi_of(p: LParam) -> Tuple[StandardLevi, LParam]:
 def contragredient_param(p: LParam) -> LParam:
     """Compose with the Chevalley involution: lambda -> -lambda, phi(j) -> C(phi(j))."""
     g = chevalley(phi_j(p))
-    assert g.w == p.w and g.eps == 1
+    _check_over_w(p, g, "C(phi(j))")
     return _from_phi_j(p.L, gvec_neg(p.lam), g)
 
 
 def tau_twist_param(p: LParam) -> LParam:
     """Precompose with z -> z^{-1}, j -> j^{-1}: lambda -> -lambda, phi(j) -> phi(j)^{-1}."""
     g = tits_inverse(phi_j(p))
-    assert g.w == p.w and g.eps == 1
+    _check_over_w(p, g, "phi(j)^{-1}")
     return _from_phi_j(p.L, gvec_neg(p.lam), g)
+
+
+def _check_over_w(p: LParam, g: ExtTitsElem, what: str) -> None:
+    if g.w != p.w or g.eps != 1:
+        raise InvariantViolated(f"{what} does not lie over w delta (w={list(p.w.word)})")
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +503,43 @@ def _fmt_vec(v: GVec) -> str:
 # ---------------------------------------------------------------------------
 # sampling and serialization
 
-def twisted_involutions(L: LGroup) -> List[WeylElem]:
-    """All w with w . theta0(w) = e, in enumeration order."""
+@cache
+def _twisted_involution_set(L: LGroup) -> Tuple[WeylElem, ...]:
+    """Walk the Richardson-Springer twisted-involution graph up from e.
+
+    From a twisted involution w and a left ascent s_i (l(s_i w) > l(w)) the
+    walk moves to s_i w theta0(s_i), or to s_i w when that product is w
+    itself; every twisted involution is reached this way. As w^{-1} =
+    theta0(w) and theta0 is an involution, s_i is a left ascent of w exactly
+    when s_{perm(i)} is a right ascent, so descent() decides it.
+    """
     d = L.dual_datum
-    return [w for w in weyl_enumerate(d)
-            if weyl_mul(w, apply_aut_to_weyl(L.theta0, w)) == weyl_identity(d)]
+    perm = L.theta0.perm
+    refl = [simple_reflection(d, i) for i in range(1, d.nsimple + 1)]
+    found = [weyl_identity(d)]
+    seen = set(found)
+    for w in found:
+        for i in range(1, d.nsimple + 1):
+            j = perm[i - 1]
+            if descent(w, j):
+                continue
+            v = weyl_mul(refl[i - 1], w)
+            twisted = weyl_mul(v, refl[j - 1])
+            if twisted != w:
+                v = twisted
+            if v not in seen:
+                seen.add(v)
+                found.append(v)
+    return tuple(sorted(found, key=lambda w: (len(w.word), w.word)))
+
+
+def twisted_involutions(L: LGroup) -> List[WeylElem]:
+    """All w with w . theta0(w) = e, in enumeration order (length, then word).
+
+    The set is found once per L-group by walking the twisted-involution graph,
+    without scanning W; each call returns a fresh list.
+    """
+    return list(_twisted_involution_set(L))
 
 
 def random_param(L: LGroup, rng: Random, denominator: int = 4) -> LParam:

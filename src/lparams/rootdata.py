@@ -216,9 +216,9 @@ def build_datum(spec: str) -> RootDatum:
     """Parse "A2 sc x GL(2)"-style product specs into a datum."""
     if not isinstance(spec, str) or not spec.strip():
         raise InputError(f"bad group spec: {spec!r}")
-    tokens = [t for t in re.split(r"\s*[x×]\s*", spec.strip()) if t]
-    if not tokens:
-        raise InputError(f"bad group spec: {spec!r}")
+    tokens = re.split(r"\s*[x×]\s*", spec.strip())
+    if not all(tokens):
+        raise InputError(f"empty product factor in group spec: {spec!r}")
     factors = [_factor_datum(t) for t in tokens]
     if len(factors) == 1:
         return factors[0]

@@ -17,6 +17,7 @@ from typing import Optional, Tuple
 from .errors import (
     ContextMismatch,
     InputError,
+    InvariantViolated,
     NotInvolution,
     PreconditionViolated,
 )
@@ -162,7 +163,8 @@ def tits_mul(g1: ExtTitsElem, g2: ExtTitsElem) -> ExtTitsElem:
 
 def _sigma_inverse(ctx: TitsContext, w: WeylElem) -> ExtTitsElem:
     c, prod = _sigma_cocycle(weyl_inv(w), w)
-    assert prod == weyl_identity(ctx.datum)
+    if prod != weyl_identity(ctx.datum):
+        raise InvariantViolated("sigma_{w^-1} sigma_w does not lie over the identity")
     return ExtTitsElem(ctx, -c, weyl_inv(w), 0)
 
 
@@ -223,7 +225,8 @@ def h_conjugate_to_inverse(g: ExtTitsElem) -> Optional[TorusPart]:
         raise PreconditionViolated("w * theta0(w) is not the identity")
     cg = chevalley(g)
     ginv = tits_inverse(g)
-    assert cg.w == ginv.w and cg.eps == ginv.eps == 1
+    if not (cg.w == ginv.w and cg.eps == ginv.eps == 1):
+        raise InvariantViolated("C(g) and g^{-1} lie over different Weyl cosets")
     n = ctx.datum.rank
     theta = mat_mul(cg.w.matrix, coaction(ctx.theta0))
     m = tuple(tuple((1 if r == c else 0) - theta[r][c] for c in range(n))
@@ -235,7 +238,8 @@ def h_conjugate_to_inverse(g: ExtTitsElem) -> Optional[TorusPart]:
     witness = TorusPart(nu)
     h = torus_elem(ctx, witness)
     h_inv = torus_elem(ctx, -witness)
-    assert tits_mul(tits_mul(h, cg), h_inv) == ginv
+    if tits_mul(tits_mul(h, cg), h_inv) != ginv:
+        raise InvariantViolated("the congruence solution does not conjugate C(g) to g^{-1}")
     return witness
 
 

@@ -157,6 +157,24 @@ def weyl_enumerate(d: RootDatum) -> Tuple[WeylElem, ...]:
     return tuple(out)
 
 
+def parabolic_subgroup(d: RootDatum, subset) -> Tuple[WeylElem, ...]:
+    """The subgroup W_J generated by the simple reflections with indices in subset.
+
+    Found by a breadth-first closure under right multiplication by those
+    reflections, so the cost scales with |W_J| rather than |W|.
+    """
+    gens = [simple_reflection(d, i) for i in sorted(subset)]
+    out = [weyl_identity(d)]
+    seen = set(out)
+    for u in out:
+        for s in gens:
+            v = weyl_mul(u, s)
+            if v not in seen:
+                seen.add(v)
+                out.append(v)
+    return tuple(out)
+
+
 def weyl_order(d: RootDatum) -> int:
     return len(weyl_enumerate(d))
 

@@ -1,6 +1,9 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,3 +117,58 @@ def test_verify_theorem_compact_class(capsys):
                      '"lambda": ["0", "0"], "mu": ["0", "0"], "w": []}')
     assert code == 0
     assert out.strip().endswith("RESULT 0 4/4 PASS")
+
+
+def test_fuzz_accepts_json_inner_class(capsys):
+    code, out = _run(capsys, "fuzz", "--group", "A1 sc x A1 sc",
+                     "--inner-class", "[[0,1],[1,0]]", "--count", "3")
+    assert code == 0
+    assert out.count("INSTANCE") == 3
+    assert out.strip().endswith("RESULT 0 3/3 instances verified")
+    code, out = _run(capsys, "fuzz", "--group", "A2 sc", "--inner-class", "[[1,0", "--count", "3")
+    assert code == 2 and out.startswith("RESULT 2 ")
+
+
+@pytest.mark.parametrize("spec", ["A2 xx", "A2 sc x", "x A2 sc"])
+def test_empty_product_factor_exits_2(capsys, spec):
+    code, out = _run(capsys, "fuzz", "--group", spec, "--count", "1")
+    assert code == 2
+    assert out == f"RESULT 2 empty product factor in group spec: {spec!r}\n"
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_fuzz_count_below_one_exits_2_before_output(capsys, count):
+    code, out = _run(capsys, "fuzz", "--group", "A2 sc", "--count", count)
+    assert code == 2
+    assert out == f"RESULT 2 --count must be at least 1, got {count}\n"
+
+
+def test_invariant_violation_exits_1(capsys, monkeypatch):
+    import lparams.lparam as lparam
+    from lparams.errors import InvariantViolated
+    from lparams.tits import chevalley
+    from lparams.weyl import weyl_identity
+
+    def wrong_w(g):
+        out = chevalley(g)
+        return type(out)(out.ctx, out.t, weyl_identity(out.w.datum), out.eps)
+
+    monkeypatch.setattr(lparam, "chevalley", wrong_w)
+    p = lparam.param_from_dict(json.loads((DATA / "sl2r_ds.param").read_text()))
+    with pytest.raises(InvariantViolated):
+        lparam.contragredient_param(p)
+    code, out = _run(capsys, "verify-theorem", "--param", str(DATA / "sl2r_ds.param"))
+    assert code == 1
+    assert out.splitlines()[-1] == "RESULT 1 C(phi(j)) does not lie over w delta (w=[1])"
+
+
+def test_fuzz_under_python_O():
+    # invariants are checked by raising, not by assert, so -O keeps them
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    swap = "[[1,0,0,0],[0,1,0,0],[0,0,0,1],[0,0,1,0]]"
+    proc = subprocess.run([sys.executable, "-O", "-m", "lparams.cli", "fuzz", "--group", "D4 sc",
+                           "--inner-class", swap, "--seed", "3", "--count", "2"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip().endswith("RESULT 0 2/2 instances verified")

@@ -116,6 +116,9 @@ def test_grammar_rejections():
         build_datum("Z2")
     with pytest.raises(InputError):
         build_datum("")
+    for spec in ("A2 xx", "A2 sc x", "x A2 sc"):
+        with pytest.raises(InputError, match="empty product factor"):
+            build_datum(spec)
     with pytest.raises(RankMismatch):
         datum_from_vectors([(2,)], [])
     with pytest.raises(RankMismatch):
