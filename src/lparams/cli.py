@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction as Q
 from random import Random
 from typing import List, Optional
 
@@ -26,7 +25,7 @@ from .errors import (
     NormalizationRequired,
     NotInvolution,
 )
-from .gaussian import format_gauss, parse_gauss
+from .gaussian import format_gauss
 from .lgroup import LGroup, parse_inner_class
 from .lparam import (
     LParam,
@@ -36,6 +35,7 @@ from .lparam import (
     is_discrete_series,
     levi_of,
     param_from_dict,
+    param_parts,
     params_equivalent,
     rad_char,
     random_param,
@@ -44,7 +44,7 @@ from .lparam import (
     verify_contragredient,
 )
 from .rootdata import based_aut, build_datum, identity_aut
-from .tits import run_tits_suite, tits_context, torus_part
+from .tits import run_tits_suite, tits_context
 from .weilrep import (
     format_rep,
     parse_weil_rep,
@@ -169,16 +169,10 @@ def cmd_check_tits(args, rep: Report) -> int:
 
 def cmd_validate_param(args, rep: Report) -> int:
     data = _load_param_data(args.param)
-    try:
-        L = parse_inner_class(build_datum(data["group"]), data["inner_class"])
-        lam = [parse_gauss(str(z)) for z in data["lambda"]]
-        mu = torus_part([Q(x) for x in data["mu"]])
-        word = [int(i) for i in data["w"]]
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"bad parameter data: {exc}") from exc
+    parts = param_parts(data)
     rep.note("group", data["group"])
     rep.note("inner_class", str(data["inner_class"]))
-    rows = validity_rows(L, lam, mu, word)
+    rows = validity_rows(*parts)
     for name, ok, detail, _ in rows:
         rep.check(name, ok, detail)
     failing = [name for name, ok, _, _ in rows if not ok]

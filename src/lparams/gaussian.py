@@ -92,16 +92,8 @@ def gvec_add(a: GVec, b: GVec) -> GVec:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def gvec_sub(a: GVec, b: GVec) -> GVec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def gvec_neg(a: GVec) -> GVec:
     return tuple(-x for x in a)
-
-
-def gvec_conj(a: GVec) -> GVec:
-    return tuple(x.conj() for x in a)
 
 
 def format_gauss(z: GaussQ) -> str:

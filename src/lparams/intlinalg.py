@@ -18,6 +18,12 @@ def ident(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def one_minus(m) -> IntMat:
+    """1 - m for a square matrix m."""
+    return tuple(tuple((1 if r == c else 0) - x for c, x in enumerate(row))
+                 for r, row in enumerate(m))
+
+
 def mat_from_rows(rows) -> IntMat:
     return tuple(tuple(row) for row in rows)
 
@@ -68,29 +74,47 @@ def vdot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def is_integral(v) -> bool:
-    return all(Q(x).denominator == 1 for x in v)
+def _gauss_jordan(rows, ncols: int):
+    """Reduced row echelon form over Q, pivoting only on the first ncols columns.
+
+    Returns (reduced rows, pivot columns, det): the rows as lists of
+    Fractions, the pivot column of each leading nonzero row in order, and the
+    determinant of the first ncols columns, which is 0 as soon as one of them
+    has no pivot. Further columns (right-hand sides, an identity block) are
+    carried along by the row operations. Every exact solve, kernel, inverse,
+    rank and determinant in the package is a reading of this one elimination.
+    """
+    a = [[Q(x) for x in row] for row in rows]
+    pivots = []
+    det = Q(1)
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            det = Q(0)
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        det *= a[r][c]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots, det
 
 
 def determinant(m) -> Q:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    a = [[Q(x) for x in row] for row in m]
-    det = Q(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Q(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    """Exact determinant of a square matrix."""
+    return _gauss_jordan(m, len(m))[2]
+
+
+def matrix_rank(m) -> int:
+    """Rank over Q."""
+    return len(_gauss_jordan(m, len(m[0]) if m else 0)[1])
 
 
 def solve_rational(m, b) -> Optional[Vec]:
@@ -98,65 +122,28 @@ def solve_rational(m, b) -> Optional[Vec]:
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [[Q(x) for x in row] + [Q(v)] for row, v in zip(m, b)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
+    cols = len(m[0]) if m else 0
+    a, pivots, _ = _gauss_jordan([(*row, v) for row, v in zip(m, b)], cols)
+    if any(row[cols] for row in a[len(pivots):]):
+        return None
     x = [Q(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = a[i][cols]
+    for row, c in zip(a, pivots):
+        x[c] = row[cols]
     return tuple(x)
 
 
 def nullspace(m) -> Tuple[Vec, ...]:
     """Basis of the rational kernel of m, one vector per free column."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [[Q(x) for x in row] for row in m]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    cols = len(m[0]) if m else 0
+    a, pivots, _ = _gauss_jordan(m, cols)
     basis = []
     for c in range(cols):
         if c in pivots:
             continue
         v = [Q(0)] * cols
         v[c] = Q(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][c]
+        for row, pc in zip(a, pivots):
+            v[pc] = -row[c]
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -164,19 +151,9 @@ def nullspace(m) -> Tuple[Vec, ...]:
 def mat_inv_q(m) -> Tuple[Vec, ...]:
     """Exact inverse of a square matrix over Q."""
     n = len(m)
-    a = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    a, pivots, _ = _gauss_jordan([(*row, *e) for row, e in zip(m, ident(n))], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in a)
 
 
@@ -339,12 +316,12 @@ def saturation_projection(gens: Sequence[Sequence[int]], n: int):
 
 
 def descend_map(proj, uinv, rank: int, t):
-    """Matrix of t on Z^n/sat given that t preserves the saturation."""
-    n = len(uinv)
-    u = mat_inv_z(uinv)
-    conj = mat_mul(mat_mul(u, t), uinv)
-    for i in range(rank, n):
-        for j in range(rank):
-            if conj[i][j] != 0:
-                raise ValueError("map does not preserve the saturation")
-    return tuple(tuple(conj[i][j] for j in range(rank, n)) for i in range(rank, n))
+    """Matrix of t on Z^n/sat given that t preserves the saturation.
+
+    In the basis uinv, t is u t u^{-1}; only its rows from `rank` down are
+    needed, and those rows of u are proj.
+    """
+    rows = mat_mul(mat_mul(proj, t), uinv)
+    if any(any(row[:rank]) for row in rows):
+        raise ValueError("map does not preserve the saturation")
+    return tuple(tuple(row[rank:]) for row in rows)

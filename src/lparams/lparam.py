@@ -36,8 +36,10 @@ from .intlinalg import (
     ident,
     in_span_z,
     mat_mul,
+    mat_neg,
     mat_vec,
     nullspace,
+    one_minus,
     saturation_projection,
     solve_congruence,
     transpose,
@@ -221,15 +223,12 @@ def params_equivalent(p: LParam, q: LParam) -> bool:
     dom_q, y, _ = _dominance_descent(d, q.lam)
     if dom != dom_q:
         return False
-    n = d.rank
-    one_minus = tuple(tuple((1 if r == c else 0) - q.theta[r][c] for c in range(n))
-                      for r in range(n))
     zero = [i + 1 for i, (re, im) in enumerate(pairings) if re == 0 and im == 0]
     for s in parabolic_subgroup(d, zero):
         pc = conjugate_param(p, weyl_from_word(d, [*y, *s.word, *reversed(x)]))
         if pc.w != q.w:
             continue
-        if solve_congruence(one_minus, vsub(q.mu.entries, pc.mu.entries)) is not None:
+        if solve_congruence(one_minus(q.theta), vsub(q.mu.entries, pc.mu.entries)) is not None:
             return True
     return False
 
@@ -348,13 +347,9 @@ def central_char(p: LParam, functional_base: int = 2) -> Tuple[Q, ...]:
 
 
 def central_modulus_gens(p: LParam) -> List[Tuple[int, ...]]:
-    d = p.L.dual_datum
-    n = d.rank
-    gens = [tuple(c) for c in d.simple_coroots]
-    for sign in (-1, 1):
-        mat = tuple(tuple((1 if r == c else 0) + sign * p.theta[r][c] for c in range(n))
-                    for r in range(n))
-        gens.extend(tuple(mat[r][c] for r in range(n)) for c in range(n))
+    gens = [tuple(c) for c in p.L.dual_datum.simple_coroots]
+    for mat in (one_minus(p.theta), one_minus(mat_neg(p.theta))):
+        gens.extend(transpose(mat))
     return gens
 
 
@@ -412,10 +407,7 @@ def levi_of(p: LParam) -> Tuple[StandardLevi, LParam]:
             raise NormalizationRequired(
                 "centralizer root is negated by theta; a Cayley move would be needed",
                 witness=alpha)
-    n = d.rank
-    minus = tuple(tuple(p.theta[r][c] - (1 if r == c else 0) for c in range(n))
-                  for r in range(n))
-    fixed_basis = nullspace(minus)
+    fixed_basis = nullspace(one_minus(p.theta))
     mset = frozenset(alpha for alpha in all_roots(d)
                      if all(vdot(alpha, v) == 0 for v in fixed_basis))
     perm = p.L.theta0.perm
@@ -563,8 +555,7 @@ def random_param(L: LGroup, rng: Random, denominator: int = 4) -> LParam:
                   vsub(rc, weyl_act(w, rc)))
         if any(x.denominator != 1 for x in t0):
             continue
-        half = tuple(tuple(Q((1 if r == c else 0) - theta[r][c], 2) for c in range(n))
-                     for r in range(n))
+        half = tuple(vscale(Q(1, 2), row) for row in one_minus(theta))
         sol = solve_congruence(half, vscale(Q(1, 2), t0))
         if sol is None:
             continue
@@ -601,15 +592,30 @@ def _tau_of(L: LGroup):
     return based_aut(L.g_datum, transpose(L.theta0.matrix))
 
 
-def param_from_dict(data: dict) -> LParam:
+def _json_array(value, types) -> list:
+    """value itself, if it is a list of entries of the given types (bool excluded)."""
+    if not isinstance(value, list) or any(
+            isinstance(x, bool) or not isinstance(x, types) for x in value):
+        raise TypeError(f"not an array of {types}: {value!r}")
+    return value
+
+
+def param_parts(data: dict) -> Tuple[LGroup, List[GaussQ], TorusPart, List[int]]:
+    """(L, lambda, mu, word) read from a parameter document, not yet validated.
+
+    lambda and mu are arrays of strings or integers and w an array of
+    integers; a bare string, a bool or a float is refused, not coerced.
+    """
     try:
         group = data["group"]
         inner = data["inner_class"]
-        lam = [parse_gauss(str(z)) for z in data["lambda"]]
-        mu = torus_part([Q(x) for x in data["mu"]])
-        word = [int(i) for i in data["w"]]
+        lam = [parse_gauss(str(z)) for z in _json_array(data["lambda"], (str, int))]
+        mu = torus_part([Q(x) for x in _json_array(data["mu"], (str, int))])
+        word = _json_array(data["w"], int)
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad parameter data: {data!r}") from exc
-    d = build_datum(group)
-    L = parse_inner_class(d, inner)
-    return make_param(L, lam, mu, word)
+    return parse_inner_class(build_datum(group), inner), lam, mu, word
+
+
+def param_from_dict(data: dict) -> LParam:
+    return make_param(*param_parts(data))

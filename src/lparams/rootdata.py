@@ -15,16 +15,17 @@ from typing import Tuple
 
 from .errors import InputError, InvalidCartan, NotBasedAut, RankMismatch
 from .intlinalg import (
+    determinant,
     ident,
     mat_from_rows,
     mat_inv_z,
     mat_mul,
     mat_vec,
+    matrix_rank,
     solve_rational,
     transpose,
     vdot,
     vscale,
-    vsub,
 )
 
 IntVec = Tuple[int, ...]
@@ -87,7 +88,7 @@ def _validate_cartan(d: RootDatum) -> None:
                 if (a[i][j] == 0) != (a[j][i] == 0):
                     raise InvalidCartan(f"asymmetric zero pattern at ({i+1},{j+1})")
     for vecs, name in ((d.simple_roots, "roots"), (d.simple_coroots, "coroots")):
-        if m and _rank_of(vecs) != m:
+        if m and matrix_rank(vecs) != m:
             raise InvalidCartan(f"simple {name} are linearly dependent")
     # finite type iff every principal minor is positive (per component)
     for comp in _components(a):
@@ -95,34 +96,9 @@ def _validate_cartan(d: RootDatum) -> None:
         for mask in range(1, 1 << k):
             idx = [comp[t] for t in range(k) if mask >> t & 1]
             sub = tuple(tuple(a[i][j] for j in idx) for i in idx)
-            if _int_det(sub) <= 0:
+            if determinant(sub) <= 0:
                 raise InvalidCartan(
                     f"principal minor on rows {tuple(i + 1 for i in idx)} is not positive")
-
-
-def _rank_of(vecs) -> int:
-    rows = [[Q(x) for x in v] for v in vecs]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _int_det(m) -> int:
-    from .intlinalg import determinant
-
-    return int(determinant(m))
 
 
 def _components(a):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cache
 from typing import Optional, Tuple
 
 from .errors import (
@@ -21,7 +20,8 @@ from .errors import (
     NotInvolution,
     PreconditionViolated,
 )
-from .intlinalg import ident, mat_mul, mat_vec, solve_congruence, vadd, vneg, vscale, vsub
+from .intlinalg import (ident, mat_mul, mat_vec, one_minus, solve_congruence, vadd, vneg,
+                        vscale, vsub)
 from .rootdata import BasedAut, RootDatum, cartan_matrix, coaction, identity_aut, rho_check
 from .weyl import (
     WeylElem,
@@ -227,12 +227,8 @@ def h_conjugate_to_inverse(g: ExtTitsElem) -> Optional[TorusPart]:
     ginv = tits_inverse(g)
     if not (cg.w == ginv.w and cg.eps == ginv.eps == 1):
         raise InvariantViolated("C(g) and g^{-1} lie over different Weyl cosets")
-    n = ctx.datum.rank
     theta = mat_mul(cg.w.matrix, coaction(ctx.theta0))
-    m = tuple(tuple((1 if r == c else 0) - theta[r][c] for c in range(n))
-              for r in range(n))
-    d = vsub(ginv.t.entries, cg.t.entries)
-    nu = solve_congruence(m, d)
+    nu = solve_congruence(one_minus(theta), vsub(ginv.t.entries, cg.t.entries))
     if nu is None:
         return None
     witness = TorusPart(nu)

@@ -22,7 +22,8 @@ from typing import Optional, Tuple
 
 from .errors import ContextMismatch, InputError, InvalidParam, NotInvolution
 from .gaussian import GaussQ, GVec, as_gauss, format_gauss, gvec, gvec_add, gvec_neg, parse_gauss
-from .intlinalg import ident, mat_neg, mat_vec, solve_congruence, vadd, vscale, vsub, in_span_z
+from .intlinalg import (ident, in_span_z, mat_mul, mat_neg, mat_vec, one_minus,
+                        solve_congruence, transpose, vadd, vscale, vsub)
 from .tits import TorusPart, torus_part
 
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -49,8 +50,6 @@ def real_torus_involution(rows) -> RealTorusInvolution:
     n = len(theta)
     if any(len(r) != n for r in theta):
         raise InputError("theta must be square")
-    from .intlinalg import mat_mul
-
     if mat_mul(theta, theta) != ident(n):
         raise NotInvolution("theta does not square to the identity")
     return RealTorusInvolution(theta)
@@ -71,8 +70,6 @@ class TorusEGroup:
 def torus_egroup(theta_check, gamma) -> TorusEGroup:
     tc = _int_matrix(theta_check)
     n = len(tc)
-    from .intlinalg import mat_mul
-
     if any(len(r) != n for r in tc):
         raise InputError("theta_check must be square")
     if mat_mul(tc, tc) != ident(n):
@@ -164,14 +161,10 @@ def char_equal(c1: TorusCharData, c2: TorusCharData) -> bool:
         raise ContextMismatch("characters live on different covers")
     if any(a != b for a, b in zip(c1.lam, c2.lam)):
         return False
-    n = len(c1.kappa)
-    one_minus = tuple(tuple((1 if r == c else 0) - c1.inv.theta[r][c] for c in range(n))
-                      for r in range(n))
-    cols = [tuple(one_minus[r][c] for r in range(n)) for c in range(n)]
     diff = vsub(c1.kappa, c2.kappa)
     if any(x.denominator != 1 for x in diff):
         return False
-    return in_span_z(diff, cols)
+    return in_span_z(diff, transpose(one_minus(c1.inv.theta)))
 
 
 def torus_contragredient(p: TorusParam) -> TorusParam:
@@ -185,11 +178,8 @@ def torus_params_equivalent(p: TorusParam, q: TorusParam) -> bool:
         raise ContextMismatch("parameters into different E-groups")
     if any(a != b for a, b in zip(p.lam, q.lam)):
         return False
-    n = p.egroup.rank
-    one_minus = tuple(tuple((1 if r == c else 0) - p.egroup.theta_check[r][c]
-                            for c in range(n)) for r in range(n))
     d = vsub(q.mu.entries, p.mu.entries)
-    return solve_congruence(one_minus, d) is not None
+    return solve_congruence(one_minus(p.egroup.theta_check), d) is not None
 
 
 def random_torus_param(eg: TorusEGroup, rng: Random, qmax: int = 4) -> TorusParam:
@@ -201,14 +191,13 @@ def random_torus_param(eg: TorusEGroup, rng: Random, qmax: int = 4) -> TorusPara
     """
     n = eg.rank
     tc = eg.theta_check
-    one_minus = tuple(tuple((1 if r == c else 0) - tc[r][c] for c in range(n))
-                      for r in range(n))
+    lattice = one_minus(tc)
     for _ in range(200):
         den = rng.choice([1, 2, 2, 4])
         mu = torus_part([Q(rng.randrange(-2 * den, 2 * den + 1), den) for _ in range(n)])
         mu_plus = vadd(mu.entries, mat_vec(tc, mu.entries))
         target = vadd(eg.gamma, mu_plus)
-        stacked = tuple(tuple(Q(x, 2) for x in row) for row in one_minus) + one_minus
+        stacked = tuple(tuple(Q(x, 2) for x in row) for row in lattice) + lattice
         rhs = tuple(target) + (Q(0),) * n
         sol = solve_congruence(stacked, rhs)
         if sol is None:
@@ -227,7 +216,7 @@ def random_torus_param(eg: TorusEGroup, rng: Random, qmax: int = 4) -> TorusPara
         p = torus_param(eg, lam, mu)
         # exercise representatives that differ within the conjugacy class
         nu = [Q(rng.randrange(-4, 5), 4) for _ in range(n)]
-        mu2 = mu + torus_part(mat_vec(one_minus, nu))
+        mu2 = mu + torus_part(mat_vec(lattice, nu))
         return torus_param(eg, p.lam, mu2)
     raise InputError("could not sample a valid parameter for this E-group")
 

@@ -25,10 +25,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, InputError
 from .gaussian import GaussQ, as_gauss, format_gauss, parse_gauss
-from .lgroup import LGroup, lgroup_split
+from .intlinalg import ident
+from .lgroup import lgroup_split
 from .lparam import LParam, make_param
 from .rootdata import build_datum
-from .tits import TorusPart
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,7 @@ def lparam_to_weilrep(p: LParam) -> WeilRep:
     """
     d = p.L.dual_datum
     n = d.rank
-    if p.L.theta0.matrix != tuple(tuple(1 if i == j else 0 for j in range(n))
-                                  for i in range(n)):
+    if p.L.theta0.matrix != ident(n):
         raise InputError("bridge needs the split inner class")
     if d.label != f"GL({n})":
         raise InputError(f"bridge needs a GL(n) datum, got {d.label!r}")

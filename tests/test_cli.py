@@ -78,6 +78,20 @@ def test_exit_code_parse_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("w", "1"), ("w", [True]), ("w", [1.0]),
+    ("lambda", "1"), ("lambda", [1.0]),
+    ("mu", [True]), ("mu", [0.1]),
+], ids=str)
+@pytest.mark.parametrize("command", ["validate-param", "verify-theorem"])
+def test_param_fields_are_not_coerced(capsys, command, field, value):
+    doc = json.loads((DATA / "sl2r_ds.param").read_text())
+    doc[field] = value
+    code, out = _run(capsys, command, "--param", json.dumps(doc))
+    assert code == 2
+    assert out == f"RESULT 2 bad parameter data: {doc!r}\n"
+
+
 def test_exit_code_normalization(capsys):
     code, out = _run(capsys, "invariants", "--param",
                      '{"group": "A1 sc", "inner_class": "split", '

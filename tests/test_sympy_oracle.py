@@ -1,0 +1,121 @@
+"""sympy as an independent oracle for the exact linear algebra in intlinalg.
+
+Every function here is compared against sympy on seeded random integer and
+rational matrices: square, rectangular and singular. The answers are unique
+(the kernel basis with one free variable set to 1, the solution with free
+variables 0, inverse, determinant, rank, the Smith diagonal up to sign), so
+equality is exact.
+"""
+
+from fractions import Fraction as Q
+from random import Random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
+
+from lparams.intlinalg import (  # noqa: E402
+    determinant,
+    mat_inv_q,
+    matrix_rank,
+    nullspace,
+    smith,
+    solve_rational,
+)
+
+
+def _to_q(x) -> Q:
+    x = sympy.Rational(x)
+    return Q(int(x.p), int(x.q))
+
+
+def _rand_entry(rng, rational):
+    return Q(rng.randrange(-5, 6), rng.choice([1, 2, 3])) if rational else rng.randrange(-5, 6)
+
+
+def _rand_matrix(rng, rows, cols, rational=False, singular=False):
+    m = [[_rand_entry(rng, rational) for _ in range(cols)] for _ in range(rows)]
+    if singular and rows >= 2:
+        # the last row a combination of the others drops the rank
+        a, b = rng.randrange(-2, 3), rng.randrange(-2, 3)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[min(1, rows - 2)])]
+    return tuple(tuple(row) for row in m)
+
+
+def _cases(seed, count=60):
+    rng = Random(seed)
+    for k in range(count):
+        # square, rectangular, then square with a dependent last row
+        shape = k % 3
+        rows = rng.randrange(1, 6)
+        cols = rng.randrange(1, 6) if shape == 1 else rows
+        yield _rand_matrix(rng, rows, cols, rational=k % 2 == 1, singular=shape == 2), rng
+
+
+def _sym(m):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) if isinstance(x, Q)
+                          else x for x in row] for row in m])
+
+
+def test_determinant_rank_and_inverse_match_sympy():
+    singular_seen = 0
+    for m, _ in _cases(101):
+        s = _sym(m)
+        assert matrix_rank(m) == s.rank()
+        if len(m) != len(m[0]):
+            continue
+        det = determinant(m)
+        assert det == _to_q(s.det())
+        if det == 0:
+            singular_seen += 1
+            with pytest.raises(ZeroDivisionError):
+                mat_inv_q(m)
+        else:
+            want = s.inv()
+            assert mat_inv_q(m) == tuple(tuple(_to_q(want[i, j]) for j in range(len(m)))
+                                         for i in range(len(m)))
+    assert singular_seen >= 5
+
+
+def test_nullspace_matches_sympy_basis():
+    nonzero_kernels = 0
+    for m, _ in _cases(202):
+        want = tuple(tuple(_to_q(x) for x in v) for v in _sym(m).nullspace())
+        assert nullspace(m) == want
+        nonzero_kernels += bool(want)
+    assert nonzero_kernels >= 10
+
+
+def test_solve_rational_matches_sympy():
+    consistent = inconsistent = 0
+    for m, rng in _cases(303):
+        rows = len(m)
+        # half the right-hand sides lie in the column space by construction
+        if rng.random() < 0.5:
+            x0 = [_rand_entry(rng, True) for _ in range(len(m[0]))]
+            b = tuple(sum(Q(a) * x for a, x in zip(row, x0)) for row in m)
+        else:
+            b = tuple(_rand_entry(rng, True) for _ in range(rows))
+        got = solve_rational(m, b)
+        try:
+            sol, params = _sym(m).gauss_jordan_solve(_sym([[x] for x in b]))
+        except ValueError:
+            assert got is None
+            inconsistent += 1
+            continue
+        sol = sol.subs({t: 0 for t in params})
+        assert got == tuple(_to_q(x) for x in sol)
+        consistent += 1
+    assert consistent >= 20 and inconsistent >= 5
+
+
+def test_smith_diagonal_matches_sympy():
+    rng = Random(404)
+    for k in range(80):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        a = _rand_matrix(rng, rows, cols, singular=k % 3 == 2)
+        s, _, _ = smith(a)
+        want = smith_normal_form(sympy.Matrix(a), domain=sympy.ZZ)
+        diag = min(rows, cols)
+        assert [s[i][i] for i in range(diag)] == [abs(int(want[i, i])) for i in range(diag)]
