@@ -228,6 +228,7 @@ def cmd_verify_theorem(args, rep: Report) -> int:
 
 def cmd_weilrep(args, rep: Report) -> int:
     r = parse_weil_rep(args.rep)
+    p = weil_to_lparam(r)  # refuses a rep too large for the bridge before any note
     rep.note("rep", format_rep(r))
     rep.note("dim", r.dim())
     rep.note("dual", format_rep(weil_dual(r)))
@@ -235,7 +236,6 @@ def cmd_weilrep(args, rep: Report) -> int:
     rep.note("is_hermitian", str(weil_is_hermitian(r)).lower())
     rep.note("is_unitary", str(weil_is_unitary(r)).lower())
     rep.note("inf_char", "{" + ", ".join(format_gauss(z) for z in weil_inf_char(r)) + "}")
-    p = weil_to_lparam(r)
     rep.note("parameter", _fmt_param(p))
     ok = params_equivalent(weil_to_lparam(weil_dual(r)), contragredient_param(p))
     rep.check("dual matches contragredient", ok, "bridge functoriality")

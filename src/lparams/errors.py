@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and the strict JSON array check."""
 
 
 class LparamsError(Exception):
@@ -77,3 +77,16 @@ class NormalizationRequired(LparamsError):
 
 class DimensionMismatch(LparamsError):
     """Vectors or representations of incompatible sizes."""
+
+
+def json_array(value, types) -> list:
+    """value itself, if it is a list of entries of the given types (bool excluded).
+
+    Raises TypeError otherwise, so that a document reader can report the
+    whole document as bad input: a bare string, a bool or a float is refused,
+    never coerced.
+    """
+    if not isinstance(value, list) or any(
+            isinstance(x, bool) or not isinstance(x, types) for x in value):
+        raise TypeError(f"not an array of {types}: {value!r}")
+    return value

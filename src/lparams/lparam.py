@@ -29,6 +29,7 @@ from .errors import (
     ValidityC,
     ValidityE,
     ValidityIntegrality,
+    json_array,
 )
 from .gaussian import GaussQ, GVec, as_gauss, format_gauss, gvec, gvec_neg, parse_gauss
 from .intlinalg import (
@@ -133,8 +134,12 @@ def _coerce_parts(L: LGroup, lam, mu, w):
 
 def validity_rows(L: LGroup, lam, mu, w) -> List[Tuple[str, bool, str, type]]:
     """All validity verdicts: (name, passed, detail, error class to raise)."""
+    return _validity_rows(L, *_coerce_parts(L, lam, mu, w))
+
+
+def _validity_rows(L: LGroup, lam: GVec, mu: TorusPart, w: WeylElem):
+    """validity_rows on parts that _coerce_parts has already checked."""
     d = L.dual_datum
-    lam, mu, w = _coerce_parts(L, lam, mu, w)
     rows: List[Tuple[str, bool, str, type]] = []
 
     tw = apply_aut_to_weyl(L.theta0, w)
@@ -172,7 +177,7 @@ def validity_rows(L: LGroup, lam, mu, w) -> List[Tuple[str, bool, str, type]]:
 def make_param(L: LGroup, lam, mu, w) -> LParam:
     """Validate (lambda, mu, w) against the homomorphism conditions."""
     lam, mu, w = _coerce_parts(L, lam, mu, w)
-    for name, ok, detail, err in validity_rows(L, lam, mu, w):
+    for name, ok, detail, err in _validity_rows(L, lam, mu, w):
         if not ok:
             raise err(detail)
     return LParam(L, lam, mu, w, _theta_of(L, w))
@@ -592,14 +597,6 @@ def _tau_of(L: LGroup):
     return based_aut(L.g_datum, transpose(L.theta0.matrix))
 
 
-def _json_array(value, types) -> list:
-    """value itself, if it is a list of entries of the given types (bool excluded)."""
-    if not isinstance(value, list) or any(
-            isinstance(x, bool) or not isinstance(x, types) for x in value):
-        raise TypeError(f"not an array of {types}: {value!r}")
-    return value
-
-
 def param_parts(data: dict) -> Tuple[LGroup, List[GaussQ], TorusPart, List[int]]:
     """(L, lambda, mu, word) read from a parameter document, not yet validated.
 
@@ -609,9 +606,9 @@ def param_parts(data: dict) -> Tuple[LGroup, List[GaussQ], TorusPart, List[int]]
     try:
         group = data["group"]
         inner = data["inner_class"]
-        lam = [parse_gauss(str(z)) for z in _json_array(data["lambda"], (str, int))]
-        mu = torus_part([Q(x) for x in _json_array(data["mu"], (str, int))])
-        word = _json_array(data["w"], int)
+        lam = [parse_gauss(str(z)) for z in json_array(data["lambda"], (str, int))]
+        mu = torus_part([Q(x) for x in json_array(data["mu"], (str, int))])
+        word = json_array(data["w"], int)
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad parameter data: {data!r}") from exc
     return parse_inner_class(build_datum(group), inner), lam, mu, word

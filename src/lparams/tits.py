@@ -5,12 +5,20 @@ a rational torus part modulo Z^n, a canonical Weyl lift, and a flag for the
 outer generator. delta squares to 1 and acts through a distinguished
 involution of the datum. Products reduce left to right by the exchange
 rule, absorbing sigma_alpha^2 = alpha-check(-1) into the torus part.
+
+The exchange rule is read from a cached table: for each Weyl element x met
+and each simple index a it holds x*s_a and, when a is a descent of x, the
+integer coroot y(alpha-check_a) with y = x*s_a. A product sums those integer
+vectors and halves the sum modulo Z^n once at the end, so the reduction does
+no Fraction or matrix arithmetic after the first visit. The table holds at
+most |W| * rank entries per datum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cache
 from typing import Optional, Tuple
 
 from .errors import (
@@ -19,6 +27,7 @@ from .errors import (
     InvariantViolated,
     NotInvolution,
     PreconditionViolated,
+    json_array,
 )
 from .intlinalg import (ident, mat_mul, mat_vec, one_minus, solve_congruence, vadd, vneg,
                         vscale, vsub)
@@ -38,6 +47,16 @@ from .weyl import (
 )
 
 
+def _mod_one(x) -> Q:
+    """The representative of x modulo Z in [0, 1), as a Fraction."""
+    if not isinstance(x, Q):
+        x = Q(x)
+    n, d = x.numerator, x.denominator
+    if 0 <= n < d:
+        return x
+    return Q(n % d, d)
+
+
 @dataclass(frozen=True)
 class TorusPart:
     """Rational vector modulo Z^n: the element exp(2*pi*i*mu) of the torus."""
@@ -45,9 +64,7 @@ class TorusPart:
     entries: Tuple[Q, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple(Q(x) - (Q(x).numerator // Q(x).denominator)
-                                   for x in self.entries))
+        object.__setattr__(self, "entries", tuple(map(_mod_one, self.entries)))
 
     def __add__(self, other: "TorusPart") -> "TorusPart":
         return TorusPart(vadd(self.entries, other.entries))
@@ -128,24 +145,36 @@ def _half_coroot(d: RootDatum, i: int):
     return vscale(Q(1, 2), d.simple_coroots[i - 1])
 
 
+@cache
+def _cocycle_step(acc: WeylElem, a: int):
+    """(y, coroot) with y = acc * s_a.
+
+    coroot is the integer vector y(alpha-check_a) when a is a descent of acc,
+    and None when it is not.
+    """
+    d = acc.datum
+    y = weyl_mul(acc, simple_reflection(d, a))
+    if descent(acc, a):
+        return y, weyl_act(y, d.simple_coroots[a - 1])
+    return y, None
+
+
 def _sigma_cocycle(u: WeylElem, v: WeylElem):
     """Reduce sigma_u * sigma_v to exp(2*pi*i*c) * sigma_{uv}.
 
     Letters of v are absorbed one at a time. When a letter is not a descent
     the lifts multiply on the nose; otherwise sigma_u = sigma_y sigma_a and
-    sigma_a^2 = alpha-check_a(-1) pops out, transported left through y.
+    sigma_a^2 = alpha-check_a(-1) pops out, transported left through y. The
+    transported coroots are summed as integers and c is half their sum.
     """
-    d = u.datum
-    c = (Q(0),) * d.rank
+    c = [0] * u.datum.rank
     acc = u
     for a in v.word:
-        if descent(acc, a):
-            y = weyl_mul(acc, simple_reflection(d, a))
-            c = vadd(c, weyl_act(y, _half_coroot(d, a)))
-            acc = y
-        else:
-            acc = weyl_mul(acc, simple_reflection(d, a))
-    return TorusPart(c), acc
+        acc, coroot = _cocycle_step(acc, a)
+        if coroot is not None:
+            for k, x in enumerate(coroot):
+                c[k] += x
+    return TorusPart(tuple(Q(x % 2, 2) for x in c)), acc
 
 
 def tits_mul(g1: ExtTitsElem, g2: ExtTitsElem) -> ExtTitsElem:
@@ -334,10 +363,17 @@ def elem_to_dict(g: ExtTitsElem) -> dict:
 
 
 def elem_from_dict(ctx: TitsContext, data: dict) -> ExtTitsElem:
+    """Read back elem_to_dict output; types are checked, never coerced.
+
+    mu is an array of strings or integers, w an array of integers and eps
+    an integer; a bool, a float or a bare string is refused.
+    """
     try:
-        mu = torus_part([Q(x) for x in data["mu"]])
-        word = [int(i) for i in data["w"]]
-        eps = int(data["eps"])
+        mu = torus_part([Q(x) for x in json_array(data["mu"], (str, int))])
+        word = json_array(data["w"], int)
+        eps = data["eps"]
+        if isinstance(eps, bool) or not isinstance(eps, int):
+            raise TypeError(f"eps is not an integer: {eps!r}")
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad Tits element data: {data!r}") from exc
     if eps not in (0, 1):

@@ -20,7 +20,7 @@ from fractions import Fraction as Q
 from random import Random
 from typing import Optional, Tuple
 
-from .errors import ContextMismatch, InputError, InvalidParam, NotInvolution
+from .errors import ContextMismatch, InputError, InvalidParam, NotInvolution, json_array
 from .gaussian import GaussQ, GVec, as_gauss, format_gauss, gvec, gvec_add, gvec_neg, parse_gauss
 from .intlinalg import (ident, in_span_z, mat_mul, mat_neg, mat_vec, one_minus,
                         solve_congruence, transpose, vadd, vscale, vsub)
@@ -234,10 +234,17 @@ def torus_param_to_dict(p: TorusParam) -> dict:
 
 
 def torus_param_from_dict(data: dict) -> TorusParam:
+    """Read back torus_param_to_dict output; types are checked, never coerced.
+
+    theta_check is an array of integer arrays; gamma, lambda and mu are
+    arrays of strings or integers. A bool, a float or a bare string is refused.
+    """
     try:
-        eg = torus_egroup(data["theta_check"], [Q(x) for x in data["gamma"]])
-        lam = [parse_gauss(str(z)) for z in data["lambda"]]
-        mu = torus_part([Q(x) for x in data["mu"]])
+        theta_check = [json_array(row, int) for row in json_array(data["theta_check"], list)]
+        gamma = [Q(x) for x in json_array(data["gamma"], (str, int))]
+        eg = torus_egroup(theta_check, gamma)
+        lam = [parse_gauss(str(z)) for z in json_array(data["lambda"], (str, int))]
+        mu = torus_part([Q(x) for x in json_array(data["mu"], (str, int))])
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad torus parameter data: {data!r}") from exc
     return torus_param(eg, lam, mu)

@@ -141,10 +141,13 @@ def weil_to_lparam(r: WeilRep, n: Optional[int] = None) -> LParam:
     it. I(k,t) fills two consecutive coordinates: lambda-entries t +- k/2,
     w swaps them, mu-entries ((k-1)/2, 0); the parity condition on mu is one
     congruence per block and that choice satisfies it for either parity of k.
+    GL(n) is supported for n <= 9, so a larger rep is refused here.
     """
     dim = r.dim()
     if n is not None and n != dim:
         raise DimensionMismatch(f"rep has dimension {dim}, expected {n}")
+    if dim > 9:
+        raise InputError(f"rep has dimension {dim}; the GL(n) bridge supports n <= 9")
     L = lgroup_split(build_datum(f"GL({dim})"))
     lam: List[GaussQ] = []
     mu: List[Q] = []

@@ -116,6 +116,13 @@ def test_weilrep_bridge_line(capsys):
     assert "CHECK dual matches contragredient: PASS" in out
 
 
+def test_weilrep_dimension_cap_before_any_note(capsys):
+    code, out = _run(capsys, "weilrep", "+".join(["I(1,0)"] * 5))
+    assert code == 2
+    assert "INFO" not in out
+    assert out == "RESULT 2 rep has dimension 10; the GL(n) bridge supports n <= 9\n"
+
+
 def test_weilrep_json_round_trips_literal(capsys):
     code, out = _run(capsys, "weilrep", "I(0,1/4)", "--json")
     assert code == 0

@@ -12,6 +12,7 @@ from lparams.errors import (
     ValidityE,
     ValidityIntegrality,
 )
+from lparams import lparam
 from lparams.gaussian import GaussQ, gvec_neg
 from lparams.lgroup import lgroup_compact, lgroup_split, build_lgroup, standard_levis
 from lparams.lparam import (
@@ -78,6 +79,14 @@ def test_validity_c_rejects_non_twisted_involution():
         make_param(A2S, (0, 0), (0, 0), [1, 2])
     rows = validity_rows(A2S, (0, 0), (0, 0), [1, 2])
     assert rows[0][0] == "twisted-involution" and not rows[0][1]
+
+
+def test_make_param_coerces_once(monkeypatch):
+    calls = []
+    coerce = lparam._coerce_parts
+    monkeypatch.setattr(lparam, "_coerce_parts", lambda *a: calls.append(a) or coerce(*a))
+    make_param(GL2, (1, 0), (0, 0), [1])
+    assert len(calls) == 1
 
 
 def test_spherical_param_always_valid():

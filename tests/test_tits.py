@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from lparams.errors import PreconditionViolated
+from lparams.errors import InputError, PreconditionViolated
 from lparams.rootdata import build_datum, rho_check
 from lparams.tits import (
     ExtTitsElem,
@@ -176,6 +176,20 @@ def test_serialization_round_trip():
         torus_elem(ctx, torus_part((Q(1, 4), Q(1, 2)))),
         tits_mul(sigma(ctx, weyl_from_word(ctx.datum, [1, 2, 1])), delta_elem(ctx)))
     assert elem_from_dict(ctx, elem_to_dict(g)) == g
+
+
+@pytest.mark.parametrize("field,value", [
+    ("mu", "0"), ("mu", [0.5, "0"]), ("mu", [True, "0"]),
+    ("w", "1"), ("w", [1.7]), ("w", [True]),
+    ("eps", "1"), ("eps", True), ("eps", 1.0),
+])
+def test_elem_from_dict_refuses_coercion(field, value):
+    ctx = _ctx("B2 sc")
+    data = {"mu": ["1/4", "0"], "w": [1], "eps": 1}
+    elem_from_dict(ctx, data)
+    data[field] = value
+    with pytest.raises(InputError, match="bad Tits element data"):
+        elem_from_dict(ctx, data)
 
 
 # ---------------------------------------------------------------------------

@@ -141,3 +141,17 @@ def test_dict_round_trip():
         p = random_torus_param(eg, rng)
         q = torus_param_from_dict(torus_param_to_dict(p))
         assert q.egroup == p.egroup and q.lam == p.lam and q.mu == p.mu
+
+
+@pytest.mark.parametrize("field,value", [
+    ("theta_check", "[[1]]"), ("theta_check", [[True]]), ("theta_check", [[1.0]]),
+    ("gamma", "0"), ("gamma", [0.0]),
+    ("lambda", "0"), ("lambda", [True]),
+    ("mu", "0"), ("mu", [True]), ("mu", [0.5]),
+])
+def test_dict_refuses_coercion(field, value):
+    data = {"theta_check": [[1]], "gamma": ["0"], "lambda": ["1"], "mu": ["1/2"]}
+    torus_param_from_dict(data)
+    data[field] = value
+    with pytest.raises(InputError, match="bad torus parameter data"):
+        torus_param_from_dict(data)
