@@ -1,10 +1,13 @@
-"""Gaussian rationals a + b*i with exact Fraction components."""
+"""Gaussian rationals a + b*i with exact Fraction components, and vectors of
+them held as integer numerators over one denominator."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import gcd, lcm
+from operator import mul
 from typing import Tuple, Union
 
 from .errors import InputError
@@ -88,12 +91,61 @@ def gvec(entries) -> GVec:
     return tuple(as_gauss(e) for e in entries)
 
 
-def gvec_add(a: GVec, b: GVec) -> GVec:
-    return tuple(x + y for x, y in zip(a, b))
+class ScaledVec:
+    """A Gaussian-rational vector as integer numerators over one denominator.
 
+    Entry k is (re[k] + im[k] i) / den. The form is normal: den >= 1 and
+    gcd(den, *re, *im) = 1, so two vectors are equal exactly when their fields
+    are, and pairings with integer vectors, images under integer matrices and
+    lattice tests are integer arithmetic. This is the RatWeight idiom of the
+    atlas software (Adams-du Cloux 2009); GaussQ entries appear only where a
+    vector is read in or written out.
+    """
 
-def gvec_neg(a: GVec) -> GVec:
-    return tuple(-x for x in a)
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, re, im, den: int):
+        """Bring (re + im i) / den, with integer entries and den >= 1, to normal form."""
+        g = gcd(den, *re, *im)
+        if g != 1:
+            re = [x // g for x in re]
+            im = [x // g for x in im]
+            den //= g
+        self.re = tuple(re)
+        self.im = tuple(im)
+        self.den = den
+
+    @classmethod
+    def of(cls, entries) -> "ScaledVec":
+        """From GaussQ, Fraction, int or numeric-string entries; a ScaledVec is returned as is."""
+        if isinstance(entries, cls):
+            return entries
+        pairs = [(z.re, z.im) if isinstance(z, GaussQ) else (Q(z), Q(0)) for z in entries]
+        den = lcm(*(x.denominator for pair in pairs for x in pair))
+        return cls([a.numerator * (den // a.denominator) for a, _ in pairs],
+                   [b.numerator * (den // b.denominator) for _, b in pairs], den)
+
+    def gvec(self) -> GVec:
+        return tuple(GaussQ(Q(a, self.den), Q(b, self.den)) for a, b in zip(self.re, self.im))
+
+    def apply(self, m) -> "ScaledVec":
+        """The image under an integer matrix m (rows)."""
+        return ScaledVec([sum(map(mul, row, self.re)) for row in m],
+                         [sum(map(mul, row, self.im)) for row in m], self.den)
+
+    def __neg__(self) -> "ScaledVec":
+        return ScaledVec([-x for x in self.re], [-x for x in self.im], self.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScaledVec):
+            return NotImplemented
+        return self.den == other.den and self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im, self.den))
+
+    def __repr__(self):
+        return f"ScaledVec({[format_gauss(z) for z in self.gvec()]})"
 
 
 def format_gauss(z: GaussQ) -> str:

@@ -175,7 +175,7 @@ def smith(a) -> Tuple[IntMat, IntMat, IntMat]:
     cols = len(a[0]) if rows else 0
     for row in a:
         for x in row:
-            if Q(x).denominator != 1:
+            if not isinstance(x, int) and Q(x).denominator != 1:
                 raise ValueError("smith form needs an integer matrix")
     s = [[int(x) for x in row] for row in a]
     u = [list(row) for row in ident(rows)]
@@ -261,8 +261,9 @@ def solve_congruence(a, d) -> Optional[Vec]:
     den = 1
     for row in a:
         for x in row:
-            q = Q(x)
-            den = den * q.denominator // gcd(den, q.denominator)
+            if not isinstance(x, int):
+                q = Q(x)
+                den = den * q.denominator // gcd(den, q.denominator)
     if den != 1:
         scaled = tuple(tuple(Q(x) * den for x in row) for row in a)
         sol = solve_congruence(scaled, d)

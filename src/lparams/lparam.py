@@ -9,16 +9,22 @@ radical characters, the central-character class, discrete-series and Levi
 structure) and the two dualities (composition with the Chevalley involution,
 precomposition with j -> j^{-1}) are computed through the Tits group, so
 every half-integer correction is tracked exactly.
+
+lambda is carried as a ScaledVec and mu as a TorusPart, both integer
+numerators over one denominator, so validity, pairings with roots and the
+invariants are integer arithmetic. What depends only on theta = w theta0 is
+computed once per (L, w) and cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
 from math import lcm
+from operator import mul
 from random import Random
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import (
     ContextMismatch,
@@ -31,7 +37,7 @@ from .errors import (
     ValidityIntegrality,
     json_array,
 )
-from .gaussian import GaussQ, GVec, as_gauss, format_gauss, gvec, gvec_neg, parse_gauss
+from .gaussian import GaussQ, GVec, ScaledVec, format_gauss, parse_gauss
 from .intlinalg import (
     descend_map,
     ident,
@@ -66,6 +72,7 @@ from .rootdata import (
 from .tits import (
     ExtTitsElem,
     TorusPart,
+    act_on_torus_part,
     chevalley,
     sigma,
     tits_inverse,
@@ -99,23 +106,61 @@ from .weyl import (
 
 @dataclass(frozen=True)
 class LParam:
+    """A valid parameter (lambda, mu, w) for the L-group L.
+
+    lambda is held as a ScaledVec in `lam_s`; `lam` is its GaussQ view.
+    """
+
     L: LGroup
-    lam: GVec
+    lam_s: ScaledVec
     mu: TorusPart
     w: WeylElem
-    theta: Tuple[Tuple[int, ...], ...] = field(compare=False)
+
+    @property
+    def lam(self) -> GVec:
+        return self.lam_s.gvec()
+
+    @property
+    def theta(self) -> Tuple[Tuple[int, ...], ...]:
+        """theta = w theta0 on X_*."""
+        return _involution(self.L, self.w).theta
 
     def __repr__(self):
         return (f"LParam(lambda={[str(x) for x in self.lam]}, "
                 f"mu={[str(x) for x in self.mu.entries]}, w={list(self.w.word)})")
 
 
-def _theta_of(L: LGroup, w: WeylElem):
-    return mat_mul(w.matrix, coaction(L.theta0))
+class _Involution(NamedTuple):
+    theta: Tuple[Tuple[int, ...], ...]  # w theta0 on X_*
+    twisted: bool                       # w . theta0(w) = e
+    involutive: bool                    # theta^2 = 1
+    one_minus: Tuple[Tuple[int, ...], ...]
+    one_plus: Tuple[Tuple[int, ...], ...]
+    shift: Tuple[int, ...]              # rho_check - w rho_check
 
 
-def _pair(alpha, lam: GVec) -> GaussQ:
-    return sum((a * x for a, x in zip(alpha, lam)), start=as_gauss(0))
+@cache
+def _involution(L: LGroup, w: WeylElem) -> _Involution:
+    """theta = w theta0 and the integer data validity and the invariants read off it.
+
+    Computed once per (L, w); the cache holds one entry per Weyl element met,
+    in practice the twisted involutions of L.
+    """
+    d = L.dual_datum
+    theta = mat_mul(w.matrix, coaction(L.theta0))
+    twisted = weyl_mul(w, apply_aut_to_weyl(L.theta0, w)) == weyl_identity(d)
+    rc = rho_check(d)
+    shift = vsub(rc, weyl_act(w, rc))
+    if any(x.denominator != 1 for x in shift):
+        raise InvariantViolated("rho_check - w rho_check is not an integer vector")
+    return _Involution(theta, twisted, mat_mul(theta, theta) == ident(d.rank),
+                       one_minus(theta), one_minus(mat_neg(theta)),
+                       tuple(int(x) for x in shift))
+
+
+def _orthogonal(alpha, v: ScaledVec) -> bool:
+    """<alpha, v> = 0 for an integer vector alpha."""
+    return sum(map(mul, alpha, v.re)) == 0 and sum(map(mul, alpha, v.im)) == 0
 
 
 def _coerce_parts(L: LGroup, lam, mu, w):
@@ -124,10 +169,10 @@ def _coerce_parts(L: LGroup, lam, mu, w):
         w = weyl_from_word(d, w)
     if w.datum != d:
         raise ContextMismatch("Weyl part over a different datum")
-    lam = gvec(lam)
+    lam = ScaledVec.of(lam)
     if not isinstance(mu, TorusPart):
         mu = torus_part(mu)
-    if len(lam) != d.rank or len(mu.entries) != d.rank:
+    if len(lam.re) != d.rank or len(mu.num) != d.rank:
         raise InputError("lambda/mu length does not match the dual rank")
     return lam, mu, w
 
@@ -137,35 +182,32 @@ def validity_rows(L: LGroup, lam, mu, w) -> List[Tuple[str, bool, str, type]]:
     return _validity_rows(L, *_coerce_parts(L, lam, mu, w))
 
 
-def _validity_rows(L: LGroup, lam: GVec, mu: TorusPart, w: WeylElem):
+def _validity_rows(L: LGroup, lam: ScaledVec, mu: TorusPart, w: WeylElem):
     """validity_rows on parts that _coerce_parts has already checked."""
-    d = L.dual_datum
+    inv = _involution(L, w)
     rows: List[Tuple[str, bool, str, type]] = []
 
-    tw = apply_aut_to_weyl(L.theta0, w)
-    c_ok = weyl_mul(w, tw) == weyl_identity(d)
+    c_ok = inv.twisted
     rows.append(("twisted-involution", c_ok,
                  "w . theta0(w) = e" if c_ok else "w . theta0(w) != e", ValidityC))
-    theta = _theta_of(L, w)
-    inv_ok = mat_mul(theta, theta) == ident(d.rank)
+    inv_ok = inv.involutive
     rows.append(("theta-involution", inv_ok,
                  "theta^2 = 1" if inv_ok else "theta^2 != 1", NotInvolution))
     if not (c_ok and inv_ok):
         return rows
 
-    dif = tuple(a - b for a, b in zip(lam, mat_vec(theta, lam)))
-    int_ok = all(v.is_rational() and v.re.denominator == 1 for v in dif)
+    dif = lam.apply(inv.one_minus)
+    int_ok = dif.den == 1 and not any(dif.im)
     rows.append(("integrality", int_ok,
                  "lambda - theta(lambda) in Z^n" if int_ok
                  else "lambda - theta(lambda) not in Z^n", ValidityIntegrality))
     if not int_ok:
         return rows
 
-    rc = rho_check(d)
-    lhs = vadd(vscale(Q(2), vadd(mu.entries, mat_vec(theta, mu.entries))),
-               vsub(rc, weyl_act(w, rc)))
-    gap = vsub(lhs, tuple(v.re for v in dif))
-    e_ok = all((x / 2).denominator == 1 for x in gap)
+    # 2(mu + theta(mu)) has numerators 2 * (1 + theta) mu.num over mu.den
+    two_mu_plus = [2 * sum(map(mul, row, mu.num)) for row in inv.one_plus]
+    e_ok = all(x % mu.den == 0 and (x // mu.den + r - y) % 2 == 0
+               for x, r, y in zip(two_mu_plus, inv.shift, dif.re))
     rows.append(("parity", e_ok,
                  "2(mu + theta(mu)) + (rho_check - w rho_check) = "
                  "lambda - theta(lambda) mod 2Z^n" if e_ok else
@@ -180,7 +222,7 @@ def make_param(L: LGroup, lam, mu, w) -> LParam:
     for name, ok, detail, err in _validity_rows(L, lam, mu, w):
         if not ok:
             raise err(detail)
-    return LParam(L, lam, mu, w, _theta_of(L, w))
+    return LParam(L, lam, mu, w)
 
 
 def phi_j(p: LParam) -> ExtTitsElem:
@@ -205,8 +247,7 @@ def conjugate_param(p: LParam, by) -> LParam:
             raise ContextMismatch("conjugator over a different datum")
         s = sigma(ctx, by)
         g = tits_mul(tits_mul(s, phi_j(p)), tits_inverse(s))
-        lam = tuple(mat_vec(by.matrix, p.lam))
-        return _from_phi_j(p.L, lam, g)
+        return _from_phi_j(p.L, p.lam_s.apply(by.matrix), g)
     raise InputError("conjugator must be a TorusPart or a WeylElem")
 
 
@@ -224,8 +265,8 @@ def params_equivalent(p: LParam, q: LParam) -> bool:
     if p.L != q.L:
         raise ContextMismatch("parameters for different L-groups")
     d = p.L.dual_datum
-    dom, x, pairings = _dominance_descent(d, p.lam)
-    dom_q, y, _ = _dominance_descent(d, q.lam)
+    dom, x, pairings = _dominance_descent(d, p.lam_s)
+    dom_q, y, _ = _dominance_descent(d, q.lam_s)
     if dom != dom_q:
         return False
     zero = [i + 1 for i, (re, im) in enumerate(pairings) if re == 0 and im == 0]
@@ -233,7 +274,7 @@ def params_equivalent(p: LParam, q: LParam) -> bool:
         pc = conjugate_param(p, weyl_from_word(d, [*y, *s.word, *reversed(x)]))
         if pc.w != q.w:
             continue
-        if solve_congruence(one_minus(q.theta), vsub(q.mu.entries, pc.mu.entries)) is not None:
+        if solve_congruence(one_minus(q.theta), (q.mu - pc.mu).entries) is not None:
             return True
     return False
 
@@ -241,21 +282,17 @@ def params_equivalent(p: LParam, q: LParam) -> bool:
 # ---------------------------------------------------------------------------
 # invariants
 
-def _dominance_descent(d: RootDatum, vec):
+def _dominance_descent(d: RootDatum, v: ScaledVec):
     """(dominant point, reflection indices in order applied, final simple pairings).
 
-    The real and imaginary parts are carried as integer vectors over one
-    common denominator. The simple pairings p_j = <alpha_j, v> are computed
-    once; reflecting by s_i updates them through the Cartan matrix,
+    The simple pairings p_j = <alpha_j, v> are computed once, on the integer
+    numerators; reflecting by s_i updates them through the Cartan matrix,
     p_j -= <alpha_j, alpha-check_i> p_i, and v by v -= p_i alpha-check_i.
-    With indices (i_1, ..., i_k) the point reached is s_{i_k} ... s_{i_1} (vec).
+    With indices (i_1, ..., i_k) the point reached is s_{i_k} ... s_{i_1} (v).
     Pairings are returned as scaled (real, imaginary) pairs, good for sign
     and zero tests.
     """
-    v = gvec(vec)
-    den = lcm(*(x.denominator for z in v for x in (z.re, z.im)))
-    re = [int(z.re * den) for z in v]
-    im = [int(z.im * den) for z in v]
+    re, im = list(v.re), list(v.im)
     pre = [vdot(a, re) for a in d.simple_roots]
     pim = [vdot(a, im) for a in d.simple_roots]
     cartan = cartan_matrix(d)
@@ -264,8 +301,7 @@ def _dominance_descent(d: RootDatum, vec):
         i = next((k for k in range(d.nsimple)
                   if pre[k] < 0 or (pre[k] == 0 and pim[k] < 0)), None)
         if i is None:
-            point = tuple(GaussQ(Q(a, den), Q(b, den)) for a, b in zip(re, im))
-            return point, steps, list(zip(pre, pim))
+            return ScaledVec(re, im, v.den), steps, list(zip(pre, pim))
         steps.append(i + 1)
         ri, ii = pre[i], pim[i]
         cv = d.simple_coroots[i]
@@ -287,11 +323,21 @@ def dominant_rep(d: RootDatum, vec: GVec) -> GVec:
     simple pairings are updated through the Cartan matrix at each reflection
     rather than recomputed.
     """
-    return _dominance_descent(d, vec)[0]
+    return _dominance_descent(d, ScaledVec.of(vec))[0].gvec()
+
+
+def _inf_char(p: LParam) -> ScaledVec:
+    return _dominance_descent(p.L.dual_datum, p.lam_s)[0]
 
 
 def inf_char(p: LParam) -> GVec:
-    return dominant_rep(p.L.dual_datum, p.lam)
+    return _inf_char(p).gvec()
+
+
+@cache
+def _radical_projection(d: RootDatum):
+    """saturation_projection of the coroot lattice, once per datum."""
+    return saturation_projection(d.simple_coroots, d.rank)
 
 
 def rad_param(p: LParam) -> TorusParam:
@@ -300,39 +346,37 @@ def rad_param(p: LParam) -> TorusParam:
     The radical cocharacter lattice is X_* modulo the saturated coroot
     lattice; theta descends because it permutes coroots up to sign.
     """
-    d = p.L.dual_datum
-    proj, uinv, rank = saturation_projection(d.simple_coroots, d.rank)
+    proj, uinv, rank = _radical_projection(p.L.dual_datum)
     th_rad = descend_map(proj, uinv, rank, p.theta)
     eg = torus_egroup(th_rad, (Q(0),) * len(proj))
-    lam_q = tuple(mat_vec(proj, p.lam))
-    mu_q = torus_part(mat_vec(proj, p.mu.entries))
-    return torus_param(eg, lam_q, mu_q)
+    return torus_param(eg, p.lam_s.apply(proj), act_on_torus_part(proj, p.mu))
 
 
 def rad_char(p: LParam) -> TorusCharData:
     return param_to_char(rad_param(p))
 
 
-def _imaginary_group_roots(p: LParam) -> List[Tuple[Q, ...]]:
-    """Roots of the group itself (coroots of the dual datum) negated by theta."""
-    return [c for c in sorted(all_coroots(p.L.dual_datum))
-            if tuple(mat_vec(p.theta, c)) == tuple(-x for x in c)]
+@cache
+def _two_rho_imaginary(L: LGroup, w: WeylElem, base: int) -> Tuple[int, ...]:
+    """Sum of the imaginary roots made positive by a functional (1, t, t^2, ...), t >= base.
 
-
-def _rho_imaginary(p: LParam, base: int) -> Tuple[Q, ...]:
-    """Half-sum of the imaginary roots made positive by a functional (1, t, t^2, ...)."""
-    imag = _imaginary_group_roots(p)
-    n = p.L.dual_datum.rank
+    The imaginary roots are the roots of the group itself (coroots of the
+    dual datum) negated by theta = w theta0; computed once per (L, w, base).
+    """
+    theta = _involution(L, w).theta
+    imag = [c for c in sorted(all_coroots(L.dual_datum))
+            if tuple(mat_vec(theta, c)) == tuple(-x for x in c)]
+    n = L.dual_datum.rank
     t = base
     while True:
-        f = tuple(Q(t) ** k for k in range(n))
+        f = tuple(t ** k for k in range(n))
         vals = [vdot(f, r) for r in imag]
         if all(v != 0 for v in vals):
-            half = (Q(0),) * n
+            total = (0,) * n
             for r, v in zip(imag, vals):
                 if v > 0:
-                    half = vadd(half, r)
-            return vscale(Q(1, 2), half)
+                    total = vadd(total, r)
+            return total
         t += 1
 
 
@@ -345,15 +389,20 @@ def central_char(p: LParam, functional_base: int = 2) -> Tuple[Q, ...]:
     absorbs the Z^n-ambiguity of mu, and any two positive systems differ by a
     root-lattice element, so the class is representative-independent.
     """
-    dif = tuple(a - b for a, b in zip(p.lam, mat_vec(p.theta, p.lam)))
-    half = tuple((as_gauss(x) * Q(1, 2)).re for x in dif)
-    mu_plus = vadd(p.mu.entries, mat_vec(p.theta, p.mu.entries))
-    return vadd(vsub(half, mu_plus), _rho_imaginary(p, functional_base))
+    inv = _involution(p.L, p.w)
+    dif = p.lam_s.apply(inv.one_minus)
+    mu_plus = [sum(map(mul, row, p.mu.num)) for row in inv.one_plus]
+    two_rho = _two_rho_imaginary(p.L, p.w, functional_base)
+    den = lcm(2 * dif.den, p.mu.den)
+    a, b, c = den // (2 * dif.den), den // p.mu.den, den // 2
+    return tuple(Q(x * a - y * b + r * c, den)
+                 for x, y, r in zip(dif.re, mu_plus, two_rho))
 
 
 def central_modulus_gens(p: LParam) -> List[Tuple[int, ...]]:
+    inv = _involution(p.L, p.w)
     gens = [tuple(c) for c in p.L.dual_datum.simple_coroots]
-    for mat in (one_minus(p.theta), one_minus(mat_neg(p.theta))):
+    for mat in (inv.one_minus, inv.one_plus):
         gens.extend(transpose(mat))
     return gens
 
@@ -369,7 +418,7 @@ def is_discrete_series(p: LParam) -> bool:
     """lambda regular, and theta acts as inversion on the derived part."""
     d = p.L.dual_datum
     for alpha in all_roots(d):
-        if _pair(alpha, p.lam).is_zero():
+        if _orthogonal(alpha, p.lam_s):
             return False
     for c in d.simple_coroots:
         if tuple(mat_vec(p.theta, c)) != tuple(-x for x in c):
@@ -382,9 +431,9 @@ def is_discrete_series(p: LParam) -> bool:
 
 def _s_hat_roots(p: LParam) -> List[Tuple[int, ...]]:
     """Dual-group roots pairing to zero against both lambda and theta(lambda)."""
-    th_lam = tuple(mat_vec(p.theta, p.lam))
+    th_lam = p.lam_s.apply(p.theta)
     return [alpha for alpha in sorted(all_roots(p.L.dual_datum))
-            if _pair(alpha, p.lam).is_zero() and _pair(alpha, th_lam).is_zero()]
+            if _orthogonal(alpha, p.lam_s) and _orthogonal(alpha, th_lam)]
 
 
 def _levi_subsystem(d: RootDatum, subset: frozenset) -> frozenset:
@@ -433,14 +482,14 @@ def contragredient_param(p: LParam) -> LParam:
     """Compose with the Chevalley involution: lambda -> -lambda, phi(j) -> C(phi(j))."""
     g = chevalley(phi_j(p))
     _check_over_w(p, g, "C(phi(j))")
-    return _from_phi_j(p.L, gvec_neg(p.lam), g)
+    return _from_phi_j(p.L, -p.lam_s, g)
 
 
 def tau_twist_param(p: LParam) -> LParam:
     """Precompose with z -> z^{-1}, j -> j^{-1}: lambda -> -lambda, phi(j) -> phi(j)^{-1}."""
     g = tits_inverse(phi_j(p))
     _check_over_w(p, g, "phi(j)^{-1}")
-    return _from_phi_j(p.L, gvec_neg(p.lam), g)
+    return _from_phi_j(p.L, -p.lam_s, g)
 
 
 def _check_over_w(p: LParam, g: ExtTitsElem, what: str) -> None:
@@ -469,8 +518,8 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
     cp = contragredient_param(p)
     rows = []
 
-    want = dominant_rep(d, gvec_neg(inf_char(p)))
-    got = inf_char(cp)
+    want = _dominance_descent(d, -_inf_char(p))[0]
+    got = _inf_char(cp)
     rows.append(("inf_char negation", got == want,
                  f"inf(C)={_fmt_vec(got)} dominant(-inf)={_fmt_vec(want)}"))
 
@@ -493,8 +542,8 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
     return rows
 
 
-def _fmt_vec(v: GVec) -> str:
-    return "(" + ", ".join(format_gauss(x) for x in v) + ")"
+def _fmt_vec(v: ScaledVec) -> str:
+    return "(" + ", ".join(format_gauss(x) for x in v.gvec()) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +588,12 @@ def twisted_involutions(L: LGroup) -> List[WeylElem]:
     return list(_twisted_involution_set(L))
 
 
+def _sixths(rng: Random, n: int) -> List[int]:
+    """n draws a/b, a in [-6, 6] and b in {1, 2, 3}, as numerators over 6."""
+    return [a * (6 // b) for a, b in ((rng.randrange(-6, 7), rng.choice([1, 2, 3]))
+                                      for _ in range(n))]
+
+
 def random_param(L: LGroup, rng: Random, denominator: int = 4) -> LParam:
     """Seeded valid parameter: pick a twisted involution, then solve for lambda.
 
@@ -547,30 +602,30 @@ def random_param(L: LGroup, rng: Random, denominator: int = 4) -> LParam:
     right-hand side non-integral is redrawn. The free directions (even
     vectors and theta-fixed vectors) are randomized for coverage.
     """
-    d = L.dual_datum
-    n = d.rank
-    rc = rho_check(d)
+    n = L.dual_datum.rank
     words = twisted_involutions(L)
     for _ in range(400):
         w = rng.choice(words)
-        theta = _theta_of(L, w)
+        inv = _involution(L, w)
         den = rng.choice([1, 2, 2, denominator])
-        mu = torus_part([Q(rng.randrange(-2 * den, 2 * den + 1), den) for _ in range(n)])
-        t0 = vadd(vscale(Q(2), vadd(mu.entries, mat_vec(theta, mu.entries))),
-                  vsub(rc, weyl_act(w, rc)))
-        if any(x.denominator != 1 for x in t0):
+        mu = TorusPart.scaled([rng.randrange(-2 * den, 2 * den + 1) for _ in range(n)], den)
+        # t0 = 2(mu + theta(mu)) + (rho_check - w rho_check) must be integral
+        two_mu_plus = [2 * sum(map(mul, row, mu.num)) for row in inv.one_plus]
+        if any(x % mu.den for x in two_mu_plus):
             continue
-        half = tuple(vscale(Q(1, 2), row) for row in one_minus(theta))
-        sol = solve_congruence(half, vscale(Q(1, 2), t0))
+        t0 = [x // mu.den + r for x, r in zip(two_mu_plus, inv.shift)]
+        half = tuple(vscale(Q(1, 2), row) for row in inv.one_minus)
+        sol = solve_congruence(half, tuple(Q(x, 2) for x in t0))
         if sol is None:
             continue
-        lam_re = vadd(sol, [2 * rng.randrange(-2, 3) for _ in range(n)])
-        fix = [Q(rng.randrange(-6, 7), rng.choice([1, 2, 3])) for _ in range(n)]
-        lam_re = vadd(lam_re, vscale(Q(1, 2), vadd(fix, mat_vec(theta, fix))))
-        im_seed = [Q(rng.randrange(-6, 7), rng.choice([1, 2, 3])) for _ in range(n)]
-        lam_im = vscale(Q(1, 2), vadd(im_seed, mat_vec(theta, im_seed)))
-        lam = tuple(GaussQ(r, i) for r, i in zip(lam_re, lam_im))
-        return make_param(L, lam, mu, w)
+        even = [2 * rng.randrange(-2, 3) for _ in range(n)]
+        # theta-fixed shifts (1 + theta) x / 2 with x in (1/6)Z^n, numerators over 12
+        fix, im = ([sum(map(mul, row, x)) for row in inv.one_plus]
+                   for x in (_sixths(rng, n), _sixths(rng, n)))
+        den = lcm(12, *(x.denominator for x in sol))
+        re = [x.numerator * (den // x.denominator) + e * den + f * (den // 12)
+              for x, e, f in zip(sol, even, fix)]
+        return make_param(L, ScaledVec(re, [x * (den // 12) for x in im], den), mu, w)
     raise InputError("could not sample a valid parameter")
 
 

@@ -37,6 +37,15 @@ class RootDatum:
     simple_roots: Tuple[IntVec, ...]
     simple_coroots: Tuple[IntVec, ...]
     label: str = field(default="", compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a datum keys many caches; hash its nested tuples once, not per lookup
+        object.__setattr__(self, "_hash",
+                           hash((self.rank, self.simple_roots, self.simple_coroots)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def nsimple(self) -> int:

@@ -6,12 +6,18 @@ outer generator. delta squares to 1 and acts through a distinguished
 involution of the datum. Products reduce left to right by the exchange
 rule, absorbing sigma_alpha^2 = alpha-check(-1) into the torus part.
 
+A torus part is integer numerators over one denominator, each numerator
+reduced into [0, den) and the fraction in lowest terms (the TorusElement
+idiom of the atlas software), so sums, negation and the action of the Weyl
+group and of delta are integer arithmetic; Fractions appear only in the
+`entries` view that printing and serialization read.
+
 The exchange rule is read from a cached table: for each Weyl element x met
 and each simple index a it holds x*s_a and, when a is a descent of x, the
 integer coroot y(alpha-check_a) with y = x*s_a. A product sums those integer
 vectors and halves the sum modulo Z^n once at the end, so the reduction does
-no Fraction or matrix arithmetic after the first visit. The table holds at
-most |W| * rank entries per datum.
+no matrix arithmetic after the first visit. The table holds at most
+|W| * rank entries per datum.
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
-from typing import Optional, Tuple
+from math import gcd, lcm
+from operator import mul
+from typing import Optional
 
 from .errors import (
     ContextMismatch,
@@ -29,8 +37,7 @@ from .errors import (
     PreconditionViolated,
     json_array,
 )
-from .intlinalg import (ident, mat_mul, mat_vec, one_minus, solve_congruence, vadd, vneg,
-                        vscale, vsub)
+from .intlinalg import ident, mat_mul, one_minus, solve_congruence, vscale, vsub
 from .rootdata import BasedAut, RootDatum, cartan_matrix, coaction, identity_aut, rho_check
 from .weyl import (
     WeylElem,
@@ -47,48 +54,85 @@ from .weyl import (
 )
 
 
-def _mod_one(x) -> Q:
-    """The representative of x modulo Z in [0, 1), as a Fraction."""
-    if not isinstance(x, Q):
-        x = Q(x)
-    n, d = x.numerator, x.denominator
-    if 0 <= n < d:
-        return x
-    return Q(n % d, d)
+def _reduce_mod_one(num, den: int):
+    """(numerators, denominator) of num / den modulo Z^n in normal form."""
+    num = [x % den for x in num]
+    g = gcd(den, *num)
+    if g == 1:
+        return tuple(num), den
+    return tuple(x // g for x in num), den // g
 
 
-@dataclass(frozen=True)
 class TorusPart:
-    """Rational vector modulo Z^n: the element exp(2*pi*i*mu) of the torus."""
+    """Rational vector modulo Z^n: the element exp(2*pi*i*mu) of the torus.
 
-    entries: Tuple[Q, ...]
+    Held as integer numerators `num` over one denominator `den` in normal
+    form: every numerator lies in [0, den), gcd(den, *num) = 1, and zero is
+    den = 1. Equal torus parts therefore have equal fields, and equality,
+    hashing, sums, negation and act_on_torus_part are integer arithmetic.
+    `entries` is a read-only Fraction view, each entry in [0, 1).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(map(_mod_one, self.entries)))
+    __slots__ = ("num", "den")
+
+    def __init__(self, entries):
+        """From Fraction, int or numeric-string entries, reduced modulo Z^n."""
+        qs = [Q(x) for x in entries]
+        den = lcm(*(q.denominator for q in qs))
+        self.num, self.den = _reduce_mod_one(
+            [q.numerator * (den // q.denominator) for q in qs], den)
+
+    @classmethod
+    def scaled(cls, num, den: int) -> "TorusPart":
+        """num / den modulo Z^n, for integer numerators and a denominator den >= 1."""
+        t = cls.__new__(cls)
+        t.num, t.den = _reduce_mod_one(num, den)
+        return t
+
+    @property
+    def entries(self):
+        return tuple(Q(x, self.den) for x in self.num)
 
     def __add__(self, other: "TorusPart") -> "TorusPart":
-        return TorusPart(vadd(self.entries, other.entries))
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return TorusPart.scaled([a + b for a, b in zip(self.num, other.num)], d1)
+        den = lcm(d1, d2)
+        f1, f2 = den // d1, den // d2
+        return TorusPart.scaled([a * f1 + b * f2 for a, b in zip(self.num, other.num)], den)
 
     def __neg__(self) -> "TorusPart":
-        return TorusPart(vneg(self.entries))
+        return TorusPart.scaled([-a for a in self.num], self.den)
+
+    def __sub__(self, other: "TorusPart") -> "TorusPart":
+        return self + -other
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TorusPart):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"TorusPart({[str(x) for x in self.entries]})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return self.den == 1
 
 
 def torus_part(entries) -> TorusPart:
-    return TorusPart(tuple(Q(x) for x in entries))
+    return TorusPart(entries)
 
 
 def torus_part_zero(rank: int) -> TorusPart:
-    return TorusPart((Q(0),) * rank)
+    return TorusPart.scaled((0,) * rank, 1)
 
 
 def act_on_torus_part(matrix, t: TorusPart) -> TorusPart:
-    return TorusPart(mat_vec(matrix, t.entries))
+    """The image of t under an integer matrix (rows)."""
+    return TorusPart.scaled([sum(map(mul, row, t.num)) for row in matrix], t.den)
 
 
 @dataclass(frozen=True)
@@ -125,7 +169,7 @@ def tits_identity(ctx: TitsContext) -> ExtTitsElem:
 
 
 def torus_elem(ctx: TitsContext, t: TorusPart) -> ExtTitsElem:
-    if len(t.entries) != ctx.datum.rank:
+    if len(t.num) != ctx.datum.rank:
         raise InputError("torus part has the wrong length")
     return ExtTitsElem(ctx, t, weyl_identity(ctx.datum), 0)
 
@@ -174,7 +218,7 @@ def _sigma_cocycle(u: WeylElem, v: WeylElem):
         if coroot is not None:
             for k, x in enumerate(coroot):
                 c[k] += x
-    return TorusPart(tuple(Q(x % 2, 2) for x in c)), acc
+    return TorusPart.scaled(c, 2), acc
 
 
 def tits_mul(g1: ExtTitsElem, g2: ExtTitsElem) -> ExtTitsElem:
@@ -378,6 +422,6 @@ def elem_from_dict(ctx: TitsContext, data: dict) -> ExtTitsElem:
         raise InputError(f"bad Tits element data: {data!r}") from exc
     if eps not in (0, 1):
         raise InputError("eps must be 0 or 1")
-    if len(mu.entries) != ctx.datum.rank:
+    if len(mu.num) != ctx.datum.rank:
         raise InputError("mu has the wrong length")
     return ExtTitsElem(ctx, mu, weyl_from_word(ctx.datum, word), eps)

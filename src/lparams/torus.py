@@ -11,19 +11,23 @@ Transport convention: if theta-check is the involution on X_*(dual torus),
 the character-side involution on the identified lattice X^* is -theta-check.
 That sign is forced by (1+theta)(1-theta-check) = 0, which makes the kappa
 formula land in character data.
+
+lambda and kappa are held as ScaledVecs and mu as a TorusPart, so the
+validity checks, kappa and character equality are integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import lcm
+from operator import mul
 from random import Random
 from typing import Optional, Tuple
 
 from .errors import ContextMismatch, InputError, InvalidParam, NotInvolution, json_array
-from .gaussian import GaussQ, GVec, as_gauss, format_gauss, gvec, gvec_add, gvec_neg, parse_gauss
-from .intlinalg import (ident, in_span_z, mat_mul, mat_neg, mat_vec, one_minus,
-                        solve_congruence, transpose, vadd, vscale, vsub)
+from .gaussian import GVec, ScaledVec, format_gauss, parse_gauss
+from .intlinalg import ident, in_span_z, mat_mul, mat_neg, one_minus, solve_congruence, transpose
 from .tits import TorusPart, torus_part
 
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -86,99 +90,136 @@ def char_side_involution(eg: TorusEGroup) -> RealTorusInvolution:
     return RealTorusInvolution(mat_neg(eg.theta_check))
 
 
+def _reals(v: ScaledVec) -> Tuple[Q, ...]:
+    return tuple(Q(x, v.den) for x in v.re)
+
+
+def _in_coset(kappa: ScaledVec, gamma: Tuple[Q, ...]) -> bool:
+    """kappa in gamma + Z^n."""
+    den = kappa.den
+    return all((k * g.denominator - g.numerator * den) % (den * g.denominator) == 0
+               for k, g in zip(kappa.re, gamma))
+
+
 @dataclass(frozen=True)
 class TorusCharData:
-    """(lambda, kappa) data of a genuine character of the gamma-cover."""
+    """(lambda, kappa) data of a genuine character of the gamma-cover.
+
+    lambda and kappa are held as ScaledVecs (kappa is real); `lam` and
+    `kappa` are their GaussQ and Fraction views.
+    """
 
     inv: RealTorusInvolution
-    lam: GVec
-    kappa: Tuple[Q, ...]
+    lam_s: ScaledVec
+    kappa_s: ScaledVec
     gamma: Tuple[Q, ...]
+
+    @property
+    def lam(self) -> GVec:
+        return self.lam_s.gvec()
+
+    @property
+    def kappa(self) -> Tuple[Q, ...]:
+        return _reals(self.kappa_s)
 
 
 def torus_char_data(inv: RealTorusInvolution, lam, kappa, gamma) -> TorusCharData:
-    lam = gvec(lam)
-    kappa = tuple(Q(x) for x in kappa)
+    lam = ScaledVec.of(lam)
+    kappa = ScaledVec.of(kappa)
     gamma = tuple(Q(x) for x in gamma)
     n = len(inv.theta)
-    if not (len(lam) == len(kappa) == len(gamma) == n):
+    if not (len(lam.re) == len(kappa.re) == len(gamma) == n):
         raise InputError("vector lengths do not match the involution")
-    lam_plus = gvec_add(lam, tuple(mat_vec(inv.theta, lam)))
-    kap_plus = vadd(kappa, mat_vec(inv.theta, kappa))
-    if any(a != b for a, b in zip(lam_plus, kap_plus)):
+    if any(kappa.im):
+        raise InputError("kappa must be real")
+    # (1+theta)lambda = (1+theta)kappa, compared across the two denominators
+    one_plus = one_minus(mat_neg(inv.theta))
+    lam_plus, kap_plus = lam.apply(one_plus), kappa.apply(one_plus)
+    if lam_plus != kap_plus:
         raise InvalidParam("(1+theta)lambda != (1+theta)kappa")
-    if any((k - g).denominator != 1 for k, g in zip(kappa, gamma)):
+    if not _in_coset(kappa, gamma):
         raise InvalidParam("kappa is not in gamma + Z^n")
     return TorusCharData(inv, lam, kappa, gamma)
 
 
 @dataclass(frozen=True)
 class TorusParam:
-    """E-group parameter: phi(z) = z^lambda zbar^{theta-check lambda}, phi(j) = exp(2*pi*i*mu) delta."""
+    """E-group parameter: phi(z) = z^lambda zbar^{theta-check lambda}, phi(j) = exp(2*pi*i*mu) delta.
+
+    lambda is held as a ScaledVec in `lam_s`; `lam` is its GaussQ view.
+    """
 
     egroup: TorusEGroup
-    lam: GVec
+    lam_s: ScaledVec
     mu: TorusPart
 
+    @property
+    def lam(self) -> GVec:
+        return self.lam_s.gvec()
 
-def param_kappa(eg: TorusEGroup, lam: GVec, mu: TorusPart) -> Tuple[Q, ...]:
+
+def _kappa(eg: TorusEGroup, lam: ScaledVec, mu: TorusPart) -> ScaledVec:
+    """kappa = (1/2)(1-theta-check)lambda - (1+theta-check)mu, which must be real."""
+    tc = eg.theta_check
+    dif = lam.apply(one_minus(tc))
+    if any(dif.im):
+        raise InvalidParam("kappa is not real: lambda fails the reality constraint")
+    mu_plus = [a + sum(map(mul, row, mu.num)) for a, row in zip(mu.num, tc)]
+    den = lcm(2 * dif.den, mu.den)
+    a, b = den // (2 * dif.den), den // mu.den
+    return ScaledVec([x * a - y * b for x, y in zip(dif.re, mu_plus)], (0,) * len(mu_plus), den)
+
+
+def param_kappa(eg: TorusEGroup, lam, mu: TorusPart) -> Tuple[Q, ...]:
     """kappa = (1/2)(1-theta-check)lambda - (1+theta-check)mu, which must be rational."""
-    dif = tuple(a - b for a, b in zip(lam, mat_vec(eg.theta_check, lam)))
-    half = tuple(as_gauss(x) * Q(1, 2) for x in dif)
-    mu_plus = vadd(mu.entries, mat_vec(eg.theta_check, mu.entries))
-    out = []
-    for h, m in zip(half, mu_plus):
-        v = h - m
-        if not v.is_rational():
-            raise InvalidParam("kappa is not real: lambda fails the reality constraint")
-        out.append(v.re)
-    return tuple(out)
+    return _reals(_kappa(eg, ScaledVec.of(lam), mu))
 
 
 def torus_param(eg: TorusEGroup, lam, mu) -> TorusParam:
-    lam = gvec(lam)
+    lam = ScaledVec.of(lam)
     if not isinstance(mu, TorusPart):
         mu = torus_part(mu)
-    if len(lam) != eg.rank or len(mu.entries) != eg.rank:
+    if len(lam.re) != eg.rank or len(mu.num) != eg.rank:
         raise InputError("vector lengths do not match the E-group rank")
-    dif = tuple(a - b for a, b in zip(lam, mat_vec(eg.theta_check, lam)))
-    for v in dif:
-        if not (v.is_rational() and v.re.denominator == 1):
-            raise InvalidParam("lambda - theta-check(lambda) is not in Z^n")
-    kappa = param_kappa(eg, lam, mu)
-    if any((k - g).denominator != 1 for k, g in zip(kappa, eg.gamma)):
+    dif = lam.apply(one_minus(eg.theta_check))
+    if dif.den != 1 or any(dif.im):
+        raise InvalidParam("lambda - theta-check(lambda) is not in Z^n")
+    if not _in_coset(_kappa(eg, lam, mu), eg.gamma):
         raise InvalidParam("kappa is not in gamma + Z^n")
     return TorusParam(eg, lam, mu)
 
 
 def param_to_char(p: TorusParam) -> TorusCharData:
-    kappa = param_kappa(p.egroup, p.lam, p.mu)
-    return torus_char_data(char_side_involution(p.egroup), p.lam, kappa, p.egroup.gamma)
+    kappa = _kappa(p.egroup, p.lam_s, p.mu)
+    return torus_char_data(char_side_involution(p.egroup), p.lam_s, kappa, p.egroup.gamma)
 
 
 def char_equal(c1: TorusCharData, c2: TorusCharData) -> bool:
     if c1.inv != c2.inv or c1.gamma != c2.gamma:
         raise ContextMismatch("characters live on different covers")
-    if any(a != b for a, b in zip(c1.lam, c2.lam)):
+    if c1.lam_s != c2.lam_s:
         return False
-    diff = vsub(c1.kappa, c2.kappa)
-    if any(x.denominator != 1 for x in diff):
+    k1, k2 = c1.kappa_s, c2.kappa_s
+    den = lcm(k1.den, k2.den)
+    a, b = den // k1.den, den // k2.den
+    diff = [x * a - y * b for x, y in zip(k1.re, k2.re)]
+    if any(x % den for x in diff):
         return False
-    return in_span_z(diff, transpose(one_minus(c1.inv.theta)))
+    return in_span_z([x // den for x in diff], transpose(one_minus(c1.inv.theta)))
 
 
 def torus_contragredient(p: TorusParam) -> TorusParam:
     """Contragredient parameter (-lambda, -mu); its character is (-lambda, -kappa)."""
-    return torus_param(p.egroup, gvec_neg(p.lam), -p.mu)
+    return torus_param(p.egroup, -p.lam_s, -p.mu)
 
 
 def torus_params_equivalent(p: TorusParam, q: TorusParam) -> bool:
     """Conjugate by exp(2*pi*i*nu): mu moves by (1-theta-check)nu, lambda is fixed."""
     if p.egroup != q.egroup:
         raise ContextMismatch("parameters into different E-groups")
-    if any(a != b for a, b in zip(p.lam, q.lam)):
+    if p.lam_s != q.lam_s:
         return False
-    d = vsub(q.mu.entries, p.mu.entries)
+    d = (q.mu - p.mu).entries
     return solve_congruence(one_minus(p.egroup.theta_check), d) is not None
 
 
@@ -192,32 +233,32 @@ def random_torus_param(eg: TorusEGroup, rng: Random, qmax: int = 4) -> TorusPara
     n = eg.rank
     tc = eg.theta_check
     lattice = one_minus(tc)
+    one_plus = one_minus(mat_neg(tc))
+    stacked = tuple(tuple(Q(x, 2) for x in row) for row in lattice) + lattice
     for _ in range(200):
         den = rng.choice([1, 2, 2, 4])
-        mu = torus_part([Q(rng.randrange(-2 * den, 2 * den + 1), den) for _ in range(n)])
-        mu_plus = vadd(mu.entries, mat_vec(tc, mu.entries))
-        target = vadd(eg.gamma, mu_plus)
-        stacked = tuple(tuple(Q(x, 2) for x in row) for row in lattice) + lattice
-        rhs = tuple(target) + (Q(0),) * n
+        mu = TorusPart.scaled([rng.randrange(-2 * den, 2 * den + 1) for _ in range(n)], den)
+        mu_plus = [sum(map(mul, row, mu.num)) for row in one_plus]
+        rhs = tuple(g + Q(x, mu.den) for g, x in zip(eg.gamma, mu_plus)) + (Q(0),) * n
         sol = solve_congruence(stacked, rhs)
         if sol is None:
             continue
-        lam_re = list(sol)
         # homogeneous freedom that keeps both congruences: 2Z^n and (1+theta-check)Z^n
+        even = [2 * rng.randrange(-2, 3) for _ in range(n)]
         shift = [rng.randrange(-2, 3) for _ in range(n)]
-        lam_re = vadd(lam_re, [2 * s for s in shift])
-        shift2 = [rng.randrange(-2, 3) for _ in range(n)]
-        lam_re = vadd(lam_re, mat_vec(tc, shift2))
-        lam_re = vadd(lam_re, shift2)
-        # imaginary part: any theta-check-fixed rational vector
-        x = [Q(rng.randrange(-8, 9), rng.choice([1, 2, 3])) for _ in range(n)]
-        lam_im = vscale(Q(1, 2), vadd(x, mat_vec(tc, x)))
-        lam = tuple(GaussQ(r, i) for r, i in zip(lam_re, lam_im))
-        p = torus_param(eg, lam, mu)
+        fixed = [sum(map(mul, row, shift)) for row in one_plus]
+        # imaginary part: (1+theta-check)x/2 for x in (1/6)Z^n, numerators over 12
+        x = [a * (6 // b) for a, b in ((rng.randrange(-8, 9), rng.choice([1, 2, 3]))
+                                      for _ in range(n))]
+        im = [sum(map(mul, row, x)) for row in one_plus]
+        lam_den = lcm(12, *(q.denominator for q in sol))
+        re = [q.numerator * (lam_den // q.denominator) + (e + f) * lam_den
+              for q, e, f in zip(sol, even, fixed)]
+        p = torus_param(eg, ScaledVec(re, [y * (lam_den // 12) for y in im], lam_den), mu)
         # exercise representatives that differ within the conjugacy class
-        nu = [Q(rng.randrange(-4, 5), 4) for _ in range(n)]
-        mu2 = mu + torus_part(mat_vec(lattice, nu))
-        return torus_param(eg, p.lam, mu2)
+        nu = [rng.randrange(-4, 5) for _ in range(n)]
+        mu2 = mu + TorusPart.scaled([sum(map(mul, row, nu)) for row in lattice], 4)
+        return torus_param(eg, p.lam_s, mu2)
     raise InputError("could not sample a valid parameter for this E-group")
 
 

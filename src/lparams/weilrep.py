@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, InputError
 from .gaussian import GaussQ, as_gauss, format_gauss, parse_gauss
 from .intlinalg import ident
-from .lgroup import lgroup_split
+from .lgroup import LGroup, lgroup_split
 from .lparam import LParam, make_param
 from .rootdata import build_datum
 
@@ -134,6 +135,12 @@ def weil_inf_char(r: WeilRep) -> Tuple[GaussQ, ...]:
 # ---------------------------------------------------------------------------
 # the bridge to parameters over GL(n) split
 
+@cache
+def _gl_lgroup(n: int) -> LGroup:
+    """The split L-group of GL(n), built once per n."""
+    return lgroup_split(build_datum(f"GL({n})"))
+
+
 def weil_to_lparam(r: WeilRep, n: Optional[int] = None) -> LParam:
     """Diagonal-block parameter into GL(dim) with the standard split L-group.
 
@@ -148,7 +155,7 @@ def weil_to_lparam(r: WeilRep, n: Optional[int] = None) -> LParam:
         raise DimensionMismatch(f"rep has dimension {dim}, expected {n}")
     if dim > 9:
         raise InputError(f"rep has dimension {dim}; the GL(n) bridge supports n <= 9")
-    L = lgroup_split(build_datum(f"GL({dim})"))
+    L = _gl_lgroup(dim)
     lam: List[GaussQ] = []
     mu: List[Q] = []
     word: List[int] = []
@@ -181,6 +188,7 @@ def lparam_to_weilrep(p: LParam) -> WeilRep:
     if d.label != f"GL({n})":
         raise InputError(f"bridge needs a GL(n) datum, got {d.label!r}")
     m = p.w.matrix
+    lam, mu = p.lam, p.mu.entries
     img = []
     for i in range(n):
         col = [r for r in range(n) if m[r][i] != 0]
@@ -191,15 +199,15 @@ def lparam_to_weilrep(p: LParam) -> WeilRep:
     for i in range(n):
         j = img[i]
         if j == i:
-            two_mu = 2 * p.mu.entries[i]
+            two_mu = 2 * mu[i]
             if two_mu.denominator != 1:
                 raise InputError("mu-entry of a fixed coordinate must be in (1/2)Z")
-            out.append(weil_chi(p.lam[i], int(two_mu) % 2))
+            out.append(weil_chi(lam[i], int(two_mu) % 2))
         elif j > i:
-            dif = p.lam[i] - p.lam[j]
+            dif = lam[i] - lam[j]
             if not (dif.is_rational() and dif.re.denominator == 1):
                 raise InputError("lambda-entries of a 2-cycle must differ by an integer")
-            t = (p.lam[i] + p.lam[j]) * Q(1, 2)
+            t = (lam[i] + lam[j]) * Q(1, 2)
             out.extend(ind_summands(int(dif.re), t))
         elif img[j] != i:
             raise InputError("w-part is not an involution")

@@ -7,7 +7,7 @@ peeling left descents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Tuple
 
@@ -30,6 +30,11 @@ class WeylElem:
     matrix: Tuple[Tuple[int, ...], ...]  # action on X_*
     xstar: Tuple[Tuple[int, ...], ...]   # action on X^*
     word: Tuple[int, ...]                # canonical reduced word, 1-based
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # every cache keyed by Weyl elements hashes them, so hash once
+        object.__setattr__(self, "_hash", hash((self.datum, self.matrix)))
 
     def __eq__(self, other):
         if not isinstance(other, WeylElem):
@@ -37,7 +42,7 @@ class WeylElem:
         return self.datum == other.datum and self.matrix == other.matrix
 
     def __hash__(self):
-        return hash((self.datum, self.matrix))
+        return self._hash
 
     def __repr__(self):
         return f"WeylElem{list(self.word)}"

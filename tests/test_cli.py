@@ -48,6 +48,28 @@ def test_fuzz_deterministic(capsys):
     assert out_a.count("INSTANCE") == 5
 
 
+D4_SWAP = "[[1,0,0,0],[0,1,0,0],[0,0,0,1],[0,0,1,0]]"
+
+FUZZ_GOLDENS = {
+    "fuzz_d4_swap": ("D4 sc", D4_SWAP),
+    "fuzz_a1a1_swap": ("A1 sc x A1 sc", "[[0,1],[1,0]]"),
+    "fuzz_gl3_compact": ("GL(3)", "compact"),
+    "fuzz_b3_split": ("B3 sc", "split"),
+    "fuzz_c3ad_split": ("C3 ad", "split"),
+    "fuzz_g2_split": ("G2 sc", "split"),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(FUZZ_GOLDENS))
+def test_fuzz_stream_golden(capsys, golden):
+    # the seeded theorem fuzz stream, including non-trivial inner classes, byte for byte
+    group, inner_class = FUZZ_GOLDENS[golden]
+    code, out = _run(capsys, "fuzz", "--group", group, "--inner-class", inner_class,
+                     "--seed", "0", "--count", "10")
+    assert code == 0
+    assert out == (DATA / f"{golden}.txt").read_text()
+
+
 def test_check_tits_positional_and_flag_agree(capsys):
     code_a, out_a = _run(capsys, "check-tits", "A2 sc")
     code_b, out_b = _run(capsys, "check-tits", "--group", "A2 sc")
@@ -187,9 +209,8 @@ def test_fuzz_under_python_O():
     # invariants are checked by raising, not by assert, so -O keeps them
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    swap = "[[1,0,0,0],[0,1,0,0],[0,0,0,1],[0,0,1,0]]"
     proc = subprocess.run([sys.executable, "-O", "-m", "lparams.cli", "fuzz", "--group", "D4 sc",
-                           "--inner-class", swap, "--seed", "3", "--count", "2"],
+                           "--inner-class", D4_SWAP, "--seed", "3", "--count", "2"],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip().endswith("RESULT 0 2/2 instances verified")

@@ -1,4 +1,8 @@
-"""Admissible parameters: validity, conjugacy, invariants, contragredients."""
+"""Admissible parameters: validity, conjugacy, invariants, contragredients.
+
+The GaussQ/Fraction validity check and central character that the integer
+ones replaced are kept here as test-only oracles.
+"""
 
 from fractions import Fraction as Q
 from random import Random
@@ -13,8 +17,10 @@ from lparams.errors import (
     ValidityIntegrality,
 )
 from lparams import lparam
-from lparams.gaussian import GaussQ, gvec_neg
-from lparams.lgroup import lgroup_compact, lgroup_split, build_lgroup, standard_levis
+from lparams.gaussian import GaussQ
+from lparams.intlinalg import ident, mat_mul, mat_vec, vadd, vdot, vscale, vsub
+from lparams.lgroup import (build_lgroup, lgroup_compact, lgroup_split, parse_inner_class,
+                            standard_levis)
 from lparams.lparam import (
     central_char,
     central_chars_agree,
@@ -37,10 +43,11 @@ from lparams.lparam import (
     validity_rows,
     verify_contragredient,
 )
-from lparams.rootdata import based_aut, build_datum
+from lparams.rootdata import all_coroots, based_aut, build_datum, coaction, rho_check
 from lparams.tits import TorusPart, torus_part
 from lparams.torus import param_to_char, torus_contragredient
-from lparams.weyl import longest_element, weyl_from_word, weyl_identity, weyl_mul
+from lparams.weyl import (apply_aut_to_weyl, longest_element, weyl_act, weyl_enumerate,
+                          weyl_from_word, weyl_identity, weyl_mul)
 
 
 SL2 = lgroup_split(build_datum("A1 sc"))
@@ -286,3 +293,90 @@ def test_packet_descriptor_fields():
     assert desc.inf == (GaussQ(1), GaussQ(0))
     assert desc.rad.kappa == (Q(0),)
     assert standard_levis(GL2)[-1].subset == desc.levi.subset
+
+
+# ---------------------------------------------------------------------------
+# oracles: the GaussQ/Fraction validity rows and central character
+
+FLEET = [
+    ("A2 sc", "compact"),
+    ("B3 sc", "split"),
+    ("C3 ad", "split"),
+    ("G2 sc", "split"),
+    ("D4 sc", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    ("GL(4)", "split"),
+    ("GL(3)", "compact"),
+    ("A1 sc x A1 sc", [[0, 1], [1, 0]]),
+]
+
+
+def _oracle_validity(L, lam, mu, w):
+    """(name, verdict) rows of the validity check, in GaussQ and Fraction arithmetic."""
+    d = L.dual_datum
+    c_ok = weyl_mul(w, apply_aut_to_weyl(L.theta0, w)) == weyl_identity(d)
+    theta = mat_mul(w.matrix, coaction(L.theta0))
+    inv_ok = mat_mul(theta, theta) == ident(d.rank)
+    rows = [("twisted-involution", c_ok), ("theta-involution", inv_ok)]
+    if not (c_ok and inv_ok):
+        return rows
+    dif = tuple(a - b for a, b in zip(lam, mat_vec(theta, lam)))
+    int_ok = all(v.is_rational() and v.re.denominator == 1 for v in dif)
+    rows.append(("integrality", int_ok))
+    if not int_ok:
+        return rows
+    rc = rho_check(d)
+    lhs = vadd(vscale(Q(2), vadd(mu, mat_vec(theta, mu))), vsub(rc, weyl_act(w, rc)))
+    gap = vsub(lhs, tuple(v.re for v in dif))
+    rows.append(("parity", all((x / 2).denominator == 1 for x in gap)))
+    return rows
+
+
+def _oracle_central_char(p, base=2):
+    """(1/2)(1-theta)lambda - (1+theta)mu + rho_i, in GaussQ and Fraction arithmetic."""
+    n = p.L.dual_datum.rank
+    imag = [c for c in sorted(all_coroots(p.L.dual_datum))
+            if tuple(mat_vec(p.theta, c)) == tuple(-x for x in c)]
+    t = base
+    while not all(vdot(tuple(Q(t) ** k for k in range(n)), r) != 0 for r in imag):
+        t += 1
+    rho_i = (Q(0),) * n
+    for r in imag:
+        if vdot(tuple(Q(t) ** k for k in range(n)), r) > 0:
+            rho_i = vadd(rho_i, vscale(Q(1, 2), r))
+    dif = tuple(a - b for a, b in zip(p.lam, mat_vec(p.theta, p.lam)))
+    mu = p.mu.entries
+    return vadd(vsub(tuple((x * Q(1, 2)).re for x in dif), vadd(mu, mat_vec(p.theta, mu))), rho_i)
+
+
+def _perturbations(p, rng, elems):
+    """(lambda, mu, w) triples: p itself and moves of one entry on or off its lattice."""
+    lam, mu = list(p.lam), list(p.mu.entries)
+    yield lam, mu, p.w
+    for shift in (Q(1, 3), Q(1, 2), GaussQ(0, Q(1, 2)), Q(1), Q(-2)):
+        k = rng.randrange(len(lam))
+        yield lam[:k] + [lam[k] + shift] + lam[k + 1:], mu, p.w
+    for shift in (Q(1, 2), Q(1, 4), Q(1, 3), Q(-3, 2)):
+        k = rng.randrange(len(mu))
+        yield lam, mu[:k] + [mu[k] + shift] + mu[k + 1:], p.w
+    for _ in range(3):
+        yield lam, mu, rng.choice(elems)
+
+
+@pytest.mark.parametrize("group, inner", FLEET, ids=[g for g, _ in FLEET])
+def test_integer_validity_and_central_char_match_oracles(group, inner):
+    L = parse_inner_class(build_datum(group), inner)
+    elems = weyl_enumerate(L.dual_datum)
+    rng = Random(f"validity:{group}")
+    verdicts = set()
+    for _ in range(12):
+        p = random_param(L, rng)
+        assert central_char(p) == _oracle_central_char(p)
+        assert central_char(p, 5) == _oracle_central_char(p, 5)
+        for lam, mu, w in _perturbations(p, rng, elems):
+            want = _oracle_validity(L, lam, TorusPart(mu).entries, w)
+            got = [(name, ok) for name, ok, _, _ in validity_rows(L, lam, mu, w)]
+            assert got == want, (lam, mu, w)
+            verdicts.add(tuple(got))
+    # the perturbations make each clause that can fail on its own fail somewhere
+    assert {name for rows in verdicts for name, ok in rows if not ok} >= {
+        "twisted-involution", "integrality", "parity"}

@@ -1,20 +1,36 @@
-"""The cached cocycle table and the one-pass torus-part normalisation.
+"""The cached cocycle table and the integer torus-part arithmetic.
 
 `_sigma_cocycle` reads each exchange step from the `_cocycle_step` table and
-sums the transported coroots as integers. The letter-by-letter reduction over
-Fractions it replaced, and the old three-Fraction normalisation of a torus
-entry, are kept here as test-only oracles.
+sums the transported coroots as integers, and a TorusPart is integer
+numerators over one denominator. The letter-by-letter reduction over
+Fractions, the old normalisation of a torus entry, and the old Fraction
+arithmetic on torus parts (sum, negation, transport by a matrix) are kept here
+as test-only oracles.
 """
 
 from fractions import Fraction as Q
+from math import gcd
 from random import Random
 
 import pytest
 
-from lparams.intlinalg import vadd, vscale
-from lparams.rootdata import build_datum
-from lparams.tits import TorusPart, _sigma_cocycle
+from lparams.intlinalg import mat_vec, saturation_projection, vadd, vscale
+from lparams.lgroup import parse_inner_class
+from lparams.rootdata import build_datum, coaction
+from lparams.tits import TorusPart, _sigma_cocycle, act_on_torus_part
 from lparams.weyl import descent, simple_reflection, weyl_act, weyl_enumerate, weyl_mul
+
+# the inner classes of the theorem benchmark, (group, inner class)
+FLEET = [
+    ("A2 sc", "compact"),
+    ("B3 sc", "split"),
+    ("C3 ad", "split"),
+    ("G2 sc", "split"),
+    ("D4 sc", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    ("GL(4)", "split"),
+    ("GL(3)", "compact"),
+    ("A1 sc x A1 sc", [[0, 1], [1, 0]]),
+]
 
 
 def _oracle_cocycle(u, v):
@@ -72,6 +88,58 @@ def test_torus_part_normalisation_matches_oracle():
         assert got == _oracle_mod_one(x) and 0 <= got < 1, x
 
 
-def test_torus_part_keeps_reduced_fractions():
-    x = Q(3, 4)
-    assert TorusPart((x,)).entries[0] is x
+def _oracle_add(a, b):
+    return tuple(_oracle_mod_one(x + y) for x, y in zip(a, b))
+
+
+def _oracle_neg(a):
+    return tuple(_oracle_mod_one(-x) for x in a)
+
+
+def _oracle_act(matrix, a):
+    return tuple(_oracle_mod_one(x) for x in mat_vec(matrix, a))
+
+
+def _assert_normal(t, want):
+    """t is in normal form and its entries equal the oracle's Fractions."""
+    assert t.den >= 1 and all(0 <= x < t.den for x in t.num)
+    assert gcd(t.den, *t.num) == 1
+    assert t.is_zero() == (t.den == 1) == all(x == 0 for x in want)
+    assert t.entries == want
+    assert all(type(x) is Q for x in t.entries)
+
+
+def _draw(rng, n):
+    den = rng.choice([1, 2, 3, 4, 6, 8, 12])
+    return tuple(Q(rng.randrange(-3 * den, 3 * den + 1), den) for _ in range(n))
+
+
+def test_torus_part_normal_form():
+    assert (TorusPart(()).num, TorusPart(()).den) == ((), 1)
+    cases = [((0, 0), ((0, 0), 1)), ((3, -2), ((0, 0), 1)), ((Q(1, 2), Q(3, 2)), ((1, 1), 2)),
+             ((Q(-1, 4), Q(1, 2)), ((3, 2), 4)), (("2/6", "-5/3"), ((1, 1), 3)),
+             ((Q(3, 4), Q(1, 6)), ((9, 2), 12))]
+    for entries, (num, den) in cases:
+        t = TorusPart(entries)
+        assert (t.num, t.den) == (num, den), entries
+        _assert_normal(t, tuple(_oracle_mod_one(x) for x in entries))
+    assert TorusPart.scaled((4, -6, 8), 8) == TorusPart((Q(1, 2), Q(1, 4), 0))
+    assert hash(TorusPart((Q(1, 2),))) == hash(TorusPart.scaled((3,), 2))
+
+
+@pytest.mark.parametrize("group, inner", FLEET, ids=[g for g, _ in FLEET])
+def test_torus_part_arithmetic_matches_fraction_oracle(group, inner):
+    L = parse_inner_class(build_datum(group), inner)
+    d = L.dual_datum
+    proj = saturation_projection(d.simple_coroots, d.rank)[0]
+    matrices = [w.matrix for w in weyl_enumerate(d)] + [coaction(L.theta0), proj]
+    rng = Random(f"torus-part:{group}")
+    for _ in range(300):
+        a, b = _draw(rng, d.rank), _draw(rng, d.rank)
+        ta, tb = TorusPart(a), TorusPart(b)
+        _assert_normal(ta + tb, _oracle_add(a, b))
+        _assert_normal(-ta, _oracle_neg(a))
+        _assert_normal(ta - tb, _oracle_add(a, _oracle_neg(b)))
+        m = rng.choice(matrices)
+        _assert_normal(act_on_torus_part(m, ta), _oracle_act(m, a))
+        assert (ta + tb == tb + ta) and (ta - ta).is_zero()
