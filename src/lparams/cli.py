@@ -24,6 +24,7 @@ from .errors import (
     LparamsError,
     NormalizationRequired,
     NotInvolution,
+    json_matrix,
 )
 from .gaussian import format_gauss
 from .lgroup import LGroup, parse_inner_class
@@ -143,8 +144,8 @@ def _datum_involution(d, text):
     if text == "compact":
         return neg_w0_aut(d)
     try:
-        rows = json.loads(text) if isinstance(text, str) else text
-    except json.JSONDecodeError as exc:
+        rows = json_matrix(json.loads(text) if isinstance(text, str) else text)
+    except (json.JSONDecodeError, TypeError) as exc:
         raise InputError(f"bad inner class {text!r}") from exc
     return based_aut(d, rows)
 

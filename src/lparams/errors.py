@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by all modules, and the strict JSON array check."""
+"""Exception taxonomy shared by all modules, and the strict JSON array checks."""
 
 
 class LparamsError(Exception):
@@ -89,4 +89,11 @@ def json_array(value, types) -> list:
     if not isinstance(value, list) or any(
             isinstance(x, bool) or not isinstance(x, types) for x in value):
         raise TypeError(f"not an array of {types}: {value!r}")
+    return value
+
+
+def json_matrix(value) -> list:
+    """value itself, if it is a list of json_array rows of integers; TypeError otherwise."""
+    for row in json_array(value, list):
+        json_array(row, int)
     return value

@@ -15,8 +15,8 @@ from functools import cache
 from itertools import combinations
 from typing import List, Optional
 
-from .errors import InputError, NotInvolution
-from .intlinalg import ident, mat_mul, mat_neg
+from .errors import InputError, NotInvolution, json_matrix
+from .intlinalg import ident, mat_mul, mat_neg, mat_vec, vdot
 from .rootdata import (
     BasedAut,
     RootDatum,
@@ -25,10 +25,11 @@ from .rootdata import (
     compose_aut,
     dual_datum,
     identity_aut,
+    rho_check,
     transpose_aut,
 )
 from .tits import TitsContext, tits_context
-from .weyl import neg_w0_aut, weyl_enumerate
+from .weyl import _descend, neg_w0_aut, weyl_from_word
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ def parse_inner_class(d: RootDatum, text) -> LGroup:
             return lgroup_compact(d)
         raise InputError(f"unknown inner class {text!r}")
     try:
-        mat = tuple(tuple(int(x) for x in row) for row in text)
-    except (TypeError, ValueError) as exc:
+        mat = json_matrix(text)
+    except TypeError as exc:
         raise InputError(f"bad inner class matrix: {text!r}") from exc
     return build_lgroup(d, based_aut(d, mat))
 
@@ -93,11 +94,17 @@ def lgroup_tits_context(L: LGroup) -> TitsContext:
 
 
 def has_compact_cartan(L: LGroup) -> bool:
-    """True iff some w makes w . theta0 act as inversion on the dual torus."""
-    n = L.dual_datum.rank
-    target = mat_neg(ident(n))
-    nmat = coaction(L.theta0)
-    return any(mat_mul(w.matrix, nmat) == target for w in weyl_enumerate(L.dual_datum))
+    """True iff some w makes w . theta0 act as inversion on the dual torus.
+
+    Such a w carries rho_check to -coaction(theta0) rho_check, so the dominance
+    descent of that point's pairings must end at rho_check; its steps spell w.
+    """
+    d = L.dual_datum
+    target = mat_neg(coaction(L.theta0))
+    point = mat_vec(target, rho_check(d))
+    pairings = [vdot(a, point) for a in d.simple_roots]
+    word = [i for i, _ in _descend(d, [pairings])]
+    return pairings == [1] * d.nsimple and weyl_from_word(d, word).matrix == target
 
 
 @dataclass(frozen=True)

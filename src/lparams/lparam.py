@@ -62,7 +62,6 @@ from .rootdata import (
     all_roots,
     based_aut,
     build_datum,
-    cartan_matrix,
     coaction,
     compose_aut,
     expand_in_simples,
@@ -91,8 +90,8 @@ from .torus import (
 )
 from .weyl import (
     WeylElem,
+    _descend,
     apply_aut_to_weyl,
-    descent,
     neg_w0_aut,
     parabolic_subgroup,
     simple_reflection,
@@ -285,33 +284,18 @@ def params_equivalent(p: LParam, q: LParam) -> bool:
 def _dominance_descent(d: RootDatum, v: ScaledVec):
     """(dominant point, reflection indices in order applied, final simple pairings).
 
-    The simple pairings p_j = <alpha_j, v> are computed once, on the integer
-    numerators; reflecting by s_i updates them through the Cartan matrix,
-    p_j -= <alpha_j, alpha-check_i> p_i, and v by v -= p_i alpha-check_i.
-    With indices (i_1, ..., i_k) the point reached is s_{i_k} ... s_{i_1} (v).
-    Pairings are returned as scaled (real, imaginary) pairs, good for sign
-    and zero tests.
+    weyl's dominance descent on the numerators' real and imaginary pairings;
+    each step i with pairings p_i moves v by -p_i alpha-check_i. Pairings are
+    returned as scaled (real, imaginary) pairs, good for sign and zero tests.
     """
+    cols = [[vdot(a, v.re) for a in d.simple_roots], [vdot(a, v.im) for a in d.simple_roots]]
+    steps = _descend(d, cols)
     re, im = list(v.re), list(v.im)
-    pre = [vdot(a, re) for a in d.simple_roots]
-    pim = [vdot(a, im) for a in d.simple_roots]
-    cartan = cartan_matrix(d)
-    steps: List[int] = []
-    for _ in range(len(all_roots(d)) + 1):
-        i = next((k for k in range(d.nsimple)
-                  if pre[k] < 0 or (pre[k] == 0 and pim[k] < 0)), None)
-        if i is None:
-            return ScaledVec(re, im, v.den), steps, list(zip(pre, pim))
-        steps.append(i + 1)
-        ri, ii = pre[i], pim[i]
-        cv = d.simple_coroots[i]
+    for i, (ri, ii) in steps:
+        cv = d.simple_coroots[i - 1]
         re = [x - ri * c for x, c in zip(re, cv)]
         im = [x - ii * c for x, c in zip(im, cv)]
-        for j, row in enumerate(cartan):
-            if row[i]:
-                pre[j] -= row[i] * ri
-                pim[j] -= row[i] * ii
-    raise InvariantViolated("dominance descent failed to terminate")
+    return ScaledVec(re, im, v.den), [i for i, _ in steps], list(zip(*cols))
 
 
 def dominant_rep(d: RootDatum, vec: GVec) -> GVec:
@@ -319,9 +303,7 @@ def dominant_rep(d: RootDatum, vec: GVec) -> GVec:
 
     Dominance is taken for the lexicographic order on (real, imaginary) parts
     of each simple pairing; that order linearizes the orbit like a field
-    order, so the dominant point is unique and greedy ascent reaches it. The
-    simple pairings are updated through the Cartan matrix at each reflection
-    rather than recomputed.
+    order, so the dominant point is unique and the dominance descent reaches it.
     """
     return _dominance_descent(d, ScaledVec.of(vec))[0].gvec()
 
@@ -553,26 +535,22 @@ def _fmt_vec(v: ScaledVec) -> str:
 def _twisted_involution_set(L: LGroup) -> Tuple[WeylElem, ...]:
     """Walk the Richardson-Springer twisted-involution graph up from e.
 
-    From a twisted involution w and a left ascent s_i (l(s_i w) > l(w)) the
-    walk moves to s_i w theta0(s_i), or to s_i w when that product is w
-    itself; every twisted involution is reached this way. As w^{-1} =
-    theta0(w) and theta0 is an involution, s_i is a left ascent of w exactly
-    when s_{perm(i)} is a right ascent, so descent() decides it.
+    From a twisted involution w and a left ascent s_i (l(s_i w) > l(w), that
+    is <alpha_i, w rho_check> > 0 on w's key) the walk moves to
+    s_i w theta0(s_i), or to s_i w when that product is w itself; every
+    twisted involution is reached this way.
     """
     d = L.dual_datum
-    perm = L.theta0.perm
     refl = [simple_reflection(d, i) for i in range(1, d.nsimple + 1)]
     found = [weyl_identity(d)]
     seen = set(found)
     for w in found:
         for i in range(1, d.nsimple + 1):
-            j = perm[i - 1]
-            if descent(w, j):
+            if w.key[i - 1] < 0:
                 continue
             v = weyl_mul(refl[i - 1], w)
-            twisted = weyl_mul(v, refl[j - 1])
-            if twisted != w:
-                v = twisted
+            twisted = weyl_mul(v, refl[L.theta0.perm[i - 1] - 1])
+            v = v if twisted == w else twisted
             if v not in seen:
                 seen.add(v)
                 found.append(v)

@@ -185,10 +185,6 @@ def delta_elem(ctx: TitsContext) -> ExtTitsElem:
     return ExtTitsElem(ctx, torus_part_zero(ctx.datum.rank), weyl_identity(ctx.datum), 1)
 
 
-def _half_coroot(d: RootDatum, i: int):
-    return vscale(Q(1, 2), d.simple_coroots[i - 1])
-
-
 @cache
 def _cocycle_step(acc: WeylElem, a: int):
     """(y, coroot) with y = acc * s_a.
@@ -360,7 +356,7 @@ def run_tits_suite(ctx: TitsContext):
     bad = []
     for i in range(1, d.nsimple + 1):
         si = sigma(ctx, simple_reflection(d, i))
-        if tits_mul(si, si) != torus_elem(ctx, TorusPart(_half_coroot(d, i))):
+        if tits_mul(si, si) != torus_elem(ctx, TorusPart.scaled(d.simple_coroots[i - 1], 2)):
             bad.append(i)
     rows.append(("sigma_i^2 = alpha-check(-1)", not bad,
                  f"{d.nsimple} generators" if not bad else f"failing indices {bad}"))

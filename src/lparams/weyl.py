@@ -1,8 +1,11 @@
-"""Weyl group elements with canonical reduced words.
+"""Weyl group elements, each interned under its key (<alpha_j, w rho_check>)_j.
 
-The cached X_* matrix decides equality; the stored word is always the
-lexicographically smallest reduced word, recomputed from the matrix by
-peeling left descents.
+rho_check is regular, so the key decides equality. A left reflection moves a
+key through the Cartan matrix, so products, inverses, words and automorphisms
+are replayed on keys without matrices. The canonical (lex-smallest reduced)
+word is the dominance descent on the key, the walk that also gives
+infinitesimal characters; the X_* and X^* matrices are built from it on first
+use (Casselman, Machine calculations in Weyl groups, 1994).
 """
 
 from __future__ import annotations
@@ -11,13 +14,13 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Tuple
 
-from .errors import DatumMismatch, InputError
-from .intlinalg import ident, mat_mul, mat_neg, mat_vec, transpose, vneg
+from .errors import DatumMismatch, InputError, InvariantViolated
+from .intlinalg import ident, mat_mul, mat_neg, mat_vec
 from .rootdata import (
     BasedAut,
     RootDatum,
     based_aut,
-    coaction,
+    cartan_matrix,
     positive_roots,
     xcostar_reflections,
     xstar_reflections,
@@ -27,19 +30,18 @@ from .rootdata import (
 @dataclass(frozen=True, eq=False)
 class WeylElem:
     datum: RootDatum
-    matrix: Tuple[Tuple[int, ...], ...]  # action on X_*
-    xstar: Tuple[Tuple[int, ...], ...]   # action on X^*
-    word: Tuple[int, ...]                # canonical reduced word, 1-based
+    key: Tuple[int, ...]   # (<alpha_j, w rho_check>)_j, every entry nonzero
+    word: Tuple[int, ...]  # canonical reduced word, 1-based
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         # every cache keyed by Weyl elements hashes them, so hash once
-        object.__setattr__(self, "_hash", hash((self.datum, self.matrix)))
+        object.__setattr__(self, "_hash", hash((self.datum, self.key)))
 
     def __eq__(self, other):
         if not isinstance(other, WeylElem):
             return NotImplemented
-        return self.datum == other.datum and self.matrix == other.matrix
+        return self is other or (self.datum == other.datum and self.key == other.key)
 
     def __hash__(self):
         return self._hash
@@ -47,72 +49,111 @@ class WeylElem:
     def __repr__(self):
         return f"WeylElem{list(self.word)}"
 
+    @property
+    def matrix(self) -> Tuple[Tuple[int, ...], ...]:
+        """Action on X_*."""
+        return _matrix(self, xcostar_reflections)
+
+    @property
+    def xstar(self) -> Tuple[Tuple[int, ...], ...]:
+        """Action on X^*."""
+        return _matrix(self, xstar_reflections)
+
 
 def length(u: WeylElem) -> int:
     return len(u.word)
 
 
 @cache
-def _pos_root_set(d: RootDatum):
-    return frozenset(positive_roots(d))
-
-
-def _is_negative_root(d: RootDatum, v) -> bool:
-    return vneg(v) in _pos_root_set(d)
+def _matrix(u: WeylElem, reflections):
+    """u as the product of the given simple reflection matrices: s_i (s_i u), i its first letter."""
+    if not u.word:
+        return ident(u.datum.rank)
+    i = u.word[0]
+    return mat_mul(reflections(u.datum)[i - 1], _matrix(_replay(u.datum, (i,), u.key), reflections))
 
 
 @cache
-def _elem_from_matrix(d: RootDatum, matrix) -> WeylElem:
-    """Canonicalize: derive the lex-smallest reduced word from the matrix."""
-    word = []
-    m = matrix
-    refl = xcostar_reflections(d)
-    guard = len(_pos_root_set(d)) + 1
-    while m != ident(d.rank):
-        if len(word) >= guard:
-            raise InputError("matrix is not a Weyl group element")
-        mt = transpose(m)
-        for i, alpha in enumerate(d.simple_roots):
-            # left descent: w^{-1}(alpha_i) < 0, and w^{-1} acts on X^* by m^T
-            if _is_negative_root(d, mat_vec(mt, alpha)):
-                word.append(i + 1)
-                m = mat_mul(refl[i], m)
+def _cartan_columns(d: RootDatum):
+    """For each simple index i, the pairs (j, <alpha_j, alpha-check_i>) with a nonzero pairing."""
+    a = cartan_matrix(d)
+    return tuple(tuple((j, a[j][i]) for j in range(d.nsimple) if a[j][i])
+                 for i in range(d.nsimple))
+
+
+def _descend(d: RootDatum, cols):
+    """The dominance descent: walk a point v to the dominant chamber by its simple pairings.
+
+    cols, the pairings (<alpha_j, v>)_j of v's real (and imaginary) part with
+    signs read lexicographically, end dominant: while one is negative, the
+    first such i is reflected, p_j -= <alpha_j, alpha-check_i> p_i. Returns the
+    steps (i, pairings at i before it), reaching s_{i_k} ... s_{i_1} (v); no
+    walk takes more steps than there are positive roots.
+    """
+    columns = _cartan_columns(d)
+    steps = []
+    for _ in range(len(positive_roots(d)) + 1):
+        for i in range(d.nsimple):
+            for col in cols:
+                if col[i]:
+                    break
+            if col[i] < 0:
                 break
         else:
-            raise InputError("matrix is not a Weyl group element")
-    xstar = ident(d.rank)
-    for i in word:
-        xstar = mat_mul(xstar, xstar_reflections(d)[i - 1])
-    return WeylElem(d, matrix, xstar, tuple(word))
+            return steps
+        vals = tuple(col[i] for col in cols)
+        steps.append((i + 1, vals))
+        for j, a in columns[i]:
+            for col, x in zip(cols, vals):
+                col[j] -= a * x
+    raise InvariantViolated("dominance descent failed to terminate")
+
+
+# named after the matrix canonicalizer it replaced: perfbench/spans.py reads its cache_info()
+@cache
+def _elem_from_matrix(d: RootDatum, key: Tuple[int, ...]) -> WeylElem:
+    """The one element with this key; its word is the dominance descent on the key."""
+    return WeylElem(d, key, tuple(i for i, _ in _descend(d, [list(key)])))
+
+
+def _replay(d: RootDatum, word, key) -> WeylElem:
+    """s_{word[0]} ... s_{word[-1]} x for the element x with the given key, last letter first."""
+    p = list(key)
+    columns = _cartan_columns(d)
+    for i in reversed(word):
+        x = p[i - 1]
+        for j, a in columns[i - 1]:
+            p[j] -= a * x
+    return _elem_from_matrix(d, tuple(p))
 
 
 def weyl_identity(d: RootDatum) -> WeylElem:
-    return _elem_from_matrix(d, ident(d.rank))
+    return _elem_from_matrix(d, (1,) * d.nsimple)
+
+
+def _index(d: RootDatum, i: int) -> int:
+    if not 1 <= i <= d.nsimple:
+        raise InputError(f"simple index {i} out of range 1..{d.nsimple}")
+    return i
 
 
 def simple_reflection(d: RootDatum, i: int) -> WeylElem:
-    if not 1 <= i <= d.nsimple:
-        raise InputError(f"simple index {i} out of range 1..{d.nsimple}")
-    return _elem_from_matrix(d, xcostar_reflections(d)[i - 1])
+    return _replay(d, (_index(d, i),), (1,) * d.nsimple)
 
 
 def weyl_from_word(d: RootDatum, word) -> WeylElem:
-    m = ident(d.rank)
-    for i in word:
-        if not 1 <= int(i) <= d.nsimple:
-            raise InputError(f"simple index {i} out of range 1..{d.nsimple}")
-        m = mat_mul(m, xcostar_reflections(d)[int(i) - 1])
-    return _elem_from_matrix(d, m)
+    return _replay(d, [_index(d, int(i)) for i in word], (1,) * d.nsimple)
 
 
 def weyl_mul(u: WeylElem, v: WeylElem) -> WeylElem:
-    _check(u, v)
-    return _elem_from_matrix(u.datum, mat_mul(u.matrix, v.matrix))
+    if u.datum != v.datum:
+        raise DatumMismatch("Weyl elements over different data")
+    return _replay(u.datum, u.word, v.key)
 
 
+@cache
 def weyl_inv(u: WeylElem) -> WeylElem:
-    # (M^T)^{-1} is the X^* action, so M^{-1} is its transpose
-    return _elem_from_matrix(u.datum, transpose(u.xstar))
+    return _replay(u.datum, u.word[::-1], (1,) * u.datum.nsimple)
 
 
 def weyl_act(u: WeylElem, x, side: str = "X_*"):
@@ -125,58 +166,40 @@ def weyl_act(u: WeylElem, x, side: str = "X_*"):
 
 
 def descent(u: WeylElem, i: int) -> bool:
-    """True iff length(u * s_i) < length(u)."""
-    if not 1 <= i <= u.datum.nsimple:
-        raise InputError(f"simple index {i} out of range 1..{u.datum.nsimple}")
-    return _is_negative_root(u.datum, mat_vec(u.xstar, u.datum.simple_roots[i - 1]))
+    """True iff length(u * s_i) < length(u), that is <alpha_i, u^{-1} rho_check> < 0."""
+    return weyl_inv(u).key[_index(u.datum, i) - 1] < 0
 
 
-@cache
 def longest_element(d: RootDatum) -> WeylElem:
-    u = weyl_identity(d)
-    while True:
-        i = next((i for i in range(1, d.nsimple + 1) if not descent(u, i)), None)
-        if i is None:
-            return u
-        u = weyl_mul(u, simple_reflection(d, i))
+    """w0, the element with w0 rho_check = -rho_check."""
+    return _elem_from_matrix(d, (-1,) * d.nsimple)
 
 
 @cache
 def weyl_enumerate(d: RootDatum) -> Tuple[WeylElem, ...]:
     """All of W, ordered by length then lexicographic canonical word."""
-    out = [weyl_identity(d)]
-    seen = {out[0].matrix}
-    layer = list(out)
-    while layer:
-        nxt = []
-        for u in layer:
-            for i in range(1, d.nsimple + 1):
-                if not descent(u, i):
-                    v = weyl_mul(u, simple_reflection(d, i))
-                    if v.matrix not in seen:
-                        seen.add(v.matrix)
-                        nxt.append(v)
-        nxt.sort(key=lambda w: w.word)
-        out.extend(nxt)
-        layer = nxt
-    return tuple(out)
+    return parabolic_subgroup(d, range(1, d.nsimple + 1))
 
 
 def parabolic_subgroup(d: RootDatum, subset) -> Tuple[WeylElem, ...]:
-    """The subgroup W_J generated by the simple reflections with indices in subset.
+    """W_J for J the given simple indices, ordered by length then canonical word.
 
-    Found by a breadth-first closure under right multiplication by those
-    reflections, so the cost scales with |W_J| rather than |W|.
+    Each length is s_i u over i in J and the left ascents i of the previous
+    length's u, kept when the word of s_i u is i then u's word: each element
+    is met once, in order, at a cost scaling with |W_J| rather than |W|.
     """
-    gens = [simple_reflection(d, i) for i in sorted(subset)]
-    out = [weyl_identity(d)]
-    seen = set(out)
-    for u in out:
-        for s in gens:
-            v = weyl_mul(u, s)
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
+    letters = sorted(_index(d, i) for i in subset)
+    out, layer = [weyl_identity(d)], [weyl_identity(d)]
+    while layer:
+        nxt = []
+        for i in letters:
+            for u in layer:
+                if u.key[i - 1] > 0:
+                    v = _replay(d, (i,), u.key)
+                    if v.word[0] == i:
+                        nxt.append(v)
+        out.extend(nxt)
+        layer = nxt
     return tuple(out)
 
 
@@ -185,19 +208,12 @@ def weyl_order(d: RootDatum) -> int:
 
 
 def apply_aut_to_weyl(a: BasedAut, u: WeylElem) -> WeylElem:
-    """Conjugate u by a datum automorphism (s_i goes to s_{perm(i)})."""
+    """Conjugate u by a datum automorphism: s_i goes to s_{perm(i)}, letter by letter."""
     if a.datum != u.datum:
         raise DatumMismatch("automorphism and element over different data")
-    n = coaction(a)
-    n_inv = transpose(a.matrix)
-    return _elem_from_matrix(u.datum, mat_mul(mat_mul(n, u.matrix), n_inv))
+    return _replay(u.datum, [a.perm[i - 1] for i in u.word], (1,) * u.datum.nsimple)
 
 
 def neg_w0_aut(d: RootDatum) -> BasedAut:
     """The based automorphism -w0 (identity when w0 = -1)."""
     return based_aut(d, mat_neg(longest_element(d).xstar))
-
-
-def _check(u: WeylElem, v: WeylElem) -> None:
-    if u.datum != v.datum:
-        raise DatumMismatch("Weyl elements over different data")

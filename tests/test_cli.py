@@ -172,6 +172,36 @@ def test_fuzz_accepts_json_inner_class(capsys):
     assert code == 2 and out.startswith("RESULT 2 ")
 
 
+@pytest.mark.parametrize("inner", [[[1.5, 0], [0, 1]], [[True, 0], [0, 1]], [[1.0, 0], [0, 1]],
+                                   [1, 0], 5, None], ids=str)
+def test_param_inner_class_matrix_is_not_coerced(capsys, inner):
+    doc = {"group": "A2 sc", "inner_class": inner, "lambda": ["0", "0"], "mu": ["0", "0"],
+           "w": []}
+    code, out = _run(capsys, "verify-theorem", "--param", json.dumps(doc))
+    assert code == 2
+    assert out == f"RESULT 2 bad inner class matrix: {inner!r}\n"
+
+
+@pytest.mark.parametrize("inner", ["[[1.5,0],[0,1]]", "[[true,0],[0,1]]", "[[1.0,0],[0,1]]"])
+def test_fuzz_inner_class_matrix_is_not_coerced(capsys, inner):
+    code, out = _run(capsys, "fuzz", "--group", "A2 sc", "--inner-class", inner, "--count", "1")
+    assert code == 2
+    assert out == f"RESULT 2 bad inner class matrix: {json.loads(inner)!r}\n"
+
+
+def test_fuzz_malformed_inner_class_message_is_unchanged(capsys):
+    code, out = _run(capsys, "fuzz", "--group", "A2 sc", "--inner-class", "[[1,0", "--count", "3")
+    assert out == "RESULT 2 unknown inner class '[[1,0'\n"
+
+
+@pytest.mark.parametrize("inner", ["5", "null", "[1,0]", "[[1.0,0],[0,1]]", "[[true,0],[0,1]]",
+                                   "[[1.5,0],[0,1]]", "[[1,0]"])
+def test_check_tits_inner_class_is_not_coerced(capsys, inner):
+    code, out = _run(capsys, "check-tits", "A2 sc", "--inner-class", inner)
+    assert code == 2
+    assert out == f"RESULT 2 bad inner class {inner!r}\n"
+
+
 @pytest.mark.parametrize("spec", ["A2 xx", "A2 sc x", "x A2 sc"])
 def test_empty_product_factor_exits_2(capsys, spec):
     code, out = _run(capsys, "fuzz", "--group", spec, "--count", "1")

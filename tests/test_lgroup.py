@@ -70,6 +70,9 @@ def test_parse_inner_class():
     assert parse_inner_class(d, mat) == build_lgroup(d, identity_aut(d))
     with pytest.raises(InputError):
         parse_inner_class(d, "quasisplit?")
+    for bad in ([[1.0, 0], [0, 1]], [[True, 0], [0, 1]], [[1.5, 0], [0, 1]], [1, 0], 5, None):
+        with pytest.raises(InputError, match="bad inner class matrix"):
+            parse_inner_class(d, bad)
 
 
 def test_tits_context_lives_on_dual():
