@@ -1,13 +1,19 @@
 """Exact linear algebra over Z and Q: matrices as tuples of row tuples.
 
 Everything here is deterministic; Smith normal form is the workhorse for
-lattice membership and torus congruences.
+lattice membership and torus congruences. Each Smith factorisation is
+computed once per matrix and cached (invariant factors, u and v, as tuples),
+and right-hand sides travel as integer numerators over one denominator, so a
+congruence solve is two integer matrix-vector products and a divisibility
+test per invariant factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
+from functools import cache
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 IntMat = Tuple[Tuple[int, ...], ...]
@@ -174,6 +180,8 @@ def smith(a) -> Tuple[IntMat, IntMat, IntMat]:
     rows = len(a)
     cols = len(a[0]) if rows else 0
     for row in a:
+        if len(row) != cols:
+            raise ValueError("smith form needs a rectangular matrix")
         for x in row:
             if not isinstance(x, int) and Q(x).denominator != 1:
                 raise ValueError("smith form needs an integer matrix")
@@ -248,53 +256,96 @@ def smith(a) -> Tuple[IntMat, IntMat, IntMat]:
     return mat_from_rows(s), mat_from_rows(u), mat_from_rows(v)
 
 
+def _as_scaled(v):
+    """(integer numerators, denominator) of a vector of ints or Fractions."""
+    if all(type(x) is int for x in v):
+        return v, 1
+    qs = [Q(x) for x in v]
+    den = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+@cache
+def _smith_factors(a: IntMat) -> Tuple[Tuple[int, ...], IntMat, IntMat]:
+    """(invariant factors, u, v) of the integer matrix a, u a v diagonal.
+
+    One Smith reduction per distinct matrix: the cache keeps only the
+    min(rows, cols) diagonal entries, zeros last, and the unimodular u and v,
+    all tuples.
+    """
+    s, u, v = smith(a)
+    return tuple(s[i][i] for i in range(min(len(u), len(v)))), u, v
+
+
+def solve_congruence_scaled(a: IntMat, num: Sequence[int], den: int):
+    """One x = xnum / xden with a x = num / den (mod Z^rows), as (xnum, xden), or None.
+
+    a is an integer matrix given as a tuple of row tuples, num integers and
+    den >= 1. With a's cached Smith form u a v = diag(s), the system is
+    solvable iff den divides (u num)_i wherever s_i = 0; then x = v eta with
+    eta_i = (u num)_i / (s_i den) and the free coordinates 0. The answer is
+    reduced: gcd(xden, *xnum) = 1.
+    """
+    if len(num) != len(a):
+        raise ValueError("right-hand side length does not match the matrix")
+    if den < 1:
+        raise ValueError("denominator must be positive")
+    factors, u, v = _smith_factors(a)
+    scale = den * lcm(*(s for s in factors if s))
+    eta = [0] * len(v)
+    for i, row in enumerate(u):
+        x = sum(map(mul, row, num))
+        s = factors[i] if i < len(factors) else 0
+        if s:
+            eta[i] = x * (scale // (s * den))
+        elif x % den:
+            return None
+    xnum = [sum(map(mul, row, eta)) for row in v]
+    g = gcd(scale, *xnum)
+    return tuple(x // g for x in xnum), scale // g
+
+
 def solve_congruence(a, d) -> Optional[Vec]:
     """One rational x with a x = d (mod Z^rows), or None.
 
-    a and d may be rational; x ranges over all of Q^cols, so scaling a by the
-    lcm of its denominators (and the solution back down) changes nothing and
-    lets the Smith form run over Z. Solvable iff the rows killed by a have
-    integral right-hand side after the Smith change of basis.
+    The Fraction face of solve_congruence_scaled. a and d may be rational; x
+    ranges over all of Q^cols, so scaling a by the lcm of its denominators
+    (and the solution back up by it) changes nothing and lets the Smith form
+    run over Z.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    den = 1
-    for row in a:
-        for x in row:
-            if not isinstance(x, int):
-                q = Q(x)
-                den = den * q.denominator // gcd(den, q.denominator)
-    if den != 1:
-        scaled = tuple(tuple(Q(x) * den for x in row) for row in a)
-        sol = solve_congruence(scaled, d)
-        return None if sol is None else vscale(Q(den), sol)
-    s, u, v = smith(a)
-    ud = mat_vec(u, tuple(Q(x) for x in d))
-    eta = [Q(0)] * cols
-    for i in range(rows):
-        si = s[i][i] if i < cols else 0
-        if si:
-            eta[i] = Q(ud[i], si)
-        elif Q(ud[i]).denominator != 1:
-            return None
-    return mat_vec(v, tuple(eta))
+    if len(d) != len(a):
+        raise ValueError("right-hand side length does not match the matrix")
+    aden = lcm(*(Q(x).denominator for row in a for x in row if type(x) is not int))
+    if aden != 1:
+        a = tuple(tuple(int(Q(x) * aden) for x in row) for row in a)
+    sol = solve_congruence_scaled(tuple(map(tuple, a)), *_as_scaled(d))
+    if sol is None:
+        return None
+    xnum, xden = sol
+    return tuple(Q(x * aden, xden) for x in xnum)
 
 
 def in_span_z(x, gens: Sequence[Sequence[int]]) -> bool:
-    """Is the rational vector x in the Z-span of the generator vectors?"""
-    if not gens:
-        return all(Q(c) == 0 for c in x)
+    """Is the rational vector x in the Z-span of the generator vectors?
+
+    With the cached Smith form u g v = diag(s) of the matrix g whose columns
+    are the generators, x = g y has an integer solution y iff s_i divides
+    (u x)_i for every i, where s_i = 0 asks for (u x)_i = 0.
+    """
     n = len(x)
-    a = tuple(tuple(int(g[i]) for g in gens) for i in range(n))  # columns = gens
-    s, u, _ = smith(a)
-    z = mat_vec(u, tuple(Q(c) for c in x))
-    m = len(gens)
-    for i in range(n):
-        si = s[i][i] if i < min(n, m) else 0
-        if si:
-            if Q(z[i], si).denominator != 1:
+    if any(len(g) != n for g in gens):
+        raise ValueError("generator length does not match the vector")
+    num, den = _as_scaled(x)
+    if not gens:
+        return not any(num)
+    factors, u, _ = _smith_factors(tuple(zip(*gens)))
+    for i, row in enumerate(u):
+        z = sum(map(mul, row, num))
+        s = factors[i] if i < len(factors) else 0
+        if s:
+            if z % (s * den):
                 return False
-        elif z[i] != 0:
+        elif z:
             return False
     return True
 
@@ -306,11 +357,12 @@ def saturation_projection(gens: Sequence[Sequence[int]], n: int):
     uinv's columns are a Z-basis of Z^n whose first `rank` members span the
     saturation.
     """
+    if any(len(g) != n for g in gens):
+        raise ValueError("generator length does not match the lattice rank")
     if not gens:
         return ident(n), ident(n), 0
-    a = tuple(tuple(int(g[i]) for g in gens) for i in range(n))
-    s, u, _ = smith(a)
-    rank = sum(1 for i in range(min(n, len(gens))) if s[i][i])
+    factors, u, _ = _smith_factors(tuple(zip(*gens)))
+    rank = sum(1 for s in factors if s)
     proj = u[rank:]
     uinv = mat_inv_z(u)
     return proj, uinv, rank

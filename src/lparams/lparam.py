@@ -48,11 +48,10 @@ from .intlinalg import (
     nullspace,
     one_minus,
     saturation_projection,
-    solve_congruence,
+    solve_congruence_scaled,
     transpose,
     vadd,
     vdot,
-    vscale,
     vsub,
 )
 from .lgroup import LGroup, StandardLevi, lgroup_tits_context, parse_inner_class
@@ -273,7 +272,8 @@ def params_equivalent(p: LParam, q: LParam) -> bool:
         pc = conjugate_param(p, weyl_from_word(d, [*y, *s.word, *reversed(x)]))
         if pc.w != q.w:
             continue
-        if solve_congruence(one_minus(q.theta), (q.mu - pc.mu).entries) is not None:
+        diff = q.mu - pc.mu
+        if solve_congruence_scaled(_involution(q.L, q.w).one_minus, diff.num, diff.den) is not None:
             return True
     return False
 
@@ -393,7 +393,7 @@ def central_chars_agree(p: LParam, t1: Sequence[Q], t2: Sequence[Q]) -> bool:
     diff = vsub(tuple(t1), tuple(t2))
     if any(x.denominator != 1 for x in diff):
         return False
-    return in_span_z(diff, central_modulus_gens(p))
+    return in_span_z([x.numerator for x in diff], central_modulus_gens(p))
 
 
 def is_discrete_series(p: LParam) -> bool:
@@ -592,17 +592,18 @@ def random_param(L: LGroup, rng: Random, denominator: int = 4) -> LParam:
         if any(x % mu.den for x in two_mu_plus):
             continue
         t0 = [x // mu.den + r for x, r in zip(two_mu_plus, inv.shift)]
-        half = tuple(vscale(Q(1, 2), row) for row in inv.one_minus)
-        sol = solve_congruence(half, tuple(Q(x, 2) for x in t0))
+        # (1 - theta) x / 2 = t0 / 2 (mod Z^n): solve (1 - theta) y = t0 / 2, then x = 2y
+        sol = solve_congruence_scaled(inv.one_minus, t0, 2)
         if sol is None:
             continue
+        y, y_den = sol
         even = [2 * rng.randrange(-2, 3) for _ in range(n)]
         # theta-fixed shifts (1 + theta) x / 2 with x in (1/6)Z^n, numerators over 12
         fix, im = ([sum(map(mul, row, x)) for row in inv.one_plus]
                    for x in (_sixths(rng, n), _sixths(rng, n)))
-        den = lcm(12, *(x.denominator for x in sol))
-        re = [x.numerator * (den // x.denominator) + e * den + f * (den // 12)
-              for x, e, f in zip(sol, even, fix)]
+        den = lcm(12, y_den)
+        re = [2 * x * (den // y_den) + e * den + f * (den // 12)
+              for x, e, f in zip(y, even, fix)]
         return make_param(L, ScaledVec(re, [x * (den // 12) for x in im], den), mu, w)
     raise InputError("could not sample a valid parameter")
 

@@ -27,7 +27,16 @@ from typing import Optional, Tuple
 
 from .errors import ContextMismatch, InputError, InvalidParam, NotInvolution, json_array
 from .gaussian import GVec, ScaledVec, format_gauss, parse_gauss
-from .intlinalg import ident, in_span_z, mat_mul, mat_neg, one_minus, solve_congruence, transpose
+from .intlinalg import (
+    ident,
+    in_span_z,
+    mat_mul,
+    mat_neg,
+    one_minus,
+    solve_congruence,
+    solve_congruence_scaled,
+    transpose,
+)
 from .tits import TorusPart, torus_part
 
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -219,8 +228,8 @@ def torus_params_equivalent(p: TorusParam, q: TorusParam) -> bool:
         raise ContextMismatch("parameters into different E-groups")
     if p.lam_s != q.lam_s:
         return False
-    d = (q.mu - p.mu).entries
-    return solve_congruence(one_minus(p.egroup.theta_check), d) is not None
+    d = q.mu - p.mu
+    return solve_congruence_scaled(one_minus(p.egroup.theta_check), d.num, d.den) is not None
 
 
 def random_torus_param(eg: TorusEGroup, rng: Random, qmax: int = 4) -> TorusParam:

@@ -15,15 +15,13 @@ from functools import cache
 from typing import Tuple
 
 from .errors import DatumMismatch, InputError, InvariantViolated
-from .intlinalg import ident, mat_mul, mat_neg, mat_vec
+from .intlinalg import ident, mat_neg, mat_vec
 from .rootdata import (
     BasedAut,
     RootDatum,
     based_aut,
     cartan_matrix,
     positive_roots,
-    xcostar_reflections,
-    xstar_reflections,
 )
 
 
@@ -52,12 +50,12 @@ class WeylElem:
     @property
     def matrix(self) -> Tuple[Tuple[int, ...], ...]:
         """Action on X_*."""
-        return _matrix(self, xcostar_reflections)
+        return _matrix(self, True)
 
     @property
     def xstar(self) -> Tuple[Tuple[int, ...], ...]:
         """Action on X^*."""
-        return _matrix(self, xstar_reflections)
+        return _matrix(self, False)
 
 
 def length(u: WeylElem) -> int:
@@ -65,12 +63,27 @@ def length(u: WeylElem) -> int:
 
 
 @cache
-def _matrix(u: WeylElem, reflections):
-    """u as the product of the given simple reflection matrices: s_i (s_i u), i its first letter."""
+def _matrix(u: WeylElem, on_cochars: bool):
+    """u on X_* (on_cochars) or X^*: s_i M for M the matrix of s_i u, i u's first letter.
+
+    s_i M = M - c (r M) is a rank-one update of the rows where c is nonzero,
+    with (c, r) = (alpha-check_i, alpha_i) on X_* and (alpha_i, alpha-check_i)
+    on X^*.
+    """
+    d = u.datum
     if not u.word:
-        return ident(u.datum.rank)
+        return ident(d.rank)
     i = u.word[0]
-    return mat_mul(reflections(u.datum)[i - 1], _matrix(_replay(u.datum, (i,), u.key), reflections))
+    m = _matrix(_replay(d, (i,), u.key), on_cochars)
+    c, r = d.simple_coroots[i - 1], d.simple_roots[i - 1]
+    if not on_cochars:
+        c, r = r, c
+    rm = [0] * d.rank
+    for x, row in zip(r, m):
+        if x:
+            rm = [a + x * b for a, b in zip(rm, row)]
+    return tuple(tuple(a - x * b for a, b in zip(row, rm)) if x else row
+                 for x, row in zip(c, m))
 
 
 @cache

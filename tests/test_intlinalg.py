@@ -1,11 +1,15 @@
 """Exact integer/rational linear algebra: Smith form, congruences, lattices."""
 
+import importlib
 from fractions import Fraction as Q
+from math import gcd
 from random import Random
 
 import pytest
 
+import lparams.intlinalg as intlinalg
 from lparams.intlinalg import (
+    _smith_factors,
     descend_map,
     determinant,
     ident,
@@ -18,11 +22,15 @@ from lparams.intlinalg import (
     saturation_projection,
     smith,
     solve_congruence,
+    solve_congruence_scaled,
     solve_rational,
     transpose,
     vdot,
     vsub,
 )
+from lparams.lgroup import parse_inner_class
+from lparams.lparam import random_param, verify_contragredient
+from lparams.rootdata import build_datum
 
 
 def _rand_mat(rng, n, lo=-5, hi=6):
@@ -155,3 +163,235 @@ def test_saturation_projection_full_rank_gives_empty_quotient():
 def test_transpose_and_dot():
     assert transpose(((1, 2), (3, 4))) == ((1, 3), (2, 4))
     assert vdot((1, 2, 3), (4, 5, 6)) == 32
+
+
+# ---------------------------------------------------------------------------
+# shape checks: a length mismatch is refused, never truncated by zip
+
+def test_solve_congruence_refuses_a_longer_right_hand_side():
+    # the unsolvable second entry 1/2 used to be dropped
+    with pytest.raises(ValueError):
+        solve_congruence(((2,),), (Q(1), Q(1, 2)))
+
+
+def test_solve_congruence_refuses_a_shorter_right_hand_side():
+    # the second row used to be dropped from the answer
+    with pytest.raises(ValueError):
+        solve_congruence(((1, 0), (0, 0)), (Q(1, 2),))
+
+
+def test_in_span_z_refuses_longer_generators():
+    with pytest.raises(ValueError):
+        in_span_z((0,), [(0, 1)])
+
+
+def test_in_span_z_refuses_shorter_generators():
+    # used to raise a bare IndexError
+    with pytest.raises(ValueError):
+        in_span_z((0, 1), [(1,)])
+
+
+def test_scaled_solve_and_smith_refuse_bad_shapes():
+    with pytest.raises(ValueError):
+        solve_congruence_scaled(((2,),), (1, 1), 2)
+    with pytest.raises(ValueError):
+        solve_congruence_scaled(((1, 0), (0, 0)), (1,), 2)
+    with pytest.raises(ValueError):
+        solve_congruence_scaled(((2,),), (1,), 0)
+    with pytest.raises(ValueError):
+        smith(((1, 0), (1,)))
+    with pytest.raises(ValueError):
+        saturation_projection([(1, 0)], 3)
+
+
+# ---------------------------------------------------------------------------
+# the uncached, Fraction-valued solvers the cached path replaced, as oracles
+
+def oracle_solve_congruence(a, d):
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    den = 1
+    for row in a:
+        for x in row:
+            if not isinstance(x, int):
+                q = Q(x)
+                den = den * q.denominator // gcd(den, q.denominator)
+    if den != 1:
+        scaled = tuple(tuple(Q(x) * den for x in row) for row in a)
+        sol = oracle_solve_congruence(scaled, d)
+        return None if sol is None else tuple(Q(den) * x for x in sol)
+    s, u, v = smith(a)
+    ud = mat_vec(u, tuple(Q(x) for x in d))
+    eta = [Q(0)] * cols
+    for i in range(rows):
+        si = s[i][i] if i < cols else 0
+        if si:
+            eta[i] = Q(ud[i], si)
+        elif Q(ud[i]).denominator != 1:
+            return None
+    return mat_vec(v, tuple(eta))
+
+
+def oracle_in_span_z(x, gens):
+    if not gens:
+        return all(Q(c) == 0 for c in x)
+    n = len(x)
+    a = tuple(tuple(int(g[i]) for g in gens) for i in range(n))
+    s, u, _ = smith(a)
+    z = mat_vec(u, tuple(Q(c) for c in x))
+    m = len(gens)
+    for i in range(n):
+        si = s[i][i] if i < min(n, m) else 0
+        if si:
+            if Q(z[i], si).denominator != 1:
+                return False
+        elif z[i] != 0:
+            return False
+    return True
+
+
+def _entry(rng, rational):
+    return Q(rng.randrange(-4, 5), rng.choice([1, 2, 3])) if rational else rng.randrange(-4, 5)
+
+
+def congruence_cases(seed, count=240):
+    """(a, d) over integer, rational, rectangular and stacked [a/2; a] matrices.
+
+    Every other right-hand side is a x0 plus an integer vector for a rational
+    x0, so it is solvable; the rest are random and often are not.
+    """
+    rng = Random(seed)
+    for k in range(count):
+        kind = k % 4
+        rows = rng.randrange(1, 5)
+        cols = rows if kind < 2 else rng.randrange(1, 5)
+        a = tuple(tuple(_entry(rng, kind == 1) for _ in range(cols)) for _ in range(rows))
+        if kind == 3:
+            a = tuple(tuple(Q(x, 2) for x in row) for row in a) + a
+        if k % 8 < 4:
+            x0 = [Q(rng.randrange(-6, 7), rng.choice([1, 2, 3, 4, 6])) for _ in range(cols)]
+            d = tuple(sum(Q(c) * x for c, x in zip(row, x0)) + rng.randrange(-2, 3)
+                      for row in a)
+        else:
+            d = tuple(Q(rng.randrange(-6, 7), rng.choice([1, 2, 3, 4])) for _ in a)
+        yield a, d
+
+
+def test_solve_congruence_matches_the_uncached_oracle_twice():
+    solved = unsolvable = 0
+    for a, d in congruence_cases(11):
+        want = oracle_solve_congruence(a, d)
+        for _ in range(2):  # the second solve reads the cached factorisation
+            assert solve_congruence(a, d) == want
+        solved += want is not None
+        unsolvable += want is None
+    assert solved >= 120 and unsolvable >= 20
+
+
+def test_scaled_solve_returns_the_same_reduced_vector():
+    for a, d in congruence_cases(12):
+        if any(type(x) is not int for row in a for x in row):
+            continue
+        den = 12
+        num = [int(x * den) for x in d]
+        want = oracle_solve_congruence(a, d)
+        for _ in range(2):
+            got = solve_congruence_scaled(a, num, den)
+            if want is None:
+                assert got is None
+                continue
+            xnum, xden = got
+            assert tuple(Q(x, xden) for x in xnum) == want
+            assert xden >= 1 and gcd(xden, *xnum) == 1
+
+
+def test_in_span_z_matches_the_uncached_oracle_twice():
+    rng = Random(13)
+    inside = outside = 0
+    for _ in range(300):
+        n, m = rng.randrange(1, 5), rng.randrange(0, 6)
+        gens = [tuple(rng.randrange(-4, 5) for _ in range(n)) for _ in range(m)]
+        if rng.random() < 0.5:
+            # an integer combination of the generators, sometimes nudged off the lattice
+            c = [rng.randrange(-3, 4) for _ in gens]
+            x = [sum(k * g[i] for k, g in zip(c, gens)) for i in range(n)]
+            if rng.random() < 0.3:
+                x[rng.randrange(n)] += Q(1, rng.choice([1, 2, 3]))
+        else:
+            x = [Q(rng.randrange(-6, 7), rng.choice([1, 1, 2])) for _ in range(n)]
+        want = oracle_in_span_z(x, gens)
+        for _ in range(2):
+            assert in_span_z(x, gens) == want
+        inside += want
+        outside += not want
+    assert inside >= 60 and outside >= 60
+
+
+def test_cached_factors_are_immutable_tuples():
+    a = ((2, 4, 4), (-6, 6, 12), (10, -4, -16))
+    factors, u, v = _smith_factors(a)
+    assert _smith_factors(a) is _smith_factors(a)
+    s, _, _ = smith(a)
+    assert factors == tuple(s[i][i] for i in range(3)) == (2, 6, 12)
+    for part in (factors, u, v, *u, *v):
+        assert type(part) is tuple
+    with pytest.raises(TypeError):
+        u[0][0] = 5
+    with pytest.raises(TypeError):
+        factors[0] = 1
+    assert mat_mul(mat_mul(u, a), v) == s
+
+
+# ---------------------------------------------------------------------------
+# one Smith reduction per distinct matrix on the theorem op
+
+THEOREM_FLEET = [
+    ("A2 sc", "compact"),
+    ("B3 sc", "split"),
+    ("C3 ad", "split"),
+    ("G2 sc", "split"),
+    ("D4 sc", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    ("GL(4)", "split"),
+    ("GL(3)", "compact"),
+    ("A1 sc x A1 sc", [[0, 1], [1, 0]]),
+]
+
+
+def _clear_all_caches():
+    """Empty every functools cache held by a module-level name of lparams, as the benchmark does."""
+    for name in ("gaussian", "intlinalg", "rootdata", "weyl", "tits", "torus", "lgroup",
+                 "lparam", "weilrep", "cli"):
+        for obj in list(vars(importlib.import_module(f"lparams.{name}")).values()):
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_smith_runs_once_per_distinct_matrix_on_the_theorem_op(monkeypatch):
+    seen = []
+    real_smith = smith
+
+    def counting(a):
+        seen.append(tuple(map(tuple, a)))
+        return real_smith(a)
+
+    monkeypatch.setattr(intlinalg, "smith", counting)
+    _clear_all_caches()
+    assert _smith_factors.cache_info().currsize == 0
+
+    def one_pass():
+        for k, (group, inner) in enumerate(THEOREM_FLEET):
+            L = parse_inner_class(build_datum(group), inner)
+            for i in range(20):
+                p = random_param(L, Random(f"smith-count:{k}:{i}"))
+                assert all(passed for _, passed, _ in verify_contragredient(p))
+
+    one_pass()
+    first = len(seen)
+    assert first > 0 and len(set(seen)) == first
+    assert _smith_factors.cache_info().currsize == first
+    one_pass()
+    assert len(seen) == first
+    # the cache is a module-level functools cache, so the benchmark's cold
+    # set-up (cache_clear on every such object) empties it
+    _clear_all_caches()
+    assert _smith_factors.cache_info().currsize == 0

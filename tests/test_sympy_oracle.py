@@ -4,7 +4,8 @@ Every function here is compared against sympy on seeded random integer and
 rational matrices: square, rectangular and singular. The answers are unique
 (the kernel basis with one free variable set to 1, the solution with free
 variables 0, inverse, determinant, rank, the Smith diagonal up to sign), so
-equality is exact.
+equality is exact. A congruence solution is not unique, so sympy checks its
+residual instead.
 """
 
 from fractions import Fraction as Q
@@ -21,6 +22,8 @@ from lparams.intlinalg import (  # noqa: E402
     matrix_rank,
     nullspace,
     smith,
+    solve_congruence,
+    solve_congruence_scaled,
     solve_rational,
 )
 
@@ -119,3 +122,52 @@ def test_smith_diagonal_matches_sympy():
         want = smith_normal_form(sympy.Matrix(a), domain=sympy.ZZ)
         diag = min(rows, cols)
         assert [s[i][i] for i in range(diag)] == [abs(int(want[i, i])) for i in range(diag)]
+
+
+def _congruence_systems(seed, count=120):
+    """Integer, rational, rectangular and stacked [a/2; a] systems, half of them solvable."""
+    rng = Random(seed)
+    for k in range(count):
+        kind = k % 4
+        rows = rng.randrange(1, 6)
+        cols = rows if kind < 2 else rng.randrange(1, 6)
+        a = _rand_matrix(rng, rows, cols, rational=kind == 1)
+        if kind == 3:
+            a = tuple(tuple(Q(x, 2) for x in row) for row in a) + a
+        if k % 2:
+            x0 = [_rand_entry(rng, True) for _ in range(cols)]
+            d = tuple(sum(Q(c) * x for c, x in zip(row, x0)) for row in a)
+        else:
+            d = tuple(Q(rng.randrange(-6, 7), rng.choice([1, 2, 4])) for _ in a)
+        yield a, d
+
+
+def test_congruence_solutions_have_integral_residuals_in_sympy():
+    solved = unsolvable = 0
+    for a, d in _congruence_systems(505):
+        for _ in range(2):  # the second solve reads the cached factorisation
+            x = solve_congruence(a, d)
+            if x is None:
+                unsolvable += 1
+                continue
+            solved += 1
+            residual = _sym(a) * _sym([[c] for c in x]) - _sym([[c] for c in d])
+            assert all(r.is_integer for r in residual)
+    assert solved >= 100 and unsolvable >= 20
+
+
+def test_scaled_congruence_solutions_have_integral_residuals_in_sympy():
+    solved = 0
+    for a, d in _congruence_systems(606):
+        if any(isinstance(x, Q) for row in a for x in row):
+            continue
+        num = [int(x * 12) for x in d]
+        got = solve_congruence_scaled(a, num, 12)
+        if got is None:
+            continue
+        xnum, xden = got
+        x = _sym([[sympy.Rational(c, xden)] for c in xnum])
+        residual = _sym(a) * x - _sym([[sympy.Rational(c, 12)] for c in num])
+        assert all(r.is_integer for r in residual)
+        solved += 1
+    assert solved >= 20

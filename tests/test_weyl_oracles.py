@@ -13,6 +13,7 @@ from random import Random
 
 import pytest
 
+import lparams.intlinalg as intlinalg
 import lparams.weyl as weyl
 from lparams.errors import InvariantViolated
 from lparams.intlinalg import ident, mat_mul, mat_neg, mat_vec, transpose, vneg
@@ -163,13 +164,33 @@ def test_group_operations_do_no_matrix_arithmetic(monkeypatch):
     def refuse(*args):
         raise AssertionError("matrix arithmetic in a Weyl group operation")
 
+    # weyl no longer imports mat_mul; the name is patched anyway, so that a
+    # matrix product that comes back into weyl is refused here too
     for name in ("ident", "mat_mul", "mat_neg", "mat_vec"):
-        monkeypatch.setattr(weyl, name, refuse)
+        monkeypatch.setattr(weyl, name, refuse, raising=False)
     u = weyl_from_word(d, [3, 1, 4, 1, 5, 2, 6, 5, 3, 5, 8, 7])
     v = weyl_mul(u, simple_reflection(d, 2))
     assert weyl_mul(v, weyl_inv(v)) == weyl_identity(d)
     assert apply_aut_to_weyl(flip, u) == weyl_from_word(d, [9 - i for i in u.word])
     assert descent(u, u.word[-1])
+
+
+def test_matrix_is_built_without_mat_mul(monkeypatch):
+    """Each letter of the word is a rank-one row update, not a rank^3 product."""
+    d = build_datum("GL(9)")
+    u = weyl_mul(weyl.longest_element(d), simple_reflection(d, 4))
+    want = _word_matrix(d, u.word), _word_matrix(d, u.word, xstar_reflections)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return mat_mul(*args)
+
+    monkeypatch.setattr(intlinalg, "mat_mul", counting)
+    monkeypatch.setattr(weyl, "mat_mul", counting, raising=False)
+    weyl._matrix.cache_clear()
+    assert (u.matrix, u.xstar) == want
+    assert len(u.word) == 35 and calls == []
 
 
 # ---------------------------------------------------------------------------
