@@ -156,39 +156,50 @@ def format_gauss(z: GaussQ) -> str:
     return f"{z.re}{sign}{abs(z.im)}i"
 
 
-_GAUSS_RE = re.compile(
-    r"""^\s*
-        (?P<re>[+-]?\d+(?:/\d+)?)?
-        (?:(?P<sign>[+-])?(?P<im>\d+(?:/\d+)?)?i)?
-        \s*$""",
-    re.VERBOSE,
-)
+# The one numeral grammar: a sign, ASCII digits and an optional "/" with ASCII
+# digits, with optional surrounding white space.
+_NUMERAL = r"[0-9]+(?:/[0-9]+)?"
+_RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def parse_rational(x) -> Q:
+    """A document numeral, an int or a string in the numeral grammar; ValueError otherwise."""
+    if type(x) is int:
+        return Q(x)
+    m = isinstance(x, str) and _RATIONAL_RE.fullmatch(x)
+    if not m or m[2] and not int(m[2]):
+        raise ValueError(f"bad rational: {x!r}")
+    return Q(int(m[1]), int(m[2] or 1))
+
+
+def parse_integer(text: str) -> int:
+    """An integer numeral: the numeral grammar without a denominator."""
+    m = isinstance(text, str) and _RATIONAL_RE.fullmatch(text)
+    if not m or m[2] is not None:
+        raise ValueError(f"bad integer: {text!r}")
+    return int(m[1])
+
+
+# "a", "a+bi", "a-i", or a pure imaginary "bi", "-i"; every a and b is a numeral
+_GAUSS_RE = re.compile(rf"\s*(?:(?P<re>[+-]?{_NUMERAL})(?:(?P<im>[+-](?:{_NUMERAL})?)i)?"
+                       rf"|(?P<pure>[+-]?(?:{_NUMERAL})?)i)\s*")
+
+
+def _coefficient(text: str) -> Q:
+    """The numeral before an i, where a bare sign or nothing stands for 1."""
+    return Q(-1 if text == "-" else 1) if text in ("", "+", "-") else parse_rational(text)
 
 
 def parse_gauss(text: str) -> GaussQ:
     """Parse "a/b", "a/b+c/di", "c/di", "-i" and friends."""
     if not isinstance(text, str):
         raise InputError(f"expected a string, got {text!r}")
-    m = _GAUSS_RE.match(text)
-    if not m or (m.group("re") is None and "i" not in text):
-        raise InputError(f"bad Gaussian rational: {text!r}")
-    has_i = text.strip().endswith("i")
-    re_part = m.group("re")
-    sign = m.group("sign")
-    im_part = m.group("im")
+    m = _GAUSS_RE.fullmatch(text)
     try:
-        if not has_i:
-            if re_part is None or sign is not None or im_part is not None:
-                raise InputError(f"bad Gaussian rational: {text!r}")
-            return GaussQ(Q(re_part))
-        if re_part is not None and sign is None:
-            # forms like "3/2i": the leading number is the imaginary part
-            if im_part is not None:
-                raise InputError(f"bad Gaussian rational: {text!r}")
-            return GaussQ(0, Q(re_part))
-        real = Q(re_part) if re_part is not None else Q(0)
-        mag = Q(im_part) if im_part is not None else Q(1)
-        imag = -mag if sign == "-" else mag
-        return GaussQ(real, imag)
-    except ZeroDivisionError as exc:
+        if m is None:
+            raise ValueError(text)
+        if m["pure"] is not None:
+            return GaussQ(0, _coefficient(m["pure"]))
+        return GaussQ(parse_rational(m["re"]), _coefficient(m["im"]) if m["im"] else 0)
+    except ValueError as exc:
         raise InputError(f"bad Gaussian rational: {text!r}") from exc

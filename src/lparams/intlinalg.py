@@ -87,8 +87,8 @@ def _gauss_jordan(rows, ncols: int):
     Fractions, the pivot column of each leading nonzero row in order, and the
     determinant of the first ncols columns, which is 0 as soon as one of them
     has no pivot. Further columns (right-hand sides, an identity block) are
-    carried along by the row operations. Every exact solve, kernel, inverse,
-    rank and determinant in the package is a reading of this one elimination.
+    carried along by the row operations. It serves only determinant,
+    matrix_rank and mat_inv_q: datum validation and inverses.
     """
     a = [[Q(x) for x in row] for row in rows]
     pivots = []
@@ -121,37 +121,6 @@ def determinant(m) -> Q:
 def matrix_rank(m) -> int:
     """Rank over Q."""
     return len(_gauss_jordan(m, len(m[0]) if m else 0)[1])
-
-
-def solve_rational(m, b) -> Optional[Vec]:
-    """One exact solution of m x = b over Q, or None if inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    cols = len(m[0]) if m else 0
-    a, pivots, _ = _gauss_jordan([(*row, v) for row, v in zip(m, b)], cols)
-    if any(row[cols] for row in a[len(pivots):]):
-        return None
-    x = [Q(0)] * cols
-    for row, c in zip(a, pivots):
-        x[c] = row[cols]
-    return tuple(x)
-
-
-def nullspace(m) -> Tuple[Vec, ...]:
-    """Basis of the rational kernel of m, one vector per free column."""
-    cols = len(m[0]) if m else 0
-    a, pivots, _ = _gauss_jordan(m, cols)
-    basis = []
-    for c in range(cols):
-        if c in pivots:
-            continue
-        v = [Q(0)] * cols
-        v[c] = Q(1)
-        for row, pc in zip(a, pivots):
-            v[pc] = -row[c]
-        basis.append(tuple(v))
-    return tuple(basis)
 
 
 def mat_inv_q(m) -> Tuple[Vec, ...]:

@@ -37,7 +37,7 @@ from .errors import (
     ValidityIntegrality,
     json_array,
 )
-from .gaussian import GaussQ, GVec, ScaledVec, format_gauss, parse_gauss
+from .gaussian import GaussQ, GVec, ScaledVec, format_gauss, parse_gauss, parse_rational
 from .intlinalg import (
     descend_map,
     ident,
@@ -45,13 +45,13 @@ from .intlinalg import (
     mat_mul,
     mat_neg,
     mat_vec,
-    nullspace,
     one_minus,
     saturation_projection,
     solve_congruence_scaled,
     transpose,
     vadd,
     vdot,
+    vneg,
     vsub,
 )
 from .lgroup import LGroup, StandardLevi, lgroup_tits_context, parse_inner_class
@@ -63,7 +63,7 @@ from .rootdata import (
     build_datum,
     coaction,
     compose_aut,
-    expand_in_simples,
+    positive_root_table,
     rho_check,
     transpose_aut,
 )
@@ -421,11 +421,16 @@ def _s_hat_roots(p: LParam) -> List[Tuple[int, ...]]:
 def _levi_subsystem(d: RootDatum, subset: frozenset) -> frozenset:
     """Roots supported on the given simple indices."""
     keep = set()
-    for alpha in all_roots(d):
-        coeffs = expand_in_simples(d, alpha)
+    for _, alpha, coeffs in positive_root_table(d):
         if all(c == 0 or (i + 1) in subset for i, c in enumerate(coeffs)):
-            keep.add(alpha)
+            keep.update((alpha, vneg(alpha)))
     return frozenset(keep)
+
+
+def _levi_roots(d: RootDatum, theta) -> frozenset:
+    """The roots vanishing on ker(1 - theta); for an involution, those negated by theta^T."""
+    th_star = transpose(theta)
+    return frozenset(alpha for alpha in all_roots(d) if mat_vec(th_star, alpha) == vneg(alpha))
 
 
 def levi_of(p: LParam) -> Tuple[StandardLevi, LParam]:
@@ -437,15 +442,14 @@ def levi_of(p: LParam) -> Tuple[StandardLevi, LParam]:
     not modeled, so NormalizationRequired is raised with the root as witness.
     """
     d = p.L.dual_datum
-    th_star = transpose(p.theta)
+    if not _involution(p.L, p.w).involutive:
+        raise NotInvolution("theta^2 != 1")
+    mset = _levi_roots(d, p.theta)
     for alpha in _s_hat_roots(p):
-        if tuple(mat_vec(th_star, alpha)) == tuple(-x for x in alpha):
+        if alpha in mset:
             raise NormalizationRequired(
                 "centralizer root is negated by theta; a Cayley move would be needed",
                 witness=alpha)
-    fixed_basis = nullspace(one_minus(p.theta))
-    mset = frozenset(alpha for alpha in all_roots(d)
-                     if all(vdot(alpha, v) == 0 for v in fixed_basis))
     perm = p.L.theta0.perm
     for u in weyl_enumerate(d):
         image = frozenset(tuple(weyl_act(u, alpha, side="X^*")) for alpha in mset)
@@ -641,9 +645,9 @@ def param_parts(data: dict) -> Tuple[LGroup, List[GaussQ], TorusPart, List[int]]
         group = data["group"]
         inner = data["inner_class"]
         lam = [parse_gauss(str(z)) for z in json_array(data["lambda"], (str, int))]
-        mu = torus_part([Q(x) for x in json_array(data["mu"], (str, int))])
+        mu = torus_part([parse_rational(x) for x in json_array(data["mu"], (str, int))])
         word = json_array(data["w"], int)
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad parameter data: {data!r}") from exc
     return parse_inner_class(build_datum(group), inner), lam, mu, word
 

@@ -3,6 +3,9 @@
 A datum lists simple roots (in X^* = Z^n) and simple coroots (in X_* = Z^n)
 in matching order; everything downstream (Weyl group, Tits group, dual
 group) is derived from these vectors.
+
+The positive (co)roots are found once per datum as integer coefficient
+vectors over the simple (co)roots, by a closure through the Cartan matrix.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ from .intlinalg import (
     mat_mul,
     mat_vec,
     matrix_rank,
-    solve_rational,
     transpose,
     vdot,
-    vscale,
+    vneg,
 )
 
 IntVec = Tuple[int, ...]
@@ -59,9 +61,11 @@ class RootDatum:
 
 
 def datum_from_vectors(roots, coroots, rank=None, label="") -> RootDatum:
-    """Build and validate a datum from explicit root/coroot vectors."""
-    roots = tuple(tuple(int(x) for x in v) for v in roots)
-    coroots = tuple(tuple(int(x) for x in v) for v in coroots)
+    """Build and validate a datum from explicit root/coroot vectors of ints."""
+    roots = tuple(tuple(v) for v in roots)
+    coroots = tuple(tuple(v) for v in coroots)
+    if any(type(x) is not int for v in roots + coroots for x in v):
+        raise InputError("root and coroot entries must be integers")
     if len(roots) != len(coroots):
         raise RankMismatch(
             f"{len(roots)} simple roots but {len(coroots)} simple coroots")
@@ -263,79 +267,76 @@ def xcostar_reflections(d: RootDatum):
     return tuple(out)
 
 
-def _orbit(seeds, mats):
-    seen = set(seeds)
-    queue = list(seeds)
+@cache
+def positive_root_table(d: RootDatum, coroots: bool = False):
+    """((height, vector, coefficients), ...) of the positive (co)roots, by height then vector.
+
+    From the simple roots e_i, s_i sends c to c - <beta, alpha_i-check> e_i with
+    <beta, alpha_i-check> = sum_j c_j a[j][i] (a the Cartan matrix; its
+    transpose for coroots); an image with no negative coefficient is kept.
+    Each non-simple positive root is such an image of a lower one.
+    """
+    a = transpose(cartan_matrix(d)) if coroots else cartan_matrix(d)
+    seen = set(ident(d.nsimple))
+    queue = list(seen)
     while queue:
-        v = queue.pop()
-        for m in mats:
-            w = mat_vec(m, v)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
-def expand_in_simples(d: RootDatum, v, coroots=False):
-    """Coefficients of v in the simple (co)root basis, or None."""
-    basis = d.simple_coroots if coroots else d.simple_roots
-    if not basis:
-        return None
-    cols = tuple(tuple(b[i] for b in basis) for i in range(d.rank))
-    return solve_rational(cols, v)
-
-
-@cache
-def all_roots(d: RootDatum):
-    return frozenset(_orbit(d.simple_roots, xstar_reflections(d)))
-
-
-@cache
-def all_coroots(d: RootDatum):
-    return frozenset(_orbit(d.simple_coroots, xcostar_reflections(d)))
-
-
-def _positive_part(d, vecs, coroots):
-    pos = []
-    for v in vecs:
-        coeffs = expand_in_simples(d, v, coroots=coroots)
-        if coeffs is not None and all(c >= 0 for c in coeffs):
-            pos.append((sum(coeffs), v))
-    pos.sort()
-    return tuple(v for _, v in pos)
+        c = queue.pop()
+        for i in range(d.nsimple):
+            n = sum(cj * a[j][i] for j, cj in enumerate(c) if cj)
+            img = c[:i] + (c[i] - n,) + c[i + 1:]
+            if n and img[i] >= 0 and img not in seen:
+                seen.add(img)
+                queue.append(img)
+    cols = transpose(d.simple_coroots if coroots else d.simple_roots)
+    return tuple(sorted((sum(c), mat_vec(cols, c), c) for c in seen))
 
 
 @cache
 def positive_roots(d: RootDatum):
     """Positive roots, sorted by height then coordinates."""
-    return _positive_part(d, all_roots(d), coroots=False)
+    return tuple(v for _, v, _ in positive_root_table(d))
 
 
 @cache
 def positive_coroots(d: RootDatum):
-    return _positive_part(d, all_coroots(d), coroots=True)
+    return tuple(v for _, v, _ in positive_root_table(d, True))
+
+
+@cache
+def all_roots(d: RootDatum):
+    pos = positive_roots(d)
+    return frozenset(pos).union(vneg(v) for v in pos)
+
+
+@cache
+def all_coroots(d: RootDatum):
+    pos = positive_coroots(d)
+    return frozenset(pos).union(vneg(v) for v in pos)
+
+
+def _half_sum(vecs, rank: int):
+    return tuple(Q(sum(v[k] for v in vecs), 2) for k in range(rank))
 
 
 @cache
 def rho_check(d: RootDatum):
     """Half the sum of the positive coroots."""
-    acc = (Q(0),) * d.rank
-    for v in positive_coroots(d):
-        acc = tuple(x + y for x, y in zip(acc, v))
-    return vscale(Q(1, 2), acc)
+    return _half_sum(positive_coroots(d), d.rank)
 
 
 @cache
 def rho(d: RootDatum):
     """Half the sum of the positive roots."""
-    acc = (Q(0),) * d.rank
-    for v in positive_roots(d):
-        acc = tuple(x + y for x, y in zip(acc, v))
-    return vscale(Q(1, 2), acc)
+    return _half_sum(positive_roots(d), d.rank)
+
+
+@cache
+def _positive_root_set(d: RootDatum) -> frozenset:
+    return frozenset(positive_roots(d))
 
 
 def is_positive_root(d: RootDatum, v) -> bool:
-    return tuple(v) in set(positive_roots(d))
+    return tuple(v) in _positive_root_set(d)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .errors import (
     PreconditionViolated,
     json_array,
 )
+from .gaussian import parse_rational
 from .intlinalg import ident, mat_mul, one_minus, solve_congruence, vscale, vsub
 from .rootdata import BasedAut, RootDatum, cartan_matrix, coaction, identity_aut, rho_check
 from .weyl import (
@@ -409,12 +410,12 @@ def elem_from_dict(ctx: TitsContext, data: dict) -> ExtTitsElem:
     an integer; a bool, a float or a bare string is refused.
     """
     try:
-        mu = torus_part([Q(x) for x in json_array(data["mu"], (str, int))])
+        mu = torus_part([parse_rational(x) for x in json_array(data["mu"], (str, int))])
         word = json_array(data["w"], int)
         eps = data["eps"]
         if isinstance(eps, bool) or not isinstance(eps, int):
             raise TypeError(f"eps is not an integer: {eps!r}")
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad Tits element data: {data!r}") from exc
     if eps not in (0, 1):
         raise InputError("eps must be 0 or 1")

@@ -26,7 +26,7 @@ from random import Random
 from typing import Optional, Tuple
 
 from .errors import ContextMismatch, InputError, InvalidParam, NotInvolution, json_array
-from .gaussian import GVec, ScaledVec, format_gauss, parse_gauss
+from .gaussian import GVec, ScaledVec, format_gauss, parse_gauss, parse_rational
 from .intlinalg import (
     ident,
     in_span_z,
@@ -43,8 +43,8 @@ Matrix = Tuple[Tuple[int, ...], ...]
 
 
 def _int_matrix(rows, n: Optional[int] = None) -> Matrix:
-    m = tuple(tuple(int(x) for x in row) for row in rows)
-    if any(any(x != y for x, y in zip(r, row)) for r, row in zip(m, rows)):
+    m = tuple(tuple(row) for row in rows)
+    if any(type(x) is not int for row in m for x in row):
         raise InputError("matrix entries must be integers")
     if n is not None and (len(m) != n or any(len(r) != n for r in m)):
         raise InputError(f"expected a {n}x{n} matrix")
@@ -291,10 +291,10 @@ def torus_param_from_dict(data: dict) -> TorusParam:
     """
     try:
         theta_check = [json_array(row, int) for row in json_array(data["theta_check"], list)]
-        gamma = [Q(x) for x in json_array(data["gamma"], (str, int))]
+        gamma = [parse_rational(x) for x in json_array(data["gamma"], (str, int))]
         eg = torus_egroup(theta_check, gamma)
         lam = [parse_gauss(str(z)) for z in json_array(data["lambda"], (str, int))]
-        mu = torus_part([Q(x) for x in json_array(data["mu"], (str, int))])
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+        mu = torus_part([parse_rational(x) for x in json_array(data["mu"], (str, int))])
+    except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad torus parameter data: {data!r}") from exc
     return torus_param(eg, lam, mu)

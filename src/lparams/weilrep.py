@@ -25,7 +25,7 @@ from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, InputError
-from .gaussian import GaussQ, as_gauss, format_gauss, parse_gauss
+from .gaussian import GaussQ, as_gauss, format_gauss, parse_gauss, parse_integer
 from .intlinalg import ident
 from .lgroup import LGroup, lgroup_split
 from .lparam import LParam, make_param
@@ -264,7 +264,7 @@ def parse_weil_rep(text: str) -> WeilRep:
             if len(parts) != 2:
                 raise InputError(f"chi needs (t,eps): {term!r}")
             try:
-                eps = int(parts[1])
+                eps = parse_integer(parts[1])
             except ValueError as exc:
                 raise InputError(f"bad eps in {term!r}") from exc
             out.append(weil_chi(_parse_t(parts[0], term), eps))
@@ -272,7 +272,7 @@ def parse_weil_rep(text: str) -> WeilRep:
             if len(parts) != 2:
                 raise InputError(f"I needs (k,t): {term!r}")
             try:
-                k = int(parts[0])
+                k = parse_integer(parts[0])
             except ValueError as exc:
                 raise InputError(f"bad k in {term!r}") from exc
             out.extend(ind_summands(k, _parse_t(parts[1], term)))

@@ -114,6 +114,51 @@ def test_param_fields_are_not_coerced(capsys, command, field, value):
     assert out == f"RESULT 2 bad parameter data: {doc!r}\n"
 
 
+# numerals outside the one grammar: a decimal point, an exponent, a digit
+# separator and non-ASCII digits
+NON_NUMERALS = ["0.5", "5e-1", "1_0/4", "\u0663", "\u0663/\u0664", "1/0"]
+
+
+@pytest.mark.parametrize("text", NON_NUMERALS)
+@pytest.mark.parametrize("command", ["validate-param", "invariants"])
+def test_mu_and_lambda_refuse_the_same_numerals(capsys, command, text):
+    doc = json.loads((DATA / "sl2r_ds.param").read_text())
+    doc["mu"] = [text]
+    code, out = _run(capsys, command, "--param", json.dumps(doc))
+    assert (code, out) == (2, f"RESULT 2 bad parameter data: {doc!r}\n")
+    doc = json.loads((DATA / "sl2r_ds.param").read_text())
+    doc["lambda"] = [text]
+    code, out = _run(capsys, command, "--param", json.dumps(doc))
+    assert (code, out) == (2, f"RESULT 2 bad Gaussian rational: {text!r}\n")
+
+
+@pytest.mark.parametrize("command", ["validate-param", "invariants"])
+def test_mu_and_lambda_allow_the_same_surrounding_space(capsys, command):
+    doc = json.loads((DATA / "sl2r_ds.param").read_text())
+    plain = _run(capsys, command, "--param", json.dumps(doc))
+    doc["mu"] = [" 0 "]
+    doc["lambda"] = [" 1 "]
+    assert _run(capsys, command, "--param", json.dumps(doc)) == plain
+    doc["mu"] = [" 1/2 "]
+    spaced = _run(capsys, command, "--param", json.dumps(doc))
+    doc["mu"] = ["1/2"]
+    doc["lambda"] = ["1"]
+    assert spaced == _run(capsys, command, "--param", json.dumps(doc))
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("I(1_0,1)", "bad k in 'I(1_0,1)'"),
+    ("I(\u0663,1)", "bad k in 'I(\u0663,1)'"),
+    ("I(2/2,1)", "bad k in 'I(2/2,1)'"),
+    ("chi(0,0_1)", "bad eps in 'chi(0,0_1)'"),
+    ("chi(0,\u0661)", "bad eps in 'chi(0,\u0661)'"),
+    ("chi(\u0663/\u0664,0)", "bad exponent in 'chi(\u0663/\u0664,0)'"),
+])
+def test_weilrep_integers_use_the_numeral_grammar(capsys, literal, message):
+    code, out = _run(capsys, "weilrep", literal)
+    assert (code, out) == (2, f"RESULT 2 {message}\n")
+
+
 def test_exit_code_normalization(capsys):
     code, out = _run(capsys, "invariants", "--param",
                      '{"group": "A1 sc", "inner_class": "split", '

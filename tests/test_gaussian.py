@@ -6,7 +6,15 @@ from random import Random
 import pytest
 
 from lparams.errors import InputError
-from lparams.gaussian import GaussQ, as_gauss, format_gauss, gvec, parse_gauss
+from lparams.gaussian import (
+    GaussQ,
+    as_gauss,
+    format_gauss,
+    gvec,
+    parse_gauss,
+    parse_integer,
+    parse_rational,
+)
 
 
 def test_field_ops():
@@ -68,6 +76,28 @@ def test_parse_literal_forms():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(InputError):
         parse_gauss(bad)
+
+
+@pytest.mark.parametrize("bad", ["\u0663", "\u0663/\u0664", "1/\u0664", "\u0663i", "1+\u0663i"])
+def test_parse_refuses_non_ascii_digits(bad):
+    with pytest.raises(InputError, match="bad Gaussian rational"):
+        parse_gauss(bad)
+
+
+def test_numeral_grammar():
+    assert parse_rational("3/4") == Q(3, 4)
+    assert parse_rational("-6/4") == Q(-3, 2)
+    assert parse_rational("+2") == 2
+    assert parse_rational(" 1/2 ") == Q(1, 2)
+    assert parse_rational(7) == 7 and type(parse_rational(7)) is Q
+    assert parse_integer("-12") == -12 and parse_integer(" 3 ") == 3
+    for bad in ("0.5", "5e-1", "1_0/4", "1_0", "\u0663", "\u0663/\u0664", "1/0", "1/-2",
+                "", "/2", "1/", "+-1", "i", True, 0.5, None, Q(1, 2)):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+    for bad in ("2/2", "1/2", "0_1", "\u0661", "1.0", "", 1):
+        with pytest.raises(ValueError):
+            parse_integer(bad)
 
 
 def test_gvec_coerces_entrywise():

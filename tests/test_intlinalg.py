@@ -18,12 +18,10 @@ from lparams.intlinalg import (
     mat_inv_z,
     mat_mul,
     mat_vec,
-    nullspace,
     saturation_projection,
     smith,
     solve_congruence,
     solve_congruence_scaled,
-    solve_rational,
     transpose,
     vdot,
     vsub,
@@ -73,24 +71,6 @@ def test_smith_invariants_seeded():
 def test_smith_rejects_nonintegral():
     with pytest.raises(ValueError):
         smith(((Q(1, 2),),))
-
-
-def test_solve_rational_and_nullspace():
-    rng = Random(13)
-    for _ in range(60):
-        n = rng.randrange(1, 5)
-        m = _rand_mat(rng, n, -4, 5)
-        basis = nullspace(m)
-        for v in basis:
-            assert all(x == 0 for x in mat_vec(m, v))
-        # rank-nullity against the rational solver's pivot count
-        rank = n - len(basis)
-        assert 0 <= rank <= n
-        if determinant(m) != 0:
-            assert basis == ()
-            b = tuple(rng.randrange(-5, 6) for _ in range(n))
-            x = solve_rational(m, b)
-            assert tuple(mat_vec(m, x)) == tuple(Q(c) for c in b)
 
 
 def test_solve_congruence_integer_matrix():

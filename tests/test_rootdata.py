@@ -16,7 +16,6 @@ from lparams.rootdata import (
     coaction,
     datum_from_vectors,
     dual_datum,
-    expand_in_simples,
     identity_aut,
     inverse_aut,
     is_positive_root,
@@ -91,14 +90,6 @@ def test_root_closure_counts():
     assert highest in pos
 
 
-def test_expand_in_simples():
-    d = build_datum("B2 sc")
-    long_root, short_root = d.simple_roots
-    coeffs = expand_in_simples(d, tuple(
-        a + b for a, b in zip(long_root, short_root)))
-    assert coeffs == (Q(1), Q(1))
-
-
 def test_products():
     d = build_datum("A1 sc x A1 sc")
     assert d.rank == 2 and d.nsimple == 2
@@ -123,6 +114,16 @@ def test_grammar_rejections():
         datum_from_vectors([(2,)], [])
     with pytest.raises(RankMismatch):
         datum_from_vectors([], [], rank=None)
+
+
+@pytest.mark.parametrize("roots, coroots", [
+    ([(2.7,)], [(1,)]), ([(2.0,)], [(1,)]), ([("2",)], [(1,)]), ([(2,)], [(True,)]),
+    ([(Q(2),)], [(1,)]), ([(2, 0), (0, 2)], [(1, 0), (0, 1.0)]),
+])
+def test_datum_from_vectors_refuses_non_integers(roots, coroots):
+    with pytest.raises(InputError, match="entries must be integers"):
+        datum_from_vectors(roots, coroots)
+    assert datum_from_vectors([(2,)], [(1,)]).simple_roots == ((2,),)
 
 
 def test_datum_from_vectors_checks_pairing():

@@ -182,6 +182,9 @@ def test_serialization_round_trip():
     ("mu", "0"), ("mu", [0.5, "0"]), ("mu", [True, "0"]),
     ("w", "1"), ("w", [1.7]), ("w", [True]),
     ("eps", "1"), ("eps", True), ("eps", 1.0),
+    # numerals outside the one grammar
+    ("mu", ["0.5", "0"]), ("mu", ["5e-1", "0"]), ("mu", ["1_0/4", "0"]),
+    ("mu", ["\u0663/\u0664", "0"]), ("mu", ["1/0", "0"]),
 ])
 def test_elem_from_dict_refuses_coercion(field, value):
     ctx = _ctx("B2 sc")

@@ -42,6 +42,16 @@ def test_egroup_validation():
     assert eg.rank == 1
 
 
+@pytest.mark.parametrize("rows", [
+    ((True,),), ((1.0,),), ((-1.0,),), ((Q(-1),),), (("-1",),), (((0, 1.0), (1, 0))),
+])
+def test_integer_matrices_are_not_coerced(rows):
+    with pytest.raises(InputError, match="matrix entries must be integers"):
+        real_torus_involution(rows)
+    with pytest.raises(InputError, match="matrix entries must be integers"):
+        torus_egroup(rows, (0,) * len(rows))
+
+
 def test_char_side_involution_is_minus_theta_check():
     eg = torus_egroup(MIXED, (0, 0))
     assert char_side_involution(eg).theta == ((1, 0), (0, -1))
@@ -148,6 +158,9 @@ def test_dict_round_trip():
     ("gamma", "0"), ("gamma", [0.0]),
     ("lambda", "0"), ("lambda", [True]),
     ("mu", "0"), ("mu", [True]), ("mu", [0.5]),
+    # numerals outside the one grammar
+    ("gamma", ["0.0"]), ("gamma", ["1_0/2"]), ("gamma", ["\u0660"]),
+    ("mu", ["0.5"]), ("mu", ["5e-1"]), ("mu", ["\u0663/\u0664"]), ("mu", ["1/0"]),
 ])
 def test_dict_refuses_coercion(field, value):
     data = {"theta_check": [[1]], "gamma": ["0"], "lambda": ["1"], "mu": ["1/2"]}
@@ -155,3 +168,4 @@ def test_dict_refuses_coercion(field, value):
     data[field] = value
     with pytest.raises(InputError, match="bad torus parameter data"):
         torus_param_from_dict(data)
+
