@@ -117,10 +117,10 @@ class ScaledVec:
 
     @classmethod
     def of(cls, entries) -> "ScaledVec":
-        """From GaussQ, Fraction, int or numeric-string entries; a ScaledVec is returned as is."""
+        """From entries read by read_gauss (never a float or a bool); a ScaledVec as is."""
         if isinstance(entries, cls):
             return entries
-        pairs = [(z.re, z.im) if isinstance(z, GaussQ) else (Q(z), Q(0)) for z in entries]
+        pairs = [(z.re, z.im) for z in map(read_gauss, entries)]
         den = lcm(*(x.denominator for pair in pairs for x in pair))
         return cls([a.numerator * (den // a.denominator) for a, _ in pairs],
                    [b.numerator * (den // b.denominator) for _, b in pairs], den)
@@ -170,6 +170,23 @@ def parse_rational(x) -> Q:
     if not m or m[2] and not int(m[2]):
         raise ValueError(f"bad rational: {x!r}")
     return Q(int(m[1]), int(m[2] or 1))
+
+
+def read_rational(x) -> Q:
+    """A library-API entry: a Fraction as is, an int or a numeral by parse_rational, else InputError."""
+    if isinstance(x, Q):
+        return x
+    try:
+        return parse_rational(x)
+    except ValueError as exc:
+        raise InputError(f"bad rational entry: {x!r}") from exc
+
+
+def read_gauss(x) -> GaussQ:
+    """read_rational for Gaussian entries: a GaussQ as is, a string by parse_gauss."""
+    if isinstance(x, GaussQ):
+        return x
+    return parse_gauss(x) if isinstance(x, str) else GaussQ(read_rational(x))
 
 
 def parse_integer(text: str) -> int:

@@ -1,23 +1,24 @@
-"""Exact linear algebra over Z and Q: matrices as tuples of row tuples.
+"""Exact integer linear algebra: matrices as tuples of row tuples of ints.
 
-Everything here is deterministic; Smith normal form is the workhorse for
-lattice membership and torus congruences. Each Smith factorisation is
-computed once per matrix and cached (invariant factors, u and v, as tuples),
-and right-hand sides travel as integer numerators over one denominator, so a
+Every lattice question (congruences mod Z^n, membership in a Z-span,
+saturations, ranks, unimodular inverses) is read off one Smith factorisation
+per matrix, computed once and cached (invariant factors, u and v, as tuples).
+Right-hand sides travel as integer numerators over one denominator, so a
 congruence solve is two integer matrix-vector products and a divisibility
-test per invariant factor.
+test per invariant factor. Determinants come from Bareiss fraction-free
+elimination. The lattice entry points take int entries only and raise
+ValueError on a Fraction, a float or a bool.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from functools import cache
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 IntMat = Tuple[Tuple[int, ...], ...]
-Vec = Tuple[Q, ...]
 
 
 def ident(n: int) -> IntMat:
@@ -48,7 +49,7 @@ def mat_neg(m):
 
 
 def mat_vec(m, v):
-    """m (rows) applied to column vector v; entries may be Fraction or GaussQ."""
+    """m (rows) applied to column vector v; weyl_act also applies it to GaussQ vectors."""
     zero = 0 * v[0] if v else 0
     out = []
     for row in m:
@@ -80,64 +81,60 @@ def vdot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _gauss_jordan(rows, ncols: int):
-    """Reduced row echelon form over Q, pivoting only on the first ncols columns.
+def _ints(*rows) -> None:
+    """ValueError unless every entry of every row is an int; a bool is refused too."""
+    if not set(map(type, chain(*rows))) <= {int}:
+        raise ValueError("entries must be integers")
 
-    Returns (reduced rows, pivot columns, det): the rows as lists of
-    Fractions, the pivot column of each leading nonzero row in order, and the
-    determinant of the first ncols columns, which is 0 as soon as one of them
-    has no pivot. Further columns (right-hand sides, an identity block) are
-    carried along by the row operations. It serves only determinant,
-    matrix_rank and mat_inv_q: datum validation and inverses.
+
+def _int_rows(m, square: bool = False) -> IntMat:
+    """m as a tuple of row tuples of ints (_ints), optionally square."""
+    rows = tuple(map(tuple, m))
+    _ints(*rows)
+    if square and any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    return rows
+
+
+def determinant(m) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free elimination.
+
+    After step k each entry right of and below the pivot is a (k+1)-minor, so
+    the division by the previous pivot is exact.
     """
-    a = [[Q(x) for x in row] for row in rows]
-    pivots = []
-    det = Q(1)
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+    a = [list(row) for row in _int_rows(m, square=True)]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            det = Q(0)
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            det = -det
-        det *= a[r][c]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return a, pivots, det
-
-
-def determinant(m) -> Q:
-    """Exact determinant of a square matrix."""
-    return _gauss_jordan(m, len(m))[2]
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        p = a[k][k]
+        for i in range(k + 1, n):
+            row, f = a[i], a[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * a[k][j]) // prev
+        prev = p
+    return sign * prev
 
 
 def matrix_rank(m) -> int:
-    """Rank over Q."""
-    return len(_gauss_jordan(m, len(m[0]) if m else 0)[1])
-
-
-def mat_inv_q(m) -> Tuple[Vec, ...]:
-    """Exact inverse of a square matrix over Q."""
-    n = len(m)
-    a, pivots, _ = _gauss_jordan([(*row, *e) for row, e in zip(m, ident(n))], n)
-    if len(pivots) < n:
-        raise ZeroDivisionError("singular matrix")
-    return tuple(tuple(row[n:]) for row in a)
+    """Rank over Q: the number of nonzero invariant factors."""
+    return sum(1 for s in _smith_factors(_int_rows(m))[0] if s)
 
 
 def mat_inv_z(m) -> IntMat:
-    """Inverse of a GL(n, Z) matrix; raises if the inverse is not integral."""
-    inv = mat_inv_q(m)
-    if not all(x.denominator == 1 for row in inv for x in row):
+    """Inverse of a GL(n, Z) matrix; ValueError unless every invariant factor is 1.
+
+    With the cached Smith form u m v = 1, the inverse is v u.
+    """
+    factors, u, v = _smith_factors(_int_rows(m, square=True))
+    if any(s != 1 for s in factors):
         raise ValueError("matrix is not invertible over Z")
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    return mat_mul(v, u)
 
 
 def smith(a) -> Tuple[IntMat, IntMat, IntMat]:
@@ -146,15 +143,12 @@ def smith(a) -> Tuple[IntMat, IntMat, IntMat]:
     u, v are unimodular; s is diagonal with nonnegative entries and
     d_i | d_{i+1}.
     """
+    a = _int_rows(a)
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    for row in a:
-        if len(row) != cols:
-            raise ValueError("smith form needs a rectangular matrix")
-        for x in row:
-            if not isinstance(x, int) and Q(x).denominator != 1:
-                raise ValueError("smith form needs an integer matrix")
-    s = [[int(x) for x in row] for row in a]
+    if any(len(row) != cols for row in a):
+        raise ValueError("smith form needs a rectangular matrix")
+    s = [list(row) for row in a]
     u = [list(row) for row in ident(rows)]
     v = [list(row) for row in ident(cols)]
 
@@ -225,15 +219,6 @@ def smith(a) -> Tuple[IntMat, IntMat, IntMat]:
     return mat_from_rows(s), mat_from_rows(u), mat_from_rows(v)
 
 
-def _as_scaled(v):
-    """(integer numerators, denominator) of a vector of ints or Fractions."""
-    if all(type(x) is int for x in v):
-        return v, 1
-    qs = [Q(x) for x in v]
-    den = lcm(*(q.denominator for q in qs))
-    return [q.numerator * (den // q.denominator) for q in qs], den
-
-
 @cache
 def _smith_factors(a: IntMat) -> Tuple[Tuple[int, ...], IntMat, IntMat]:
     """(invariant factors, u, v) of the integer matrix a, u a v diagonal.
@@ -255,6 +240,7 @@ def solve_congruence_scaled(a: IntMat, num: Sequence[int], den: int):
     eta_i = (u num)_i / (s_i den) and the free coordinates 0. The answer is
     reduced: gcd(xden, *xnum) = 1.
     """
+    _ints(*a, num, (den,))
     if len(num) != len(a):
         raise ValueError("right-hand side length does not match the matrix")
     if den < 1:
@@ -274,45 +260,24 @@ def solve_congruence_scaled(a: IntMat, num: Sequence[int], den: int):
     return tuple(x // g for x in xnum), scale // g
 
 
-def solve_congruence(a, d) -> Optional[Vec]:
-    """One rational x with a x = d (mod Z^rows), or None.
-
-    The Fraction face of solve_congruence_scaled. a and d may be rational; x
-    ranges over all of Q^cols, so scaling a by the lcm of its denominators
-    (and the solution back up by it) changes nothing and lets the Smith form
-    run over Z.
-    """
-    if len(d) != len(a):
-        raise ValueError("right-hand side length does not match the matrix")
-    aden = lcm(*(Q(x).denominator for row in a for x in row if type(x) is not int))
-    if aden != 1:
-        a = tuple(tuple(int(Q(x) * aden) for x in row) for row in a)
-    sol = solve_congruence_scaled(tuple(map(tuple, a)), *_as_scaled(d))
-    if sol is None:
-        return None
-    xnum, xden = sol
-    return tuple(Q(x * aden, xden) for x in xnum)
-
-
-def in_span_z(x, gens: Sequence[Sequence[int]]) -> bool:
-    """Is the rational vector x in the Z-span of the generator vectors?
+def in_span_z(x: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:
+    """Is the integer vector x in the Z-span of the generator vectors?
 
     With the cached Smith form u g v = diag(s) of the matrix g whose columns
     are the generators, x = g y has an integer solution y iff s_i divides
     (u x)_i for every i, where s_i = 0 asks for (u x)_i = 0.
     """
-    n = len(x)
-    if any(len(g) != n for g in gens):
+    _ints(x, *gens)
+    if any(len(g) != len(x) for g in gens):
         raise ValueError("generator length does not match the vector")
-    num, den = _as_scaled(x)
     if not gens:
-        return not any(num)
+        return not any(x)
     factors, u, _ = _smith_factors(tuple(zip(*gens)))
     for i, row in enumerate(u):
-        z = sum(map(mul, row, num))
+        z = sum(map(mul, row, x))
         s = factors[i] if i < len(factors) else 0
         if s:
-            if z % (s * den):
+            if z % s:
                 return False
         elif z:
             return False
@@ -326,6 +291,7 @@ def saturation_projection(gens: Sequence[Sequence[int]], n: int):
     uinv's columns are a Z-basis of Z^n whose first `rank` members span the
     saturation.
     """
+    gens = _int_rows(gens)
     if any(len(g) != n for g in gens):
         raise ValueError("generator length does not match the lattice rank")
     if not gens:

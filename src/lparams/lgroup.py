@@ -25,8 +25,8 @@ from .rootdata import (
     compose_aut,
     dual_datum,
     identity_aut,
-    rho_check,
     transpose_aut,
+    two_rho_check,
 )
 from .tits import TitsContext, tits_context
 from .weyl import _descend, neg_w0_aut, weyl_from_word
@@ -97,14 +97,15 @@ def has_compact_cartan(L: LGroup) -> bool:
     """True iff some w makes w . theta0 act as inversion on the dual torus.
 
     Such a w carries rho_check to -coaction(theta0) rho_check, so the dominance
-    descent of that point's pairings must end at rho_check; its steps spell w.
+    descent of that point's pairings (taken on 2 rho_check, in integers) must
+    end at rho_check; its steps spell w.
     """
     d = L.dual_datum
     target = mat_neg(coaction(L.theta0))
-    point = mat_vec(target, rho_check(d))
+    point = mat_vec(target, two_rho_check(d))
     pairings = [vdot(a, point) for a in d.simple_roots]
     word = [i for i, _ in _descend(d, [pairings])]
-    return pairings == [1] * d.nsimple and weyl_from_word(d, word).matrix == target
+    return pairings == [2] * d.nsimple and weyl_from_word(d, word).matrix == target
 
 
 @dataclass(frozen=True)

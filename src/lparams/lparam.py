@@ -64,8 +64,8 @@ from .rootdata import (
     coaction,
     compose_aut,
     positive_root_table,
-    rho_check,
     transpose_aut,
+    two_rho_check,
 )
 from .tits import (
     ExtTitsElem,
@@ -147,13 +147,13 @@ def _involution(L: LGroup, w: WeylElem) -> _Involution:
     d = L.dual_datum
     theta = mat_mul(w.matrix, coaction(L.theta0))
     twisted = weyl_mul(w, apply_aut_to_weyl(L.theta0, w)) == weyl_identity(d)
-    rc = rho_check(d)
-    shift = vsub(rc, weyl_act(w, rc))
-    if any(x.denominator != 1 for x in shift):
+    rc2 = two_rho_check(d)
+    shift2 = vsub(rc2, weyl_act(w, rc2))
+    if any(x % 2 for x in shift2):
         raise InvariantViolated("rho_check - w rho_check is not an integer vector")
     return _Involution(theta, twisted, mat_mul(theta, theta) == ident(d.rank),
                        one_minus(theta), one_minus(mat_neg(theta)),
-                       tuple(int(x) for x in shift))
+                       tuple(x // 2 for x in shift2))
 
 
 def _orthogonal(alpha, v: ScaledVec) -> bool:
@@ -239,7 +239,7 @@ def conjugate_param(p: LParam, by) -> LParam:
     ctx = lgroup_tits_context(p.L)
     if isinstance(by, TorusPart):
         g = tits_mul(tits_mul(torus_elem(ctx, by), phi_j(p)), torus_elem(ctx, -by))
-        return _from_phi_j(p.L, p.lam, g)
+        return _from_phi_j(p.L, p.lam_s, g)
     if isinstance(by, WeylElem):
         if by.datum != p.L.dual_datum:
             raise ContextMismatch("conjugator over a different datum")
@@ -390,7 +390,7 @@ def central_modulus_gens(p: LParam) -> List[Tuple[int, ...]]:
 
 
 def central_chars_agree(p: LParam, t1: Sequence[Q], t2: Sequence[Q]) -> bool:
-    diff = vsub(tuple(t1), tuple(t2))
+    diff = [a - b for a, b in zip(t1, t2)]
     if any(x.denominator != 1 for x in diff):
         return False
     return in_span_z([x.numerator for x in diff], central_modulus_gens(p))

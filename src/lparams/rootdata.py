@@ -314,20 +314,22 @@ def all_coroots(d: RootDatum):
     return frozenset(pos).union(vneg(v) for v in pos)
 
 
-def _half_sum(vecs, rank: int):
-    return tuple(Q(sum(v[k] for v in vecs), 2) for k in range(rank))
+@cache
+def two_rho_check(d: RootDatum) -> IntVec:
+    """The sum of the positive coroots, 2 rho_check, as integers."""
+    return tuple(sum(v[k] for v in positive_coroots(d)) for k in range(d.rank))
 
 
 @cache
 def rho_check(d: RootDatum):
     """Half the sum of the positive coroots."""
-    return _half_sum(positive_coroots(d), d.rank)
+    return tuple(Q(x, 2) for x in two_rho_check(d))
 
 
 @cache
 def rho(d: RootDatum):
     """Half the sum of the positive roots."""
-    return _half_sum(positive_roots(d), d.rank)
+    return tuple(Q(sum(v[k] for v in positive_roots(d)), 2) for k in range(d.rank))
 
 
 @cache
@@ -358,9 +360,11 @@ def based_aut(d: RootDatum, matrix) -> BasedAut:
     matrix = mat_from_rows(matrix)
     if len(matrix) != d.rank or any(len(r) != d.rank for r in matrix):
         raise NotBasedAut(f"matrix is not {d.rank} x {d.rank}")
+    if any(type(x) is not int for row in matrix for x in row):
+        raise NotBasedAut("matrix entries must be integers")
     try:
         inv_t = transpose(mat_inv_z(matrix))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise NotBasedAut("matrix is not invertible over Z") from exc
     perm = []
     for i, a in enumerate(d.simple_roots):

@@ -37,9 +37,9 @@ from .errors import (
     PreconditionViolated,
     json_array,
 )
-from .gaussian import parse_rational
-from .intlinalg import ident, mat_mul, one_minus, solve_congruence, vscale, vsub
-from .rootdata import BasedAut, RootDatum, cartan_matrix, coaction, identity_aut, rho_check
+from .gaussian import parse_rational, read_rational
+from .intlinalg import ident, mat_mul, one_minus, solve_congruence_scaled, vsub
+from .rootdata import BasedAut, RootDatum, cartan_matrix, coaction, identity_aut, two_rho_check
 from .weyl import (
     WeylElem,
     apply_aut_to_weyl,
@@ -77,8 +77,8 @@ class TorusPart:
     __slots__ = ("num", "den")
 
     def __init__(self, entries):
-        """From Fraction, int or numeric-string entries, reduced modulo Z^n."""
-        qs = [Q(x) for x in entries]
+        """From Fraction, int or numeral-string entries (read_rational), reduced modulo Z^n."""
+        qs = [read_rational(x) for x in entries]
         den = lcm(*(q.denominator for q in qs))
         self.num, self.den = _reduce_mod_one(
             [q.numerator * (den // q.denominator) for q in qs], den)
@@ -274,8 +274,8 @@ def check_titslemma(ctx: TitsContext, w: WeylElem):
     agreement flag).
     """
     prod = tits_mul(sigma(ctx, w), sigma(ctx, weyl_inv(w)))
-    rc = rho_check(ctx.datum)
-    predicted = TorusPart(vscale(Q(1, 2), vsub(rc, weyl_act(w, rc))))
+    rc2 = two_rho_check(ctx.datum)
+    predicted = TorusPart.scaled(vsub(rc2, weyl_act(w, rc2)), 4)
     ok = prod.w == weyl_identity(ctx.datum) and prod.eps == 0 and prod.t == predicted
     return prod.t, predicted, ok
 
@@ -298,10 +298,14 @@ def h_conjugate_to_inverse(g: ExtTitsElem) -> Optional[TorusPart]:
     if not (cg.w == ginv.w and cg.eps == ginv.eps == 1):
         raise InvariantViolated("C(g) and g^{-1} lie over different Weyl cosets")
     theta = mat_mul(cg.w.matrix, coaction(ctx.theta0))
-    nu = solve_congruence(one_minus(theta), vsub(ginv.t.entries, cg.t.entries))
+    # t(g^{-1}) - t(C(g)) not reduced mod Z^n: the solution depends on the representative
+    a, b = ginv.t, cg.t
+    den = lcm(a.den, b.den)
+    num = [x * (den // a.den) - y * (den // b.den) for x, y in zip(a.num, b.num)]
+    nu = solve_congruence_scaled(one_minus(theta), num, den)
     if nu is None:
         return None
-    witness = TorusPart(nu)
+    witness = TorusPart.scaled(*nu)
     h = torus_elem(ctx, witness)
     h_inv = torus_elem(ctx, -witness)
     if tits_mul(tits_mul(h, cg), h_inv) != ginv:
@@ -369,7 +373,7 @@ def run_tits_suite(ctx: TitsContext):
     w0 = longest_element(d)
     s0 = sigma(ctx, w0)
     sq = tits_mul(s0, s0)
-    ok = sq == torus_elem(ctx, TorusPart(rho_check(d)))
+    ok = sq == torus_elem(ctx, TorusPart.scaled(two_rho_check(d), 2))
     gens = [sigma(ctx, simple_reflection(d, i)) for i in range(1, d.nsimple + 1)]
     gens.append(delta_elem(ctx))
     central = all(tits_mul(sq, g) == tits_mul(g, sq) for g in gens)

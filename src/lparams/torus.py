@@ -26,14 +26,13 @@ from random import Random
 from typing import Optional, Tuple
 
 from .errors import ContextMismatch, InputError, InvalidParam, NotInvolution, json_array
-from .gaussian import GVec, ScaledVec, format_gauss, parse_gauss, parse_rational
+from .gaussian import GVec, ScaledVec, format_gauss, parse_gauss, parse_rational, read_rational
 from .intlinalg import (
     ident,
     in_span_z,
     mat_mul,
     mat_neg,
     one_minus,
-    solve_congruence,
     solve_congruence_scaled,
     transpose,
 )
@@ -87,7 +86,7 @@ def torus_egroup(theta_check, gamma) -> TorusEGroup:
         raise InputError("theta_check must be square")
     if mat_mul(tc, tc) != ident(n):
         raise NotInvolution("theta_check does not square to the identity")
-    g = tuple(Q(x) for x in gamma)
+    g = tuple(map(read_rational, gamma))
     if len(g) != n:
         raise InputError("gamma has the wrong length")
     if any((2 * x).denominator != 1 for x in g):
@@ -135,7 +134,7 @@ class TorusCharData:
 def torus_char_data(inv: RealTorusInvolution, lam, kappa, gamma) -> TorusCharData:
     lam = ScaledVec.of(lam)
     kappa = ScaledVec.of(kappa)
-    gamma = tuple(Q(x) for x in gamma)
+    gamma = tuple(map(read_rational, gamma))
     n = len(inv.theta)
     if not (len(lam.re) == len(kappa.re) == len(gamma) == n):
         raise InputError("vector lengths do not match the involution")
@@ -235,23 +234,26 @@ def torus_params_equivalent(p: TorusParam, q: TorusParam) -> bool:
 def random_torus_param(eg: TorusEGroup, rng: Random, qmax: int = 4) -> TorusParam:
     """Seeded valid parameter: sample mu, solve the kappa congruence for lambda.
 
-    The real part of lambda must satisfy two congruences at once, so they are
-    stacked and handed to the Smith solver; a mu for which the system is
-    unsolvable is redrawn.
+    The real part x = 2y of lambda must satisfy two congruences at once, so
+    they are stacked into one integer system ((1-theta-check); 2(1-theta-check))y
+    for the Smith solver; a mu for which it is unsolvable is redrawn.
     """
     n = eg.rank
     tc = eg.theta_check
     lattice = one_minus(tc)
     one_plus = one_minus(mat_neg(tc))
-    stacked = tuple(tuple(Q(x, 2) for x in row) for row in lattice) + lattice
+    stacked = lattice + tuple(tuple(2 * x for x in row) for row in lattice)
     for _ in range(200):
         den = rng.choice([1, 2, 2, 4])
         mu = TorusPart.scaled([rng.randrange(-2 * den, 2 * den + 1) for _ in range(n)], den)
         mu_plus = [sum(map(mul, row, mu.num)) for row in one_plus]
-        rhs = tuple(g + Q(x, mu.den) for g, x in zip(eg.gamma, mu_plus)) + (Q(0),) * n
-        sol = solve_congruence(stacked, rhs)
+        rhs_den = lcm(2, mu.den)
+        rhs = [g.numerator * (rhs_den // g.denominator) + x * (rhs_den // mu.den)
+               for g, x in zip(eg.gamma, mu_plus)] + [0] * n
+        sol = solve_congruence_scaled(stacked, rhs, rhs_den)
         if sol is None:
             continue
+        ynum, yden = sol
         # homogeneous freedom that keeps both congruences: 2Z^n and (1+theta-check)Z^n
         even = [2 * rng.randrange(-2, 3) for _ in range(n)]
         shift = [rng.randrange(-2, 3) for _ in range(n)]
@@ -260,9 +262,9 @@ def random_torus_param(eg: TorusEGroup, rng: Random, qmax: int = 4) -> TorusPara
         x = [a * (6 // b) for a, b in ((rng.randrange(-8, 9), rng.choice([1, 2, 3]))
                                       for _ in range(n))]
         im = [sum(map(mul, row, x)) for row in one_plus]
-        lam_den = lcm(12, *(q.denominator for q in sol))
-        re = [q.numerator * (lam_den // q.denominator) + (e + f) * lam_den
-              for q, e, f in zip(sol, even, fixed)]
+        lam_den = lcm(12, yden)
+        re = [2 * q * (lam_den // yden) + (e + f) * lam_den
+              for q, e, f in zip(ynum, even, fixed)]
         p = torus_param(eg, ScaledVec(re, [y * (lam_den // 12) for y in im], lam_den), mu)
         # exercise representatives that differ within the conjugacy class
         nu = [rng.randrange(-4, 5) for _ in range(n)]

@@ -8,12 +8,15 @@ import pytest
 from lparams.errors import InputError
 from lparams.gaussian import (
     GaussQ,
+    ScaledVec,
     as_gauss,
     format_gauss,
     gvec,
     parse_gauss,
     parse_integer,
     parse_rational,
+    read_gauss,
+    read_rational,
 )
 
 
@@ -103,3 +106,32 @@ def test_numeral_grammar():
 def test_gvec_coerces_entrywise():
     v = gvec([1, Q(1, 2), GaussQ(0, 1)])
     assert v == (as_gauss(1), as_gauss(Q(1, 2)), GaussQ(0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the strict reader of library-API vector entries
+
+def test_read_rational_keeps_ints_and_fractions_and_parses_strings():
+    assert read_rational(3) == 3 and read_rational(Q(-1, 2)) == Q(-1, 2)
+    assert read_rational(" -3/4 ") == Q(-3, 4)
+    assert read_gauss(GaussQ(1, 2)) == GaussQ(1, 2)
+    assert read_gauss("1/2-i") == GaussQ(Q(1, 2), -1) and read_gauss(Q(1, 3)) == Q(1, 3)
+
+
+@pytest.mark.parametrize("bad", ["0.5", "1_0/4", "\u0663", "5e-1", "1e0", "", 0.5, 0.0, 1.0,
+                                 True, False, None, GaussQ(0, 1)])
+def test_read_rational_refuses_floats_bools_and_non_numerals(bad):
+    # Fraction(str) and Fraction(float) used to accept every one of these
+    with pytest.raises(InputError):
+        read_rational(bad)
+
+
+@pytest.mark.parametrize("bad", [["5e-1"], ["0.5"], [0.5], [True], ["1e0"], [1, "\u0663"]])
+def test_scaled_vec_of_refuses_what_the_document_readers_refuse(bad):
+    with pytest.raises(InputError):
+        ScaledVec.of(bad)
+
+
+def test_scaled_vec_of_reads_strings_by_parse_gauss():
+    assert ScaledVec.of(["1/2", "-i", 3, Q(1, 4), GaussQ(0, Q(1, 2))]) == \
+        ScaledVec([2, 0, 12, 1, 0], [0, -4, 0, 0, 2], 4)

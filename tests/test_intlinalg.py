@@ -1,8 +1,9 @@
-"""Exact integer/rational linear algebra: Smith form, congruences, lattices."""
+"""Exact integer linear algebra: Smith form, congruences, lattices, determinants."""
 
 import importlib
 from fractions import Fraction as Q
-from math import gcd
+from itertools import permutations
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -14,13 +15,12 @@ from lparams.intlinalg import (
     determinant,
     ident,
     in_span_z,
-    mat_inv_q,
     mat_inv_z,
     mat_mul,
     mat_vec,
+    matrix_rank,
     saturation_projection,
     smith,
-    solve_congruence,
     solve_congruence_scaled,
     transpose,
     vdot,
@@ -35,22 +35,87 @@ def _rand_mat(rng, n, lo=-5, hi=6):
     return tuple(tuple(rng.randrange(lo, hi) for _ in range(n)) for _ in range(n))
 
 
+def _leibniz_det(m):
+    """The permutation expansion, an elimination-free oracle for small n."""
+    n = len(m)
+    total = 0
+    for p in permutations(range(n)):
+        sign = (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        term = sign
+        for i in range(n):
+            term *= m[i][p[i]]
+        total += term
+    return total
+
+
+def _unimodular(rng, n, steps=12):
+    """A seeded GL(n, Z) matrix: a product of elementary row operations and sign flips."""
+    m = [list(row) for row in ident(n)]
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            k = rng.choice([-2, -1, 1, 2])
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+        else:
+            m[i] = [-x for x in m[i]]
+    return tuple(map(tuple, m))
+
+
 def test_determinant_and_inverse_seeded():
     rng = Random(31)
     for _ in range(60):
         n = rng.randrange(1, 5)
         m = _rand_mat(rng, n)
         d = determinant(m)
-        if d == 0:
-            continue
-        inv = mat_inv_q(m)
-        assert mat_mul(m, inv) == tuple(tuple(Q(x) for x in row) for row in ident(n))
+        assert type(d) is int and d == _leibniz_det(m)
+        if abs(d) == 1:
+            inv = mat_inv_z(m)
+            assert mat_mul(m, inv) == mat_mul(inv, m) == ident(n)
+        else:
+            with pytest.raises(ValueError):
+                mat_inv_z(m)
+    for n in range(1, 7):
+        m = _unimodular(rng, n)
+        inv = mat_inv_z(m)
+        assert abs(determinant(m)) == 1
+        assert mat_mul(m, inv) == mat_mul(inv, m) == ident(n)
+    assert determinant(()) == 1 and mat_inv_z(()) == ()
 
 
 def test_mat_inv_z_unimodular_only():
     assert mat_inv_z(((1, 1), (0, 1))) == ((1, -1), (0, 1))
+    assert mat_inv_z([[0, 1], [1, 0]]) == ((0, 1), (1, 0))
+    for m in (((2, 0), (0, 1)), ((1, 1), (1, -1)), ((1, 2), (2, 4)), ((0, 0), (0, 0)),
+              ((1, 0),), ((1, 0, 0), (0, 1, 0))):
+        with pytest.raises(ValueError):
+            mat_inv_z(m)
+
+
+@pytest.mark.parametrize("entry", [Q(1), Q(1, 2), 1.0, 0.5, True, False],
+                         ids=["Fraction(1)", "Fraction(1,2)", "1.0", "0.5", "True", "False"])
+def test_integer_entry_points_refuse_non_int_entries(entry):
+    # an integral Fraction, a float or a bool used to be coerced to an int
+    m = ((entry, 0), (0, 1))
+    for fn in (smith, determinant, matrix_rank, mat_inv_z):
+        with pytest.raises(ValueError):
+            fn(m)
     with pytest.raises(ValueError):
-        mat_inv_z(((2, 0), (0, 1)))
+        in_span_z((entry, 0), [(1, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        in_span_z((1, 0), [(entry, 0)])
+    with pytest.raises(ValueError):
+        solve_congruence_scaled(m, (1, 0), 2)
+    with pytest.raises(ValueError):
+        solve_congruence_scaled(((2, 0), (0, 1)), (entry, 0), 2)
+    with pytest.raises(ValueError):
+        saturation_projection([(entry, 0)], 2)
+
+
+def test_matrix_rank_counts_nonzero_invariant_factors():
+    assert matrix_rank(((1, 2), (2, 4))) == 1
+    assert matrix_rank(((0, 0, 0),)) == 0
+    assert matrix_rank(((1, 0, 0), (0, 1, 0))) == 2
+    assert matrix_rank(()) == 0
 
 
 def test_smith_invariants_seeded():
@@ -69,27 +134,45 @@ def test_smith_invariants_seeded():
 
 
 def test_smith_rejects_nonintegral():
-    with pytest.raises(ValueError):
-        smith(((Q(1, 2),),))
+    for a in (((Q(1, 2),),), ((2.0,),), ((Q(2), True),)):
+        with pytest.raises(ValueError):
+            smith(a)
+
+
+def scaled_solve(a, d):
+    """A rational x with a x = d (mod Z^rows), or None, for rational a and d.
+
+    x ranges over all of Q^cols, so a is scaled by the lcm m of its
+    denominators: a x = (m a)(x / m). The integer system goes to
+    solve_congruence_scaled with d as numerators over their common denominator.
+    """
+    m = lcm(*(Q(x).denominator for row in a for x in row))
+    den = lcm(*(Q(x).denominator for x in d))
+    sol = solve_congruence_scaled(tuple(tuple(int(Q(x) * m) for x in row) for row in a),
+                                  [int(Q(x) * den) for x in d], den)
+    if sol is None:
+        return None
+    xnum, xden = sol
+    return tuple(Q(x * m, xden) for x in xnum)
 
 
 def test_solve_congruence_integer_matrix():
     # (1-theta) for theta = -1 on Z: solve 2x = 1 mod Z
-    x = solve_congruence(((2,),), (Q(1),))
-    assert x is not None and (2 * x[0] - 1).denominator == 1
+    assert solve_congruence_scaled(((2,),), (1,), 1) == ((1,), 2)
     # no solution: 0*x = 1/2 mod Z
-    assert solve_congruence(((0,),), (Q(1, 2),)) is None
+    assert solve_congruence_scaled(((0,),), (1,), 2) is None
 
 
 def test_solve_congruence_rational_matrix():
     # a row pattern that truncation used to mangle: x1 = 1/2 mod Z forces
-    # x1 odd over 2, while -x1/2 = 0 mod Z forces x1 in 2Z; no solution
-    a = ((Q(1), Q(0)), (Q(-1, 2), Q(0)))
-    assert solve_congruence(a, (Q(1, 2), Q(0))) is None
+    # x1 odd over 2, while -x1/2 = 0 mod Z forces x1 in 2Z; no solution.
+    # Scaled by 2 the matrix is ((2, 0), (-1, 0)) acting on y = x/2.
+    assert solve_congruence_scaled(((2, 0), (-1, 0)), (1, 0), 2) is None
+    assert scaled_solve(((Q(1), Q(0)), (Q(-1, 2), Q(0))), (Q(1, 2), Q(0))) is None
     # solvable rational system, verified by residual
     a2 = ((Q(1, 2), Q(0)), (Q(0), Q(1, 3)))
     d = (Q(1, 4), Q(1, 6))
-    x = solve_congruence(a2, d)
+    x = scaled_solve(a2, d)
     assert x is not None
     res = vsub(mat_vec(a2, x), d)
     assert all(r.denominator == 1 for r in res)
@@ -103,7 +186,7 @@ def test_solve_congruence_seeded_rational():
         a = tuple(tuple(Q(rng.randrange(-4, 5), rng.choice([1, 2, 2, 3])) for _ in range(n))
                   for _ in range(n))
         d = tuple(Q(rng.randrange(-6, 7), rng.choice([1, 2, 4])) for _ in range(n))
-        x = solve_congruence(a, d)
+        x = scaled_solve(a, d)
         if x is None:
             continue
         hits += 1
@@ -116,7 +199,8 @@ def test_in_span_z():
     gens = [(2, 0), (0, 3)]
     assert in_span_z((4, -3), gens)
     assert not in_span_z((1, 0), gens)
-    assert not in_span_z((Q(1, 2), 0), gens)
+    with pytest.raises(ValueError):  # callers test integrality first
+        in_span_z((Q(1, 2), 0), gens)
     assert in_span_z((0, 0), [])
     assert not in_span_z((1,), [])
 
@@ -151,13 +235,13 @@ def test_transpose_and_dot():
 def test_solve_congruence_refuses_a_longer_right_hand_side():
     # the unsolvable second entry 1/2 used to be dropped
     with pytest.raises(ValueError):
-        solve_congruence(((2,),), (Q(1), Q(1, 2)))
+        solve_congruence_scaled(((2,),), (2, 1), 2)
 
 
 def test_solve_congruence_refuses_a_shorter_right_hand_side():
     # the second row used to be dropped from the answer
     with pytest.raises(ValueError):
-        solve_congruence(((1, 0), (0, 0)), (Q(1, 2),))
+        solve_congruence_scaled(((1, 0), (0, 0)), (1,), 2)
 
 
 def test_in_span_z_refuses_longer_generators():
@@ -173,10 +257,6 @@ def test_in_span_z_refuses_shorter_generators():
 
 def test_scaled_solve_and_smith_refuse_bad_shapes():
     with pytest.raises(ValueError):
-        solve_congruence_scaled(((2,),), (1, 1), 2)
-    with pytest.raises(ValueError):
-        solve_congruence_scaled(((1, 0), (0, 0)), (1,), 2)
-    with pytest.raises(ValueError):
         solve_congruence_scaled(((2,),), (1,), 0)
     with pytest.raises(ValueError):
         smith(((1, 0), (1,)))
@@ -185,7 +265,7 @@ def test_scaled_solve_and_smith_refuse_bad_shapes():
 
 
 # ---------------------------------------------------------------------------
-# the uncached, Fraction-valued solvers the cached path replaced, as oracles
+# the uncached, Fraction-valued solvers the cached integer path replaced, as oracles
 
 def oracle_solve_congruence(a, d):
     rows = len(a)
@@ -200,7 +280,7 @@ def oracle_solve_congruence(a, d):
         scaled = tuple(tuple(Q(x) * den for x in row) for row in a)
         sol = oracle_solve_congruence(scaled, d)
         return None if sol is None else tuple(Q(den) * x for x in sol)
-    s, u, v = smith(a)
+    s, u, v = smith(tuple(tuple(int(x) for x in row) for row in a))
     ud = mat_vec(u, tuple(Q(x) for x in d))
     eta = [Q(0)] * cols
     for i in range(rows):
@@ -262,7 +342,7 @@ def test_solve_congruence_matches_the_uncached_oracle_twice():
     for a, d in congruence_cases(11):
         want = oracle_solve_congruence(a, d)
         for _ in range(2):  # the second solve reads the cached factorisation
-            assert solve_congruence(a, d) == want
+            assert scaled_solve(a, d) == want
         solved += want is not None
         unsolvable += want is None
     assert solved >= 120 and unsolvable >= 20
@@ -296,9 +376,9 @@ def test_in_span_z_matches_the_uncached_oracle_twice():
             c = [rng.randrange(-3, 4) for _ in gens]
             x = [sum(k * g[i] for k, g in zip(c, gens)) for i in range(n)]
             if rng.random() < 0.3:
-                x[rng.randrange(n)] += Q(1, rng.choice([1, 2, 3]))
+                x[rng.randrange(n)] += rng.choice([1, 2, 3])
         else:
-            x = [Q(rng.randrange(-6, 7), rng.choice([1, 1, 2])) for _ in range(n)]
+            x = [rng.randrange(-6, 7) for _ in range(n)]
         want = oracle_in_span_z(x, gens)
         for _ in range(2):
             assert in_span_z(x, gens) == want

@@ -11,6 +11,7 @@ import pytest
 
 from lparams.errors import (
     ContextMismatch,
+    InputError,
     NormalizationRequired,
     ValidityC,
     ValidityE,
@@ -122,10 +123,19 @@ def test_gl2_parity_pairs():
         make_param(GL2, (1, -1), (0, 0), [1])
 
 
+@pytest.mark.parametrize("lam,mu", [((0.5,), ("0.5",)), (("1e0",), (0.0,)), ((1,), ("1_0/4",)),
+                                    ((True,), (0,)), ((0,), (False,))])
+def test_make_param_refuses_floats_bools_and_non_numerals(lam, mu):
+    # Fraction(float) and Fraction(str) used to accept each of these
+    with pytest.raises(InputError):
+        make_param(SL2, lam, mu, [])
+
+
 def test_torus_conjugation_moves_mu():
     p = make_param(SL2, (1,), (0,), [1])
     q = conjugate_param(p, torus_part((Q(1, 4),)))
     assert q.w == p.w and q.lam == p.lam
+    assert q.lam_s is p.lam_s  # passed through as is, not rebuilt from the GaussQ view
     assert q.mu == torus_part((Q(1, 2),))
     assert params_equivalent(p, q)
 

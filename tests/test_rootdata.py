@@ -150,6 +150,18 @@ def test_based_aut_rejects_non_permutation():
         based_aut(d, ((2, 0), (0, 2)))
 
 
+@pytest.mark.parametrize("entry", [Q(1, 2), 0.5, Q(1), 1.0, True],
+                         ids=["Fraction(1,2)", "0.5", "Fraction(1)", "1.0", "True"])
+def test_based_aut_refuses_non_integer_entries(entry):
+    # the Fraction inverse of 1/2 is the integer 2, so [[1/2]] used to be
+    # accepted as a lattice automorphism of T1
+    with pytest.raises(NotBasedAut, match="matrix entries must be integers"):
+        based_aut(build_datum("T1"), [[entry]])
+    with pytest.raises(NotBasedAut, match="matrix entries must be integers"):
+        based_aut(build_datum("A2 sc"), [[0, entry], [1, 0]])
+    assert based_aut(build_datum("T1"), [[-1]]).matrix == ((-1,),)
+
+
 def test_neg_w0_identities():
     # -w0 is the flip for A2, the identity for A1, B2, G2
     flip = neg_w0_aut(build_datum("A2 sc"))

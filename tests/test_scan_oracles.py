@@ -14,7 +14,7 @@ from random import Random
 import pytest
 
 from lparams.gaussian import GaussQ, gvec
-from lparams.intlinalg import mat_vec, vsub, solve_congruence
+from lparams.intlinalg import mat_vec, solve_congruence_scaled
 from lparams.lgroup import parse_inner_class
 from lparams.lparam import (
     conjugate_param,
@@ -97,8 +97,8 @@ def scan_params_equivalent(p, q):
         if tuple(mat_vec(u.matrix, p.lam)) != tuple(q.lam):
             continue
         pc = conjugate_param(p, u)
-        if pc.w == q.w and solve_congruence(
-                one_minus, vsub(q.mu.entries, pc.mu.entries)) is not None:
+        diff = q.mu - pc.mu
+        if pc.w == q.w and solve_congruence_scaled(one_minus, diff.num, diff.den) is not None:
             return True
     return False
 

@@ -52,6 +52,27 @@ def test_integer_matrices_are_not_coerced(rows):
         torus_egroup(rows, (0,) * len(rows))
 
 
+@pytest.mark.parametrize("bad", ["0.5", "1_0/4", "\u0663", "5e-1", 0.5, 0.0, True])
+def test_library_entries_are_read_strictly(bad):
+    # Fraction(str) and Fraction(float) used to accept each of these
+    with pytest.raises(InputError):
+        torus_part([bad])
+    with pytest.raises(InputError):
+        torus_egroup(SPLIT, [bad])
+    with pytest.raises(InputError):
+        torus_char_data(real_torus_involution(SPLIT), [0], [0], [bad])
+    with pytest.raises(InputError):
+        torus_param(torus_egroup(SPLIT, [0]), [bad], [0])
+    with pytest.raises(InputError):
+        torus_param(torus_egroup(SPLIT, [0]), [0], [bad])
+
+
+def test_library_entries_keep_ints_fractions_and_numerals():
+    assert torus_part(["1/2", Q(3, 4), 1]) == torus_part((Q(1, 2), Q(3, 4), 0))
+    assert torus_egroup(CIRCLE, ["1/2"]).gamma == (Q(1, 2),)
+    assert torus_egroup(CIRCLE, [Q(1, 2)]).gamma == (Q(1, 2),)
+
+
 def test_char_side_involution_is_minus_theta_check():
     eg = torus_egroup(MIXED, (0, 0))
     assert char_side_involution(eg).theta == ((1, 0), (0, -1))
