@@ -17,14 +17,19 @@ Rat = Union[int, Q]
 
 @dataclass(frozen=True, eq=False)
 class GaussQ:
-    """One complex number with rational real and imaginary parts."""
+    """One complex number with rational real and imaginary parts.
+
+    Parts are read by read_rational, so a float or a bool is refused. Arithmetic
+    takes a GaussQ, an int or a Fraction; any other operand (a float, a bool, a
+    string) gives NotImplemented.
+    """
 
     re: Q = Q(0)
     im: Q = Q(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Q(self.re))
-        object.__setattr__(self, "im", Q(self.im))
+        object.__setattr__(self, "re", read_rational(self.re))
+        object.__setattr__(self, "im", read_rational(self.im))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussQ):
@@ -38,23 +43,30 @@ class GaussQ:
         return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __add__(self, other: "GaussQ | Rat") -> "GaussQ":
-        other = as_gauss(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return GaussQ(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other: "GaussQ | Rat") -> "GaussQ":
-        other = as_gauss(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return GaussQ(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other: Rat) -> "GaussQ":
-        return as_gauss(other) - self
+        other = _operand(other)
+        return NotImplemented if other is None else other - self
 
     def __neg__(self) -> "GaussQ":
         return GaussQ(-self.re, -self.im)
 
     def __mul__(self, other: "GaussQ | Rat") -> "GaussQ":
-        other = as_gauss(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return GaussQ(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -78,10 +90,16 @@ class GaussQ:
         return format_gauss(self)
 
 
-def as_gauss(x: "GaussQ | Rat") -> GaussQ:
+def _operand(x) -> "GaussQ | None":
+    """An arithmetic operand as a GaussQ: a GaussQ, an int that is not a bool, or a Fraction."""
     if isinstance(x, GaussQ):
         return x
-    return GaussQ(Q(x))
+    return GaussQ(x) if type(x) is int or isinstance(x, Q) else None
+
+
+def as_gauss(x: "GaussQ | Rat") -> GaussQ:
+    """A GaussQ as is, else a GaussQ with real part x read by read_rational."""
+    return x if isinstance(x, GaussQ) else GaussQ(x)
 
 
 GVec = Tuple[GaussQ, ...]

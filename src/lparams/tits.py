@@ -3,8 +3,8 @@
 Elements are stored in the normal form exp(2*pi*i*mu) * sigma_w * delta^eps:
 a rational torus part modulo Z^n, a canonical Weyl lift, and a flag for the
 outer generator. delta squares to 1 and acts through a distinguished
-involution of the datum. Products reduce left to right by the exchange
-rule, absorbing sigma_alpha^2 = alpha-check(-1) into the torus part.
+involution of the datum. A product carries the right torus part across
+sigma_w and delta, and adds the cocycle of the two lifts.
 
 A torus part is integer numerators over one denominator, each numerator
 reduced into [0, den) and the fraction in lowest terms (the TorusElement
@@ -12,12 +12,12 @@ idiom of the atlas software), so sums, negation and the action of the Weyl
 group and of delta are integer arithmetic; Fractions appear only in the
 `entries` view that printing and serialization read.
 
-The exchange rule is read from a cached table: for each Weyl element x met
-and each simple index a it holds x*s_a and, when a is a descent of x, the
-integer coroot y(alpha-check_a) with y = x*s_a. A product sums those integer
-vectors and halves the sum modulo Z^n once at the end, so the reduction does
-no matrix arithmetic after the first visit. The table holds at most
-|W| * rank entries per datum.
+The cocycle of sigma_u sigma_v is half the sum of u(beta-check) over beta in
+N(u) & N(v^-1) (Tits, Normalisateurs de tores I, 1966). Each Weyl element met
+caches its inversion set and the bitmasks of its beta with u(beta-check)_k odd,
+so a product is a popcount per coordinate, one weyl_mul and one reduction.
+Tits' lemma, sigma_w sigma_{w^-1} = exp(2*pi*i*z(w)) with z(w) = (2 rho-check
+- w 2 rho-check)/4 = -z(w), gives the inverse and chevalley in closed form.
 """
 
 from __future__ import annotations
@@ -38,15 +38,15 @@ from .errors import (
     json_array,
 )
 from .gaussian import parse_rational, read_rational
-from .intlinalg import ident, mat_mul, one_minus, solve_congruence_scaled, vsub
-from .rootdata import BasedAut, RootDatum, cartan_matrix, coaction, identity_aut, two_rho_check
+from .intlinalg import ident, mat_mul, one_minus, solve_congruence_scaled
+from .rootdata import (BasedAut, RootDatum, cartan_matrix, coaction, identity_aut,
+                       positive_coroots, positive_roots, two_rho_check)
 from .weyl import (
     WeylElem,
     apply_aut_to_weyl,
     descent,
     longest_element,
     simple_reflection,
-    weyl_act,
     weyl_enumerate,
     weyl_from_word,
     weyl_identity,
@@ -187,73 +187,72 @@ def delta_elem(ctx: TitsContext) -> ExtTitsElem:
 
 
 @cache
-def _cocycle_step(acc: WeylElem, a: int):
-    """(y, coroot) with y = acc * s_a.
+def _inversions(u: WeylElem):
+    """(N(u), parities) as bitmasks over positive_coroots.
 
-    coroot is the integer vector y(alpha-check_a) when a is a descent of acc,
-    and None when it is not.
+    Bit j of N(u) is set when u sends the j-th beta-check negative (read off its
+    pairing with 2 rho); bit j of parities[k] when, in addition, entry k of
+    u(beta-check) is odd.
     """
-    d = acc.datum
-    y = weyl_mul(acc, simple_reflection(d, a))
-    if descent(acc, a):
-        return y, weyl_act(y, d.simple_coroots[a - 1])
-    return y, None
+    d = u.datum
+    two_rho = [sum(col) for col in zip(*positive_roots(d))]
+    inv, par = 0, [0] * d.rank
+    for j, b in enumerate(positive_coroots(d)):
+        ub = [sum(map(mul, row, b)) for row in u.matrix]
+        if sum(map(mul, two_rho, ub)) < 0:
+            inv |= 1 << j
+            par = [p | (x & 1) << j for p, x in zip(par, ub)]
+    return inv, tuple(par)
 
 
 def _sigma_cocycle(u: WeylElem, v: WeylElem):
-    """Reduce sigma_u * sigma_v to exp(2*pi*i*c) * sigma_{uv}.
-
-    Letters of v are absorbed one at a time. When a letter is not a descent
-    the lifts multiply on the nose; otherwise sigma_u = sigma_y sigma_a and
-    sigma_a^2 = alpha-check_a(-1) pops out, transported left through y. The
-    transported coroots are summed as integers and c is half their sum.
-    """
-    c = [0] * u.datum.rank
-    acc = u
-    for a in v.word:
-        acc, coroot = _cocycle_step(acc, a)
-        if coroot is not None:
-            for k, x in enumerate(coroot):
-                c[k] += x
-    return TorusPart.scaled(c, 2), acc
+    """(c, uv) with sigma_u sigma_v = exp(2*pi*i*c) sigma_{uv}: 2c is the sum of u(beta-check),
+    beta in N(u) & N(v^-1), up to sign (the letters of v where sigma_a^2 pops out)."""
+    nv = _inversions(weyl_inv(v))[0]
+    return TorusPart.scaled([(m & nv).bit_count() for m in _inversions(u)[1]], 2), weyl_mul(u, v)
 
 
 def tits_mul(g1: ExtTitsElem, g2: ExtTitsElem) -> ExtTitsElem:
+    """t1 + u(theta0^eps1 t2) + c over lcm(den1, den2, 2), reduced once, times sigma_{u w2'}."""
     if g1.ctx != g2.ctx:
         raise ContextMismatch("elements from different Tits contexts")
-    ctx = g1.ctx
-    t2, w2 = g2.t, g2.w
+    ctx, u, t1, t2, w2, n2 = g1.ctx, g1.w, g1.t, g2.t, g2.w, g2.t.num
     if g1.eps:
-        t2 = act_on_torus_part(coaction(ctx.theta0), t2)
+        n2 = [sum(map(mul, row, n2)) for row in coaction(ctx.theta0)]
         w2 = apply_aut_to_weyl(ctx.theta0, w2)
-    t = g1.t + act_on_torus_part(g1.w.matrix, t2)
-    c, w12 = _sigma_cocycle(g1.w, w2)
-    return ExtTitsElem(ctx, t + c, w12, (g1.eps + g2.eps) % 2)
+    nv = _inversions(weyl_inv(w2))[0]
+    den = lcm(t1.den, t2.den, 2)
+    f1, f2, h = den // t1.den, den // t2.den, den // 2
+    num = [f1 * a + h * (m & nv).bit_count() for a, m in zip(t1.num, _inversions(u)[1])]
+    if t2.den != 1:
+        num = [x + f2 * sum(map(mul, row, n2)) for x, row in zip(num, u.matrix)]
+    return ExtTitsElem(ctx, TorusPart.scaled(num, den), weyl_mul(u, w2), (g1.eps + g2.eps) % 2)
 
 
-def _sigma_inverse(ctx: TitsContext, w: WeylElem) -> ExtTitsElem:
-    c, prod = _sigma_cocycle(weyl_inv(w), w)
-    if prod != weyl_identity(ctx.datum):
-        raise InvariantViolated("sigma_{w^-1} sigma_w does not lie over the identity")
-    return ExtTitsElem(ctx, -c, weyl_inv(w), 0)
+def _lemma_minus(w: WeylElem, num, den: int):
+    """z(w) - num/den as (numerators, lcm(den, 4)), unreduced, for z(w) of Tits' lemma."""
+    rc2, out = two_rho_check(w.datum), lcm(den, 4)
+    f, h = out // den, out // 4
+    return [h * (a - sum(map(mul, row, rc2))) - f * x for a, row, x in zip(rc2, w.matrix, num)], out
 
 
 def tits_inverse(g: ExtTitsElem) -> ExtTitsElem:
-    """Inverse, reassembled as delta^eps * sigma_w^{-1} * exp(-t)."""
-    ctx = g.ctx
-    out = ExtTitsElem(ctx, torus_part_zero(ctx.datum.rank), weyl_identity(ctx.datum), g.eps)
-    out = tits_mul(out, _sigma_inverse(ctx, g.w))
-    return tits_mul(out, torus_elem(ctx, -g.t))
+    """delta^eps sigma_w^{-1} exp(-t), with sigma_w^{-1} = exp(z(w^-1)) sigma_{w^-1} by Tits'
+    lemma: exp(theta0^eps(z(w^-1) - w^-1 t)) sigma_{theta0^eps(w^-1)} delta^eps."""
+    ctx, winv = g.ctx, weyl_inv(g.w)
+    if weyl_mul(winv, g.w) != weyl_identity(ctx.datum):
+        raise InvariantViolated("sigma_{w^-1} sigma_w does not lie over the identity")
+    num, den = _lemma_minus(winv, [sum(map(mul, row, g.t.num)) for row in winv.matrix], g.t.den)
+    if g.eps:
+        num = [sum(map(mul, row, num)) for row in coaction(ctx.theta0)]
+        winv = apply_aut_to_weyl(ctx.theta0, winv)
+    return ExtTitsElem(ctx, TorusPart.scaled(num, den), winv, g.eps)
 
 
 def chevalley(g: ExtTitsElem) -> ExtTitsElem:
-    """Chevalley involution: exp(t) -> exp(-t), sigma_w -> (sigma_{w^{-1}})^{-1}."""
-    ctx = g.ctx
-    out = torus_elem(ctx, -g.t)
-    out = tits_mul(out, tits_inverse(sigma(ctx, weyl_inv(g.w))))
-    if g.eps:
-        out = tits_mul(out, delta_elem(ctx))
-    return out
+    """Chevalley involution: exp(t) -> exp(-t), delta -> delta and sigma_w ->
+    (sigma_{w^{-1}})^{-1} = exp(z(w)) sigma_w, by Tits' lemma."""
+    return ExtTitsElem(g.ctx, TorusPart.scaled(*_lemma_minus(g.w, g.t.num, g.t.den)), g.w, g.eps)
 
 
 def aut_on_tits(a: BasedAut, g: ExtTitsElem) -> ExtTitsElem:
@@ -274,8 +273,7 @@ def check_titslemma(ctx: TitsContext, w: WeylElem):
     agreement flag).
     """
     prod = tits_mul(sigma(ctx, w), sigma(ctx, weyl_inv(w)))
-    rc2 = two_rho_check(ctx.datum)
-    predicted = TorusPart.scaled(vsub(rc2, weyl_act(w, rc2)), 4)
+    predicted = TorusPart.scaled(*_lemma_minus(w, (0,) * ctx.datum.rank, 1))
     ok = prod.w == weyl_identity(ctx.datum) and prod.eps == 0 and prod.t == predicted
     return prod.t, predicted, ok
 
@@ -389,7 +387,7 @@ def run_tits_suite(ctx: TitsContext):
 
     bad = []
     for w in elems:
-        if chevalley(sigma(ctx, w)) != tits_inverse(sigma(ctx, weyl_inv(w))):
+        if tits_mul(chevalley(sigma(ctx, w)), sigma(ctx, weyl_inv(w))) != tits_identity(ctx):
             bad.append(list(w.word))
     rows.append(("C(sigma_w) = (sigma_{w^-1})^{-1}", not bad,
                  f"{len(elems)} elements" if not bad else f"failing words {bad}"))

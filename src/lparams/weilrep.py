@@ -25,7 +25,7 @@ from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, InputError
-from .gaussian import GaussQ, as_gauss, format_gauss, parse_gauss, parse_integer
+from .gaussian import GaussQ, as_gauss, format_gauss, parse_gauss, parse_integer, read_gauss
 from .intlinalg import ident
 from .lgroup import LGroup, lgroup_split
 from .lparam import LParam, make_param
@@ -47,21 +47,23 @@ class WeilIrr:
 
 
 def weil_chi(t, eps: int) -> WeilIrr:
-    if eps not in (0, 1):
+    """chi(t, eps); t is read by read_gauss and eps must be the int 0 or 1."""
+    if type(eps) is not int or eps not in (0, 1):
         raise InputError(f"eps must be 0 or 1, got {eps!r}")
-    return WeilIrr("chi", as_gauss(t), eps=eps)
+    return WeilIrr("chi", read_gauss(t), eps=eps)
 
 
 def weil_ind(k: int, t) -> WeilIrr:
-    if int(k) != k or k == 0:
+    """I(|k|, t); t is read by read_gauss and k must be a nonzero int (not a bool or a float)."""
+    if type(k) is not int or k == 0:
         raise InputError(f"I(k,t) needs a nonzero integer k, got {k!r}; "
                          "I(0,t) is reducible, build it at the rep level")
-    return WeilIrr("ind", as_gauss(t), k=abs(int(k)))
+    return WeilIrr("ind", read_gauss(t), k=abs(k))
 
 
 def ind_summands(k: int, t) -> Tuple[WeilIrr, ...]:
     """I(k,t) as a tuple of irreducibles; splits the reducible k = 0 case."""
-    if k == 0:
+    if type(k) is int and k == 0:
         return (weil_chi(t, 0), weil_chi(t, 1))
     return (weil_ind(k, t),)
 

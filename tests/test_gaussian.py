@@ -135,3 +135,39 @@ def test_scaled_vec_of_refuses_what_the_document_readers_refuse(bad):
 def test_scaled_vec_of_reads_strings_by_parse_gauss():
     assert ScaledVec.of(["1/2", "-i", 3, Q(1, 4), GaussQ(0, Q(1, 2))]) == \
         ScaledVec([2, 0, 12, 1, 0], [0, -4, 0, 0, 2], 4)
+
+
+@pytest.mark.parametrize("make", [lambda: GaussQ(0.5), lambda: GaussQ(0, 1.0), lambda: GaussQ(True),
+                                  lambda: GaussQ(0, False), lambda: as_gauss(0.5),
+                                  lambda: gvec([1, 0.25])])
+def test_parts_are_read_by_read_rational(make):
+    with pytest.raises(InputError):
+        make()
+
+
+def test_parts_keep_ints_fractions_and_numerals():
+    assert GaussQ(1, "-1/3") == GaussQ(Q(1), Q(-1, 3))
+    assert type(GaussQ(2).re) is Q and type(GaussQ(0, Q(1, 2)).im) is Q
+
+
+@pytest.mark.parametrize("op", [lambda z: z + 0.5, lambda z: 0.5 + z, lambda z: z - 0.5,
+                                lambda z: 0.5 - z, lambda z: z * 0.5, lambda z: 0.5 * z,
+                                lambda z: z * "1/3", lambda z: "1/3" * z, lambda z: z + "1",
+                                lambda z: z - "1", lambda z: "1" - z, lambda z: z + True,
+                                lambda z: True + z, lambda z: z - False, lambda z: True - z,
+                                lambda z: z * True, lambda z: True * z, lambda z: z + None],
+                         ids=["add-float", "radd-float", "sub-float", "rsub-float", "mul-float",
+                              "rmul-float", "mul-str", "rmul-str", "add-str", "sub-str",
+                              "rsub-str", "add-bool", "radd-bool", "sub-bool", "rsub-bool",
+                              "mul-bool", "rmul-bool", "add-none"])
+def test_arithmetic_refuses_floats_strings_and_bools(op):
+    with pytest.raises(TypeError):
+        op(GaussQ(1))
+
+
+def test_arithmetic_takes_ints_and_fractions_on_either_side():
+    z = GaussQ(1, 1)
+    assert z + Q(1, 2) == Q(1, 2) + z == GaussQ(Q(3, 2), 1)
+    assert z - Q(1, 2) == GaussQ(Q(1, 2), 1) and Q(1, 2) - z == GaussQ(Q(-1, 2), -1)
+    assert 3 * z == z * 3 == GaussQ(3, 3) and Q(1, 3) * z == GaussQ(Q(1, 3), Q(1, 3))
+    assert sum([z, z, GaussQ(0, -2)]) == GaussQ(2, 0)

@@ -111,10 +111,14 @@ def test_chevalley_is_involution_seeded():
 
 
 def test_chevalley_against_inverse_lift():
-    # C(sigma_w) = sigma_{w^{-1}}^{-1} for every w
-    ctx = _ctx("A2 sc")
-    for w in weyl_enumerate(ctx.datum):
-        assert chevalley(sigma(ctx, w)) == tits_inverse(sigma(ctx, weyl_inv(w)))
+    # C(sigma_w) = sigma_{w^{-1}}^{-1} for every w; both closed forms read Tits' lemma,
+    # so the product with sigma_{w^{-1}} checks them against the cocycle
+    for name in ("A2 sc", "B3 sc", "G2 sc"):
+        ctx = _ctx(name)
+        for w in weyl_enumerate(ctx.datum):
+            c = chevalley(sigma(ctx, w))
+            assert c == tits_inverse(sigma(ctx, weyl_inv(w)))
+            assert tits_mul(c, sigma(ctx, weyl_inv(w))) == tits_identity(ctx)
 
 
 def test_chevalley_inverts_split_coset_elements():

@@ -1,24 +1,51 @@
-"""The cached cocycle table and the integer torus-part arithmetic.
+"""The parity cocycle, the closed-form inverse and Chevalley involution, and
+the integer torus-part arithmetic.
 
-`_sigma_cocycle` reads each exchange step from the `_cocycle_step` table and
-sums the transported coroots as integers, and a TorusPart is integer
-numerators over one denominator. The letter-by-letter reduction over
-Fractions, the old normalisation of a torus entry, and the old Fraction
-arithmetic on torus parts (sum, negation, transport by a matrix) are kept here
-as test-only oracles.
+`_sigma_cocycle` reads the cocycle off cached inversion-set parity masks, and
+`tits_inverse` and `chevalley` are closed forms from Tits' lemma. Kept here as
+test-only oracles: the letter-by-letter reduction over Fractions, the cached
+exchange-step walk with the product built on it, the inverse and the
+Chevalley involution defined through that product, the old normalisation of a
+torus entry, and the old Fraction arithmetic on torus parts (sum, negation,
+transport by a matrix).
 """
 
 from fractions import Fraction as Q
+from functools import cache
 from math import gcd
 from random import Random
 
 import pytest
 
 from lparams.intlinalg import mat_vec, saturation_projection, vadd, vscale
-from lparams.lgroup import parse_inner_class
+from lparams.lgroup import lgroup_tits_context, parse_inner_class
 from lparams.rootdata import build_datum, coaction
-from lparams.tits import TorusPart, _sigma_cocycle, act_on_torus_part
-from lparams.weyl import descent, simple_reflection, weyl_act, weyl_enumerate, weyl_mul
+from lparams.tits import (
+    ExtTitsElem,
+    TorusPart,
+    _sigma_cocycle,
+    act_on_torus_part,
+    chevalley,
+    delta_elem,
+    sigma,
+    tits_inverse,
+    tits_mul,
+    torus_elem,
+    torus_part_zero,
+)
+from lparams.weyl import (
+    apply_aut_to_weyl,
+    descent,
+    simple_reflection,
+    weyl_act,
+    weyl_enumerate,
+    weyl_identity,
+    weyl_inv,
+    weyl_mul,
+)
+
+A1A1_SWAP = [[0, 1], [1, 0]]
+D4_SWAP = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
 # the inner classes of the theorem benchmark, (group, inner class)
 FLEET = [
@@ -26,10 +53,10 @@ FLEET = [
     ("B3 sc", "split"),
     ("C3 ad", "split"),
     ("G2 sc", "split"),
-    ("D4 sc", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    ("D4 sc", D4_SWAP),
     ("GL(4)", "split"),
     ("GL(3)", "compact"),
-    ("A1 sc x A1 sc", [[0, 1], [1, 0]]),
+    ("A1 sc x A1 sc", A1A1_SWAP),
 ]
 
 
@@ -143,3 +170,102 @@ def test_torus_part_arithmetic_matches_fraction_oracle(group, inner):
         m = rng.choice(matrices)
         _assert_normal(act_on_torus_part(m, ta), _oracle_act(m, a))
         assert (ta + tb == tb + ta) and (ta - ta).is_zero()
+
+
+@cache
+def _cocycle_step(acc, a):
+    """(y, coroot) with y = acc * s_a.
+
+    coroot is the integer vector y(alpha-check_a) when a is a descent of acc,
+    and None when it is not.
+    """
+    d = acc.datum
+    y = weyl_mul(acc, simple_reflection(d, a))
+    if descent(acc, a):
+        return y, weyl_act(y, d.simple_coroots[a - 1])
+    return y, None
+
+
+def _walk_cocycle(u, v):
+    """sigma_u * sigma_v by the exchange rule, letters of v absorbed one at a time."""
+    c = [0] * u.datum.rank
+    acc = u
+    for a in v.word:
+        acc, coroot = _cocycle_step(acc, a)
+        if coroot is not None:
+            for k, x in enumerate(coroot):
+                c[k] += x
+    return TorusPart.scaled(c, 2), acc
+
+
+def _oracle_mul(g1, g2):
+    ctx = g1.ctx
+    t2, w2 = g2.t, g2.w
+    if g1.eps:
+        t2 = act_on_torus_part(coaction(ctx.theta0), t2)
+        w2 = apply_aut_to_weyl(ctx.theta0, w2)
+    c, w12 = _walk_cocycle(g1.w, w2)
+    return ExtTitsElem(ctx, g1.t + act_on_torus_part(g1.w.matrix, t2) + c, w12,
+                       (g1.eps + g2.eps) % 2)
+
+
+def _oracle_inverse(g):
+    """delta^eps * sigma_w^{-1} * exp(-t); sigma_w^{-1} from the walk of sigma_{w^-1} sigma_w."""
+    ctx = g.ctx
+    c, prod = _walk_cocycle(weyl_inv(g.w), g.w)
+    assert prod == weyl_identity(ctx.datum)
+    out = ExtTitsElem(ctx, torus_part_zero(ctx.datum.rank), weyl_identity(ctx.datum), g.eps)
+    out = _oracle_mul(out, ExtTitsElem(ctx, -c, weyl_inv(g.w), 0))
+    return _oracle_mul(out, torus_elem(ctx, -g.t))
+
+
+def _oracle_chevalley(g):
+    """exp(-t) * (sigma_{w^-1})^{-1} * delta^eps, every step a product."""
+    ctx = g.ctx
+    out = _oracle_mul(torus_elem(ctx, -g.t), _oracle_inverse(sigma(ctx, weyl_inv(g.w))))
+    return _oracle_mul(out, delta_elem(ctx)) if g.eps else out
+
+
+def _tits_ctx(group, inner):
+    return lgroup_tits_context(parse_inner_class(build_datum(group), inner))
+
+
+def _check_against_oracles(g, h):
+    assert tits_inverse(g) == _oracle_inverse(g)
+    assert chevalley(g) == _oracle_chevalley(g)
+    assert tits_mul(g, h) == _oracle_mul(g, h)
+    assert tits_mul(h, g) == _oracle_mul(h, g)
+
+
+@pytest.mark.parametrize("group, inner", [
+    ("A3 sc", "split"), ("B3 sc", "split"), ("G2 sc", "split"), ("GL(3)", "split"),
+    ("A1 sc x A1 sc", A1A1_SWAP)], ids=["A3 sc", "B3 sc", "G2 sc", "GL(3)", "A1 sc x A1 sc swap"])
+def test_inverse_and_chevalley_match_product_oracles_on_all_of_w(group, inner):
+    ctx = _tits_ctx(group, inner)
+    n = ctx.datum.rank
+    rng = Random(f"closed-forms:{group}")
+    for w in weyl_enumerate(ctx.datum):
+        for eps in (0, 1):
+            for den in (1, 2, 4):
+                g = ExtTitsElem(ctx, TorusPart.scaled([rng.randrange(den) for _ in range(n)], den),
+                                w, eps)
+                h = ExtTitsElem(ctx, TorusPart.scaled([rng.randrange(4) for _ in range(n)], 4),
+                                rng.choice(weyl_enumerate(ctx.datum)), rng.randrange(2))
+                _check_against_oracles(g, h)
+
+
+@pytest.mark.parametrize("group, inner", [
+    ("F4 sc", "split"), ("B4 sc", "split"), ("D4 sc", D4_SWAP), ("GL(5)", "compact")],
+    ids=["F4 sc", "B4 sc", "D4 sc swap", "GL(5) compact"])
+def test_inverse_and_chevalley_match_product_oracles_on_seeded_elements(group, inner):
+    ctx = _tits_ctx(group, inner)
+    elems, n = weyl_enumerate(ctx.datum), ctx.datum.rank
+    rng = Random(f"closed-forms:{group}")
+
+    def draw():
+        den = rng.choice([1, 2, 4])
+        return ExtTitsElem(ctx, TorusPart.scaled([rng.randrange(den) for _ in range(n)], den),
+                           rng.choice(elems), rng.randrange(2))
+
+    for _ in range(2000):
+        _check_against_oracles(draw(), draw())

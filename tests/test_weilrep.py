@@ -187,3 +187,23 @@ def test_parse_rejections(bad):
 
 def test_format_empty():
     assert format_rep(weil_rep([])) == "0"
+
+
+@pytest.mark.parametrize("make", [lambda: weil_chi(0.5, 0), lambda: weil_chi(True, 0),
+                                  lambda: weil_chi(0, 1.0), lambda: weil_chi(0, True),
+                                  lambda: weil_chi(0, "1"), lambda: weil_ind(2.0, 0),
+                                  lambda: weil_ind(True, 0), lambda: weil_ind("2", 0),
+                                  lambda: weil_ind(2, 0.5), lambda: ind_summands(0.0, 0),
+                                  lambda: ind_summands(False, 0)],
+                         ids=["chi-float-t", "chi-bool-t", "chi-float-eps", "chi-bool-eps",
+                              "chi-str-eps", "ind-float-k", "ind-bool-k", "ind-str-k",
+                              "ind-float-t", "summands-float-k", "summands-bool-k"])
+def test_constructors_refuse_floats_bools_and_strings_for_numbers(make):
+    with pytest.raises(InputError):
+        make()
+
+
+def test_constructors_read_t_with_read_gauss():
+    assert weil_chi("1/2+i", 1) == weil_chi(parse_gauss("1/2+i"), 1)
+    assert weil_ind(-2, Q(1, 4)) == weil_ind(2, "1/4")
+    assert format_rep(weil_rep([weil_chi(0, 1)])) == "chi(0,1)"
