@@ -16,7 +16,6 @@ from .errors import (
     InvalidParam,
     InvariantViolated,
     LparamsError,
-    NoRoots,
     NormalizationRequired,
     NotBasedAut,
     NotInvolution,
@@ -26,7 +25,7 @@ from .errors import (
     ValidityE,
     ValidityIntegrality,
 )
-from .gaussian import GaussQ, as_gauss, format_gauss, gvec, parse_gauss
+from .gaussian import GaussQ, format_gauss, parse_gauss
 from .rootdata import (
     BasedAut,
     RootDatum,

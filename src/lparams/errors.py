@@ -29,10 +29,6 @@ class ContextMismatch(LparamsError):
     """Operands built over different torus or L-group contexts."""
 
 
-class NoRoots(LparamsError):
-    """Operation needs a root but the datum has none."""
-
-
 class InvalidParam(LparamsError):
     """Structurally broken parameter data."""
 

@@ -42,6 +42,7 @@ class GaussQ:
         # equal to hash of the plain rational when the imaginary part is zero
         return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
+    # perfbench wraps these seven by name (GAUSS_ARITH) and adds a Fraction to a GaussQ.
     def __add__(self, other: "GaussQ | Rat") -> "GaussQ":
         other = _operand(other)
         if other is None:
@@ -74,18 +75,6 @@ class GaussQ:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "GaussQ":
-        return GaussQ(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def is_rational(self) -> bool:
-        return self.im == 0
-
-    def sort_key(self) -> Tuple[Q, Q]:
-        return (self.re, self.im)
-
     def __str__(self) -> str:
         return format_gauss(self)
 
@@ -97,16 +86,7 @@ def _operand(x) -> "GaussQ | None":
     return GaussQ(x) if type(x) is int or isinstance(x, Q) else None
 
 
-def as_gauss(x: "GaussQ | Rat") -> GaussQ:
-    """A GaussQ as is, else a GaussQ with real part x read by read_rational."""
-    return x if isinstance(x, GaussQ) else GaussQ(x)
-
-
 GVec = Tuple[GaussQ, ...]
-
-
-def gvec(entries) -> GVec:
-    return tuple(as_gauss(e) for e in entries)
 
 
 class ScaledVec:

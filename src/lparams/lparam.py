@@ -339,17 +339,17 @@ def rad_char(p: LParam) -> TorusCharData:
 
 
 @cache
-def _two_rho_imaginary(L: LGroup, w: WeylElem, base: int) -> Tuple[int, ...]:
-    """Sum of the imaginary roots made positive by a functional (1, t, t^2, ...), t >= base.
+def _two_rho_imaginary(L: LGroup, w: WeylElem) -> Tuple[int, ...]:
+    """Sum of the imaginary roots made positive by a functional (1, t, t^2, ...), t >= 2.
 
     The imaginary roots are the roots of the group itself (coroots of the
-    dual datum) negated by theta = w theta0; computed once per (L, w, base).
+    dual datum) negated by theta = w theta0; computed once per (L, w).
     """
     theta = _involution(L, w).theta
     imag = [c for c in sorted(all_coroots(L.dual_datum))
             if tuple(mat_vec(theta, c)) == tuple(-x for x in c)]
     n = L.dual_datum.rank
-    t = base
+    t = 2
     while True:
         f = tuple(t ** k for k in range(n))
         vals = [vdot(f, r) for r in imag]
@@ -362,7 +362,7 @@ def _two_rho_imaginary(L: LGroup, w: WeylElem, base: int) -> Tuple[int, ...]:
         t += 1
 
 
-def central_char(p: LParam, functional_base: int = 2) -> Tuple[Q, ...]:
+def central_char(p: LParam) -> Tuple[Q, ...]:
     """Representative of the central-character class.
 
     tau = (1/2)(1-theta)lambda - (1+theta)mu + rho_i, where rho_i is the
@@ -374,7 +374,7 @@ def central_char(p: LParam, functional_base: int = 2) -> Tuple[Q, ...]:
     inv = _involution(p.L, p.w)
     dif = p.lam_s.apply(inv.one_minus)
     mu_plus = [sum(map(mul, row, p.mu.num)) for row in inv.one_plus]
-    two_rho = _two_rho_imaginary(p.L, p.w, functional_base)
+    two_rho = _two_rho_imaginary(p.L, p.w)
     den = lcm(2 * dif.den, p.mu.den)
     a, b, c = den // (2 * dif.den), den // p.mu.den, den // 2
     return tuple(Q(x * a - y * b + r * c, den)

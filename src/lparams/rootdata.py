@@ -243,7 +243,7 @@ def dual_datum(d: RootDatum) -> RootDatum:
 
 
 # ---------------------------------------------------------------------------
-# roots, closures, rho
+# roots, closures, rho-check
 
 @cache
 def xstar_reflections(d: RootDatum):
@@ -324,12 +324,6 @@ def two_rho_check(d: RootDatum) -> IntVec:
 def rho_check(d: RootDatum):
     """Half the sum of the positive coroots."""
     return tuple(Q(x, 2) for x in two_rho_check(d))
-
-
-@cache
-def rho(d: RootDatum):
-    """Half the sum of the positive roots."""
-    return tuple(Q(sum(v[k] for v in positive_roots(d)), 2) for k in range(d.rank))
 
 
 @cache

@@ -255,12 +255,18 @@ def chevalley(g: ExtTitsElem) -> ExtTitsElem:
     return ExtTitsElem(g.ctx, TorusPart.scaled(*_lemma_minus(g.w, g.t.num, g.t.den)), g.w, g.eps)
 
 
+@cache
+def _commutes(a: BasedAut, b: BasedAut) -> bool:
+    """a b = b a, decided once per pair."""
+    return mat_mul(a.matrix, b.matrix) == mat_mul(b.matrix, a.matrix)
+
+
 def aut_on_tits(a: BasedAut, g: ExtTitsElem) -> ExtTitsElem:
     """Apply a based automorphism; it must commute with the context's theta0."""
     ctx = g.ctx
     if a.datum != ctx.datum:
         raise ContextMismatch("automorphism over a different datum")
-    if mat_mul(a.matrix, ctx.theta0.matrix) != mat_mul(ctx.theta0.matrix, a.matrix):
+    if not _commutes(a, ctx.theta0):
         raise PreconditionViolated("automorphism does not commute with theta0")
     return ExtTitsElem(ctx, act_on_torus_part(coaction(a), g.t),
                        apply_aut_to_weyl(a, g.w), g.eps)

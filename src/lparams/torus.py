@@ -231,7 +231,7 @@ def torus_params_equivalent(p: TorusParam, q: TorusParam) -> bool:
     return solve_congruence_scaled(one_minus(p.egroup.theta_check), d.num, d.den) is not None
 
 
-def random_torus_param(eg: TorusEGroup, rng: Random, qmax: int = 4) -> TorusParam:
+def random_torus_param(eg: TorusEGroup, rng: Random) -> TorusParam:
     """Seeded valid parameter: sample mu, solve the kappa congruence for lambda.
 
     The real part x = 2y of lambda must satisfy two congruences at once, so

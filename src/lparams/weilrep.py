@@ -12,6 +12,12 @@ are exchanged by conjugation inside the induced picture), and I(0,t) is not
 irreducible, splitting as chi(t,0) + chi(t,1); rep-level constructors do the
 split automatically. Exponents t are Gaussian rationals.
 
+A representation is held as its sorted blocks (k, eps), k = 0 for a
+character, and one ScaledVec of exponents, entry i belonging to block i, so
+the dualities, sorting and the GL(n) bridge are integer arithmetic; GaussQ
+exponents appear only in the `summands` and `weil_inf_char` views and in
+parsing.
+
 This is the GL(n) end of the dictionary: a multiset of total dimension n is
 the same thing as a parameter into GL(n,C) in diagonal-block position, and
 the contragredient on parameters is t -> -t summandwise here.
@@ -20,16 +26,16 @@ the contragredient on parameters is t -> -t summandwise here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, InputError
-from .gaussian import GaussQ, as_gauss, format_gauss, parse_gauss, parse_integer, read_gauss
+from .gaussian import GaussQ, ScaledVec, format_gauss, parse_gauss, parse_integer, read_gauss
 from .intlinalg import ident
 from .lgroup import LGroup, lgroup_split
 from .lparam import LParam, make_param
 from .rootdata import build_datum
+from .tits import TorusPart
 
 
 @dataclass(frozen=True)
@@ -68,49 +74,56 @@ def ind_summands(k: int, t) -> Tuple[WeilIrr, ...]:
     return (weil_ind(k, t),)
 
 
-def _irr_key(a: WeilIrr):
-    return (0 if a.kind == "chi" else 1, a.k, a.t.sort_key(), a.eps)
-
-
 @dataclass(frozen=True)
 class WeilRep:
-    summands: Tuple[WeilIrr, ...]
+    """Sorted blocks (k, eps), k = 0 for a character, and their exponents t.
+
+    Block i has exponent (t.re[i] + t.im[i] i) / t.den; blocks are sorted on
+    (k, re, im, eps).
+    """
+
+    blocks: Tuple[Tuple[int, int], ...]
+    t: ScaledVec
+
+    @property
+    def summands(self) -> Tuple[WeilIrr, ...]:
+        return tuple(WeilIrr("ind", z, k=k) if k else WeilIrr("chi", z, eps=eps)
+                     for (k, eps), z in zip(self.blocks, self.t.gvec()))
 
     def dim(self) -> int:
-        return sum(s.dim() for s in self.summands)
+        return sum(2 if k else 1 for k, _ in self.blocks)
 
     def __repr__(self):
         return format_rep(self)
 
 
+def _rep(rows, den: int) -> WeilRep:
+    """The rep of rows (k, re, im, eps), exponents (re + im i) / den, sorted."""
+    rows = sorted(rows)
+    return WeilRep(tuple((k, eps) for k, _, _, eps in rows),
+                   ScaledVec([r[1] for r in rows], [r[2] for r in rows], den))
+
+
 def weil_rep(items: Sequence[WeilIrr]) -> WeilRep:
-    """Multiset of irreducibles, held as a sorted tuple."""
-    flat: List[WeilIrr] = []
+    """Multiset of irreducibles, held as sorted blocks and one exponent vector."""
+    items = list(items)
     for it in items:
         if not isinstance(it, WeilIrr):
             raise InputError(f"not a Weil irreducible: {it!r}")
-        flat.append(it)
-    return WeilRep(tuple(sorted(flat, key=_irr_key)))
-
-
-def _map_t(r: WeilRep, f) -> WeilRep:
-    out = []
-    for s in r.summands:
-        if s.kind == "chi":
-            out.append(weil_chi(f(s.t), s.eps))
-        else:
-            out.append(weil_ind(s.k, f(s.t)))
-    return weil_rep(out)
+    t = ScaledVec.of([it.t for it in items])
+    return _rep(zip((it.k for it in items), t.re, t.im, (it.eps for it in items)), t.den)
 
 
 def weil_dual(r: WeilRep) -> WeilRep:
     """Contragredient: t -> -t on every summand."""
-    return _map_t(r, lambda t: -t)
+    t = r.t
+    return _rep(((k, -a, -b, eps) for (k, eps), a, b in zip(r.blocks, t.re, t.im)), t.den)
 
 
 def weil_hermitian_dual(r: WeilRep) -> WeilRep:
     """Hermitian dual: t -> -conj(t) on every summand."""
-    return _map_t(r, lambda t: -t.conj())
+    t = r.t
+    return _rep(((k, -a, b, eps) for (k, eps), a, b in zip(r.blocks, t.re, t.im)), t.den)
 
 
 def weil_is_hermitian(r: WeilRep) -> bool:
@@ -119,19 +132,27 @@ def weil_is_hermitian(r: WeilRep) -> bool:
 
 def weil_is_unitary(r: WeilRep) -> bool:
     """Bounded image: every exponent has zero real part."""
-    return all(s.t.re == 0 for s in r.summands)
+    return not any(r.t.re)
+
+
+def _lam(r: WeilRep) -> ScaledVec:
+    """lambda in block order: t per character, (t + k/2, t - k/2) per induced."""
+    t, re, im = r.t, [], []
+    for (k, _), a, b in zip(r.blocks, t.re, t.im):
+        if k:
+            re.extend((2 * a + k * t.den, 2 * a - k * t.den))
+            im.extend((2 * b, 2 * b))
+        else:
+            re.append(2 * a)
+            im.append(2 * b)
+    return ScaledVec(re, im, 2 * t.den)
 
 
 def weil_inf_char(r: WeilRep) -> Tuple[GaussQ, ...]:
     """Exponent multiset: {t} per character, {t + k/2, t - k/2} per induced."""
-    out: List[GaussQ] = []
-    for s in r.summands:
-        if s.kind == "chi":
-            out.append(s.t)
-        else:
-            h = as_gauss(Q(s.k, 2))
-            out.extend((s.t + h, s.t - h))
-    return tuple(sorted(out, key=lambda z: z.sort_key()))
+    lam = _lam(r)
+    pairs = sorted(zip(lam.re, lam.im))
+    return ScaledVec([a for a, _ in pairs], [b for _, b in pairs], lam.den).gvec()
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +178,15 @@ def weil_to_lparam(r: WeilRep, n: Optional[int] = None) -> LParam:
         raise DimensionMismatch(f"rep has dimension {dim}, expected {n}")
     if dim > 9:
         raise InputError(f"rep has dimension {dim}; the GL(n) bridge supports n <= 9")
-    L = _gl_lgroup(dim)
-    lam: List[GaussQ] = []
-    mu: List[Q] = []
+    mu: List[int] = []
     word: List[int] = []
-    for s in r.summands:
-        if s.kind == "chi":
-            lam.append(s.t)
-            mu.append(Q(s.eps, 2))
+    for k, eps in r.blocks:
+        if k:
+            word.append(len(mu) + 1)
+            mu.extend((k - 1, 0))
         else:
-            h = Q(s.k, 2)
-            word.append(len(lam) + 1)
-            lam.extend((s.t + h, s.t - h))
-            mu.extend((Q(s.k - 1, 2), Q(0)))
-    return make_param(L, lam, mu, word)
+            mu.append(eps)
+    return make_param(_gl_lgroup(dim), _lam(r), TorusPart.scaled(mu, 2), word)
 
 
 def lparam_to_weilrep(p: LParam) -> WeilRep:
@@ -190,30 +206,31 @@ def lparam_to_weilrep(p: LParam) -> WeilRep:
     if d.label != f"GL({n})":
         raise InputError(f"bridge needs a GL(n) datum, got {d.label!r}")
     m = p.w.matrix
-    lam, mu = p.lam, p.mu.entries
+    re, im, den = p.lam_s.re, p.lam_s.im, p.lam_s.den
+    mu, mu_den = p.mu.num, p.mu.den
     img = []
     for i in range(n):
         col = [r for r in range(n) if m[r][i] != 0]
         if len(col) != 1 or m[col[0]][i] != 1:
             raise InputError("w-part is not a permutation")
         img.append(col[0])
-    out: List[WeilIrr] = []
+    # rows (k, re, im, eps) with exponents over 2 den
+    rows = []
     for i in range(n):
         j = img[i]
         if j == i:
-            two_mu = 2 * mu[i]
-            if two_mu.denominator != 1:
+            if 2 * mu[i] % mu_den:
                 raise InputError("mu-entry of a fixed coordinate must be in (1/2)Z")
-            out.append(weil_chi(lam[i], int(two_mu) % 2))
+            rows.append((0, 2 * re[i], 2 * im[i], 2 * mu[i] // mu_den % 2))
         elif j > i:
-            dif = lam[i] - lam[j]
-            if not (dif.is_rational() and dif.re.denominator == 1):
+            if im[i] != im[j] or (re[i] - re[j]) % den:
                 raise InputError("lambda-entries of a 2-cycle must differ by an integer")
-            t = (lam[i] + lam[j]) * Q(1, 2)
-            out.extend(ind_summands(int(dif.re), t))
+            k = abs(re[i] - re[j]) // den
+            a, b = re[i] + re[j], im[i] + im[j]
+            rows.extend([(k, a, b, 0)] if k else [(0, a, b, 0), (0, a, b, 1)])
         elif img[j] != i:
             raise InputError("w-part is not an involution")
-    return weil_rep(out)
+    return _rep(rows, 2 * den)
 
 
 # ---------------------------------------------------------------------------

@@ -289,3 +289,34 @@ def test_fuzz_under_python_O():
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip().endswith("RESULT 0 2/2 instances verified")
+
+
+WEILREP_GOLDEN_LITERALS = [
+    "chi(1/2+i,1)+I(2,-1/4+3/2i)",                # complex exponents
+    "chi(-1/3-2i,0)+chi(1/3-2i,1)+I(3,1/2+1/2i)",
+    "chi(i,0)+chi(-i,1)+I(1,-3/2i)",              # unitary
+    "I(0,1/4)",                                   # I(0,t) splits
+    "I(0,-1/2+i)+chi(0,0)",
+    "I(-3,1/2)",                                  # negative k folds
+    "I(-1,i)+I(2,0)+I(1,i)",
+    "I(4,-2)+chi(1/6,1)+chi(1/6,1)",
+    "I(1,1/2)+I(2,-1/2)+I(3,i)+I(4,0)+chi(1,1)",  # dimension 9
+    "I(1,0)+I(1,0)+I(1,0)+I(1,0)+I(1,0)",         # dimension 10 is refused
+    "chi(1/2,0",                                  # unbalanced parenthesis
+    "chi(0,2)",                                   # eps = 2
+    "I(0.5,0)",                                   # k = 0.5
+]
+
+
+def _weilrep_transcript(capsys) -> str:
+    blocks = []
+    for literal in WEILREP_GOLDEN_LITERALS:
+        for extra in ((), ("--json",)):
+            code, out = _run(capsys, "weilrep", literal, *extra)
+            blocks.append(f"$ weilrep {' '.join((repr(literal), *extra))}\nexit {code}\n{out}")
+    return "".join(blocks)
+
+
+def test_weilrep_golden(capsys):
+    # text and --json stdout and exit codes of the weilrep subcommand, byte for byte
+    assert _weilrep_transcript(capsys) == (DATA / "golden_weilrep.txt").read_text()

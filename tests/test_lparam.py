@@ -330,7 +330,7 @@ def _oracle_validity(L, lam, mu, w):
     if not (c_ok and inv_ok):
         return rows
     dif = tuple(a - b for a, b in zip(lam, mat_vec(theta, lam)))
-    int_ok = all(v.is_rational() and v.re.denominator == 1 for v in dif)
+    int_ok = all(v.im == 0 and v.re.denominator == 1 for v in dif)
     rows.append(("integrality", int_ok))
     if not int_ok:
         return rows
@@ -341,12 +341,12 @@ def _oracle_validity(L, lam, mu, w):
     return rows
 
 
-def _oracle_central_char(p, base=2):
+def _oracle_central_char(p):
     """(1/2)(1-theta)lambda - (1+theta)mu + rho_i, in GaussQ and Fraction arithmetic."""
     n = p.L.dual_datum.rank
     imag = [c for c in sorted(all_coroots(p.L.dual_datum))
             if tuple(mat_vec(p.theta, c)) == tuple(-x for x in c)]
-    t = base
+    t = 2
     while not all(vdot(tuple(Q(t) ** k for k in range(n)), r) != 0 for r in imag):
         t += 1
     rho_i = (Q(0),) * n
@@ -381,7 +381,6 @@ def test_integer_validity_and_central_char_match_oracles(group, inner):
     for _ in range(12):
         p = random_param(L, rng)
         assert central_char(p) == _oracle_central_char(p)
-        assert central_char(p, 5) == _oracle_central_char(p, 5)
         for lam, mu, w in _perturbations(p, rng, elems):
             want = _oracle_validity(L, lam, TorusPart(mu).entries, w)
             got = [(name, ok) for name, ok, _, _ in validity_rows(L, lam, mu, w)]

@@ -33,11 +33,11 @@ from lparams.rootdata import (
     all_coroots,
     all_roots,
     build_datum,
+    dual_datum,
     is_positive_root,
     positive_coroots,
     positive_root_table,
     positive_roots,
-    rho,
     rho_check,
     xcostar_reflections,
     xstar_reflections,
@@ -131,8 +131,10 @@ def _oracle_table(d, coroots):
 @pytest.mark.parametrize("spec", DATA_SPECS)
 def test_root_table_matches_orbit_and_expansion(spec):
     d = build_datum(spec)
-    for coroots, pos_fn, all_fn, rho_fn in ((False, positive_roots, all_roots, rho),
-                                            (True, positive_coroots, all_coroots, rho_check)):
+    # rho of d is rho-check of the dual datum, whose coroots are the roots of d
+    for coroots, pos_fn, all_fn, rho_fn in (
+            (False, positive_roots, all_roots, lambda d: rho_check(dual_datum(d))),
+            (True, positive_coroots, all_coroots, rho_check)):
         want, orbit = _oracle_table(d, coroots)
         got = positive_root_table(d, coroots)
         assert got == want

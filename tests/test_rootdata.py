@@ -20,7 +20,6 @@ from lparams.rootdata import (
     inverse_aut,
     is_positive_root,
     positive_roots,
-    rho,
     rho_check,
     transpose_aut,
 )
@@ -73,7 +72,6 @@ def test_rho_check_values():
     assert rho_check(build_datum("A1 ad")) == (Q(1),)
     assert rho_check(build_datum("A2 sc")) == (Q(1), Q(1))
     assert rho_check(build_datum("GL(2)")) == (Q(1, 2), Q(-1, 2))
-    assert rho(build_datum("A2 sc")) == (Q(1), Q(1))
 
 
 def test_root_closure_counts():

@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from lparams.gaussian import GaussQ, gvec
+from lparams.gaussian import GaussQ, read_gauss
 from lparams.intlinalg import mat_vec, solve_congruence_scaled
 from lparams.lgroup import parse_inner_class
 from lparams.lparam import (
@@ -77,7 +77,7 @@ def _lex_nonneg(val):
 
 def scan_dominant_rep(d, vec):
     """Greedy ascent recomputing every simple pairing in GaussQ after each reflection."""
-    v = tuple(gvec(vec))
+    v = tuple(map(read_gauss, vec))
     refls = xcostar_reflections(d)
     for _ in range(len(all_roots(d)) + 1):
         i = next((k for k in range(d.nsimple)

@@ -12,7 +12,7 @@ from random import Random
 import pytest
 
 from lparams.errors import InputError, PreconditionViolated
-from lparams.rootdata import build_datum, rho_check
+from lparams.rootdata import based_aut, build_datum, rho_check
 from lparams.tits import (
     ExtTitsElem,
     aut_on_tits,
@@ -167,6 +167,18 @@ def test_aut_on_tits_respects_products():
         assert aut_on_tits(a, tits_mul(g, h)) == tits_mul(
             aut_on_tits(a, g), aut_on_tits(a, h))
 
+
+
+def test_aut_on_tits_refuses_an_automorphism_not_commuting_with_theta0():
+    d = build_datum("A1 sc x A1 sc x A1 sc")
+    ctx = tits_context(d, based_aut(d, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    a = based_aut(d, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    g = sigma(ctx, simple_reflection(d, 1))
+    for _ in range(2):  # the verdict is cached per pair and must stay a refusal
+        with pytest.raises(PreconditionViolated, match="does not commute with theta0"):
+            aut_on_tits(a, g)
+    # theta0 itself commutes, so the same element is accepted
+    assert aut_on_tits(ctx.theta0, g) == sigma(ctx, simple_reflection(d, 2))
 
 def test_run_tits_suite_all_green():
     for name in ("A1 sc", "A2 sc", "B2 sc", "GL(2)"):

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from lparams.errors import ContextMismatch, InputError, InvalidParam, NotInvolution
-from lparams.gaussian import GaussQ, gvec, parse_gauss
+from lparams.gaussian import parse_gauss, read_gauss
 from lparams.tits import torus_part
 from lparams.torus import (
     char_equal,
@@ -81,7 +81,7 @@ def test_char_side_involution_is_minus_theta_check():
 def test_kappa_circle_weight():
     # S^1 dual side: theta-check = -1, lambda = 3, mu = 0 -> kappa = 3
     eg = torus_egroup(CIRCLE, (0,))
-    assert param_kappa(eg, gvec((3,)), torus_part((0,))) == (Q(3),)
+    assert param_kappa(eg, tuple(map(read_gauss, (3,))), torus_part((0,))) == (Q(3),)
 
 
 def test_kappa_split_sign():

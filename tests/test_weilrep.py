@@ -1,16 +1,19 @@
 """Representations of the real Weil group and the dictionary with GL(n)."""
 
+import re
 from fractions import Fraction as Q
 from random import Random
 
 import pytest
 
 from lparams.errors import DimensionMismatch, InputError
-from lparams.gaussian import GaussQ, parse_gauss
-from lparams.lgroup import lgroup_split
-from lparams.lparam import make_param, params_equivalent
+from lparams.gaussian import GaussQ, ScaledVec, parse_gauss
+from lparams.lgroup import lgroup_compact, lgroup_split
+from lparams.lparam import LParam, conjugate_param, make_param, params_equivalent
 from lparams.rootdata import build_datum
+from lparams.tits import torus_part
 from lparams.weilrep import (
+    WeilIrr,
     format_rep,
     ind_summands,
     lparam_to_weilrep,
@@ -25,6 +28,7 @@ from lparams.weilrep import (
     weil_rep,
     weil_to_lparam,
 )
+from lparams.weyl import weyl_from_word
 
 
 def _rand_rep(rng, max_dim=4, qmax=4):
@@ -118,7 +122,7 @@ def test_inf_char_multiset():
     r = weil_rep([weil_chi(Q(1, 2), 0), weil_ind(3, 0)])
     assert weil_inf_char(r) == tuple(
         sorted((GaussQ(Q(-3, 2)), GaussQ(Q(1, 2)), GaussQ(Q(3, 2))),
-               key=lambda z: z.sort_key()))
+               key=lambda z: (z.re, z.im)))
 
 
 def test_bridge_to_gl1():
@@ -207,3 +211,92 @@ def test_constructors_read_t_with_read_gauss():
     assert weil_chi("1/2+i", 1) == weil_chi(parse_gauss("1/2+i"), 1)
     assert weil_ind(-2, Q(1, 4)) == weil_ind(2, "1/4")
     assert format_rep(weil_rep([weil_chi(0, 1)])) == "chi(0,1)"
+
+
+# ---------------------------------------------------------------------------
+# a test-only reference in GaussQ arithmetic for the integer representation
+
+def _oracle_sorted(irrs):
+    return tuple(sorted(irrs, key=lambda a: (a.kind == "ind", a.k, a.t.re, a.t.im, a.eps)))
+
+
+def _oracle_map(r, f):
+    return _oracle_sorted(WeilIrr(s.kind, f(s.t), s.eps, s.k) for s in r.summands)
+
+
+def _oracle_lam(r):
+    """lambda in block order: t per character, (t + k/2, t - k/2) per induced."""
+    out = []
+    for s in r.summands:
+        if s.kind == "chi":
+            out.append(s.t)
+        else:
+            out.extend((s.t + Q(s.k, 2), s.t - Q(s.k, 2)))
+    return tuple(out)
+
+
+def _oracle_weilrep(p):
+    """Fixed coordinates are characters; a 2-cycle is I(difference, midpoint)."""
+    lam, mu, m = p.lam, p.mu.entries, p.w.matrix
+    n = len(lam)
+    img = [next(r for r in range(n) if m[r][i]) for i in range(n)]
+    out = []
+    for i, j in enumerate(img):
+        if j == i:
+            out.append(WeilIrr("chi", lam[i], eps=int(2 * mu[i]) % 2))
+        elif j > i:
+            dif, mid = lam[i] - lam[j], (lam[i] + lam[j]) * Q(1, 2)
+            assert dif.im == 0 and dif.re.denominator == 1
+            if dif.re:
+                out.append(WeilIrr("ind", mid, k=abs(int(dif.re))))
+            else:
+                out.extend((WeilIrr("chi", mid, eps=0), WeilIrr("chi", mid, eps=1)))
+    return _oracle_sorted(out)
+
+
+def test_integer_weilrep_matches_gauss_reference():
+    rng = Random(95)
+    for _ in range(300):
+        r = _rand_rep(rng)
+        assert r.summands == _oracle_sorted(r.summands)
+        assert weil_dual(r).summands == _oracle_map(r, lambda t: -t)
+        assert weil_hermitian_dual(r).summands == _oracle_map(r, lambda t: GaussQ(-t.re, t.im))
+        assert weil_inf_char(r) == tuple(sorted(_oracle_lam(r), key=lambda z: (z.re, z.im)))
+        if r.dim() == 0:
+            continue
+        p = weil_to_lparam(r)
+        assert p.lam == _oracle_lam(r)
+        assert lparam_to_weilrep(p).summands == _oracle_weilrep(p) == r.summands
+        # a conjugate moves the blocks to other coordinates and 2-cycles
+        u = weyl_from_word(p.L.dual_datum, [rng.randrange(1, r.dim()) for _ in range(3)]
+                           if r.dim() > 1 else [])
+        q = conjugate_param(p, u)
+        assert lparam_to_weilrep(q).summands == _oracle_weilrep(q)
+
+
+def test_split_zero_k_matches_gauss_reference():
+    L = lgroup_split(build_datum("GL(3)"))
+    p = make_param(L, ("1/4+i", 2, "1/4+i"), (Q(1, 2), Q(1, 2), Q(1, 2)), [1, 2, 1])
+    assert lparam_to_weilrep(p).summands == _oracle_weilrep(p)
+    assert format_rep(lparam_to_weilrep(p)) == "chi(1/4+1i,0)+chi(1/4+1i,1)+chi(2,1)"
+
+
+def _raw_param(group, lam, mu, word, compact=False):
+    """An LParam built without make_param's validity checks."""
+    d = build_datum(group)
+    L = (lgroup_compact if compact else lgroup_split)(d)
+    return LParam(L, ScaledVec.of(lam), torus_part(mu), weyl_from_word(L.dual_datum, word))
+
+
+@pytest.mark.parametrize("p, message", [
+    (_raw_param("GL(2)", (0, 0), (0, 0), [], compact=True), "bridge needs the split inner class"),
+    (_raw_param("A1 sc", (0,), (0,), []), "bridge needs a GL(n) datum, got 'A1 ad'"),
+    (_raw_param("GL(2)", (0, 0), ("1/4", 0), []), "mu-entry of a fixed coordinate"),
+    (_raw_param("GL(2)", ("1/2", 0), (0, 0), [1]), "lambda-entries of a 2-cycle"),
+    (_raw_param("GL(2)", ("i", 0), (0, 0), [1]), "lambda-entries of a 2-cycle"),
+    (_raw_param("GL(3)", (2, 1, 0), (0, 0, 0), [1, 2]), "w-part is not an involution"),
+], ids=["compact", "not-gl", "mu-quarter", "lambda-half", "lambda-imaginary", "three-cycle"])
+def test_bridge_refusals_raise(p, message):
+    # raised by the bridge itself, so python -O keeps them
+    with pytest.raises(InputError, match=re.escape(message)):
+        lparam_to_weilrep(p)
