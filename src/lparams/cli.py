@@ -26,7 +26,7 @@ from .errors import (
     NotInvolution,
     json_matrix,
 )
-from .gaussian import format_gauss
+from .gaussian import format_gauss, format_vec
 from .lgroup import LGroup, parse_inner_class
 from .lparam import (
     LParam,
@@ -119,7 +119,7 @@ def _load_param_data(text: str) -> dict:
 
 
 def _fmt_param(p: LParam) -> str:
-    return (f"lambda=({', '.join(format_gauss(z) for z in p.lam)}) "
+    return (f"lambda=({', '.join(format_vec(p.lam_s))}) "
             f"mu=({', '.join(str(x) for x in p.mu.entries)}) "
             f"w={list(p.w.word)}")
 
@@ -187,7 +187,7 @@ def cmd_invariants(args, rep: Report) -> int:
     rep.note("parameter", _fmt_param(p))
     rep.note("inf_char", "(" + ", ".join(format_gauss(z) for z in inf_char(p)) + ")")
     rc = rad_char(p)
-    rep.note("rad_char_lambda", "(" + ", ".join(format_gauss(z) for z in rc.lam) + ")")
+    rep.note("rad_char_lambda", "(" + ", ".join(format_vec(rc.lam_s)) + ")")
     rep.note("rad_char_kappa", "(" + ", ".join(str(x) for x in rc.kappa) + ")")
     rep.note("central_char", "(" + ", ".join(str(x) for x in central_char(p)) + ")")
     rep.note("is_discrete_series", str(is_discrete_series(p)).lower())

@@ -97,7 +97,8 @@ class ScaledVec:
     are, and pairings with integer vectors, images under integer matrices and
     lattice tests are integer arithmetic. This is the RatWeight idiom of the
     atlas software (Adams-du Cloux 2009); GaussQ entries appear only where a
-    vector is read in or written out.
+    vector is read in and in the gvec view, and format_vec writes it out from
+    the numerators.
     """
 
     __slots__ = ("re", "im", "den")
@@ -143,15 +144,32 @@ class ScaledVec:
         return hash((self.re, self.im, self.den))
 
     def __repr__(self):
-        return f"ScaledVec({[format_gauss(z) for z in self.gvec()]})"
+        return f"ScaledVec({format_vec(self)})"
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d for d >= 1 in lowest terms, written as str(Fraction(n, d)) is."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _gauss_text(a: int, b: int, den: int) -> str:
+    """(a + b i)/den in canonical "a/b+c/di" form, one gcd per part; pure reals drop the i."""
+    if not b:
+        return _ratio(a, den)
+    return f"{_ratio(a, den)}{'+' if b > 0 else '-'}{_ratio(abs(b), den)}i"
 
 
 def format_gauss(z: GaussQ) -> str:
     """Canonical "a/b+c/di" form; pure reals drop the imaginary half."""
-    if z.im == 0:
-        return str(z.re)
-    sign = "+" if z.im > 0 else "-"
-    return f"{z.re}{sign}{abs(z.im)}i"
+    re, im = z.re, z.im
+    return _gauss_text(re.numerator * im.denominator, im.numerator * re.denominator,
+                       re.denominator * im.denominator)
+
+
+def format_vec(v: ScaledVec) -> list:
+    """format_gauss of every entry, written straight from the numerators."""
+    return [_gauss_text(a, b, v.den) for a, b in zip(v.re, v.im)]
 
 
 # The one numeral grammar: a sign, ASCII digits and an optional "/" with ASCII

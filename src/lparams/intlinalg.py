@@ -73,10 +73,6 @@ def vneg(a):
     return tuple(-x for x in a)
 
 
-def vscale(c, a):
-    return tuple(c * x for x in a)
-
-
 def vdot(a, b):
     return sum(x * y for x, y in zip(a, b))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
-from typing import List, Optional
+from typing import List
 
 from .errors import InputError, NotInvolution, json_matrix
 from .intlinalg import ident, mat_mul, mat_neg, mat_vec, vdot
@@ -49,18 +49,13 @@ def lgroup_from_tau(d: RootDatum, tau: BasedAut) -> LGroup:
     return LGroup(dual_datum(d), theta0, d)
 
 
-def build_lgroup(d: RootDatum, inner: Optional[BasedAut] = None, *,
-                 tau: Optional[BasedAut] = None) -> LGroup:
-    """Constructor taking the inner class gamma, or tau directly (tau = -w0 gamma)."""
-    if (inner is None) == (tau is None):
-        raise InputError("give exactly one of inner (gamma) or tau")
-    if tau is None:
-        if inner.datum != d:
-            raise InputError("inner is not an automorphism of the given datum")
-        if mat_mul(inner.matrix, inner.matrix) != ident(d.rank):
-            raise NotInvolution("inner class automorphism is not an involution")
-        tau = compose_aut(neg_w0_aut(d), inner)
-    return lgroup_from_tau(d, tau)
+def build_lgroup(d: RootDatum, inner: BasedAut) -> LGroup:
+    """Constructor taking the inner class gamma; lgroup_from_tau takes tau = -w0 gamma."""
+    if inner.datum != d:
+        raise InputError("inner is not an automorphism of the given datum")
+    if mat_mul(inner.matrix, inner.matrix) != ident(d.rank):
+        raise NotInvolution("inner class automorphism is not an involution")
+    return lgroup_from_tau(d, compose_aut(neg_w0_aut(d), inner))
 
 
 def lgroup_split(d: RootDatum) -> LGroup:

@@ -37,7 +37,7 @@ from .errors import (
     ValidityIntegrality,
     json_array,
 )
-from .gaussian import GaussQ, GVec, ScaledVec, format_gauss, parse_gauss, parse_rational
+from .gaussian import GaussQ, GVec, ScaledVec, format_vec, parse_gauss, parse_rational
 from .intlinalg import (
     descend_map,
     ident,
@@ -287,6 +287,8 @@ def _dominance_descent(d: RootDatum, v: ScaledVec):
     weyl's dominance descent on the numerators' real and imaginary pairings;
     each step i with pairings p_i moves v by -p_i alpha-check_i. Pairings are
     returned as scaled (real, imaginary) pairs, good for sign and zero tests.
+    The lexicographic order on (real, imaginary) pairings linearizes the orbit
+    like a field order, so the dominant point is unique.
     """
     cols = [[vdot(a, v.re) for a in d.simple_roots], [vdot(a, v.im) for a in d.simple_roots]]
     steps = _descend(d, cols)
@@ -296,16 +298,6 @@ def _dominance_descent(d: RootDatum, v: ScaledVec):
         re = [x - ri * c for x, c in zip(re, cv)]
         im = [x - ii * c for x, c in zip(im, cv)]
     return ScaledVec(re, im, v.den), [i for i, _ in steps], list(zip(*cols))
-
-
-def dominant_rep(d: RootDatum, vec: GVec) -> GVec:
-    """Dominant representative of the W-orbit, for vectors on the cocharacter side.
-
-    Dominance is taken for the lexicographic order on (real, imaginary) parts
-    of each simple pairing; that order linearizes the orbit like a field
-    order, so the dominant point is unique and the dominance descent reaches it.
-    """
-    return _dominance_descent(d, ScaledVec.of(vec))[0].gvec()
 
 
 def _inf_char(p: LParam) -> ScaledVec:
@@ -529,7 +521,7 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
 
 
 def _fmt_vec(v: ScaledVec) -> str:
-    return "(" + ", ".join(format_gauss(x) for x in v.gvec()) + ")"
+    return "(" + ", ".join(format_vec(v)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +568,7 @@ def _sixths(rng: Random, n: int) -> List[int]:
                                       for _ in range(n))]
 
 
-def random_param(L: LGroup, rng: Random, denominator: int = 4) -> LParam:
+def random_param(L: LGroup, rng: Random) -> LParam:
     """Seeded valid parameter: pick a twisted involution, then solve for lambda.
 
     Integrality and the parity congruence combine into one congruence for the
@@ -589,7 +581,7 @@ def random_param(L: LGroup, rng: Random, denominator: int = 4) -> LParam:
     for _ in range(400):
         w = rng.choice(words)
         inv = _involution(L, w)
-        den = rng.choice([1, 2, 2, denominator])
+        den = rng.choice([1, 2, 2, 4])
         mu = TorusPart.scaled([rng.randrange(-2 * den, 2 * den + 1) for _ in range(n)], den)
         # t0 = 2(mu + theta(mu)) + (rho_check - w rho_check) must be integral
         two_mu_plus = [2 * sum(map(mul, row, mu.num)) for row in inv.one_plus]
@@ -625,7 +617,7 @@ def param_to_dict(p: LParam) -> dict:
     return {
         "group": g.label,
         "inner_class": inner,
-        "lambda": [format_gauss(z) for z in p.lam],
+        "lambda": format_vec(p.lam_s),
         "mu": [str(x) for x in p.mu.entries],
         "w": list(p.w.word),
     }

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
 from functools import cache
 from typing import Tuple
 
@@ -246,28 +245,6 @@ def dual_datum(d: RootDatum) -> RootDatum:
 # roots, closures, rho-check
 
 @cache
-def xstar_reflections(d: RootDatum):
-    """Matrices of the simple reflections on X^*."""
-    out = []
-    for a, av in zip(d.simple_roots, d.simple_coroots):
-        out.append(tuple(
-            tuple((1 if r == c else 0) - a[r] * av[c] for c in range(d.rank))
-            for r in range(d.rank)))
-    return tuple(out)
-
-
-@cache
-def xcostar_reflections(d: RootDatum):
-    """Matrices of the simple reflections on X_*."""
-    out = []
-    for a, av in zip(d.simple_roots, d.simple_coroots):
-        out.append(tuple(
-            tuple((1 if r == c else 0) - av[r] * a[c] for c in range(d.rank))
-            for r in range(d.rank)))
-    return tuple(out)
-
-
-@cache
 def positive_root_table(d: RootDatum, coroots: bool = False):
     """((height, vector, coefficients), ...) of the positive (co)roots, by height then vector.
 
@@ -318,21 +295,6 @@ def all_coroots(d: RootDatum):
 def two_rho_check(d: RootDatum) -> IntVec:
     """The sum of the positive coroots, 2 rho_check, as integers."""
     return tuple(sum(v[k] for v in positive_coroots(d)) for k in range(d.rank))
-
-
-@cache
-def rho_check(d: RootDatum):
-    """Half the sum of the positive coroots."""
-    return tuple(Q(x, 2) for x in two_rho_check(d))
-
-
-@cache
-def _positive_root_set(d: RootDatum) -> frozenset:
-    return frozenset(positive_roots(d))
-
-
-def is_positive_root(d: RootDatum, v) -> bool:
-    return tuple(v) in _positive_root_set(d)
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,8 @@ from .errors import (
     InvariantViolated,
     NotInvolution,
     PreconditionViolated,
-    json_array,
 )
-from .gaussian import parse_rational, read_rational
+from .gaussian import read_rational
 from .intlinalg import ident, mat_mul, one_minus, solve_congruence_scaled
 from .rootdata import (BasedAut, RootDatum, cartan_matrix, coaction, identity_aut,
                        positive_coroots, positive_roots, two_rho_check)
@@ -48,7 +47,6 @@ from .weyl import (
     longest_element,
     simple_reflection,
     weyl_enumerate,
-    weyl_from_word,
     weyl_identity,
     weyl_inv,
     weyl_mul,
@@ -203,13 +201,6 @@ def _inversions(u: WeylElem):
             inv |= 1 << j
             par = [p | (x & 1) << j for p, x in zip(par, ub)]
     return inv, tuple(par)
-
-
-def _sigma_cocycle(u: WeylElem, v: WeylElem):
-    """(c, uv) with sigma_u sigma_v = exp(2*pi*i*c) sigma_{uv}: 2c is the sum of u(beta-check),
-    beta in N(u) & N(v^-1), up to sign (the letters of v where sigma_a^2 pops out)."""
-    nv = _inversions(weyl_inv(v))[0]
-    return TorusPart.scaled([(m & nv).bit_count() for m in _inversions(u)[1]], 2), weyl_mul(u, v)
 
 
 def tits_mul(g1: ExtTitsElem, g2: ExtTitsElem) -> ExtTitsElem:
@@ -409,24 +400,3 @@ def elem_to_dict(g: ExtTitsElem) -> dict:
         "w": list(g.w.word),
         "eps": g.eps,
     }
-
-
-def elem_from_dict(ctx: TitsContext, data: dict) -> ExtTitsElem:
-    """Read back elem_to_dict output; types are checked, never coerced.
-
-    mu is an array of strings or integers, w an array of integers and eps
-    an integer; a bool, a float or a bare string is refused.
-    """
-    try:
-        mu = torus_part([parse_rational(x) for x in json_array(data["mu"], (str, int))])
-        word = json_array(data["w"], int)
-        eps = data["eps"]
-        if isinstance(eps, bool) or not isinstance(eps, int):
-            raise TypeError(f"eps is not an integer: {eps!r}")
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad Tits element data: {data!r}") from exc
-    if eps not in (0, 1):
-        raise InputError("eps must be 0 or 1")
-    if len(mu.num) != ctx.datum.rank:
-        raise InputError("mu has the wrong length")
-    return ExtTitsElem(ctx, mu, weyl_from_word(ctx.datum, word), eps)

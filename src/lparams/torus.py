@@ -23,10 +23,10 @@ from fractions import Fraction as Q
 from math import lcm
 from operator import mul
 from random import Random
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .errors import ContextMismatch, InputError, InvalidParam, NotInvolution, json_array
-from .gaussian import GVec, ScaledVec, format_gauss, parse_gauss, parse_rational, read_rational
+from .errors import ContextMismatch, InputError, InvalidParam, NotInvolution
+from .gaussian import GVec, ScaledVec, read_rational
 from .intlinalg import (
     ident,
     in_span_z,
@@ -39,32 +39,6 @@ from .intlinalg import (
 from .tits import TorusPart, torus_part
 
 Matrix = Tuple[Tuple[int, ...], ...]
-
-
-def _int_matrix(rows, n: Optional[int] = None) -> Matrix:
-    m = tuple(tuple(row) for row in rows)
-    if any(type(x) is not int for row in m for x in row):
-        raise InputError("matrix entries must be integers")
-    if n is not None and (len(m) != n or any(len(r) != n for r in m)):
-        raise InputError(f"expected a {n}x{n} matrix")
-    return m
-
-
-@dataclass(frozen=True)
-class RealTorusInvolution:
-    """Involution on the character lattice X^* of a real torus."""
-
-    theta: Matrix
-
-
-def real_torus_involution(rows) -> RealTorusInvolution:
-    theta = _int_matrix(rows)
-    n = len(theta)
-    if any(len(r) != n for r in theta):
-        raise InputError("theta must be square")
-    if mat_mul(theta, theta) != ident(n):
-        raise NotInvolution("theta does not square to the identity")
-    return RealTorusInvolution(theta)
 
 
 @dataclass(frozen=True)
@@ -80,7 +54,9 @@ class TorusEGroup:
 
 
 def torus_egroup(theta_check, gamma) -> TorusEGroup:
-    tc = _int_matrix(theta_check)
+    tc = tuple(tuple(row) for row in theta_check)
+    if any(type(x) is not int for row in tc for x in row):
+        raise InputError("matrix entries must be integers")
     n = len(tc)
     if any(len(r) != n for r in tc):
         raise InputError("theta_check must be square")
@@ -94,14 +70,6 @@ def torus_egroup(theta_check, gamma) -> TorusEGroup:
     return TorusEGroup(tc, g)
 
 
-def char_side_involution(eg: TorusEGroup) -> RealTorusInvolution:
-    return RealTorusInvolution(mat_neg(eg.theta_check))
-
-
-def _reals(v: ScaledVec) -> Tuple[Q, ...]:
-    return tuple(Q(x, v.den) for x in v.re)
-
-
 def _in_coset(kappa: ScaledVec, gamma: Tuple[Q, ...]) -> bool:
     """kappa in gamma + Z^n."""
     den = kappa.den
@@ -113,11 +81,12 @@ def _in_coset(kappa: ScaledVec, gamma: Tuple[Q, ...]) -> bool:
 class TorusCharData:
     """(lambda, kappa) data of a genuine character of the gamma-cover.
 
-    lambda and kappa are held as ScaledVecs (kappa is real); `lam` and
-    `kappa` are their GaussQ and Fraction views.
+    theta is the involution on the character lattice X^*; lambda and kappa
+    are held as ScaledVecs (kappa is real); `lam` and `kappa` are their GaussQ
+    and Fraction views.
     """
 
-    inv: RealTorusInvolution
+    theta: Matrix
     lam_s: ScaledVec
     kappa_s: ScaledVec
     gamma: Tuple[Q, ...]
@@ -128,26 +97,26 @@ class TorusCharData:
 
     @property
     def kappa(self) -> Tuple[Q, ...]:
-        return _reals(self.kappa_s)
+        return tuple(Q(x, self.kappa_s.den) for x in self.kappa_s.re)
 
 
-def torus_char_data(inv: RealTorusInvolution, lam, kappa, gamma) -> TorusCharData:
+def torus_char_data(theta: Matrix, lam, kappa, gamma) -> TorusCharData:
     lam = ScaledVec.of(lam)
     kappa = ScaledVec.of(kappa)
     gamma = tuple(map(read_rational, gamma))
-    n = len(inv.theta)
+    n = len(theta)
     if not (len(lam.re) == len(kappa.re) == len(gamma) == n):
         raise InputError("vector lengths do not match the involution")
     if any(kappa.im):
         raise InputError("kappa must be real")
     # (1+theta)lambda = (1+theta)kappa, compared across the two denominators
-    one_plus = one_minus(mat_neg(inv.theta))
+    one_plus = one_minus(mat_neg(theta))
     lam_plus, kap_plus = lam.apply(one_plus), kappa.apply(one_plus)
     if lam_plus != kap_plus:
         raise InvalidParam("(1+theta)lambda != (1+theta)kappa")
     if not _in_coset(kappa, gamma):
         raise InvalidParam("kappa is not in gamma + Z^n")
-    return TorusCharData(inv, lam, kappa, gamma)
+    return TorusCharData(theta, lam, kappa, gamma)
 
 
 @dataclass(frozen=True)
@@ -178,11 +147,6 @@ def _kappa(eg: TorusEGroup, lam: ScaledVec, mu: TorusPart) -> ScaledVec:
     return ScaledVec([x * a - y * b for x, y in zip(dif.re, mu_plus)], (0,) * len(mu_plus), den)
 
 
-def param_kappa(eg: TorusEGroup, lam, mu: TorusPart) -> Tuple[Q, ...]:
-    """kappa = (1/2)(1-theta-check)lambda - (1+theta-check)mu, which must be rational."""
-    return _reals(_kappa(eg, ScaledVec.of(lam), mu))
-
-
 def torus_param(eg: TorusEGroup, lam, mu) -> TorusParam:
     lam = ScaledVec.of(lam)
     if not isinstance(mu, TorusPart):
@@ -199,11 +163,11 @@ def torus_param(eg: TorusEGroup, lam, mu) -> TorusParam:
 
 def param_to_char(p: TorusParam) -> TorusCharData:
     kappa = _kappa(p.egroup, p.lam_s, p.mu)
-    return torus_char_data(char_side_involution(p.egroup), p.lam_s, kappa, p.egroup.gamma)
+    return torus_char_data(mat_neg(p.egroup.theta_check), p.lam_s, kappa, p.egroup.gamma)
 
 
 def char_equal(c1: TorusCharData, c2: TorusCharData) -> bool:
-    if c1.inv != c2.inv or c1.gamma != c2.gamma:
+    if c1.theta != c2.theta or c1.gamma != c2.gamma:
         raise ContextMismatch("characters live on different covers")
     if c1.lam_s != c2.lam_s:
         return False
@@ -213,7 +177,7 @@ def char_equal(c1: TorusCharData, c2: TorusCharData) -> bool:
     diff = [x * a - y * b for x, y in zip(k1.re, k2.re)]
     if any(x % den for x in diff):
         return False
-    return in_span_z([x // den for x in diff], transpose(one_minus(c1.inv.theta)))
+    return in_span_z([x // den for x in diff], transpose(one_minus(c1.theta)))
 
 
 def torus_contragredient(p: TorusParam) -> TorusParam:
@@ -271,32 +235,3 @@ def random_torus_param(eg: TorusEGroup, rng: Random) -> TorusParam:
         mu2 = mu + TorusPart.scaled([sum(map(mul, row, nu)) for row in lattice], 4)
         return torus_param(eg, p.lam_s, mu2)
     raise InputError("could not sample a valid parameter for this E-group")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def torus_param_to_dict(p: TorusParam) -> dict:
-    return {
-        "theta_check": [list(r) for r in p.egroup.theta_check],
-        "gamma": [str(x) for x in p.egroup.gamma],
-        "lambda": [format_gauss(z) for z in p.lam],
-        "mu": [str(x) for x in p.mu.entries],
-    }
-
-
-def torus_param_from_dict(data: dict) -> TorusParam:
-    """Read back torus_param_to_dict output; types are checked, never coerced.
-
-    theta_check is an array of integer arrays; gamma, lambda and mu are
-    arrays of strings or integers. A bool, a float or a bare string is refused.
-    """
-    try:
-        theta_check = [json_array(row, int) for row in json_array(data["theta_check"], list)]
-        gamma = [parse_rational(x) for x in json_array(data["gamma"], (str, int))]
-        eg = torus_egroup(theta_check, gamma)
-        lam = [parse_gauss(str(z)) for z in json_array(data["lambda"], (str, int))]
-        mu = torus_part([parse_rational(x) for x in json_array(data["mu"], (str, int))])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad torus parameter data: {data!r}") from exc
-    return torus_param(eg, lam, mu)

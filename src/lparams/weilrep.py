@@ -30,7 +30,8 @@ from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, InputError
-from .gaussian import GaussQ, ScaledVec, format_gauss, parse_gauss, parse_integer, read_gauss
+from .gaussian import (GaussQ, ScaledVec, format_gauss, format_vec, parse_gauss, parse_integer,
+                       read_gauss)
 from .intlinalg import ident
 from .lgroup import LGroup, lgroup_split
 from .lparam import LParam, make_param
@@ -236,16 +237,20 @@ def lparam_to_weilrep(p: LParam) -> WeilRep:
 # ---------------------------------------------------------------------------
 # literals
 
+def _term(k: int, t: str, eps: int) -> str:
+    """One literal term: chi(t,eps) for k = 0, else I(k,t)."""
+    return f"I({k},{t})" if k else f"chi({t},{eps})"
+
+
 def format_irr(s: WeilIrr) -> str:
-    if s.kind == "chi":
-        return f"chi({format_gauss(s.t)},{s.eps})"
-    return f"I({s.k},{format_gauss(s.t)})"
+    return _term(s.k, format_gauss(s.t), s.eps)
 
 
 def format_rep(r: WeilRep) -> str:
-    if not r.summands:
+    """The literal of r, written from its blocks and the exponent numerators."""
+    if not r.blocks:
         return "0"
-    return "+".join(format_irr(s) for s in r.summands)
+    return "+".join(_term(k, t, eps) for (k, eps), t in zip(r.blocks, format_vec(r.t)))
 
 
 def _split_top(text: str, sep: str) -> List[str]:

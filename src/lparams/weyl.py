@@ -58,10 +58,6 @@ class WeylElem:
         return _matrix(self, False)
 
 
-def length(u: WeylElem) -> int:
-    return len(u.word)
-
-
 @cache
 def _matrix(u: WeylElem, on_cochars: bool):
     """u on X_* (on_cochars) or X^*: s_i M for M the matrix of s_i u, i u's first letter.
@@ -145,6 +141,9 @@ def weyl_identity(d: RootDatum) -> WeylElem:
 
 
 def _index(d: RootDatum, i: int) -> int:
+    """A simple index: a plain int (not a bool, a float or a string) in 1..nsimple."""
+    if type(i) is not int:
+        raise InputError(f"simple index must be an integer, got {i!r}")
     if not 1 <= i <= d.nsimple:
         raise InputError(f"simple index {i} out of range 1..{d.nsimple}")
     return i
@@ -155,7 +154,7 @@ def simple_reflection(d: RootDatum, i: int) -> WeylElem:
 
 
 def weyl_from_word(d: RootDatum, word) -> WeylElem:
-    return _replay(d, [_index(d, int(i)) for i in word], (1,) * d.nsimple)
+    return _replay(d, [_index(d, i) for i in word], (1,) * d.nsimple)
 
 
 def weyl_mul(u: WeylElem, v: WeylElem) -> WeylElem:
@@ -171,9 +170,9 @@ def weyl_inv(u: WeylElem) -> WeylElem:
 
 def weyl_act(u: WeylElem, x, side: str = "X_*"):
     """Apply u to a vector of X_* (default) or X^*; entries may be complex."""
-    if side in ("X_*", "cochar"):
+    if side == "X_*":
         return mat_vec(u.matrix, x)
-    if side in ("X^*", "char"):
+    if side == "X^*":
         return mat_vec(u.xstar, x)
     raise InputError(f"unknown side {side!r}")
 

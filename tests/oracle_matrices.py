@@ -1,0 +1,26 @@
+"""Simple reflections as integer matrices, built straight from the simple roots
+and coroots: s_i(x) = x - <x, alpha-check_i> alpha_i on X^* and
+s_i(y) = y - <alpha_i, y> alpha-check_i on X_*.
+
+The library never forms these matrices (it moves pairing keys through the
+Cartan matrix), so the oracle tests multiply them out as an independent
+route. Not a test module: pytest does not collect it.
+"""
+
+from functools import cache
+
+
+@cache
+def xstar_reflections(d):
+    """Matrices of the simple reflections on X^*."""
+    return tuple(tuple(tuple((r == c) - a[r] * av[c] for c in range(d.rank))
+                       for r in range(d.rank))
+                 for a, av in zip(d.simple_roots, d.simple_coroots))
+
+
+@cache
+def xcostar_reflections(d):
+    """Matrices of the simple reflections on X_*."""
+    return tuple(tuple(tuple((r == c) - av[r] * a[c] for c in range(d.rank))
+                       for r in range(d.rank))
+                 for a, av in zip(d.simple_roots, d.simple_coroots))

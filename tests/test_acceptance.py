@@ -160,7 +160,7 @@ def test_criterion_3_torus_duality(capfd):
             p = random_torus_param(eg, rng)
             c = param_to_char(p)
             cc = param_to_char(torus_contragredient(p))
-            neg = torus_char_data(c.inv, tuple(-x for x in c.lam),
+            neg = torus_char_data(c.theta, tuple(-x for x in c.lam),
                                   tuple(-k for k in c.kappa), c.gamma)
             if not char_equal(cc, neg):
                 failures.append(name)

@@ -18,8 +18,8 @@ from lparams.errors import (
     ValidityIntegrality,
 )
 from lparams import lparam
-from lparams.gaussian import GaussQ
-from lparams.intlinalg import ident, mat_mul, mat_vec, vadd, vdot, vscale, vsub
+from lparams.gaussian import GaussQ, ScaledVec
+from lparams.intlinalg import ident, mat_mul, mat_vec, vadd, vdot, vsub
 from lparams.lgroup import (build_lgroup, lgroup_compact, lgroup_split, parse_inner_class,
                             standard_levis)
 from lparams.lparam import (
@@ -27,7 +27,7 @@ from lparams.lparam import (
     central_chars_agree,
     conjugate_param,
     contragredient_param,
-    dominant_rep,
+    _dominance_descent,
     inf_char,
     is_discrete_series,
     levi_of,
@@ -44,11 +44,11 @@ from lparams.lparam import (
     validity_rows,
     verify_contragredient,
 )
-from lparams.rootdata import all_coroots, based_aut, build_datum, coaction, rho_check
+from lparams.rootdata import all_coroots, based_aut, build_datum, coaction, two_rho_check
 from lparams.tits import TorusPart, torus_part
 from lparams.torus import param_to_char, torus_contragredient
 from lparams.weyl import (apply_aut_to_weyl, longest_element, weyl_act, weyl_enumerate,
-                          weyl_from_word, weyl_identity, weyl_mul)
+                          weyl_identity, weyl_mul)
 
 
 SL2 = lgroup_split(build_datum("A1 sc"))
@@ -161,7 +161,9 @@ def test_equivalence_examples():
 
 def test_dominant_rep_and_inf_char():
     d = A2S.dual_datum
-    assert dominant_rep(d, (GaussQ(-1), GaussQ(-2))) == dominant_rep(d, (GaussQ(2), GaussQ(1)))
+    def dominant(v):
+        return _dominance_descent(d, ScaledVec.of(v))[0]
+    assert dominant((GaussQ(-1), GaussQ(-2))) == dominant((GaussQ(2), GaussQ(1)))
     p = make_param(SL2, (-1,), (0,), [1])
     assert inf_char(p) == (GaussQ(1),)
 
@@ -334,8 +336,8 @@ def _oracle_validity(L, lam, mu, w):
     rows.append(("integrality", int_ok))
     if not int_ok:
         return rows
-    rc = rho_check(d)
-    lhs = vadd(vscale(Q(2), vadd(mu, mat_vec(theta, mu))), vsub(rc, weyl_act(w, rc)))
+    rc = tuple(Q(x, 2) for x in two_rho_check(d))
+    lhs = vadd(tuple(2 * x for x in vadd(mu, mat_vec(theta, mu))), vsub(rc, weyl_act(w, rc)))
     gap = vsub(lhs, tuple(v.re for v in dif))
     rows.append(("parity", all((x / 2).denominator == 1 for x in gap)))
     return rows
@@ -352,7 +354,7 @@ def _oracle_central_char(p):
     rho_i = (Q(0),) * n
     for r in imag:
         if vdot(tuple(Q(t) ** k for k in range(n)), r) > 0:
-            rho_i = vadd(rho_i, vscale(Q(1, 2), r))
+            rho_i = vadd(rho_i, tuple(Q(x, 2) for x in r))
     dif = tuple(a - b for a, b in zip(p.lam, mat_vec(p.theta, p.lam)))
     mu = p.mu.entries
     return vadd(vsub(tuple((x * Q(1, 2)).re for x in dif), vadd(mu, mat_vec(p.theta, mu))), rho_i)

@@ -1,10 +1,11 @@
 """The W-free theorem pipeline against brute-force scans of the whole Weyl group.
 
-`twisted_involutions`, `dominant_rep` and `params_equivalent` no longer scan
-W: the first walks the twisted-involution graph, the second descends by
-simple pairings updated through the Cartan matrix, and the third only tries
-the stabilizer of the dominant point. The scans they replaced are kept here,
-verbatim in substance, as test-only oracles.
+`twisted_involutions`, the dominance descent `_dominance_descent` and
+`params_equivalent` no longer scan W: the first walks the twisted-involution
+graph, the second descends by simple pairings updated through the Cartan
+matrix, and the third only tries the stabilizer of the dominant point. The
+scans they replaced are kept here, verbatim in substance, as test-only
+oracles.
 """
 
 from fractions import Fraction as Q
@@ -13,13 +14,13 @@ from random import Random
 
 import pytest
 
-from lparams.gaussian import GaussQ, read_gauss
+from lparams.gaussian import GaussQ, ScaledVec, read_gauss
 from lparams.intlinalg import mat_vec, solve_congruence_scaled
 from lparams.lgroup import parse_inner_class
 from lparams.lparam import (
+    _dominance_descent,
     conjugate_param,
     contragredient_param,
-    dominant_rep,
     make_param,
     params_equivalent,
     random_param,
@@ -27,7 +28,7 @@ from lparams.lparam import (
     twisted_involutions,
     validity_rows,
 )
-from lparams.rootdata import all_roots, build_datum, xcostar_reflections
+from lparams.rootdata import all_roots, build_datum
 from lparams.tits import torus_part
 from lparams.weyl import (
     apply_aut_to_weyl,
@@ -37,6 +38,7 @@ from lparams.weyl import (
     weyl_mul,
     weyl_order,
 )
+from oracle_matrices import xcostar_reflections
 
 D4_SWAP = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
@@ -89,6 +91,11 @@ def scan_dominant_rep(d, vec):
     raise RuntimeError("ascent did not terminate")
 
 
+def dominant(d, vec):
+    """The dominant point of vec's W-orbit, by the library's dominance descent."""
+    return _dominance_descent(d, ScaledVec.of(vec))[0]
+
+
 def scan_params_equivalent(p, q):
     n = p.L.dual_datum.rank
     one_minus = tuple(tuple((1 if r == c else 0) - q.theta[r][c] for c in range(n))
@@ -123,16 +130,16 @@ def test_dominant_rep_matches_scan(group, inner):
     for _ in range(4):
         lam = random_param(L, rng).lam
         for vec in (lam, tuple(-x for x in lam)):
-            want = scan_dominant_rep(d, vec)
-            assert dominant_rep(d, vec) == want
-            assert dominant_rep(d, want) == want
+            want = ScaledVec.of(scan_dominant_rep(d, vec))
+            assert dominant(d, vec) == want
+            assert dominant(d, want) == want
 
 
 def test_dominant_rep_singular_and_complex():
     d = build_datum("B3 sc")
     for vec in [(0, 0, 0), (1, 1, 0), (GaussQ(0, -1), 0, GaussQ(0, 1)),
                 (GaussQ(1, 2), GaussQ(1, -2), GaussQ("1/3", 0))]:
-        assert dominant_rep(d, vec) == scan_dominant_rep(d, vec)
+        assert dominant(d, vec) == ScaledVec.of(scan_dominant_rep(d, vec))
 
 
 def test_parabolic_subgroup_orders():

@@ -1,7 +1,7 @@
 """The parity cocycle, the closed-form inverse and Chevalley involution, and
 the integer torus-part arithmetic.
 
-`_sigma_cocycle` reads the cocycle off cached inversion-set parity masks, and
+`tits_mul` reads the cocycle off cached inversion-set parity masks, and
 `tits_inverse` and `chevalley` are closed forms from Tits' lemma. Kept here as
 test-only oracles: the letter-by-letter reduction over Fractions, the cached
 exchange-step walk with the product built on it, the inverse and the
@@ -17,17 +17,17 @@ from random import Random
 
 import pytest
 
-from lparams.intlinalg import mat_vec, saturation_projection, vadd, vscale
+from lparams.intlinalg import mat_vec, saturation_projection, vadd
 from lparams.lgroup import lgroup_tits_context, parse_inner_class
 from lparams.rootdata import build_datum, coaction
 from lparams.tits import (
     ExtTitsElem,
     TorusPart,
-    _sigma_cocycle,
     act_on_torus_part,
     chevalley,
     delta_elem,
     sigma,
+    tits_context,
     tits_inverse,
     tits_mul,
     torus_elem,
@@ -68,11 +68,17 @@ def _oracle_cocycle(u, v):
     for a in v.word:
         if descent(acc, a):
             y = weyl_mul(acc, simple_reflection(d, a))
-            c = vadd(c, weyl_act(y, vscale(Q(1, 2), d.simple_coroots[a - 1])))
+            c = vadd(c, weyl_act(y, tuple(Q(x, 2) for x in d.simple_coroots[a - 1])))
             acc = y
         else:
             acc = weyl_mul(acc, simple_reflection(d, a))
     return TorusPart(c), acc
+
+
+def _cocycle(ctx, u, v):
+    """(c, uv) read off the product sigma_u sigma_v = exp(2*pi*i*c) sigma_{uv}."""
+    g = tits_mul(sigma(ctx, u), sigma(ctx, v))
+    return g.t, g.w
 
 
 def _oracle_mod_one(x):
@@ -87,19 +93,21 @@ def _same(got, want):
 
 @pytest.mark.parametrize("group", ["A3 sc", "B3 sc", "G2 sc", "GL(3)", "A1 sc x A1 sc"])
 def test_cocycle_matches_oracle_on_every_pair(group):
-    elems = weyl_enumerate(build_datum(group))
+    ctx = tits_context(build_datum(group))
+    elems = weyl_enumerate(ctx.datum)
     for u in elems:
         for v in elems:
-            _same(_sigma_cocycle(u, v), _oracle_cocycle(u, v))
+            _same(_cocycle(ctx, u, v), _oracle_cocycle(u, v))
 
 
 @pytest.mark.parametrize("group", ["F4 sc", "B4 sc", "D4 sc", "GL(5)"])
 def test_cocycle_matches_oracle_on_seeded_pairs(group):
-    elems = weyl_enumerate(build_datum(group))
+    ctx = tits_context(build_datum(group))
+    elems = weyl_enumerate(ctx.datum)
     rng = Random(f"cocycle:{group}")
     for _ in range(2000):
         u, v = rng.choice(elems), rng.choice(elems)
-        _same(_sigma_cocycle(u, v), _oracle_cocycle(u, v))
+        _same(_cocycle(ctx, u, v), _oracle_cocycle(u, v))
 
 
 def test_torus_part_normalisation_matches_oracle():

@@ -10,17 +10,12 @@ from lparams.gaussian import parse_gauss, read_gauss
 from lparams.tits import torus_part
 from lparams.torus import (
     char_equal,
-    char_side_involution,
-    param_kappa,
     param_to_char,
     random_torus_param,
-    real_torus_involution,
     torus_char_data,
     torus_contragredient,
     torus_egroup,
     torus_param,
-    torus_param_from_dict,
-    torus_param_to_dict,
     torus_params_equivalent,
 )
 
@@ -47,8 +42,6 @@ def test_egroup_validation():
 ])
 def test_integer_matrices_are_not_coerced(rows):
     with pytest.raises(InputError, match="matrix entries must be integers"):
-        real_torus_involution(rows)
-    with pytest.raises(InputError, match="matrix entries must be integers"):
         torus_egroup(rows, (0,) * len(rows))
 
 
@@ -60,7 +53,7 @@ def test_library_entries_are_read_strictly(bad):
     with pytest.raises(InputError):
         torus_egroup(SPLIT, [bad])
     with pytest.raises(InputError):
-        torus_char_data(real_torus_involution(SPLIT), [0], [0], [bad])
+        torus_char_data(SPLIT, [0], [0], [bad])
     with pytest.raises(InputError):
         torus_param(torus_egroup(SPLIT, [0]), [bad], [0])
     with pytest.raises(InputError):
@@ -75,25 +68,25 @@ def test_library_entries_keep_ints_fractions_and_numerals():
 
 def test_char_side_involution_is_minus_theta_check():
     eg = torus_egroup(MIXED, (0, 0))
-    assert char_side_involution(eg).theta == ((1, 0), (0, -1))
+    assert param_to_char(torus_param(eg, (0, 0), (0, 0))).theta == ((1, 0), (0, -1))
 
 
 def test_kappa_circle_weight():
     # S^1 dual side: theta-check = -1, lambda = 3, mu = 0 -> kappa = 3
     eg = torus_egroup(CIRCLE, (0,))
-    assert param_kappa(eg, tuple(map(read_gauss, (3,))), torus_part((0,))) == (Q(3),)
+    assert param_to_char(torus_param(eg, tuple(map(read_gauss, (3,))), torus_part((0,)))).kappa \
+        == (Q(3),)
 
 
 def test_kappa_split_sign():
     # R^x: theta-check = +1, lambda free, kappa = -2mu mod the identification
     eg = torus_egroup(SPLIT, (0,))
     p = torus_param(eg, (parse_gauss("1/2+3/4i"),), (Q(1, 2),))
-    kappa = param_kappa(eg, p.lam, p.mu)
-    assert kappa == (Q(-1),)
+    assert param_to_char(p).kappa == (Q(-1),)
     # kappa = -1 and kappa = 1 name the same character: (1-theta)=0 but the
     # kappa ambiguity for split coordinates is 2Z via (1+theta)mu mod 2Z
     c1 = param_to_char(p)
-    c2 = torus_char_data(c1.inv, c1.lam, (Q(1),), c1.gamma)
+    c2 = torus_char_data(c1.theta, c1.lam, (Q(1),), c1.gamma)
     assert char_equal(c1, c2)
 
 
@@ -117,7 +110,7 @@ def test_cplx_factor_pairs_conjugates():
     eg = torus_egroup(CPLX, (0, 0))
     p = torus_param(eg, (parse_gauss("1/2+3/4i"), parse_gauss("-1/2+3/4i")),
                     (Q(1, 4), Q(1, 4)))
-    assert param_kappa(eg, p.lam, p.mu) == (Q(0), Q(-1))
+    assert param_to_char(p).kappa == (Q(0), Q(-1))
     with pytest.raises(InvalidParam):
         torus_param(eg, (Q(1, 2), Q(1, 4)), (0, 0))
 
@@ -142,7 +135,7 @@ def test_contragredient_negates_char_data():
             c = param_to_char(p)
             cc = param_to_char(torus_contragredient(p))
             neg = torus_char_data(
-                c.inv, tuple(-x for x in c.lam), tuple(-k for k in c.kappa), c.gamma)
+                c.theta, tuple(-x for x in c.lam), tuple(-k for k in c.kappa), c.gamma)
             assert char_equal(cc, neg)
 
 
@@ -163,30 +156,3 @@ def test_equivalence_requires_same_egroup():
     q = random_torus_param(torus_egroup(SPLIT, (0,)), Random(1))
     with pytest.raises(ContextMismatch):
         torus_params_equivalent(p, q)
-
-
-def test_dict_round_trip():
-    rng = Random(77)
-    eg = torus_egroup(CPLX, (Q(1, 2), Q(1, 2)))
-    for _ in range(20):
-        p = random_torus_param(eg, rng)
-        q = torus_param_from_dict(torus_param_to_dict(p))
-        assert q.egroup == p.egroup and q.lam == p.lam and q.mu == p.mu
-
-
-@pytest.mark.parametrize("field,value", [
-    ("theta_check", "[[1]]"), ("theta_check", [[True]]), ("theta_check", [[1.0]]),
-    ("gamma", "0"), ("gamma", [0.0]),
-    ("lambda", "0"), ("lambda", [True]),
-    ("mu", "0"), ("mu", [True]), ("mu", [0.5]),
-    # numerals outside the one grammar
-    ("gamma", ["0.0"]), ("gamma", ["1_0/2"]), ("gamma", ["\u0660"]),
-    ("mu", ["0.5"]), ("mu", ["5e-1"]), ("mu", ["\u0663/\u0664"]), ("mu", ["1/0"]),
-])
-def test_dict_refuses_coercion(field, value):
-    data = {"theta_check": [[1]], "gamma": ["0"], "lambda": ["1"], "mu": ["1/2"]}
-    torus_param_from_dict(data)
-    data[field] = value
-    with pytest.raises(InputError, match="bad torus parameter data"):
-        torus_param_from_dict(data)
-

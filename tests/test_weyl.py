@@ -6,11 +6,12 @@ from random import Random
 import pytest
 
 from lparams.errors import InputError
+from lparams.lgroup import lgroup_split
+from lparams.lparam import make_param
 from lparams.rootdata import build_datum, positive_roots
 from lparams.weyl import (
     apply_aut_to_weyl,
     descent,
-    length,
     longest_element,
     neg_w0_aut,
     simple_reflection,
@@ -36,6 +37,19 @@ def test_a2_products_and_canonical_words():
     assert weyl_from_word(d, [1, 1]) == weyl_identity(d)
 
 
+# a letter is a plain int: a float, a bool or a numeral string is refused, never coerced
+@pytest.mark.parametrize("make", [
+    lambda: weyl_from_word(build_datum("A2 sc"), [1.9]),
+    lambda: weyl_from_word(build_datum("A2 sc"), [True]),
+    lambda: weyl_from_word(build_datum("A2 sc"), ["2"]),
+    lambda: simple_reflection(build_datum("A2 sc"), True),
+    lambda: make_param(lgroup_split(build_datum("A1 sc")), ["1"], ["0"], [1.0]),
+], ids=["word-float", "word-bool", "word-string", "reflection-bool", "make-param-float"])
+def test_letters_are_not_coerced(make):
+    with pytest.raises(InputError, match="simple index must be an integer"):
+        make()
+
+
 def test_b2_rotation_order_four():
     d = build_datum("B2 sc")
     r = weyl_from_word(d, [1, 2])
@@ -53,9 +67,9 @@ def test_b2_rotation_order_four():
 def test_longest_elements():
     assert longest_element(build_datum("A1 sc")).word == (1,)
     assert longest_element(build_datum("A2 sc")).word == (1, 2, 1)
-    assert length(longest_element(build_datum("B2 sc"))) == 4
-    assert length(longest_element(build_datum("G2 sc"))) == 6
-    assert length(longest_element(build_datum("A3 sc"))) == 6
+    assert len(longest_element(build_datum("B2 sc")).word) == 4
+    assert len(longest_element(build_datum("G2 sc")).word) == 6
+    assert len(longest_element(build_datum("A3 sc")).word) == 6
     # w0 sends every positive root to a negative one
     d = build_datum("B2 sc")
     w0 = longest_element(d)
@@ -70,7 +84,7 @@ def test_length_matches_word_and_inversions():
         inv = sum(
             1 for a in positive_roots(d)
             if tuple(-x for x in weyl_act(u, a, side="X^*")) in positive_roots(d))
-        assert inv == length(u)
+        assert inv == len(u.word)
         assert weyl_from_word(d, u.word) == u
 
 
@@ -98,12 +112,13 @@ def test_weyl_act_sides():
     s = simple_reflection(d, 1)
     # on X^*: s(alpha) = -alpha with alpha = (2)
     assert weyl_act(s, (Q(3),), side="X^*") == (Q(-3),)
-    assert weyl_act(s, (Q(3),), side="char") == (Q(-3),)
     # on X_* the matrix is the same in rank one
     assert weyl_act(s, (Q(5),)) == (Q(-5),)
-    assert weyl_act(s, (Q(5),), side="cochar") == (Q(-5),)
-    with pytest.raises(InputError):
-        weyl_act(s, (Q(1),), side="left")
+    assert weyl_act(s, (Q(5),), side="X_*") == (Q(-5),)
+    # exactly the two lattice names: the old aliases are refused
+    for side in ("left", "char", "cochar"):
+        with pytest.raises(InputError):
+            weyl_act(s, (Q(1),), side=side)
 
 
 def test_act_respects_pairing():
@@ -129,7 +144,7 @@ def test_inverse_and_mul_consistency():
         v = rng.choice(elems)
         assert weyl_mul(u, weyl_inv(u)) == weyl_identity(d)
         assert weyl_inv(weyl_mul(u, v)) == weyl_mul(weyl_inv(v), weyl_inv(u))
-        assert length(weyl_inv(u)) == length(u)
+        assert len(weyl_inv(u).word) == len(u.word)
 
 
 def test_apply_aut_to_weyl():
