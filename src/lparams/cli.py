@@ -26,13 +26,13 @@ from .errors import (
     NotInvolution,
     json_matrix,
 )
-from .gaussian import format_gauss, format_vec
+from .gaussian import format_vec
 from .lgroup import LGroup, parse_inner_class
 from .lparam import (
     LParam,
+    _inf_char,
     central_char,
     contragredient_param,
-    inf_char,
     is_discrete_series,
     levi_of,
     param_from_dict,
@@ -47,11 +47,11 @@ from .lparam import (
 from .rootdata import based_aut, build_datum, identity_aut
 from .tits import run_tits_suite, tits_context
 from .weilrep import (
+    _weil_inf_char,
     format_rep,
     parse_weil_rep,
     weil_dual,
     weil_hermitian_dual,
-    weil_inf_char,
     weil_is_hermitian,
     weil_is_unitary,
     weil_to_lparam,
@@ -185,7 +185,7 @@ def cmd_validate_param(args, rep: Report) -> int:
 def cmd_invariants(args, rep: Report) -> int:
     p = param_from_dict(_load_param_data(args.param))
     rep.note("parameter", _fmt_param(p))
-    rep.note("inf_char", "(" + ", ".join(format_gauss(z) for z in inf_char(p)) + ")")
+    rep.note("inf_char", "(" + ", ".join(format_vec(_inf_char(p))) + ")")
     rc = rad_char(p)
     rep.note("rad_char_lambda", "(" + ", ".join(format_vec(rc.lam_s)) + ")")
     rep.note("rad_char_kappa", "(" + ", ".join(str(x) for x in rc.kappa) + ")")
@@ -236,7 +236,7 @@ def cmd_weilrep(args, rep: Report) -> int:
     rep.note("hermitian_dual", format_rep(weil_hermitian_dual(r)))
     rep.note("is_hermitian", str(weil_is_hermitian(r)).lower())
     rep.note("is_unitary", str(weil_is_unitary(r)).lower())
-    rep.note("inf_char", "{" + ", ".join(format_gauss(z) for z in weil_inf_char(r)) + "}")
+    rep.note("inf_char", "{" + ", ".join(format_vec(_weil_inf_char(r))) + "}")
     rep.note("parameter", _fmt_param(p))
     ok = params_equivalent(weil_to_lparam(weil_dual(r)), contragredient_param(p))
     rep.check("dual matches contragredient", ok, "bridge functoriality")

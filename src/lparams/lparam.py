@@ -91,6 +91,7 @@ from .weyl import (
     WeylElem,
     _descend,
     apply_aut_to_weyl,
+    longest_element,
     neg_w0_aut,
     parabolic_subgroup,
     simple_reflection,
@@ -258,18 +259,30 @@ def params_equivalent(p: LParam, q: LParam) -> bool:
     y^{-1} s x for s in the stabilizer W_J of the dominant point, J the
     simple indices of zero pairing. Each such u conjugates p, and the torus
     parts are compared by a lattice solve. The cost scales with |W_J|, which
-    is 1 for regular lambda, not with |W|.
+    is 1 for regular lambda, not with |W|. verify_contragredient, which has
+    already descended lambda_p, calls _params_equivalent with that descent.
+    """
+    return _params_equivalent(p, q, _dominance_descent(p.L.dual_datum, p.lam_s))
+
+
+def _params_equivalent(p: LParam, q: LParam, desc_p) -> bool:
+    """params_equivalent given desc_p, the dominance descent of lambda_p.
+
+    q reuses desc_p only when lambda_q equals lambda_p, which is tested, so a
+    q with another lambda pays its own descent. The candidate u = e conjugates
+    p to itself, so p is used as is.
     """
     if p.L != q.L:
         raise ContextMismatch("parameters for different L-groups")
     d = p.L.dual_datum
-    dom, x, pairings = _dominance_descent(d, p.lam_s)
-    dom_q, y, _ = _dominance_descent(d, q.lam_s)
+    dom, x, pairings = desc_p
+    dom_q, y, _ = desc_p if q.lam_s == p.lam_s else _dominance_descent(d, q.lam_s)
     if dom != dom_q:
         return False
     zero = [i + 1 for i, (re, im) in enumerate(pairings) if re == 0 and im == 0]
     for s in parabolic_subgroup(d, zero):
-        pc = conjugate_param(p, weyl_from_word(d, [*y, *s.word, *reversed(x)]))
+        u = weyl_from_word(d, [*y, *s.word, *reversed(x)])
+        pc = conjugate_param(p, u) if u.word else p
         if pc.w != q.w:
             continue
         diff = q.mu - pc.mu
@@ -285,18 +298,24 @@ def _dominance_descent(d: RootDatum, v: ScaledVec):
     """(dominant point, reflection indices in order applied, final simple pairings).
 
     weyl's dominance descent on the numerators' real and imaginary pairings;
-    each step i with pairings p_i moves v by -p_i alpha-check_i. Pairings are
-    returned as scaled (real, imaginary) pairs, good for sign and zero tests.
-    The lexicographic order on (real, imaginary) pairings linearizes the orbit
-    like a field order, so the dominant point is unique.
+    each step i with pairings p_i moves v by -p_i alpha-check_i, so the walk
+    adds up one coefficient c_i per simple index and v moves once, by
+    -sum c_i alpha-check_i. Pairings are returned as scaled (real, imaginary)
+    pairs, good for sign and zero tests. The lexicographic order on (real,
+    imaginary) pairings linearizes the orbit like a field order, so the
+    dominant point is unique.
     """
     cols = [[vdot(a, v.re) for a in d.simple_roots], [vdot(a, v.im) for a in d.simple_roots]]
     steps = _descend(d, cols)
-    re, im = list(v.re), list(v.im)
+    c_re, c_im = [0] * d.nsimple, [0] * d.nsimple
     for i, (ri, ii) in steps:
-        cv = d.simple_coroots[i - 1]
-        re = [x - ri * c for x, c in zip(re, cv)]
-        im = [x - ii * c for x, c in zip(im, cv)]
+        c_re[i - 1] += ri
+        c_im[i - 1] += ii
+    re, im = list(v.re), list(v.im)
+    for cv, a, b in zip(d.simple_coroots, c_re, c_im):
+        if a or b:
+            re = [x - a * c for x, c in zip(re, cv)]
+            im = [x - b * c for x, c in zip(im, cv)]
     return ScaledVec(re, im, v.den), [i for i, _ in steps], list(zip(*cols))
 
 
@@ -314,15 +333,24 @@ def _radical_projection(d: RootDatum):
     return saturation_projection(d.simple_coroots, d.rank)
 
 
+@cache
+def _radical_egroup(L: LGroup, w: WeylElem):
+    """(projection, E-group of the radical torus) for theta = w theta0, once per (L, w).
+
+    The cache holds one entry per twisted involution met, like _involution.
+    """
+    proj, uinv, rank = _radical_projection(L.dual_datum)
+    th_rad = descend_map(proj, uinv, rank, _involution(L, w).theta)
+    return proj, torus_egroup(th_rad, (Q(0),) * len(proj))
+
+
 def rad_param(p: LParam) -> TorusParam:
     """Push the parameter through the surjection onto the radical-torus E-group.
 
     The radical cocharacter lattice is X_* modulo the saturated coroot
     lattice; theta descends because it permutes coroots up to sign.
     """
-    proj, uinv, rank = _radical_projection(p.L.dual_datum)
-    th_rad = descend_map(proj, uinv, rank, p.theta)
-    eg = torus_egroup(th_rad, (Q(0),) * len(proj))
+    proj, eg = _radical_egroup(p.L, p.w)
     return torus_param(eg, p.lam_s.apply(proj), act_on_torus_part(proj, p.mu))
 
 
@@ -491,13 +519,21 @@ def packet_descriptor(p: LParam) -> PacketDescriptor:
 
 
 def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
-    """The four contragredient checks; each row is (name, passed, detail)."""
+    """The four contragredient checks; each row is (name, passed, detail).
+
+    lambda_C = -lambda_p is descended once: its dominant point is row 1's
+    inf(C), and the descent is shared with row 3, whose two twists both carry
+    -lambda_p. Row 1 compares it with -w0 inf(p), the dominant point of
+    W(-lambda_p) in closed form (-w0 permutes the simple roots), so the row
+    still sets two independent routes against each other.
+    """
     d = p.L.dual_datum
     cp = contragredient_param(p)
+    desc_c = _dominance_descent(d, cp.lam_s)
     rows = []
 
-    want = _dominance_descent(d, -_inf_char(p))[0]
-    got = _inf_char(cp)
+    want = -_inf_char(p).apply(longest_element(d).matrix)
+    got = desc_c[0]
     rows.append(("inf_char negation", got == want,
                  f"inf(C)={_fmt_vec(got)} dominant(-inf)={_fmt_vec(want)}"))
 
@@ -508,7 +544,7 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
                  f"kappa(dual)={[str(x) for x in rc_dual.kappa]}"))
 
     tp = tau_twist_param(p)
-    rows.append(("C-twist vs tau-twist conjugacy", params_equivalent(cp, tp),
+    rows.append(("C-twist vs tau-twist conjugacy", _params_equivalent(cp, tp, desc_c),
                  f"C: mu={[str(x) for x in cp.mu.entries]} "
                  f"tau: mu={[str(x) for x in tp.mu.entries]}"))
 
@@ -577,7 +613,7 @@ def random_param(L: LGroup, rng: Random) -> LParam:
     vectors and theta-fixed vectors) are randomized for coverage.
     """
     n = L.dual_datum.rank
-    words = twisted_involutions(L)
+    words = _twisted_involution_set(L)
     for _ in range(400):
         w = rng.choice(words)
         inv = _involution(L, w)

@@ -149,11 +149,16 @@ def _lam(r: WeilRep) -> ScaledVec:
     return ScaledVec(re, im, 2 * t.den)
 
 
-def weil_inf_char(r: WeilRep) -> Tuple[GaussQ, ...]:
-    """Exponent multiset: {t} per character, {t + k/2, t - k/2} per induced."""
+def _weil_inf_char(r: WeilRep) -> ScaledVec:
+    """weil_inf_char as a ScaledVec, entries sorted by (real, imaginary) part."""
     lam = _lam(r)
     pairs = sorted(zip(lam.re, lam.im))
-    return ScaledVec([a for a, _ in pairs], [b for _, b in pairs], lam.den).gvec()
+    return ScaledVec([a for a, _ in pairs], [b for _, b in pairs], lam.den)
+
+
+def weil_inf_char(r: WeilRep) -> Tuple[GaussQ, ...]:
+    """Exponent multiset: {t} per character, {t + k/2, t - k/2} per induced."""
+    return _weil_inf_char(r).gvec()
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,55 @@ def test_verify_contragredient_non_self_dual():
     assert packet_descriptor(cp).inf != packet_descriptor(p).inf
 
 
+# Mutations of contragredient_param that each row must catch although verify_contragredient
+# shares one descent of -lambda between rows 1 and 3. The version that descended each
+# point separately (five descents per call) fails the same rows on the same parameters.
+MUTATION_PARAMS = [((1, 2), (0, 0), []), (("1/2", "5/3+i"), (0, 0), []), ((3, -1), (0, 0), [])]
+
+
+@pytest.mark.parametrize("lam,mu,w", MUTATION_PARAMS)
+def test_verify_contragredient_catches_kept_lambda(monkeypatch, lam, mu, w):
+    # A2 is not self-dual (-w0 swaps the simple roots), so these lambda are not W-conjugate
+    # to -lambda and a contragredient that keeps lambda must fail row 1
+    p = make_param(A2S, lam, mu, w)
+    assert inf_char(p) != inf_char(contragredient_param(p))
+    honest = contragredient_param
+    monkeypatch.setattr(lparam, "contragredient_param",
+                        lambda q: make_param(q.L, q.lam_s, honest(q).mu, q.w))
+    rows = verify_contragredient(p)
+    assert rows[0][0] == "inf_char negation" and not rows[0][1], rows
+
+
+@pytest.mark.parametrize("lam,mu,w", MUTATION_PARAMS)
+def test_verify_contragredient_catches_shifted_mu(monkeypatch, lam, mu, w):
+    # w = e in the split class: theta = 1, so (1 - theta)Q^n + Z^n is Z^n and a shift of mu
+    # by (1/2, 0) is not absorbed; (1 + theta)(1/2, 0) is integral, so the twist stays valid
+    p = make_param(A2S, lam, mu, w)
+    honest = contragredient_param
+    delta = torus_part([Q(1, 2), 0])
+    monkeypatch.setattr(lparam, "contragredient_param",
+                        lambda q: make_param(q.L, -q.lam_s, honest(q).mu + delta, q.w))
+    rows = verify_contragredient(p)
+    assert rows[0][1], rows
+    assert rows[2][0] == "C-twist vs tau-twist conjugacy" and not rows[2][1], rows
+
+
+@pytest.mark.parametrize("group,inner", [("A2 sc", "compact"), ("F4 sc", "split"),
+                                         ("GL(6)", "split"), ("D4 sc", "split")])
+def test_verify_contragredient_descends_twice(monkeypatch, group, inner):
+    # one descent of lambda for inf(p) and one of -lambda shared by rows 1 and 3
+    L = parse_inner_class(build_datum(group), inner)
+    rng = Random(f"descents:{group}")
+    params = [random_param(L, rng) for _ in range(4)]
+    calls = []
+    descend = lparam._dominance_descent
+    monkeypatch.setattr(lparam, "_dominance_descent", lambda *a: calls.append(a) or descend(*a))
+    for p in params:
+        calls.clear()
+        assert all(ok for _, ok, _ in verify_contragredient(p))
+        assert len(calls) == 2
+
+
 def test_rad_dual_matches_torus_picture():
     g = make_param(GL2, (1, 0), (0, 0), [1])
     lhs = rad_char(contragredient_param(g))

@@ -6,6 +6,13 @@ graph, the second descends by simple pairings updated through the Cartan
 matrix, and the third only tries the stabilizer of the dominant point. The
 scans they replaced are kept here, verbatim in substance, as test-only
 oracles.
+
+The theorem op takes shortcuts that are checked here too, on every
+theorem_fleet and big_weyl configuration, at seeded lambda, lambda = 0,
+lambda on a wall and complex lambda: row 1's dominant(-inf) is -w0 inf(p)
+in closed form, `_params_equivalent` reuses a descent it is handed, the
+radical E-group is cached per (L, w), and the descent moves v once by the
+summed coefficients. The per-step update it replaced is kept as an oracle.
 """
 
 from fractions import Fraction as Q
@@ -15,10 +22,19 @@ from random import Random
 import pytest
 
 from lparams.gaussian import GaussQ, ScaledVec, read_gauss
-from lparams.intlinalg import mat_vec, solve_congruence_scaled
+from lparams.intlinalg import (
+    descend_map,
+    mat_mul,
+    mat_vec,
+    saturation_projection,
+    solve_congruence_scaled,
+    vdot,
+)
 from lparams.lgroup import parse_inner_class
 from lparams.lparam import (
     _dominance_descent,
+    _params_equivalent,
+    _radical_egroup,
     conjugate_param,
     contragredient_param,
     make_param,
@@ -28,10 +44,12 @@ from lparams.lparam import (
     twisted_involutions,
     validity_rows,
 )
-from lparams.rootdata import all_roots, build_datum
-from lparams.tits import torus_part
+from lparams.rootdata import all_roots, build_datum, coaction
+from lparams.tits import TorusPart, torus_part
+from lparams.torus import torus_egroup
 from lparams.weyl import (
     apply_aut_to_weyl,
+    longest_element,
     parabolic_subgroup,
     weyl_enumerate,
     weyl_identity,
@@ -101,7 +119,7 @@ def scan_params_equivalent(p, q):
     one_minus = tuple(tuple((1 if r == c else 0) - q.theta[r][c] for c in range(n))
                       for r in range(n))
     for u in weyl_enumerate(p.L.dual_datum):
-        if tuple(mat_vec(u.matrix, p.lam)) != tuple(q.lam):
+        if p.lam_s.apply(u.matrix) != q.lam_s:
             continue
         pc = conjugate_param(p, u)
         diff = q.mu - pc.mu
@@ -192,3 +210,145 @@ def test_params_equivalent_matches_scan_at_lambda_zero(group, inner):
             assert params_equivalent(p, q) == want, (p, q)
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the theorem op's shortcuts
+
+def stepwise_descent(d, v):
+    """The dominance descent moving both numerator rows at every step, as it once did."""
+    re, im = list(v.re), list(v.im)
+    cols = [[vdot(a, re) for a in d.simple_roots], [vdot(a, im) for a in d.simple_roots]]
+    steps = []
+    for _ in range(len(all_roots(d)) + 1):
+        i = next((k for k in range(d.nsimple) if (cols[0][k], cols[1][k]) < (0, 0)), None)
+        if i is None:
+            return ScaledVec(re, im, v.den), steps, list(zip(*cols))
+        ri, ii = cols[0][i], cols[1][i]
+        steps.append(i + 1)
+        cv = d.simple_coroots[i]
+        re = [x - ri * c for x, c in zip(re, cv)]
+        im = [x - ii * c for x, c in zip(im, cv)]
+        cols = [[vdot(a, re) for a in d.simple_roots], [vdot(a, im) for a in d.simple_roots]]
+    raise RuntimeError("descent did not terminate")
+
+
+def _on_wall(d, v, i, f):
+    """v - (<alpha_i, v> / <alpha_i, f>) f, on the wall of alpha_i, for an integer f."""
+    a = vdot(d.simple_roots[i], f)
+    if a < 0:
+        a, f = -a, [-x for x in f]
+    pr, pi = vdot(d.simple_roots[i], v.re), vdot(d.simple_roots[i], v.im)
+    return ScaledVec([x * a - pr * c for x, c in zip(v.re, f)],
+                     [x * a - pi * c for x, c in zip(v.im, f)], v.den * a)
+
+
+def descent_points(L, rng):
+    """Seeded lambdas and their negatives, 0, points on walls, and complex points."""
+    d = L.dual_datum
+    n = d.rank
+    pts = [ScaledVec([0] * n, [0] * n, 1)]
+    for _ in range(3):
+        lam = random_param(L, rng).lam_s
+        r = [rng.randrange(-6, 7) for _ in range(n)]
+        s = [rng.randrange(-6, 7) for _ in range(n)]
+        i = rng.randrange(d.nsimple)
+        wall = _on_wall(d, lam, i, r if vdot(d.simple_roots[i], r) else d.simple_coroots[i])
+        pts += [lam, -lam, wall, -wall, ScaledVec(r, s, rng.choice([1, 2, 3])),
+                _on_wall(d, ScaledVec(r, s, 6), 0, d.simple_coroots[0])]
+    return pts
+
+
+@pytest.mark.parametrize("group,inner", SMALL + BIG, ids=_ids(SMALL + BIG))
+def test_descent_moves_once_like_stepwise(group, inner):
+    L = _L(group, inner)
+    d = L.dual_datum
+    pts = descent_points(L, Random(f"once:{group}"))
+    assert any(any(v.im) for v in pts) and any(not any(v.re) for v in pts)
+    for v in pts:
+        assert _dominance_descent(d, v) == stepwise_descent(d, v), v
+
+
+@pytest.mark.parametrize("group,inner", SMALL + BIG, ids=_ids(SMALL + BIG))
+def test_neg_w0_is_dominant_point_of_negation(group, inner):
+    # row 1 of verify_contragredient: dominant(-inf) = -w0 inf, with no descent
+    L = _L(group, inner)
+    d = L.dual_datum
+    w0 = longest_element(d).matrix
+    walls = 0
+    for v in descent_points(L, Random(f"w0:{group}")):
+        dom, _, pairings = _dominance_descent(d, v)
+        walls += any(p == (0, 0) for p in pairings)
+        want = -dom.apply(w0)
+        assert want == _dominance_descent(d, -dom)[0], v
+        assert want == ScaledVec.of(scan_dominant_rep(d, (-v).gvec())), v
+    assert walls
+
+
+def _zero_params(L, count):
+    """`count` valid parameters at lambda = 0, spread over w and mu in {0, 1/2}^n."""
+    n = L.dual_datum.rank
+    zero = (0,) * n
+    found = [(w, bits) for w in twisted_involutions(L)
+             for bits in product((0, Q(1, 2)), repeat=n)
+             if all(ok for _, ok, _, _ in validity_rows(L, zero, bits, w))]
+    return [make_param(L, zero, bits, w) for w, bits in found[::max(1, len(found) // count)]]
+
+
+def _wall_param(L, p):
+    """p with lambda moved along a theta-fixed direction onto a wall, when one exists."""
+    d = L.dual_datum
+    for i in range(d.nsimple):
+        for k in range(d.rank):
+            f = [int(r == k) + t for r, t in enumerate(row[k] for row in p.theta)]
+            if vdot(d.simple_roots[i], f):
+                return make_param(L, _on_wall(d, p.lam_s, i, f), p.mu, p.w)
+    return None
+
+
+def _shifted(p):
+    """p with mu moved by a nonzero delta in {0, 1/2}^n, when that stays valid; lambda kept."""
+    n = p.L.dual_datum.rank
+    for bits in product((0, 1), repeat=n):
+        mu = p.mu + TorusPart.scaled(bits, 2)
+        if any(bits) and all(ok for _, ok, _, _ in validity_rows(p.L, p.lam_s, mu, p.w)):
+            return make_param(p.L, p.lam_s, mu, p.w)
+    return None
+
+
+@pytest.mark.parametrize("group,inner", SMALL + BIG, ids=_ids(SMALL + BIG))
+def test_shared_descent_equivalence_matches_scan(group, inner):
+    L = _L(group, inner)
+    d = L.dual_datum
+    rng = Random(f"shared:{group}")
+    big = (group, inner) in BIG
+    params = [random_param(L, rng) for _ in range(2 if big else 3)]
+    params += [q for q in map(lambda p: _wall_param(L, p), params) if q is not None]
+    params += _zero_params(L, 1 if big else 2)
+    assert any(any(p.lam_s.im) for p in params)
+    verdicts = set()
+    for p in params:
+        cp, tp = contragredient_param(p), tau_twist_param(p)
+        shared = _dominance_descent(d, cp.lam_s)
+        assert _params_equivalent(cp, tp, shared) is params_equivalent(cp, tp) is True
+        assert scan_params_equivalent(cp, tp)
+        t = torus_part([Q(rng.randrange(-4, 5), 4) for _ in range(d.rank)])
+        for q in (conjugate_param(p, t), _shifted(p), cp, _wall_param(L, p)):
+            if q is None:
+                continue
+            want = scan_params_equivalent(p, q)
+            assert _params_equivalent(p, q, _dominance_descent(d, p.lam_s)) == want, (p, q)
+            assert params_equivalent(p, q) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("group,inner", SMALL + BIG, ids=_ids(SMALL + BIG))
+def test_radical_egroup_matches_fresh(group, inner):
+    L = _L(group, inner)
+    d = L.dual_datum
+    proj, uinv, rank = saturation_projection(d.simple_coroots, d.rank)
+    for w in twisted_involutions(L):
+        theta = mat_mul(w.matrix, coaction(L.theta0))
+        fresh = torus_egroup(descend_map(proj, uinv, rank, theta), (0,) * len(proj))
+        assert _radical_egroup(L, w) == (proj, fresh)
