@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by all modules, and the strict JSON array checks."""
+"""Exception taxonomy shared by all modules, the strict JSON array checks, and the
+one __setattr__ of the immutable slotted records."""
 
 
 class LparamsError(Exception):
@@ -93,3 +94,8 @@ def json_matrix(value) -> list:
     for row in json_array(value, list):
         json_array(row, int)
     return value
+
+
+def frozen_setattr(self, name, *value):
+    """__setattr__ and __delattr__ of the slotted records: every field is set once, in __init__."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")

@@ -4,18 +4,16 @@ them held as integer numerators over one denominator."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import mul
 from typing import Tuple, Union
 
-from .errors import InputError
+from .errors import InputError, frozen_setattr
 
 Rat = Union[int, Q]
 
 
-@dataclass(frozen=True, eq=False)
 class GaussQ:
     """One complex number with rational real and imaginary parts.
 
@@ -24,12 +22,16 @@ class GaussQ:
     string) gives NotImplemented.
     """
 
-    re: Q = Q(0)
-    im: Q = Q(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", read_rational(self.re))
-        object.__setattr__(self, "im", read_rational(self.im))
+    def __init__(self, re: Rat = Q(0), im: Rat = Q(0)):
+        object.__setattr__(self, "re", read_rational(re))
+        object.__setattr__(self, "im", read_rational(im))
+
+    __setattr__ = __delattr__ = frozen_setattr
+
+    def __repr__(self):
+        return f"GaussQ(re={self.re!r}, im={self.im!r})"
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussQ):
@@ -178,14 +180,17 @@ _NUMERAL = r"[0-9]+(?:/[0-9]+)?"
 _RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
-def parse_rational(x) -> Q:
-    """A document numeral, an int or a string in the numeral grammar; ValueError otherwise."""
-    if type(x) is int:
-        return Q(x)
+def _numeral(x) -> Tuple[int, int]:
+    """(numerator, denominator) of a string in the numeral grammar, as written; ValueError otherwise."""
     m = isinstance(x, str) and _RATIONAL_RE.fullmatch(x)
     if not m or m[2] and not int(m[2]):
         raise ValueError(f"bad rational: {x!r}")
-    return Q(int(m[1]), int(m[2] or 1))
+    return int(m[1]), int(m[2] or 1)
+
+
+def parse_rational(x) -> Q:
+    """A document numeral, an int or a string in the numeral grammar; ValueError otherwise."""
+    return Q(x) if type(x) is int else Q(*_numeral(x))
 
 
 def read_rational(x) -> Q:
@@ -218,13 +223,13 @@ _GAUSS_RE = re.compile(rf"\s*(?:(?P<re>[+-]?{_NUMERAL})(?:(?P<im>[+-](?:{_NUMERA
                        rf"|(?P<pure>[+-]?(?:{_NUMERAL})?)i)\s*")
 
 
-def _coefficient(text: str) -> Q:
-    """The numeral before an i, where a bare sign or nothing stands for 1."""
-    return Q(-1 if text == "-" else 1) if text in ("", "+", "-") else parse_rational(text)
+def _coefficient(text: str) -> Tuple[int, int]:
+    """_numeral of the numeral before an i, where a bare sign or nothing stands for 1."""
+    return (-1 if text == "-" else 1, 1) if text in ("", "+", "-") else _numeral(text)
 
 
-def parse_gauss(text: str) -> GaussQ:
-    """Parse "a/b", "a/b+c/di", "c/di", "-i" and friends."""
+def parse_gauss_scaled(text: str) -> Tuple[int, int, int]:
+    """parse_gauss as integers (a, b, den), den >= 1 and not reduced: the number is (a + b i) / den."""
     if not isinstance(text, str):
         raise InputError(f"expected a string, got {text!r}")
     m = _GAUSS_RE.fullmatch(text)
@@ -232,7 +237,15 @@ def parse_gauss(text: str) -> GaussQ:
         if m is None:
             raise ValueError(text)
         if m["pure"] is not None:
-            return GaussQ(0, _coefficient(m["pure"]))
-        return GaussQ(parse_rational(m["re"]), _coefficient(m["im"]) if m["im"] else 0)
+            (a, c), (b, d) = (0, 1), _coefficient(m["pure"])
+        else:
+            (a, c), (b, d) = _numeral(m["re"]), _coefficient(m["im"]) if m["im"] else (0, 1)
     except ValueError as exc:
         raise InputError(f"bad Gaussian rational: {text!r}") from exc
+    return a * d, b * c, c * d
+
+
+def parse_gauss(text: str) -> GaussQ:
+    """Parse "a/b", "a/b+c/di", "c/di", "-i" and friends."""
+    a, b, den = parse_gauss_scaled(text)
+    return GaussQ(Q(a, den), Q(b, den))

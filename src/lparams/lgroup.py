@@ -10,12 +10,11 @@ outer automorphism group), related by tau = -w0 composed with gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
-from typing import List
+from typing import List, NamedTuple
 
-from .errors import InputError, NotInvolution, json_matrix
+from .errors import InputError, NotInvolution, frozen_setattr, json_matrix
 from .intlinalg import ident, mat_mul, mat_neg, mat_vec, vdot
 from .rootdata import (
     BasedAut,
@@ -32,11 +31,33 @@ from .tits import TitsContext, tits_context
 from .weyl import _descend, neg_w0_aut, weyl_from_word
 
 
-@dataclass(frozen=True)
 class LGroup:
-    dual_datum: RootDatum
-    theta0: BasedAut
-    g_datum: RootDatum = field(compare=False)
+    """The dual datum and theta0 on it, which decide equality, and the group's datum g_datum."""
+
+    __slots__ = ("dual_datum", "theta0", "g_datum", "_hash")
+
+    def __init__(self, dual_datum: RootDatum, theta0: BasedAut, g_datum: RootDatum):
+        init = object.__setattr__
+        init(self, "dual_datum", dual_datum)
+        init(self, "theta0", theta0)
+        init(self, "g_datum", g_datum)
+        # (L, w) keys the involution and E-group caches, so hash once
+        init(self, "_hash", hash((dual_datum, theta0)))
+
+    __setattr__ = __delattr__ = frozen_setattr
+
+    def __eq__(self, other):
+        if other.__class__ is not LGroup:
+            return NotImplemented
+        return self is other or (self.dual_datum == other.dual_datum
+                                 and self.theta0 == other.theta0)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (f"LGroup(dual_datum={self.dual_datum!r}, theta0={self.theta0!r}, "
+                f"g_datum={self.g_datum!r})")
 
 
 def lgroup_from_tau(d: RootDatum, tau: BasedAut) -> LGroup:
@@ -103,8 +124,7 @@ def has_compact_cartan(L: LGroup) -> bool:
     return pairings == [2] * d.nsimple and weyl_from_word(d, word).matrix == target
 
 
-@dataclass(frozen=True)
-class StandardLevi:
+class StandardLevi(NamedTuple):
     subset: frozenset
 
     def sorted_indices(self):

@@ -18,7 +18,6 @@ computed once per (L, w) and cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
 from math import lcm
@@ -103,8 +102,7 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
-class LParam:
+class LParam(NamedTuple):
     """A valid parameter (lambda, mu, w) for the L-group L.
 
     lambda is held as a ScaledVec in `lam_s`; `lam` is its GaussQ view.
@@ -506,8 +504,7 @@ def _check_over_w(p: LParam, g: ExtTitsElem, what: str) -> None:
 # ---------------------------------------------------------------------------
 # descriptors and the theorem report
 
-@dataclass(frozen=True)
-class PacketDescriptor:
+class PacketDescriptor(NamedTuple):
     levi: StandardLevi
     inf: GVec
     rad: TorusCharData

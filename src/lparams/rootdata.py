@@ -11,11 +11,10 @@ vectors over the simple (co)roots, by a closure through the Cartan matrix.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
-from .errors import InputError, InvalidCartan, NotBasedAut, RankMismatch
+from .errors import InputError, InvalidCartan, NotBasedAut, RankMismatch, frozen_setattr
 from .intlinalg import (
     determinant,
     ident,
@@ -32,18 +31,29 @@ from .intlinalg import (
 IntVec = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class RootDatum:
-    rank: int
-    simple_roots: Tuple[IntVec, ...]
-    simple_coroots: Tuple[IntVec, ...]
-    label: str = field(default="", compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    """Rank, simple roots and simple coroots; the label names it and is not compared."""
 
-    def __post_init__(self):
+    __slots__ = ("rank", "simple_roots", "simple_coroots", "label", "_hash")
+
+    def __init__(self, rank: int, simple_roots: Tuple[IntVec, ...],
+                 simple_coroots: Tuple[IntVec, ...], label: str = ""):
+        init = object.__setattr__
+        init(self, "rank", rank)
+        init(self, "simple_roots", simple_roots)
+        init(self, "simple_coroots", simple_coroots)
+        init(self, "label", label)
         # a datum keys many caches; hash its nested tuples once, not per lookup
-        object.__setattr__(self, "_hash",
-                           hash((self.rank, self.simple_roots, self.simple_coroots)))
+        init(self, "_hash", hash((rank, simple_roots, simple_coroots)))
+
+    __setattr__ = __delattr__ = frozen_setattr
+
+    def __eq__(self, other):
+        if other.__class__ is not RootDatum:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.rank == other.rank
+                                 and self.simple_roots == other.simple_roots
+                                 and self.simple_coroots == other.simple_coroots)
 
     def __hash__(self):
         return self._hash
@@ -300,8 +310,7 @@ def two_rho_check(d: RootDatum) -> IntVec:
 # ---------------------------------------------------------------------------
 # based automorphisms
 
-@dataclass(frozen=True)
-class BasedAut:
+class BasedAut(NamedTuple):
     """Lattice automorphism of X^* permuting the simple roots.
 
     perm is 1-based: matrix sends alpha_i to alpha_{perm[i-1]}.

@@ -22,12 +22,11 @@ Tits' lemma, sigma_w sigma_{w^-1} = exp(2*pi*i*z(w)) with z(w) = (2 rho-check
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
 from math import gcd, lcm
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     ContextMismatch,
@@ -134,8 +133,7 @@ def act_on_torus_part(matrix, t: TorusPart) -> TorusPart:
     return TorusPart.scaled([sum(map(mul, row, t.num)) for row in matrix], t.den)
 
 
-@dataclass(frozen=True)
-class TitsContext:
+class TitsContext(NamedTuple):
     """A datum together with the distinguished involution delta acts by."""
 
     datum: RootDatum
@@ -152,8 +150,7 @@ def tits_context(datum: RootDatum, theta0: Optional[BasedAut] = None) -> TitsCon
     return TitsContext(datum, theta0)
 
 
-@dataclass(frozen=True)
-class ExtTitsElem:
+class ExtTitsElem(NamedTuple):
     ctx: TitsContext
     t: TorusPart
     w: WeylElem

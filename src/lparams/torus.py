@@ -18,12 +18,11 @@ validity checks, kappa and character equality are integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import lcm
 from operator import mul
 from random import Random
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import ContextMismatch, InputError, InvalidParam, NotInvolution
 from .gaussian import GVec, ScaledVec, read_rational
@@ -41,8 +40,7 @@ from .tits import TorusPart, torus_part
 Matrix = Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class TorusEGroup:
+class TorusEGroup(NamedTuple):
     """Dual-side context: involution on X_* and the gamma with delta^2 = exp(2*pi*i*gamma)."""
 
     theta_check: Matrix
@@ -77,8 +75,7 @@ def _in_coset(kappa: ScaledVec, gamma: Tuple[Q, ...]) -> bool:
                for k, g in zip(kappa.re, gamma))
 
 
-@dataclass(frozen=True)
-class TorusCharData:
+class TorusCharData(NamedTuple):
     """(lambda, kappa) data of a genuine character of the gamma-cover.
 
     theta is the involution on the character lattice X^*; lambda and kappa
@@ -119,8 +116,7 @@ def torus_char_data(theta: Matrix, lam, kappa, gamma) -> TorusCharData:
     return TorusCharData(theta, lam, kappa, gamma)
 
 
-@dataclass(frozen=True)
-class TorusParam:
+class TorusParam(NamedTuple):
     """E-group parameter: phi(z) = z^lambda zbar^{theta-check lambda}, phi(j) = exp(2*pi*i*mu) delta.
 
     lambda is held as a ScaledVec in `lam_s`; `lam` is its GaussQ view.

@@ -14,9 +14,9 @@ split automatically. Exponents t are Gaussian rationals.
 
 A representation is held as its sorted blocks (k, eps), k = 0 for a
 character, and one ScaledVec of exponents, entry i belonging to block i, so
-the dualities, sorting and the GL(n) bridge are integer arithmetic; GaussQ
-exponents appear only in the `summands` and `weil_inf_char` views and in
-parsing.
+the dualities, sorting, parsing and the GL(n) bridge are integer
+arithmetic; GaussQ exponents appear only in the WeilIrr irreducibles and in
+the `summands` and `weil_inf_char` views.
 
 This is the GL(n) end of the dictionary: a multiset of total dimension n is
 the same thing as a parameter into GL(n,C) in diagonal-block position, and
@@ -25,13 +25,13 @@ the contragredient on parameters is t -> -t summandwise here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import List, Optional, Sequence, Tuple
+from math import lcm
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, InputError
-from .gaussian import (GaussQ, ScaledVec, format_gauss, format_vec, parse_gauss, parse_integer,
-                       read_gauss)
+from .gaussian import (GaussQ, ScaledVec, format_gauss, format_vec, parse_gauss_scaled,
+                       parse_integer, read_gauss)
 from .intlinalg import ident
 from .lgroup import LGroup, lgroup_split
 from .lparam import LParam, make_param
@@ -39,8 +39,7 @@ from .rootdata import build_datum
 from .tits import TorusPart
 
 
-@dataclass(frozen=True)
-class WeilIrr:
+class WeilIrr(NamedTuple):
     kind: str  # "chi" or "ind"
     t: GaussQ
     eps: int = 0  # chi only
@@ -53,11 +52,16 @@ class WeilIrr:
         return format_irr(self)
 
 
-def weil_chi(t, eps: int) -> WeilIrr:
-    """chi(t, eps); t is read by read_gauss and eps must be the int 0 or 1."""
+def _eps(eps) -> int:
+    """eps itself, if it is the int 0 or 1; InputError otherwise."""
     if type(eps) is not int or eps not in (0, 1):
         raise InputError(f"eps must be 0 or 1, got {eps!r}")
-    return WeilIrr("chi", read_gauss(t), eps=eps)
+    return eps
+
+
+def weil_chi(t, eps: int) -> WeilIrr:
+    """chi(t, eps); t is read by read_gauss and eps must be the int 0 or 1."""
+    return WeilIrr("chi", read_gauss(t), eps=_eps(eps))
 
 
 def weil_ind(k: int, t) -> WeilIrr:
@@ -68,15 +72,7 @@ def weil_ind(k: int, t) -> WeilIrr:
     return WeilIrr("ind", read_gauss(t), k=abs(k))
 
 
-def ind_summands(k: int, t) -> Tuple[WeilIrr, ...]:
-    """I(k,t) as a tuple of irreducibles; splits the reducible k = 0 case."""
-    if type(k) is int and k == 0:
-        return (weil_chi(t, 0), weil_chi(t, 1))
-    return (weil_ind(k, t),)
-
-
-@dataclass(frozen=True)
-class WeilRep:
+class WeilRep(NamedTuple):
     """Sorted blocks (k, eps), k = 0 for a character, and their exponents t.
 
     Block i has exponent (t.re[i] + t.im[i] i) / t.den; blocks are sorted on
@@ -279,11 +275,15 @@ def _split_top(text: str, sep: str) -> List[str]:
 
 
 def parse_weil_rep(text: str) -> WeilRep:
-    """Parse "chi(t,eps)" and "I(k,t)" terms joined by "+"."""
+    """Parse "chi(t,eps)" and "I(k,t)" terms joined by "+"; I(0,t) splits into chi(t,0) + chi(t,1).
+
+    Each exponent is read as integers (a, b, den) and all are put over one
+    denominator once, for the blocks' sort.
+    """
     body = text.replace(" ", "")
     if not body:
         raise InputError("empty rep literal")
-    out: List[WeilIrr] = []
+    terms = []  # (k, eps, (a, b, den))
     for term in _split_top(body, "+"):
         if not (term.endswith(")") and "(" in term):
             raise InputError(f"bad rep term: {term!r}")
@@ -296,7 +296,8 @@ def parse_weil_rep(text: str) -> WeilRep:
                 eps = parse_integer(parts[1])
             except ValueError as exc:
                 raise InputError(f"bad eps in {term!r}") from exc
-            out.append(weil_chi(_parse_t(parts[0], term), eps))
+            t = _parse_t(parts[0], term)  # a bad exponent is reported before a bad eps
+            terms.append((0, _eps(eps), t))
         elif head == "I":
             if len(parts) != 2:
                 raise InputError(f"I needs (k,t): {term!r}")
@@ -304,14 +305,16 @@ def parse_weil_rep(text: str) -> WeilRep:
                 k = parse_integer(parts[0])
             except ValueError as exc:
                 raise InputError(f"bad k in {term!r}") from exc
-            out.extend(ind_summands(k, _parse_t(parts[1], term)))
+            t = _parse_t(parts[1], term)
+            terms.extend([(abs(k), 0, t)] if k else [(0, 0, t), (0, 1, t)])
         else:
             raise InputError(f"unknown rep term {head!r} in {term!r}")
-    return weil_rep(out)
+    den = lcm(*(d for _, _, (_, _, d) in terms))
+    return _rep(((k, a * (den // d), b * (den // d), eps) for k, eps, (a, b, d) in terms), den)
 
 
-def _parse_t(text: str, term: str) -> GaussQ:
+def _parse_t(text: str, term: str) -> Tuple[int, int, int]:
     try:
-        return parse_gauss(text)
+        return parse_gauss_scaled(text)
     except (InputError, ValueError) as exc:
         raise InputError(f"bad exponent in {term!r}") from exc

@@ -10,11 +10,10 @@ use (Casselman, Machine calculations in Weyl groups, 1994).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Tuple
 
-from .errors import DatumMismatch, InputError, InvariantViolated
+from .errors import DatumMismatch, InputError, InvariantViolated, frozen_setattr
 from .intlinalg import ident, mat_neg, mat_vec
 from .rootdata import (
     BasedAut,
@@ -25,16 +24,24 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class WeylElem:
-    datum: RootDatum
-    key: Tuple[int, ...]   # (<alpha_j, w rho_check>)_j, every entry nonzero
-    word: Tuple[int, ...]  # canonical reduced word, 1-based
-    _hash: int = field(init=False, repr=False)
+    """An interned Weyl element; the datum and the key decide equality.
 
-    def __post_init__(self):
+    key is (<alpha_j, w rho_check>)_j, every entry nonzero; word is the
+    canonical reduced word, 1-based.
+    """
+
+    __slots__ = ("datum", "key", "word", "_hash")
+
+    def __init__(self, datum: RootDatum, key: Tuple[int, ...], word: Tuple[int, ...]):
+        init = object.__setattr__
+        init(self, "datum", datum)
+        init(self, "key", key)
+        init(self, "word", word)
         # every cache keyed by Weyl elements hashes them, so hash once
-        object.__setattr__(self, "_hash", hash((self.datum, self.key)))
+        init(self, "_hash", hash((datum, key)))
+
+    __setattr__ = __delattr__ = frozen_setattr
 
     def __eq__(self, other):
         if not isinstance(other, WeylElem):
@@ -219,8 +226,12 @@ def weyl_order(d: RootDatum) -> int:
     return len(weyl_enumerate(d))
 
 
+@cache
 def apply_aut_to_weyl(a: BasedAut, u: WeylElem) -> WeylElem:
-    """Conjugate u by a datum automorphism: s_i goes to s_{perm(i)}, letter by letter."""
+    """Conjugate u by a datum automorphism: s_i goes to s_{perm(i)}, letter by letter.
+
+    Cached like weyl_inv: at most |W| entries per automorphism.
+    """
     if a.datum != u.datum:
         raise DatumMismatch("automorphism and element over different data")
     return _replay(u.datum, [a.perm[i - 1] for i in u.word], (1,) * u.datum.nsimple)

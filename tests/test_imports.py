@@ -5,11 +5,15 @@ Every module of the package and every test file uses each name it imports
 Every public top-level def or class of the package is reached: referenced
 elsewhere in `src/`, re-exported by `__init__`, or listed below with the
 reason it stays. The README's "Library API" section lists exactly the names
-`__init__` re-exports.
+`__init__` re-exports. Importing the CLI loads none of `dataclasses`,
+`inspect` or `ast`, which cost a CLI process start-up time.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -72,6 +76,19 @@ def test_every_public_name_is_reached():
                 unreached.append(f"{mod}.{node.name}")
     assert not unreached, f"public names nothing reaches: {unreached}"
     assert set(REACHED_FROM_OUTSIDE) <= defined
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_ast():
+    # modules already loaded before the import (site may preload some) do not count
+    code = ("import sys; before = set(sys.modules); import lparams.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "lparams.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast"}, sorted(added)
 
 
 def test_readme_lists_the_library_api():

@@ -15,7 +15,6 @@ from lparams.tits import torus_part
 from lparams.weilrep import (
     WeilIrr,
     format_rep,
-    ind_summands,
     lparam_to_weilrep,
     parse_weil_rep,
     weil_chi,
@@ -53,7 +52,7 @@ def test_normalization_rules():
     # negative k folds onto positive k
     assert weil_ind(-3, Q(1, 2)) == weil_ind(3, Q(1, 2))
     # k = 0 splits into the two characters at the rep level
-    r = weil_rep(ind_summands(0, Q(1, 4)))
+    r = parse_weil_rep("I(0,1/4)")
     assert r == weil_rep([weil_chi(Q(1, 4), 0), weil_chi(Q(1, 4), 1)])
     with pytest.raises(InputError):
         weil_ind(0, Q(1, 4))
@@ -176,7 +175,8 @@ def test_parse_and_format():
     r = parse_weil_rep("chi(1/2,1) + I(2,-1/4+i)")
     assert r == weil_rep([weil_chi(Q(1, 2), 1), weil_ind(2, parse_gauss("-1/4+i"))])
     assert parse_weil_rep(format_rep(r)) == r
-    assert parse_weil_rep("I(0,1/4)") == weil_rep(ind_summands(0, Q(1, 4)))
+    assert parse_weil_rep("I(0,1/4)+I(0,-i)") == weil_rep(
+        [weil_chi(Q(1, 4), 0), weil_chi(Q(1, 4), 1), weil_chi("-i", 1), weil_chi("-i", 0)])
     assert parse_weil_rep("I(-2,0)") == weil_rep([weil_ind(2, 0)])
 
 
@@ -189,6 +189,57 @@ def test_parse_rejections(bad):
         parse_weil_rep(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty rep literal"),
+    ("I(2,1))", "unbalanced parentheses in 'I(2,1))'"),
+    ("chi(1,0)+x", "bad rep term: 'x'"),
+    ("psi(1,0)", "unknown rep term 'psi' in 'psi(1,0)'"),
+    ("chi(1/2)", "chi needs (t,eps): 'chi(1/2)'"),
+    ("I(2)", "I needs (k,t): 'I(2)'"),
+    ("chi(1,x)", "bad eps in 'chi(1,x)'"),
+    ("I(x,1)", "bad k in 'I(x,1)'"),
+    ("chi(1/0,3)", "bad exponent in 'chi(1/0,3)'"),  # the exponent is read before eps is checked
+    ("I(0,2+/3i)", "bad exponent in 'I(0,2+/3i)'"),
+    ("chi(1,3)", "eps must be 0 or 1, got 3"),
+])
+def test_parse_messages(text, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        parse_weil_rep(text)
+
+
+def _rand_numeral(rng, signed=True):
+    """A numeral, often not in lowest terms."""
+    n = rng.randrange(-6 if signed else 0, 7)
+    d = rng.choice([1, 2, 3, 4, 6])
+    return str(n) if d == 1 and rng.randrange(2) else f"{n}/{d}"
+
+
+def _rand_exponent(rng):
+    a, b, sign = _rand_numeral(rng), _rand_numeral(rng, False), rng.choice("+-")
+    return rng.choice([a, f"{a}{sign}{b}i", f"{a}{sign}i", f"{sign}{b}i", f"{b}i", "i"])
+
+
+def test_parse_matches_gauss_reference():
+    # literals with unreduced numerals, spaces and I(0,t) against irreducibles built by hand
+    rng = Random(96)
+    for _ in range(300):
+        terms, irrs = [], []
+        for _ in range(rng.randrange(1, 5)):
+            t = _rand_exponent(rng)
+            if rng.randrange(2):
+                eps = rng.randrange(2)
+                terms.append(f"chi({t}, {eps})")
+                irrs.append(WeilIrr("chi", parse_gauss(t), eps=eps))
+            else:
+                k = rng.randrange(-3, 4)
+                terms.append(f"I({k},{t})")
+                irrs.extend([WeilIrr("ind", parse_gauss(t), k=abs(k))] if k else
+                            [WeilIrr("chi", parse_gauss(t), eps=e) for e in (0, 1)])
+        r = parse_weil_rep(" + ".join(terms))
+        assert r == weil_rep(irrs)
+        assert r.summands == _oracle_sorted(irrs)
+
+
 def test_format_empty():
     assert format_rep(weil_rep([])) == "0"
 
@@ -197,11 +248,10 @@ def test_format_empty():
                                   lambda: weil_chi(0, 1.0), lambda: weil_chi(0, True),
                                   lambda: weil_chi(0, "1"), lambda: weil_ind(2.0, 0),
                                   lambda: weil_ind(True, 0), lambda: weil_ind("2", 0),
-                                  lambda: weil_ind(2, 0.5), lambda: ind_summands(0.0, 0),
-                                  lambda: ind_summands(False, 0)],
+                                  lambda: weil_ind(2, 0.5)],
                          ids=["chi-float-t", "chi-bool-t", "chi-float-eps", "chi-bool-eps",
                               "chi-str-eps", "ind-float-k", "ind-bool-k", "ind-str-k",
-                              "ind-float-t", "summands-float-k", "summands-bool-k"])
+                              "ind-float-t"])
 def test_constructors_refuse_floats_bools_and_strings_for_numbers(make):
     with pytest.raises(InputError):
         make()
