@@ -25,7 +25,7 @@ from .errors import (
     ValidityE,
     ValidityIntegrality,
 )
-from .gaussian import GaussQ, format_gauss, parse_gauss
+from .gaussian import GaussQ, ScaledVec, format_gauss, format_vec, parse_gauss
 from .rootdata import (
     BasedAut,
     RootDatum,

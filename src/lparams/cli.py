@@ -26,13 +26,13 @@ from .errors import (
     NotInvolution,
     json_matrix,
 )
-from .gaussian import format_vec
-from .lgroup import LGroup, parse_inner_class
+from .gaussian import format_tuple, format_vec
+from .lgroup import LGroup, named_inner_class, parse_inner_class
 from .lparam import (
     LParam,
-    _inf_char,
     central_char,
     contragredient_param,
+    inf_char,
     is_discrete_series,
     levi_of,
     param_from_dict,
@@ -44,19 +44,19 @@ from .lparam import (
     validity_rows,
     verify_contragredient,
 )
-from .rootdata import based_aut, build_datum, identity_aut
+from .rootdata import based_aut, build_datum
 from .tits import run_tits_suite, tits_context
 from .weilrep import (
-    _weil_inf_char,
     format_rep,
     parse_weil_rep,
     weil_dual,
     weil_hermitian_dual,
+    weil_inf_char,
     weil_is_hermitian,
     weil_is_unitary,
     weil_to_lparam,
 )
-from .weyl import neg_w0_aut, weyl_enumerate
+from .weyl import weyl_enumerate
 
 OK, MATH_FAIL, PARSE_ERROR, NEEDS_NORMALIZATION = 0, 1, 2, 3
 
@@ -119,7 +119,7 @@ def _load_param_data(text: str) -> dict:
 
 
 def _fmt_param(p: LParam) -> str:
-    return (f"lambda=({', '.join(format_vec(p.lam_s))}) "
+    return (f"lambda={format_tuple(p.lam)} "
             f"mu=({', '.join(str(x) for x in p.mu.entries)}) "
             f"w={list(p.w.word)}")
 
@@ -139,10 +139,9 @@ def _build_group(args) -> LGroup:
 
 def _datum_involution(d, text):
     """Distinguished involution for the Tits suite, on the named datum itself."""
-    if text == "split":
-        return identity_aut(d)
-    if text == "compact":
-        return neg_w0_aut(d)
+    named = named_inner_class(d, text)
+    if named is not None:
+        return named
     try:
         rows = json_matrix(json.loads(text) if isinstance(text, str) else text)
     except (json.JSONDecodeError, TypeError) as exc:
@@ -185,11 +184,11 @@ def cmd_validate_param(args, rep: Report) -> int:
 def cmd_invariants(args, rep: Report) -> int:
     p = param_from_dict(_load_param_data(args.param))
     rep.note("parameter", _fmt_param(p))
-    rep.note("inf_char", "(" + ", ".join(format_vec(_inf_char(p))) + ")")
+    rep.note("inf_char", format_tuple(inf_char(p)))
     rc = rad_char(p)
-    rep.note("rad_char_lambda", "(" + ", ".join(format_vec(rc.lam_s)) + ")")
-    rep.note("rad_char_kappa", "(" + ", ".join(str(x) for x in rc.kappa) + ")")
-    rep.note("central_char", "(" + ", ".join(str(x) for x in central_char(p)) + ")")
+    rep.note("rad_char_lambda", format_tuple(rc.lam))
+    rep.note("rad_char_kappa", format_tuple(rc.kappa))
+    rep.note("central_char", format_tuple(central_char(p)))
     rep.note("is_discrete_series", str(is_discrete_series(p)).lower())
     try:
         levi, reduced = levi_of(p)
@@ -236,7 +235,7 @@ def cmd_weilrep(args, rep: Report) -> int:
     rep.note("hermitian_dual", format_rep(weil_hermitian_dual(r)))
     rep.note("is_hermitian", str(weil_is_hermitian(r)).lower())
     rep.note("is_unitary", str(weil_is_unitary(r)).lower())
-    rep.note("inf_char", "{" + ", ".join(format_vec(_weil_inf_char(r))) + "}")
+    rep.note("inf_char", "{" + ", ".join(format_vec(weil_inf_char(r))) + "}")
     rep.note("parameter", _fmt_param(p))
     ok = params_equivalent(weil_to_lparam(weil_dual(r)), contragredient_param(p))
     rep.check("dual matches contragredient", ok, "bridge functoriality")

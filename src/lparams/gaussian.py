@@ -88,9 +88,6 @@ def _operand(x) -> "GaussQ | None":
     return GaussQ(x) if type(x) is int or isinstance(x, Q) else None
 
 
-GVec = Tuple[GaussQ, ...]
-
-
 class ScaledVec:
     """A Gaussian-rational vector as integer numerators over one denominator.
 
@@ -98,9 +95,8 @@ class ScaledVec:
     gcd(den, *re, *im) = 1, so two vectors are equal exactly when their fields
     are, and pairings with integer vectors, images under integer matrices and
     lattice tests are integer arithmetic. This is the RatWeight idiom of the
-    atlas software (Adams-du Cloux 2009); GaussQ entries appear only where a
-    vector is read in and in the gvec view, and format_vec writes it out from
-    the numerators.
+    atlas software (Adams-du Cloux 2009); format_vec writes it out from the
+    numerators.
     """
 
     __slots__ = ("re", "im", "den")
@@ -118,16 +114,16 @@ class ScaledVec:
 
     @classmethod
     def of(cls, entries) -> "ScaledVec":
-        """From entries read by read_gauss (never a float or a bool); a ScaledVec as is."""
+        """From the entries read_gauss accepts (never a float or a bool); a ScaledVec as is.
+
+        A string entry is read by parse_gauss_scaled, so no GaussQ is built.
+        """
         if isinstance(entries, cls):
             return entries
-        pairs = [(z.re, z.im) for z in map(read_gauss, entries)]
-        den = lcm(*(x.denominator for pair in pairs for x in pair))
-        return cls([a.numerator * (den // a.denominator) for a, _ in pairs],
-                   [b.numerator * (den // b.denominator) for _, b in pairs], den)
-
-    def gvec(self) -> GVec:
-        return tuple(GaussQ(Q(a, self.den), Q(b, self.den)) for a, b in zip(self.re, self.im))
+        triples = list(map(_scaled_entry, entries))
+        den = lcm(*(d for _, _, d in triples))
+        return cls([a * (den // d) for a, _, d in triples],
+                   [b * (den // d) for _, b, d in triples], den)
 
     def apply(self, m) -> "ScaledVec":
         """The image under an integer matrix m (rows)."""
@@ -136,6 +132,19 @@ class ScaledVec:
 
     def __neg__(self) -> "ScaledVec":
         return ScaledVec([-x for x in self.re], [-x for x in self.im], self.den)
+
+    def __add__(self, other: "ScaledVec") -> "ScaledVec":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "ScaledVec") -> "ScaledVec":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "ScaledVec", sign: int) -> "ScaledVec":
+        """self + sign * other over the least common denominator."""
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return ScaledVec([x * a + y * b for x, y in zip(self.re, other.re)],
+                         [x * a + y * b for x, y in zip(self.im, other.im)], den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScaledVec):
@@ -162,16 +171,31 @@ def _gauss_text(a: int, b: int, den: int) -> str:
     return f"{_ratio(a, den)}{'+' if b > 0 else '-'}{_ratio(abs(b), den)}i"
 
 
+def _scaled_entry(x) -> Tuple[int, int, int]:
+    """read_gauss(x) as integers (a, b, den), den >= 1 and not reduced: x = (a + b i) / den.
+
+    A string (parse_gauss_scaled) or a rational (read_rational) builds no GaussQ.
+    """
+    if isinstance(x, str):
+        return parse_gauss_scaled(x)
+    re, im = (x.re, x.im) if isinstance(x, GaussQ) else (read_rational(x), Q(0))
+    return (re.numerator * im.denominator, im.numerator * re.denominator,
+            re.denominator * im.denominator)
+
+
 def format_gauss(z: GaussQ) -> str:
     """Canonical "a/b+c/di" form; pure reals drop the imaginary half."""
-    re, im = z.re, z.im
-    return _gauss_text(re.numerator * im.denominator, im.numerator * re.denominator,
-                       re.denominator * im.denominator)
+    return _gauss_text(*_scaled_entry(z))
 
 
 def format_vec(v: ScaledVec) -> list:
     """format_gauss of every entry, written straight from the numerators."""
     return [_gauss_text(a, b, v.den) for a, b in zip(v.re, v.im)]
+
+
+def format_tuple(v: ScaledVec) -> str:
+    """format_vec joined as "(a, b, ...)", the form of vectors in reports."""
+    return "(" + ", ".join(format_vec(v)) + ")"
 
 
 # The one numeral grammar: a sign, ASCII digits and an optional "/" with ASCII

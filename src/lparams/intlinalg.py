@@ -49,16 +49,8 @@ def mat_neg(m):
 
 
 def mat_vec(m, v):
-    """m (rows) applied to column vector v; weyl_act also applies it to GaussQ vectors."""
-    zero = 0 * v[0] if v else 0
-    out = []
-    for row in m:
-        acc = zero
-        for c, x in zip(row, v):
-            if c:
-                acc = acc + c * x
-        out.append(acc)
-    return tuple(out)
+    """m (rows) applied to column vector v."""
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def vadd(a, b):

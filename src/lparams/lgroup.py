@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Optional
 
 from .errors import InputError, NotInvolution, frozen_setattr, json_matrix
 from .intlinalg import ident, mat_mul, mat_neg, mat_vec, vdot
@@ -88,14 +88,26 @@ def lgroup_compact(d: RootDatum) -> LGroup:
     return lgroup_from_tau(d, neg_w0_aut(d))
 
 
+_NAMED_INNER_CLASSES = {"split": identity_aut, "compact": neg_w0_aut}
+
+
+def named_inner_class(d: RootDatum, text) -> Optional[BasedAut]:
+    """The automorphism of d that an inner-class name stands for, or None.
+
+    The names are "split" (the identity) and "compact" (-w0), in any case and
+    with white space around. parse_inner_class takes the automorphism as tau;
+    check-tits takes it as theta0 of the named datum itself.
+    """
+    make = _NAMED_INNER_CLASSES.get(text.strip().lower()) if isinstance(text, str) else None
+    return make(d) if make else None
+
+
 def parse_inner_class(d: RootDatum, text) -> LGroup:
-    """Inner-class field of input files: "split", "compact", or an explicit matrix."""
+    """Inner-class field of input files: a named_inner_class, or an explicit matrix (gamma)."""
+    tau = named_inner_class(d, text)
+    if tau is not None:
+        return lgroup_from_tau(d, tau)
     if isinstance(text, str):
-        name = text.strip().lower()
-        if name == "split":
-            return lgroup_split(d)
-        if name == "compact":
-            return lgroup_compact(d)
         raise InputError(f"unknown inner class {text!r}")
     try:
         mat = json_matrix(text)

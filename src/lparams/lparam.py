@@ -10,10 +10,10 @@ structure) and the two dualities (composition with the Chevalley involution,
 precomposition with j -> j^{-1}) are computed through the Tits group, so
 every half-integer correction is tracked exactly.
 
-lambda is carried as a ScaledVec and mu as a TorusPart, both integer
-numerators over one denominator, so validity, pairings with roots and the
-invariants are integer arithmetic. What depends only on theta = w theta0 is
-computed once per (L, w) and cached.
+lambda is a ScaledVec and mu a TorusPart, both integer numerators over one
+denominator, and so are the infinitesimal and central characters, so
+validity, pairings with roots and the invariants are integer arithmetic.
+What depends only on theta = w theta0 is computed once per (L, w) and cached.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cache
 from math import lcm
 from operator import mul
 from random import Random
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import (
     ContextMismatch,
@@ -36,7 +36,7 @@ from .errors import (
     ValidityIntegrality,
     json_array,
 )
-from .gaussian import GaussQ, GVec, ScaledVec, format_vec, parse_gauss, parse_rational
+from .gaussian import ScaledVec, format_tuple, format_vec, parse_rational
 from .intlinalg import (
     descend_map,
     ident,
@@ -80,6 +80,7 @@ from .tits import (
 from .torus import (
     TorusCharData,
     TorusParam,
+    _kappa,
     char_equal,
     param_to_char,
     torus_contragredient,
@@ -103,19 +104,12 @@ from .weyl import (
 
 
 class LParam(NamedTuple):
-    """A valid parameter (lambda, mu, w) for the L-group L.
-
-    lambda is held as a ScaledVec in `lam_s`; `lam` is its GaussQ view.
-    """
+    """A valid parameter (lambda, mu, w) for the L-group L."""
 
     L: LGroup
-    lam_s: ScaledVec
+    lam: ScaledVec
     mu: TorusPart
     w: WeylElem
-
-    @property
-    def lam(self) -> GVec:
-        return self.lam_s.gvec()
 
     @property
     def theta(self) -> Tuple[Tuple[int, ...], ...]:
@@ -123,7 +117,7 @@ class LParam(NamedTuple):
         return _involution(self.L, self.w).theta
 
     def __repr__(self):
-        return (f"LParam(lambda={[str(x) for x in self.lam]}, "
+        return (f"LParam(lambda={format_vec(self.lam)}, "
                 f"mu={[str(x) for x in self.mu.entries]}, w={list(self.w.word)})")
 
 
@@ -238,13 +232,13 @@ def conjugate_param(p: LParam, by) -> LParam:
     ctx = lgroup_tits_context(p.L)
     if isinstance(by, TorusPart):
         g = tits_mul(tits_mul(torus_elem(ctx, by), phi_j(p)), torus_elem(ctx, -by))
-        return _from_phi_j(p.L, p.lam_s, g)
+        return _from_phi_j(p.L, p.lam, g)
     if isinstance(by, WeylElem):
         if by.datum != p.L.dual_datum:
             raise ContextMismatch("conjugator over a different datum")
         s = sigma(ctx, by)
         g = tits_mul(tits_mul(s, phi_j(p)), tits_inverse(s))
-        return _from_phi_j(p.L, p.lam_s.apply(by.matrix), g)
+        return _from_phi_j(p.L, p.lam.apply(by.matrix), g)
     raise InputError("conjugator must be a TorusPart or a WeylElem")
 
 
@@ -260,7 +254,7 @@ def params_equivalent(p: LParam, q: LParam) -> bool:
     is 1 for regular lambda, not with |W|. verify_contragredient, which has
     already descended lambda_p, calls _params_equivalent with that descent.
     """
-    return _params_equivalent(p, q, _dominance_descent(p.L.dual_datum, p.lam_s))
+    return _params_equivalent(p, q, _dominance_descent(p.L.dual_datum, p.lam))
 
 
 def _params_equivalent(p: LParam, q: LParam, desc_p) -> bool:
@@ -274,7 +268,7 @@ def _params_equivalent(p: LParam, q: LParam, desc_p) -> bool:
         raise ContextMismatch("parameters for different L-groups")
     d = p.L.dual_datum
     dom, x, pairings = desc_p
-    dom_q, y, _ = desc_p if q.lam_s == p.lam_s else _dominance_descent(d, q.lam_s)
+    dom_q, y, _ = desc_p if q.lam == p.lam else _dominance_descent(d, q.lam)
     if dom != dom_q:
         return False
     zero = [i + 1 for i, (re, im) in enumerate(pairings) if re == 0 and im == 0]
@@ -317,12 +311,9 @@ def _dominance_descent(d: RootDatum, v: ScaledVec):
     return ScaledVec(re, im, v.den), [i for i, _ in steps], list(zip(*cols))
 
 
-def _inf_char(p: LParam) -> ScaledVec:
-    return _dominance_descent(p.L.dual_datum, p.lam_s)[0]
-
-
-def inf_char(p: LParam) -> GVec:
-    return _inf_char(p).gvec()
+def inf_char(p: LParam) -> ScaledVec:
+    """The dominant point of W lambda."""
+    return _dominance_descent(p.L.dual_datum, p.lam)[0]
 
 
 @cache
@@ -349,7 +340,7 @@ def rad_param(p: LParam) -> TorusParam:
     lattice; theta descends because it permutes coroots up to sign.
     """
     proj, eg = _radical_egroup(p.L, p.w)
-    return torus_param(eg, p.lam_s.apply(proj), act_on_torus_part(proj, p.mu))
+    return torus_param(eg, p.lam.apply(proj), act_on_torus_part(proj, p.mu))
 
 
 def rad_char(p: LParam) -> TorusCharData:
@@ -357,8 +348,8 @@ def rad_char(p: LParam) -> TorusCharData:
 
 
 @cache
-def _two_rho_imaginary(L: LGroup, w: WeylElem) -> Tuple[int, ...]:
-    """Sum of the imaginary roots made positive by a functional (1, t, t^2, ...), t >= 2.
+def _rho_imaginary(L: LGroup, w: WeylElem) -> ScaledVec:
+    """Half the sum of the imaginary roots made positive by a functional (1, t, t^2, ...), t >= 2.
 
     The imaginary roots are the roots of the group itself (coroots of the
     dual datum) negated by theta = w theta0; computed once per (L, w).
@@ -376,27 +367,22 @@ def _two_rho_imaginary(L: LGroup, w: WeylElem) -> Tuple[int, ...]:
             for r, v in zip(imag, vals):
                 if v > 0:
                     total = vadd(total, r)
-            return total
+            return ScaledVec(total, (0,) * n, 2)
         t += 1
 
 
-def central_char(p: LParam) -> Tuple[Q, ...]:
+def central_char(p: LParam) -> ScaledVec:
     """Representative of the central-character class.
 
-    tau = (1/2)(1-theta)lambda - (1+theta)mu + rho_i, where rho_i is the
-    half-sum of a positive system of theta-negated roots. The class lives
-    modulo root lattice + (1-theta)Z^n + (1+theta)Z^n; the last summand
-    absorbs the Z^n-ambiguity of mu, and any two positive systems differ by a
-    root-lattice element, so the class is representative-independent.
+    tau = kappa + rho_i, with kappa = (1/2)(1-theta)lambda - (1+theta)mu the
+    torus kappa at theta = w theta0, and rho_i the half-sum of a positive
+    system of theta-negated roots. The class lives modulo root lattice +
+    (1-theta)Z^n + (1+theta)Z^n; the last summand absorbs the Z^n-ambiguity
+    of mu, and any two positive systems differ by a root-lattice element, so
+    the class is representative-independent.
     """
     inv = _involution(p.L, p.w)
-    dif = p.lam_s.apply(inv.one_minus)
-    mu_plus = [sum(map(mul, row, p.mu.num)) for row in inv.one_plus]
-    two_rho = _two_rho_imaginary(p.L, p.w)
-    den = lcm(2 * dif.den, p.mu.den)
-    a, b, c = den // (2 * dif.den), den // p.mu.den, den // 2
-    return tuple(Q(x * a - y * b + r * c, den)
-                 for x, y, r in zip(dif.re, mu_plus, two_rho))
+    return _kappa(inv.one_minus, inv.one_plus, p.lam, p.mu) + _rho_imaginary(p.L, p.w)
 
 
 def central_modulus_gens(p: LParam) -> List[Tuple[int, ...]]:
@@ -407,18 +393,17 @@ def central_modulus_gens(p: LParam) -> List[Tuple[int, ...]]:
     return gens
 
 
-def central_chars_agree(p: LParam, t1: Sequence[Q], t2: Sequence[Q]) -> bool:
-    diff = [a - b for a, b in zip(t1, t2)]
-    if any(x.denominator != 1 for x in diff):
-        return False
-    return in_span_z([x.numerator for x in diff], central_modulus_gens(p))
+def central_chars_agree(p: LParam, t1: ScaledVec, t2: ScaledVec) -> bool:
+    """t1 - t2 is an integer vector in the span of central_modulus_gens."""
+    diff = t1 - t2
+    return diff.den == 1 and not any(diff.im) and in_span_z(diff.re, central_modulus_gens(p))
 
 
 def is_discrete_series(p: LParam) -> bool:
     """lambda regular, and theta acts as inversion on the derived part."""
     d = p.L.dual_datum
     for alpha in all_roots(d):
-        if _orthogonal(alpha, p.lam_s):
+        if _orthogonal(alpha, p.lam):
             return False
     for c in d.simple_coroots:
         if tuple(mat_vec(p.theta, c)) != tuple(-x for x in c):
@@ -431,9 +416,9 @@ def is_discrete_series(p: LParam) -> bool:
 
 def _s_hat_roots(p: LParam) -> List[Tuple[int, ...]]:
     """Dual-group roots pairing to zero against both lambda and theta(lambda)."""
-    th_lam = p.lam_s.apply(p.theta)
+    th_lam = p.lam.apply(p.theta)
     return [alpha for alpha in sorted(all_roots(p.L.dual_datum))
-            if _orthogonal(alpha, p.lam_s) and _orthogonal(alpha, th_lam)]
+            if _orthogonal(alpha, p.lam) and _orthogonal(alpha, th_lam)]
 
 
 def _levi_subsystem(d: RootDatum, subset: frozenset) -> frozenset:
@@ -486,14 +471,14 @@ def contragredient_param(p: LParam) -> LParam:
     """Compose with the Chevalley involution: lambda -> -lambda, phi(j) -> C(phi(j))."""
     g = chevalley(phi_j(p))
     _check_over_w(p, g, "C(phi(j))")
-    return _from_phi_j(p.L, -p.lam_s, g)
+    return _from_phi_j(p.L, -p.lam, g)
 
 
 def tau_twist_param(p: LParam) -> LParam:
     """Precompose with z -> z^{-1}, j -> j^{-1}: lambda -> -lambda, phi(j) -> phi(j)^{-1}."""
     g = tits_inverse(phi_j(p))
     _check_over_w(p, g, "phi(j)^{-1}")
-    return _from_phi_j(p.L, -p.lam_s, g)
+    return _from_phi_j(p.L, -p.lam, g)
 
 
 def _check_over_w(p: LParam, g: ExtTitsElem, what: str) -> None:
@@ -506,7 +491,7 @@ def _check_over_w(p: LParam, g: ExtTitsElem, what: str) -> None:
 
 class PacketDescriptor(NamedTuple):
     levi: StandardLevi
-    inf: GVec
+    inf: ScaledVec
     rad: TorusCharData
 
 
@@ -526,35 +511,28 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
     """
     d = p.L.dual_datum
     cp = contragredient_param(p)
-    desc_c = _dominance_descent(d, cp.lam_s)
+    desc_c = _dominance_descent(d, cp.lam)
     rows = []
 
-    want = -_inf_char(p).apply(longest_element(d).matrix)
+    want = -inf_char(p).apply(longest_element(d).matrix)
     got = desc_c[0]
     rows.append(("inf_char negation", got == want,
-                 f"inf(C)={_fmt_vec(got)} dominant(-inf)={_fmt_vec(want)}"))
+                 f"inf(C)={format_tuple(got)} dominant(-inf)={format_tuple(want)}"))
 
     rc_c = rad_char(cp)
     rc_dual = param_to_char(torus_contragredient(rad_param(p)))
     rows.append(("rad_char dual", char_equal(rc_c, rc_dual),
-                 f"kappa(C)={[str(x) for x in rc_c.kappa]} "
-                 f"kappa(dual)={[str(x) for x in rc_dual.kappa]}"))
+                 f"kappa(C)={format_vec(rc_c.kappa)} kappa(dual)={format_vec(rc_dual.kappa)}"))
 
     tp = tau_twist_param(p)
     rows.append(("C-twist vs tau-twist conjugacy", _params_equivalent(cp, tp, desc_c),
                  f"C: mu={[str(x) for x in cp.mu.entries]} "
                  f"tau: mu={[str(x) for x in tp.mu.entries]}"))
 
-    tau_p = central_char(p)
-    tau_c = central_char(cp)
-    flip = central_chars_agree(p, tau_c, tuple(-x for x in tau_p))
-    rows.append(("central_char flip", flip,
-                 f"tau(C)={[str(x) for x in tau_c]} -tau(p)={[str(-x) for x in tau_p]}"))
+    tau_c, neg_tau_p = central_char(cp), -central_char(p)
+    rows.append(("central_char flip", central_chars_agree(p, tau_c, neg_tau_p),
+                 f"tau(C)={format_vec(tau_c)} -tau(p)={format_vec(neg_tau_p)}"))
     return rows
-
-
-def _fmt_vec(v: ScaledVec) -> str:
-    return "(" + ", ".join(format_vec(v)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +628,7 @@ def param_to_dict(p: LParam) -> dict:
     return {
         "group": g.label,
         "inner_class": inner,
-        "lambda": format_vec(p.lam_s),
+        "lambda": format_vec(p.lam),
         "mu": [str(x) for x in p.mu.entries],
         "w": list(p.w.word),
     }
@@ -660,7 +638,7 @@ def _tau_of(L: LGroup):
     return based_aut(L.g_datum, transpose(L.theta0.matrix))
 
 
-def param_parts(data: dict) -> Tuple[LGroup, List[GaussQ], TorusPart, List[int]]:
+def param_parts(data: dict) -> Tuple[LGroup, ScaledVec, TorusPart, List[int]]:
     """(L, lambda, mu, word) read from a parameter document, not yet validated.
 
     lambda and mu are arrays of strings or integers and w an array of
@@ -669,7 +647,7 @@ def param_parts(data: dict) -> Tuple[LGroup, List[GaussQ], TorusPart, List[int]]
     try:
         group = data["group"]
         inner = data["inner_class"]
-        lam = [parse_gauss(str(z)) for z in json_array(data["lambda"], (str, int))]
+        lam = ScaledVec.of(json_array(data["lambda"], (str, int)))
         mu = torus_part([parse_rational(x) for x in json_array(data["mu"], (str, int))])
         word = json_array(data["w"], int)
     except (KeyError, ValueError, TypeError) as exc:

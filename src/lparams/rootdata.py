@@ -14,7 +14,8 @@ import re
 from functools import cache
 from typing import NamedTuple, Tuple
 
-from .errors import InputError, InvalidCartan, NotBasedAut, RankMismatch, frozen_setattr
+from .errors import (DatumMismatch, InputError, InvalidCartan, NotBasedAut, RankMismatch,
+                     frozen_setattr)
 from .intlinalg import (
     determinant,
     ident,
@@ -343,7 +344,7 @@ def based_aut(d: RootDatum, matrix) -> BasedAut:
         raise NotBasedAut("simple roots are not permuted")
     for i, av in enumerate(d.simple_coroots):
         if mat_vec(inv_t, av) != d.simple_coroots[perm[i] - 1]:
-            raise NotBasedAut(f"coroot images do not follow the root permutation")
+            raise NotBasedAut("coroot images do not follow the root permutation")
     return BasedAut(d, matrix, tuple(perm))
 
 
@@ -378,7 +379,5 @@ def transpose_aut(a: BasedAut) -> BasedAut:
 
 
 def _same_datum(a: BasedAut, b: BasedAut) -> None:
-    from .errors import DatumMismatch
-
     if a.datum != b.datum:
         raise DatumMismatch("automorphisms over different data")

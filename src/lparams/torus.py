@@ -12,8 +12,8 @@ the character-side involution on the identified lattice X^* is -theta-check.
 That sign is forced by (1+theta)(1-theta-check) = 0, which makes the kappa
 formula land in character data.
 
-lambda and kappa are held as ScaledVecs and mu as a TorusPart, so the
-validity checks, kappa and character equality are integer arithmetic.
+lambda and kappa are ScaledVecs and mu is a TorusPart, so the validity
+checks, kappa and character equality are integer arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from random import Random
 from typing import NamedTuple, Tuple
 
 from .errors import ContextMismatch, InputError, InvalidParam, NotInvolution
-from .gaussian import GVec, ScaledVec, read_rational
+from .gaussian import ScaledVec, read_rational
 from .intlinalg import (
     ident,
     in_span_z,
@@ -78,23 +78,13 @@ def _in_coset(kappa: ScaledVec, gamma: Tuple[Q, ...]) -> bool:
 class TorusCharData(NamedTuple):
     """(lambda, kappa) data of a genuine character of the gamma-cover.
 
-    theta is the involution on the character lattice X^*; lambda and kappa
-    are held as ScaledVecs (kappa is real); `lam` and `kappa` are their GaussQ
-    and Fraction views.
+    theta is the involution on the character lattice X^*; kappa is real.
     """
 
     theta: Matrix
-    lam_s: ScaledVec
-    kappa_s: ScaledVec
+    lam: ScaledVec
+    kappa: ScaledVec
     gamma: Tuple[Q, ...]
-
-    @property
-    def lam(self) -> GVec:
-        return self.lam_s.gvec()
-
-    @property
-    def kappa(self) -> Tuple[Q, ...]:
-        return tuple(Q(x, self.kappa_s.den) for x in self.kappa_s.re)
 
 
 def torus_char_data(theta: Matrix, lam, kappa, gamma) -> TorusCharData:
@@ -117,27 +107,23 @@ def torus_char_data(theta: Matrix, lam, kappa, gamma) -> TorusCharData:
 
 
 class TorusParam(NamedTuple):
-    """E-group parameter: phi(z) = z^lambda zbar^{theta-check lambda}, phi(j) = exp(2*pi*i*mu) delta.
-
-    lambda is held as a ScaledVec in `lam_s`; `lam` is its GaussQ view.
-    """
+    """E-group parameter: phi(z) = z^lambda zbar^{theta-check lambda}, phi(j) = exp(2*pi*i*mu) delta."""
 
     egroup: TorusEGroup
-    lam_s: ScaledVec
+    lam: ScaledVec
     mu: TorusPart
 
-    @property
-    def lam(self) -> GVec:
-        return self.lam_s.gvec()
 
+def _kappa(one_minus_tc: Matrix, one_plus_tc: Matrix, lam: ScaledVec, mu: TorusPart) -> ScaledVec:
+    """kappa = (1/2)(1-theta-check)lambda - (1+theta-check)mu, which must be real.
 
-def _kappa(eg: TorusEGroup, lam: ScaledVec, mu: TorusPart) -> ScaledVec:
-    """kappa = (1/2)(1-theta-check)lambda - (1+theta-check)mu, which must be real."""
-    tc = eg.theta_check
-    dif = lam.apply(one_minus(tc))
+    Takes the matrices 1 - theta-check and 1 + theta-check. lparam's central
+    character is this kappa at theta = w theta0, plus rho_i.
+    """
+    dif = lam.apply(one_minus_tc)
     if any(dif.im):
         raise InvalidParam("kappa is not real: lambda fails the reality constraint")
-    mu_plus = [a + sum(map(mul, row, mu.num)) for a, row in zip(mu.num, tc)]
+    mu_plus = [sum(map(mul, row, mu.num)) for row in one_plus_tc]
     den = lcm(2 * dif.den, mu.den)
     a, b = den // (2 * dif.den), den // mu.den
     return ScaledVec([x * a - y * b for x, y in zip(dif.re, mu_plus)], (0,) * len(mu_plus), den)
@@ -149,43 +135,40 @@ def torus_param(eg: TorusEGroup, lam, mu) -> TorusParam:
         mu = torus_part(mu)
     if len(lam.re) != eg.rank or len(mu.num) != eg.rank:
         raise InputError("vector lengths do not match the E-group rank")
-    dif = lam.apply(one_minus(eg.theta_check))
+    lattice = one_minus(eg.theta_check)
+    dif = lam.apply(lattice)
     if dif.den != 1 or any(dif.im):
         raise InvalidParam("lambda - theta-check(lambda) is not in Z^n")
-    if not _in_coset(_kappa(eg, lam, mu), eg.gamma):
+    if not _in_coset(_kappa(lattice, one_minus(mat_neg(eg.theta_check)), lam, mu), eg.gamma):
         raise InvalidParam("kappa is not in gamma + Z^n")
     return TorusParam(eg, lam, mu)
 
 
 def param_to_char(p: TorusParam) -> TorusCharData:
-    kappa = _kappa(p.egroup, p.lam_s, p.mu)
-    return torus_char_data(mat_neg(p.egroup.theta_check), p.lam_s, kappa, p.egroup.gamma)
+    tc = p.egroup.theta_check
+    kappa = _kappa(one_minus(tc), one_minus(mat_neg(tc)), p.lam, p.mu)
+    return torus_char_data(mat_neg(tc), p.lam, kappa, p.egroup.gamma)
 
 
 def char_equal(c1: TorusCharData, c2: TorusCharData) -> bool:
     if c1.theta != c2.theta or c1.gamma != c2.gamma:
         raise ContextMismatch("characters live on different covers")
-    if c1.lam_s != c2.lam_s:
+    if c1.lam != c2.lam:
         return False
-    k1, k2 = c1.kappa_s, c2.kappa_s
-    den = lcm(k1.den, k2.den)
-    a, b = den // k1.den, den // k2.den
-    diff = [x * a - y * b for x, y in zip(k1.re, k2.re)]
-    if any(x % den for x in diff):
-        return False
-    return in_span_z([x // den for x in diff], transpose(one_minus(c1.theta)))
+    diff = c1.kappa - c2.kappa
+    return diff.den == 1 and in_span_z(diff.re, transpose(one_minus(c1.theta)))
 
 
 def torus_contragredient(p: TorusParam) -> TorusParam:
     """Contragredient parameter (-lambda, -mu); its character is (-lambda, -kappa)."""
-    return torus_param(p.egroup, -p.lam_s, -p.mu)
+    return torus_param(p.egroup, -p.lam, -p.mu)
 
 
 def torus_params_equivalent(p: TorusParam, q: TorusParam) -> bool:
     """Conjugate by exp(2*pi*i*nu): mu moves by (1-theta-check)nu, lambda is fixed."""
     if p.egroup != q.egroup:
         raise ContextMismatch("parameters into different E-groups")
-    if p.lam_s != q.lam_s:
+    if p.lam != q.lam:
         return False
     d = q.mu - p.mu
     return solve_congruence_scaled(one_minus(p.egroup.theta_check), d.num, d.den) is not None
@@ -229,5 +212,5 @@ def random_torus_param(eg: TorusEGroup, rng: Random) -> TorusParam:
         # exercise representatives that differ within the conjugacy class
         nu = [rng.randrange(-4, 5) for _ in range(n)]
         mu2 = mu + TorusPart.scaled([sum(map(mul, row, nu)) for row in lattice], 4)
-        return torus_param(eg, p.lam_s, mu2)
+        return torus_param(eg, p.lam, mu2)
     raise InputError("could not sample a valid parameter for this E-group")

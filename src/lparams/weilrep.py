@@ -15,8 +15,7 @@ split automatically. Exponents t are Gaussian rationals.
 A representation is held as its sorted blocks (k, eps), k = 0 for a
 character, and one ScaledVec of exponents, entry i belonging to block i, so
 the dualities, sorting, parsing and the GL(n) bridge are integer
-arithmetic; GaussQ exponents appear only in the WeilIrr irreducibles and in
-the `summands` and `weil_inf_char` views.
+arithmetic; a GaussQ exponent is built only for a WeilIrr irreducible.
 
 This is the GL(n) end of the dictionary: a multiset of total dimension n is
 the same thing as a parameter into GL(n,C) in diagonal-block position, and
@@ -25,6 +24,7 @@ the contragredient on parameters is t -> -t summandwise here.
 
 from __future__ import annotations
 
+from fractions import Fraction as Q
 from functools import cache
 from math import lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -84,8 +84,10 @@ class WeilRep(NamedTuple):
 
     @property
     def summands(self) -> Tuple[WeilIrr, ...]:
+        t = self.t
+        exps = (GaussQ(Q(a, t.den), Q(b, t.den)) for a, b in zip(t.re, t.im))
         return tuple(WeilIrr("ind", z, k=k) if k else WeilIrr("chi", z, eps=eps)
-                     for (k, eps), z in zip(self.blocks, self.t.gvec()))
+                     for (k, eps), z in zip(self.blocks, exps))
 
     def dim(self) -> int:
         return sum(2 if k else 1 for k, _ in self.blocks)
@@ -145,16 +147,14 @@ def _lam(r: WeilRep) -> ScaledVec:
     return ScaledVec(re, im, 2 * t.den)
 
 
-def _weil_inf_char(r: WeilRep) -> ScaledVec:
-    """weil_inf_char as a ScaledVec, entries sorted by (real, imaginary) part."""
+def weil_inf_char(r: WeilRep) -> ScaledVec:
+    """Exponent multiset: {t} per character, {t + k/2, t - k/2} per induced.
+
+    Entries are sorted by (real, imaginary) part.
+    """
     lam = _lam(r)
     pairs = sorted(zip(lam.re, lam.im))
     return ScaledVec([a for a, _ in pairs], [b for _, b in pairs], lam.den)
-
-
-def weil_inf_char(r: WeilRep) -> Tuple[GaussQ, ...]:
-    """Exponent multiset: {t} per character, {t + k/2, t - k/2} per induced."""
-    return _weil_inf_char(r).gvec()
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +208,7 @@ def lparam_to_weilrep(p: LParam) -> WeilRep:
     if d.label != f"GL({n})":
         raise InputError(f"bridge needs a GL(n) datum, got {d.label!r}")
     m = p.w.matrix
-    re, im, den = p.lam_s.re, p.lam_s.im, p.lam_s.den
+    re, im, den = p.lam.re, p.lam.im, p.lam.den
     mu, mu_den = p.mu.num, p.mu.den
     img = []
     for i in range(n):

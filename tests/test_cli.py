@@ -247,6 +247,16 @@ def test_check_tits_inner_class_is_not_coerced(capsys, inner):
     assert out == f"RESULT 2 bad inner class {inner!r}\n"
 
 
+@pytest.mark.parametrize("name,spelling", [("split", "Split"), ("split", " split"),
+                                           ("compact", "COMPACT"), ("compact", "compact\t")])
+def test_check_tits_reads_inner_class_names_like_fuzz(capsys, name, spelling):
+    # one --inner-class flag: every command reads a name in any case, white space around
+    assert _run(capsys, "check-tits", "A2 sc", "--inner-class", spelling) == \
+        _run(capsys, "check-tits", "A2 sc", "--inner-class", name)
+    code, out = _run(capsys, "fuzz", "--group", "A2 sc", "--inner-class", spelling, "--count", "1")
+    assert code == 0, out
+
+
 @pytest.mark.parametrize("spec", ["A2 xx", "A2 sc x", "x A2 sc"])
 def test_empty_product_factor_exits_2(capsys, spec):
     code, out = _run(capsys, "fuzz", "--group", spec, "--count", "1")

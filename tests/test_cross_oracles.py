@@ -23,12 +23,15 @@ from lparams.weilrep import (
     weil_rep,
 )
 
+from gauss_entries import gauss_entries
+
 GL2 = lgroup_split(build_datum("GL(2)"))
 PGL2 = lgroup_split(build_datum("A1 ad"))
 
 
 def _has_equal_swap_block(p):
-    return len(p.w.word) == 1 and p.lam[0] == p.lam[1]
+    lam = gauss_entries(p.lam)
+    return len(p.w.word) == 1 and lam[0] == lam[1]
 
 
 def test_gl2_equivalence_implies_equal_multisets():
@@ -75,7 +78,7 @@ def test_gl2_split_locus_discrepancy():
 def _adjoint_weil_rep(p):
     """Compose with Ad of the dual SL(2): weights alpha, 0, -alpha."""
     alpha = p.L.dual_datum.simple_roots[0]
-    m = sum(a * x for a, x in zip(alpha, p.lam))
+    m = sum(a * x for a, x in zip(alpha, gauss_entries(p.lam)))
     if not p.w.word:
         eps = int(2 * sum(Q(a) * x for a, x in zip(alpha, p.mu.entries))) % 2
         return weil_rep([weil_chi(m, eps), weil_chi(-m, eps), weil_chi(0, 0)])

@@ -47,11 +47,11 @@ RECORDS = [
     (CTX, tits_context(L.dual_datum), ("datum", "theta0")),
     (sigma(CTX, S2), _rebuilt(sigma(CTX, S2)), ("ctx", "t", "w", "eps")),
     (EG, torus_egroup([[0, 1], [1, 0]], ["0", "0"]), ("theta_check", "gamma")),
-    (param_to_char(TP), _rebuilt(param_to_char(TP)), ("theta", "lam_s", "kappa_s", "gamma")),
-    (TP, _rebuilt(TP), ("egroup", "lam_s", "mu")),
+    (param_to_char(TP), _rebuilt(param_to_char(TP)), ("theta", "lam", "kappa", "gamma")),
+    (TP, _rebuilt(TP), ("egroup", "lam", "mu")),
     (L, LGroup(L.dual_datum, L.theta0, L.dual_datum), ("dual_datum", "theta0")),
     (standard_levis(L)[1], _rebuilt(standard_levis(L)[1]), ("subset",)),
-    (random_param(L, Random(3)), _rebuilt(random_param(L, Random(3))), ("L", "lam_s", "mu", "w")),
+    (random_param(L, Random(3)), _rebuilt(random_param(L, Random(3))), ("L", "lam", "mu", "w")),
     (packet_descriptor(P), packet_descriptor(make_param(GL2, ("2/2", 0), (0, 0), [1])),
      ("levi", "inf", "rad")),
     (weil_chi("1/2", 0), WeilIrr(t=GaussQ(Q(1, 2)), kind="chi"), ("kind", "t", "eps", "k")),

@@ -202,7 +202,7 @@ def test_levi_of_refuses_a_theta_that_is_not_an_involution():
     # is not a twisted involution, and theta = s1 (-w0) does not square to 1
     L = parse_inner_class(build_datum("GL(3)"), "compact")
     p = make_param(L, ("1", "0", "-1"), torus_part((0, 0, 0)), weyl_from_word(L.dual_datum, []))
-    bad = type(p)(L, p.lam_s, p.mu, weyl_from_word(L.dual_datum, [1]))
+    bad = type(p)(L, p.lam, p.mu, weyl_from_word(L.dual_datum, [1]))
     assert not _involution(L, bad.w).involutive
     with pytest.raises(NotInvolution):
         levi_of(bad)

@@ -56,6 +56,7 @@ from lparams.weyl import (
     weyl_mul,
     weyl_order,
 )
+from gauss_entries import gauss_entries
 from oracle_matrices import xcostar_reflections
 
 D4_SWAP = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
@@ -119,7 +120,7 @@ def scan_params_equivalent(p, q):
     one_minus = tuple(tuple((1 if r == c else 0) - q.theta[r][c] for c in range(n))
                       for r in range(n))
     for u in weyl_enumerate(p.L.dual_datum):
-        if p.lam_s.apply(u.matrix) != q.lam_s:
+        if p.lam.apply(u.matrix) != q.lam:
             continue
         pc = conjugate_param(p, u)
         diff = q.mu - pc.mu
@@ -147,8 +148,8 @@ def test_dominant_rep_matches_scan(group, inner):
     rng = Random(f"dominant:{group}")
     for _ in range(4):
         lam = random_param(L, rng).lam
-        for vec in (lam, tuple(-x for x in lam)):
-            want = ScaledVec.of(scan_dominant_rep(d, vec))
+        for vec in (lam, -lam):
+            want = ScaledVec.of(scan_dominant_rep(d, gauss_entries(vec)))
             assert dominant(d, vec) == want
             assert dominant(d, want) == want
 
@@ -249,7 +250,7 @@ def descent_points(L, rng):
     n = d.rank
     pts = [ScaledVec([0] * n, [0] * n, 1)]
     for _ in range(3):
-        lam = random_param(L, rng).lam_s
+        lam = random_param(L, rng).lam
         r = [rng.randrange(-6, 7) for _ in range(n)]
         s = [rng.randrange(-6, 7) for _ in range(n)]
         i = rng.randrange(d.nsimple)
@@ -281,7 +282,7 @@ def test_neg_w0_is_dominant_point_of_negation(group, inner):
         walls += any(p == (0, 0) for p in pairings)
         want = -dom.apply(w0)
         assert want == _dominance_descent(d, -dom)[0], v
-        assert want == ScaledVec.of(scan_dominant_rep(d, (-v).gvec())), v
+        assert want == ScaledVec.of(scan_dominant_rep(d, gauss_entries(-v))), v
     assert walls
 
 
@@ -302,7 +303,7 @@ def _wall_param(L, p):
         for k in range(d.rank):
             f = [int(r == k) + t for r, t in enumerate(row[k] for row in p.theta)]
             if vdot(d.simple_roots[i], f):
-                return make_param(L, _on_wall(d, p.lam_s, i, f), p.mu, p.w)
+                return make_param(L, _on_wall(d, p.lam, i, f), p.mu, p.w)
     return None
 
 
@@ -311,8 +312,8 @@ def _shifted(p):
     n = p.L.dual_datum.rank
     for bits in product((0, 1), repeat=n):
         mu = p.mu + TorusPart.scaled(bits, 2)
-        if any(bits) and all(ok for _, ok, _, _ in validity_rows(p.L, p.lam_s, mu, p.w)):
-            return make_param(p.L, p.lam_s, mu, p.w)
+        if any(bits) and all(ok for _, ok, _, _ in validity_rows(p.L, p.lam, mu, p.w)):
+            return make_param(p.L, p.lam, mu, p.w)
     return None
 
 
@@ -325,11 +326,11 @@ def test_shared_descent_equivalence_matches_scan(group, inner):
     params = [random_param(L, rng) for _ in range(2 if big else 3)]
     params += [q for q in map(lambda p: _wall_param(L, p), params) if q is not None]
     params += _zero_params(L, 1 if big else 2)
-    assert any(any(p.lam_s.im) for p in params)
+    assert any(any(p.lam.im) for p in params)
     verdicts = set()
     for p in params:
         cp, tp = contragredient_param(p), tau_twist_param(p)
-        shared = _dominance_descent(d, cp.lam_s)
+        shared = _dominance_descent(d, cp.lam)
         assert _params_equivalent(cp, tp, shared) is params_equivalent(cp, tp) is True
         assert scan_params_equivalent(cp, tp)
         t = torus_part([Q(rng.randrange(-4, 5), 4) for _ in range(d.rank)])
@@ -337,7 +338,7 @@ def test_shared_descent_equivalence_matches_scan(group, inner):
             if q is None:
                 continue
             want = scan_params_equivalent(p, q)
-            assert _params_equivalent(p, q, _dominance_descent(d, p.lam_s)) == want, (p, q)
+            assert _params_equivalent(p, q, _dominance_descent(d, p.lam)) == want, (p, q)
             assert params_equivalent(p, q) == want
             verdicts.add(want)
     assert verdicts == {True, False}

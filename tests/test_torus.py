@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from lparams.errors import ContextMismatch, InputError, InvalidParam, NotInvolution
-from lparams.gaussian import parse_gauss, read_gauss
+from lparams.gaussian import ScaledVec, parse_gauss, read_gauss
 from lparams.tits import torus_part
 from lparams.torus import (
     char_equal,
@@ -75,14 +75,14 @@ def test_kappa_circle_weight():
     # S^1 dual side: theta-check = -1, lambda = 3, mu = 0 -> kappa = 3
     eg = torus_egroup(CIRCLE, (0,))
     assert param_to_char(torus_param(eg, tuple(map(read_gauss, (3,))), torus_part((0,)))).kappa \
-        == (Q(3),)
+        == ScaledVec.of([3])
 
 
 def test_kappa_split_sign():
     # R^x: theta-check = +1, lambda free, kappa = -2mu mod the identification
     eg = torus_egroup(SPLIT, (0,))
     p = torus_param(eg, (parse_gauss("1/2+3/4i"),), (Q(1, 2),))
-    assert param_to_char(p).kappa == (Q(-1),)
+    assert param_to_char(p).kappa == ScaledVec.of([-1])
     # kappa = -1 and kappa = 1 name the same character: (1-theta)=0 but the
     # kappa ambiguity for split coordinates is 2Z via (1+theta)mu mod 2Z
     c1 = param_to_char(p)
@@ -110,7 +110,7 @@ def test_cplx_factor_pairs_conjugates():
     eg = torus_egroup(CPLX, (0, 0))
     p = torus_param(eg, (parse_gauss("1/2+3/4i"), parse_gauss("-1/2+3/4i")),
                     (Q(1, 4), Q(1, 4)))
-    assert param_to_char(p).kappa == (Q(0), Q(-1))
+    assert param_to_char(p).kappa == ScaledVec.of([0, -1])
     with pytest.raises(InvalidParam):
         torus_param(eg, (Q(1, 2), Q(1, 4)), (0, 0))
 
@@ -134,8 +134,7 @@ def test_contragredient_negates_char_data():
             p = random_torus_param(eg, rng)
             c = param_to_char(p)
             cc = param_to_char(torus_contragredient(p))
-            neg = torus_char_data(
-                c.theta, tuple(-x for x in c.lam), tuple(-k for k in c.kappa), c.gamma)
+            neg = torus_char_data(c.theta, -c.lam, -c.kappa, c.gamma)
             assert char_equal(cc, neg)
 
 

@@ -29,6 +29,8 @@ from lparams.weilrep import (
 )
 from lparams.weyl import weyl_from_word
 
+from gauss_entries import gauss_entries
+
 
 def _rand_rep(rng, max_dim=4, qmax=4):
     items = []
@@ -119,7 +121,7 @@ def test_unitary_implies_hermitian():
 
 def test_inf_char_multiset():
     r = weil_rep([weil_chi(Q(1, 2), 0), weil_ind(3, 0)])
-    assert weil_inf_char(r) == tuple(
+    assert weil_inf_char(r) == ScaledVec.of(
         sorted((GaussQ(Q(-3, 2)), GaussQ(Q(1, 2)), GaussQ(Q(3, 2))),
                key=lambda z: (z.re, z.im)))
 
@@ -127,7 +129,7 @@ def test_inf_char_multiset():
 def test_bridge_to_gl1():
     p = weil_to_lparam(weil_rep([weil_chi(Q(3), 1)]))
     assert p.L == lgroup_split(build_datum("GL(1)"))
-    assert p.lam == (GaussQ(3),)
+    assert p.lam == ScaledVec.of([3])
     assert p.mu.entries == (Q(1, 2),)
     assert lparam_to_weilrep(p) == weil_rep([weil_chi(Q(3), 1)])
 
@@ -135,7 +137,7 @@ def test_bridge_to_gl1():
 def test_bridge_to_gl2_induced():
     r = weil_rep([weil_ind(2, Q(1, 2))])
     p = weil_to_lparam(r)
-    assert p.lam == (GaussQ(Q(3, 2)), GaussQ(Q(-1, 2)))
+    assert p.lam == ScaledVec.of([Q(3, 2), Q(-1, 2)])
     assert p.w.word == (1,)
     assert p.mu.entries == (Q(1, 2), Q(0))
     assert lparam_to_weilrep(p) == r
@@ -287,7 +289,7 @@ def _oracle_lam(r):
 
 def _oracle_weilrep(p):
     """Fixed coordinates are characters; a 2-cycle is I(difference, midpoint)."""
-    lam, mu, m = p.lam, p.mu.entries, p.w.matrix
+    lam, mu, m = gauss_entries(p.lam), p.mu.entries, p.w.matrix
     n = len(lam)
     img = [next(r for r in range(n) if m[r][i]) for i in range(n)]
     out = []
@@ -311,11 +313,11 @@ def test_integer_weilrep_matches_gauss_reference():
         assert r.summands == _oracle_sorted(r.summands)
         assert weil_dual(r).summands == _oracle_map(r, lambda t: -t)
         assert weil_hermitian_dual(r).summands == _oracle_map(r, lambda t: GaussQ(-t.re, t.im))
-        assert weil_inf_char(r) == tuple(sorted(_oracle_lam(r), key=lambda z: (z.re, z.im)))
+        assert weil_inf_char(r) == ScaledVec.of(sorted(_oracle_lam(r), key=lambda z: (z.re, z.im)))
         if r.dim() == 0:
             continue
         p = weil_to_lparam(r)
-        assert p.lam == _oracle_lam(r)
+        assert p.lam == ScaledVec.of(_oracle_lam(r))
         assert lparam_to_weilrep(p).summands == _oracle_weilrep(p) == r.summands
         # a conjugate moves the blocks to other coordinates and 2-cycles
         u = weyl_from_word(p.L.dual_datum, [rng.randrange(1, r.dim()) for _ in range(3)]
