@@ -174,10 +174,13 @@ def _gauss_text(a: int, b: int, den: int) -> str:
 def _scaled_entry(x) -> Tuple[int, int, int]:
     """read_gauss(x) as integers (a, b, den), den >= 1 and not reduced: x = (a + b i) / den.
 
-    A string (parse_gauss_scaled) or a rational (read_rational) builds no GaussQ.
+    A string (parse_gauss_scaled) or a rational (read_rational) builds no GaussQ,
+    and an int no Fraction either.
     """
     if isinstance(x, str):
         return parse_gauss_scaled(x)
+    if type(x) is int:
+        return x, 0, 1
     re, im = (x.re, x.im) if isinstance(x, GaussQ) else (read_rational(x), Q(0))
     return (re.numerator * im.denominator, im.numerator * re.denominator,
             re.denominator * im.denominator)

@@ -57,10 +57,6 @@ def vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vneg(a):
     return tuple(-x for x in a)
 

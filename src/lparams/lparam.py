@@ -36,7 +36,7 @@ from .errors import (
     ValidityIntegrality,
     json_array,
 )
-from .gaussian import ScaledVec, format_tuple, format_vec, parse_rational
+from .gaussian import ScaledVec, _numeral, format_tuple, format_vec
 from .intlinalg import (
     descend_map,
     ident,
@@ -51,7 +51,6 @@ from .intlinalg import (
     vadd,
     vdot,
     vneg,
-    vsub,
 )
 from .lgroup import LGroup, StandardLevi, lgroup_tits_context, parse_inner_class
 from .rootdata import (
@@ -64,10 +63,10 @@ from .rootdata import (
     compose_aut,
     positive_root_table,
     transpose_aut,
-    two_rho_check,
 )
 from .tits import (
     ExtTitsElem,
+    _four_z,
     TorusPart,
     act_on_torus_part,
     chevalley,
@@ -90,11 +89,12 @@ from .torus import (
 from .weyl import (
     WeylElem,
     _descend,
+    _elem_from_matrix,
+    _replay_key,
     apply_aut_to_weyl,
     longest_element,
     neg_w0_aut,
     parabolic_subgroup,
-    simple_reflection,
     weyl_act,
     weyl_enumerate,
     weyl_from_word,
@@ -140,8 +140,7 @@ def _involution(L: LGroup, w: WeylElem) -> _Involution:
     d = L.dual_datum
     theta = mat_mul(w.matrix, coaction(L.theta0))
     twisted = weyl_mul(w, apply_aut_to_weyl(L.theta0, w)) == weyl_identity(d)
-    rc2 = two_rho_check(d)
-    shift2 = vsub(rc2, weyl_act(w, rc2))
+    shift2 = _four_z(w)
     if any(x % 2 for x in shift2):
         raise InvariantViolated("rho_check - w rho_check is not an integer vector")
     return _Involution(theta, twisted, mat_mul(theta, theta) == ident(d.rank),
@@ -545,22 +544,23 @@ def _twisted_involution_set(L: LGroup) -> Tuple[WeylElem, ...]:
     From a twisted involution w and a left ascent s_i (l(s_i w) > l(w), that
     is <alpha_i, w rho_check> > 0 on w's key) the walk moves to
     s_i w theta0(s_i), or to s_i w when that product is w itself; every
-    twisted involution is reached this way.
+    twisted involution is reached this way. The walk goes on keys: only the
+    twisted involutions it finds are interned, never s_i w on the way.
     """
     d = L.dual_datum
-    refl = [simple_reflection(d, i) for i in range(1, d.nsimple + 1)]
+    ones = (1,) * d.nsimple
     found = [weyl_identity(d)]
-    seen = set(found)
+    seen = {found[0].key}
     for w in found:
         for i in range(1, d.nsimple + 1):
             if w.key[i - 1] < 0:
                 continue
-            v = weyl_mul(refl[i - 1], w)
-            twisted = weyl_mul(v, refl[L.theta0.perm[i - 1] - 1])
-            v = v if twisted == w else twisted
-            if v not in seen:
-                seen.add(v)
-                found.append(v)
+            key = tuple(_replay_key(d, (i, *w.word, L.theta0.perm[i - 1]), ones))
+            if key == w.key:
+                key = tuple(_replay_key(d, (i,), w.key))
+            if key not in seen:
+                seen.add(key)
+                found.append(_elem_from_matrix(d, key))
     return tuple(sorted(found, key=lambda w: (len(w.word), w.word)))
 
 
@@ -648,7 +648,10 @@ def param_parts(data: dict) -> Tuple[LGroup, ScaledVec, TorusPart, List[int]]:
         group = data["group"]
         inner = data["inner_class"]
         lam = ScaledVec.of(json_array(data["lambda"], (str, int)))
-        mu = torus_part([parse_rational(x) for x in json_array(data["mu"], (str, int))])
+        pairs = [(x, 1) if type(x) is int else _numeral(x)
+                 for x in json_array(data["mu"], (str, int))]
+        den = lcm(*(d for _, d in pairs))
+        mu = TorusPart.scaled([a * (den // d) for a, d in pairs], den)
         word = json_array(data["w"], int)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad parameter data: {data!r}") from exc

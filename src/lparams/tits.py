@@ -217,11 +217,18 @@ def tits_mul(g1: ExtTitsElem, g2: ExtTitsElem) -> ExtTitsElem:
     return ExtTitsElem(ctx, TorusPart.scaled(num, den), weyl_mul(u, w2), (g1.eps + g2.eps) % 2)
 
 
+@cache
+def _four_z(w: WeylElem):
+    """4 z(w) = 2 rho_check - w 2 rho_check, once per element."""
+    rc2 = two_rho_check(w.datum)
+    return tuple(a - sum(map(mul, row, rc2)) for a, row in zip(rc2, w.matrix))
+
+
 def _lemma_minus(w: WeylElem, num, den: int):
     """z(w) - num/den as (numerators, lcm(den, 4)), unreduced, for z(w) of Tits' lemma."""
-    rc2, out = two_rho_check(w.datum), lcm(den, 4)
+    out = lcm(den, 4)
     f, h = out // den, out // 4
-    return [h * (a - sum(map(mul, row, rc2))) - f * x for a, row, x in zip(rc2, w.matrix, num)], out
+    return [h * z - f * x for z, x in zip(_four_z(w), num)], out
 
 
 def tits_inverse(g: ExtTitsElem) -> ExtTitsElem:

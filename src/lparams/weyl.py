@@ -4,8 +4,11 @@ rho_check is regular, so the key decides equality. A left reflection moves a
 key through the Cartan matrix, so products, inverses, words and automorphisms
 are replayed on keys without matrices. The canonical (lex-smallest reduced)
 word is the dominance descent on the key, the walk that also gives
-infinitesimal characters; the X_* and X^* matrices are built from it on first
-use (Casselman, Machine calculations in Weyl groups, 1994).
+infinitesimal characters. Its first step reflects the first negative index i,
+so an element is interned after its parent s_i w and its word is i followed
+by the parent's: one Cartan-column update per element, not a descent. The
+X_* and X^* matrices are built from the word on first use (Casselman,
+Machine calculations in Weyl groups, 1994).
 """
 
 from __future__ import annotations
@@ -125,22 +128,47 @@ def _descend(d: RootDatum, cols):
     raise InvariantViolated("dominance descent failed to terminate")
 
 
+# The recursion in _elem_from_matrix runs down the canonical parents not yet
+# interned, two interpreter frames per letter; a datum with more positive roots
+# than this keeps the iterative descent, so no word can exhaust the stack.
+_MAX_RECURSIVE_ROOTS = 256
+
+
 # named after the matrix canonicalizer it replaced: perfbench/spans.py reads its cache_info()
 @cache
 def _elem_from_matrix(d: RootDatum, key: Tuple[int, ...]) -> WeylElem:
-    """The one element with this key; its word is the dominance descent on the key."""
-    return WeylElem(d, key, tuple(i for i, _ in _descend(d, [list(key)])))
+    """The one element with this key; its word is the dominance descent on the key.
+
+    The descent reflects the first negative index i, then descends the key of
+    s_i w, so the word is i followed by the word of s_i w, read from this cache:
+    one Cartan-column update per element whose parent is interned.
+    """
+    for i, x in enumerate(key):
+        if x < 0:
+            break
+    else:
+        return WeylElem(d, key, ())
+    if len(positive_roots(d)) > _MAX_RECURSIVE_ROOTS:
+        return WeylElem(d, key, tuple(i for i, _ in _descend(d, [list(key)])))
+    # not _replay, whose frame would stay on the stack through the recursion
+    parent = _elem_from_matrix(d, tuple(_replay_key(d, (i + 1,), key)))
+    return WeylElem(d, key, (i + 1,) + parent.word)
 
 
-def _replay(d: RootDatum, word, key) -> WeylElem:
-    """s_{word[0]} ... s_{word[-1]} x for the element x with the given key, last letter first."""
+def _replay_key(d: RootDatum, word, key) -> list:
+    """The key of s_{word[0]} ... s_{word[-1]} x for x with the given key, last letter first."""
     p = list(key)
     columns = _cartan_columns(d)
     for i in reversed(word):
         x = p[i - 1]
         for j, a in columns[i - 1]:
             p[j] -= a * x
-    return _elem_from_matrix(d, tuple(p))
+    return p
+
+
+def _replay(d: RootDatum, word, key) -> WeylElem:
+    """s_{word[0]} ... s_{word[-1]} x for the element x with the given key, last letter first."""
+    return _elem_from_matrix(d, tuple(_replay_key(d, word, key)))
 
 
 def weyl_identity(d: RootDatum) -> WeylElem:
@@ -204,19 +232,27 @@ def parabolic_subgroup(d: RootDatum, subset) -> Tuple[WeylElem, ...]:
     """W_J for J the given simple indices, ordered by length then canonical word.
 
     Each length is s_i u over i in J and the left ascents i of the previous
-    length's u, kept when the word of s_i u is i then u's word: each element
-    is met once, in order, at a cost scaling with |W_J| rather than |W|.
+    length's u, kept when the word of s_i u is i then u's word, that is when
+    no entry of its key before the i-th is negative: each element is met
+    once, in order, and interned from its parent u, at a cost scaling with
+    |W_J| rather than |W|.
     """
     letters = sorted(_index(d, i) for i in subset)
+    columns = _cartan_columns(d)
     out, layer = [weyl_identity(d)], [weyl_identity(d)]
     while layer:
         nxt = []
         for i in letters:
+            near = {j + 1 for j, _ in columns[i - 1]}
             for u in layer:
                 if u.key[i - 1] > 0:
-                    v = _replay(d, (i,), u.key)
-                    if v.word[0] == i:
-                        nxt.append(v)
+                    # u's key is positive before its first letter f, and s_i raises every
+                    # entry but the i-th: f > i passes, and f < i only if s_i moves entry f
+                    f = u.word[0] if u.word else i + 1
+                    if f > i or f in near:
+                        p = _replay_key(d, (i,), u.key)
+                        if f > i or min(p[:i - 1]) > 0:
+                            nxt.append(_elem_from_matrix(d, tuple(p)))
         out.extend(nxt)
         layer = nxt
     return tuple(out)

@@ -1,6 +1,5 @@
 """Exact integer linear algebra: Smith form, congruences, lattices, determinants."""
 
-import importlib
 from fractions import Fraction as Q
 from itertools import permutations
 from math import gcd, lcm
@@ -24,11 +23,11 @@ from lparams.intlinalg import (
     solve_congruence_scaled,
     transpose,
     vdot,
-    vsub,
 )
 from lparams.lgroup import parse_inner_class
 from lparams.lparam import random_param, verify_contragredient
 from lparams.rootdata import build_datum
+from cold_caches import clear_all_caches
 
 
 def _rand_mat(rng, n, lo=-5, hi=6):
@@ -174,7 +173,7 @@ def test_solve_congruence_rational_matrix():
     d = (Q(1, 4), Q(1, 6))
     x = scaled_solve(a2, d)
     assert x is not None
-    res = vsub(mat_vec(a2, x), d)
+    res = [r - y for r, y in zip(mat_vec(a2, x), d)]
     assert all(r.denominator == 1 for r in res)
 
 
@@ -190,7 +189,7 @@ def test_solve_congruence_seeded_rational():
         if x is None:
             continue
         hits += 1
-        res = vsub(mat_vec(a, x), d)
+        res = [r - y for r, y in zip(mat_vec(a, x), d)]
         assert all(r.denominator == 1 for r in res)
     assert hits > 100
 
@@ -417,15 +416,6 @@ THEOREM_FLEET = [
 ]
 
 
-def _clear_all_caches():
-    """Empty every functools cache held by a module-level name of lparams, as the benchmark does."""
-    for name in ("gaussian", "intlinalg", "rootdata", "weyl", "tits", "torus", "lgroup",
-                 "lparam", "weilrep", "cli"):
-        for obj in list(vars(importlib.import_module(f"lparams.{name}")).values()):
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-
-
 def test_smith_runs_once_per_distinct_matrix_on_the_theorem_op(monkeypatch):
     seen = []
     real_smith = smith
@@ -435,7 +425,7 @@ def test_smith_runs_once_per_distinct_matrix_on_the_theorem_op(monkeypatch):
         return real_smith(a)
 
     monkeypatch.setattr(intlinalg, "smith", counting)
-    _clear_all_caches()
+    clear_all_caches()
     assert _smith_factors.cache_info().currsize == 0
 
     def one_pass():
@@ -453,5 +443,5 @@ def test_smith_runs_once_per_distinct_matrix_on_the_theorem_op(monkeypatch):
     assert len(seen) == first
     # the cache is a module-level functools cache, so the benchmark's cold
     # set-up (cache_clear on every such object) empties it
-    _clear_all_caches()
+    clear_all_caches()
     assert _smith_factors.cache_info().currsize == 0

@@ -21,7 +21,7 @@ from lparams.errors import (
 )
 from lparams import lparam
 from lparams.gaussian import GaussQ, ScaledVec
-from lparams.intlinalg import ident, mat_mul, mat_vec, vadd, vdot, vsub
+from lparams.intlinalg import ident, mat_mul, mat_vec, vadd, vdot
 from lparams.lgroup import (build_lgroup, lgroup_compact, lgroup_split, parse_inner_class,
                             standard_levis)
 from lparams.lparam import (
@@ -365,6 +365,21 @@ def test_param_document_is_read_without_a_gaussq(monkeypatch):
     assert [param_from_dict(doc).lam for doc in docs] == want
 
 
+def test_param_document_mu_is_read_without_a_fraction(monkeypatch):
+    # mu numerals go straight to a TorusPart's numerators, as lambda's do to a ScaledVec's
+    docs = [json.loads((Path(__file__).parent / "data" / "sl2r_ds.param").read_text()),
+            {"group": "A2 sc", "inner_class": "split", "lambda": [3, "-1/2+2/3i"],
+             "mu": ["1/2", 0], "w": []}]
+    want = [param_from_dict(doc).mu for doc in docs]
+    assert want == [torus_part([0]), torus_part([Q(1, 2), 0])]
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built while reading a parameter document")
+
+    monkeypatch.setattr(Q, "__new__", refuse)
+    assert [param_from_dict(doc).mu for doc in docs] == want
+
+
 def test_packet_descriptor_fields():
     p = make_param(GL2, (1, 0), (0, 0), [1])
     desc = packet_descriptor(p)
@@ -389,6 +404,10 @@ FLEET = [
 ]
 
 
+def _vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def _oracle_validity(L, lam, mu, w):
     """(name, verdict) rows of the validity check, in GaussQ and Fraction arithmetic."""
     d = L.dual_datum
@@ -404,8 +423,8 @@ def _oracle_validity(L, lam, mu, w):
     if not int_ok:
         return rows
     rc = tuple(Q(x, 2) for x in two_rho_check(d))
-    lhs = vadd(tuple(2 * x for x in vadd(mu, mat_vec(theta, mu))), vsub(rc, weyl_act(w, rc)))
-    gap = vsub(lhs, tuple(v.re for v in dif))
+    lhs = vadd(tuple(2 * x for x in vadd(mu, mat_vec(theta, mu))), _vsub(rc, weyl_act(w, rc)))
+    gap = _vsub(lhs, tuple(v.re for v in dif))
     rows.append(("parity", all((x / 2).denominator == 1 for x in gap)))
     return rows
 
@@ -426,7 +445,7 @@ def _oracle_central_char(p):
     dif = tuple(a - b for a, b in zip(lam, mat_vec(p.theta, lam)))
     mu = p.mu.entries
     return ScaledVec.of(
-        vadd(vsub(tuple((x * Q(1, 2)).re for x in dif), vadd(mu, mat_vec(p.theta, mu))), rho_i))
+        vadd(_vsub(tuple((x * Q(1, 2)).re for x in dif), vadd(mu, mat_vec(p.theta, mu))), rho_i))
 
 
 def _perturbations(p, rng, elems):

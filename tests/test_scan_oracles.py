@@ -21,6 +21,7 @@ from random import Random
 
 import pytest
 
+from lparams import lparam, weyl
 from lparams.gaussian import GaussQ, ScaledVec, read_gauss
 from lparams.intlinalg import (
     descend_map,
@@ -48,6 +49,7 @@ from lparams.rootdata import all_roots, build_datum, coaction
 from lparams.tits import TorusPart, torus_part
 from lparams.torus import torus_egroup
 from lparams.weyl import (
+    _replay_key,
     apply_aut_to_weyl,
     longest_element,
     parabolic_subgroup,
@@ -131,14 +133,49 @@ def scan_params_equivalent(p, q):
 
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("group,inner", SMALL + BIG, ids=_ids(SMALL + BIG))
-def test_twisted_involutions_match_scan(group, inner):
+def _swap(n):
+    """The factor swap of a product of two rank-n factors."""
+    return [[int(c == (r + n) % (2 * n)) for c in range(2 * n)] for r in range(2 * n)]
+
+
+COMPACT = [(g, "compact") for g in ("A1 sc", "A3 ad", "A4 sc", "B2 ad", "B4 sc", "C3 sc",
+                                    "D4 ad", "F4 sc", "G2 sc", "GL(2)", "GL(4)", "GL(6)",
+                                    "B3 sc x G2 sc")]
+SWAPS = [("A2 sc x A2 sc", _swap(2)), ("B2 sc x B2 sc", _swap(2)), ("GL(3) x GL(3)", _swap(3)),
+         ("A3 sc x A3 sc", _swap(3))]
+WALKS = SMALL + BIG + COMPACT + SWAPS
+
+
+@pytest.mark.parametrize("group,inner", WALKS, ids=_ids(WALKS))
+def test_twisted_involutions_match_scan(group, inner, cold):
     L = _L(group, inner)
     got = twisted_involutions(L)
     assert isinstance(got, list)
     assert [w.word for w in got] == [w.word for w in scan_twisted_involutions(L)]
     got.clear()  # a fresh list each call: the cached set is untouched
     assert twisted_involutions(L)
+
+
+@pytest.mark.parametrize("group,inner", WALKS, ids=_ids(WALKS))
+def test_cold_walk_interns_only_twisted_involutions_and_suffixes(group, inner, cold,
+                                                                  monkeypatch):
+    """The walk asks the intern table only for twisted involutions and their canonical
+    suffixes (the parents interned on the way), never for an s_i w in between."""
+    L = _L(group, inner)
+    d = L.dual_datum
+    asked, real = [], weyl._elem_from_matrix
+
+    def recording(datum, key):
+        asked.append(key)
+        return real(datum, key)
+
+    for mod in (weyl, lparam):
+        monkeypatch.setattr(mod, "_elem_from_matrix", recording)
+    found = twisted_involutions(L)
+    ones = (1,) * d.nsimple
+    suffixes = {tuple(_replay_key(d, w.word[k:], ones))
+                for w in found for k in range(len(w.word) + 1)}
+    assert {w.key for w in found} <= set(asked) <= suffixes
 
 
 @pytest.mark.parametrize("group,inner", SMALL + BIG, ids=_ids(SMALL + BIG))

@@ -188,6 +188,60 @@ def test_matrix_is_built_without_mat_mul(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# canonical words from the parent, against the descent of the whole key
+
+# every type of rank <= 4 in both lattices, GL(n) for n <= 6 and two products
+WORD_GROUPS = ([f"{t}{n} {lat}" for t, ranks in (("A", (1, 2, 3, 4)), ("B", (2, 3, 4)),
+                                                  ("C", (2, 3, 4)), ("D", (2, 3, 4)),
+                                                  ("F", (4,)), ("G", (2,)))
+                for n in ranks for lat in ("sc", "ad")]
+               + [f"GL({n})" for n in range(1, 7)] + ["A1 sc x A1 sc", "B3 sc x G2 sc"])
+
+
+def descent_word(d, key):
+    """The word the dominance descent of the whole key gives, the canonicalizer replaced."""
+    return tuple(i for i, _ in weyl._descend(d, [list(key)]))
+
+
+@pytest.mark.parametrize("group", WORD_GROUPS)
+def test_enumeration_words_match_descent(group, cold, monkeypatch):
+    d = build_datum(group)
+    with monkeypatch.context() as m:
+        # a cold enumeration interns each element after its parent: no full descent
+        m.setattr(weyl, "_descend", lambda *args: pytest.fail("full descent"))
+        elems = weyl_enumerate(d)
+    assert weyl._elem_from_matrix.cache_info().currsize == len(elems)
+    for u in elems:
+        assert u.word == descent_word(d, u.key)
+
+
+@pytest.mark.parametrize("group", ["F4 sc", "B4 ad", "D4 sc", "GL(6)", "B3 sc x G2 sc"])
+def test_random_words_match_descent(group, cold):
+    d = build_datum(group)
+    rng = Random(f"parent-words:{group}")
+    top = 3 * len(positive_roots(d))
+    for _ in range(200):
+        u = weyl_from_word(d, [rng.randrange(1, d.nsimple + 1) for _ in range(rng.randrange(top))])
+        assert u.word == descent_word(d, u.key)
+
+
+def _nested(depth, f):
+    return f() if depth == 0 else _nested(depth - 1, f)
+
+
+@pytest.mark.parametrize("copies", [7, 14])
+def test_deep_product_longest_element(copies, cold):
+    """7 copies (252 positive roots) recurse on parents, 14 (504) keep the full descent."""
+    d = build_datum(" x ".join(["GL(9)"] * copies))
+    w0 = weyl.longest_element(build_datum("GL(9)")).word
+    # the canonical word of a product is its factors' words, one after the other
+    want = tuple(i + 8 * k for k in range(copies) for i in w0)
+    # called under 200 extra frames, as from a deep caller
+    assert _nested(200, lambda: weyl.longest_element(d)).word == want
+    assert descent_word(d, (-1,) * d.nsimple) == want
+
+
+# ---------------------------------------------------------------------------
 # laws
 
 hypothesis = pytest.importorskip("hypothesis")
