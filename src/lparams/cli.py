@@ -45,7 +45,7 @@ from .lparam import (
     verify_contragredient,
 )
 from .rootdata import based_aut, build_datum
-from .tits import run_tits_suite, tits_context
+from .tits import format_torus_part, run_tits_suite, tits_context
 from .weilrep import (
     format_rep,
     parse_weil_rep,
@@ -120,7 +120,7 @@ def _load_param_data(text: str) -> dict:
 
 def _fmt_param(p: LParam) -> str:
     return (f"lambda={format_tuple(p.lam)} "
-            f"mu=({', '.join(str(x) for x in p.mu.entries)}) "
+            f"mu=({', '.join(format_torus_part(p.mu))}) "
             f"w={list(p.w.word)}")
 
 

@@ -62,7 +62,7 @@ def vneg(a):
 
 
 def vdot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _ints(*rows) -> None:
@@ -256,7 +256,18 @@ def in_span_z(x: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:
         raise ValueError("generator length does not match the vector")
     if not gens:
         return not any(x)
-    factors, u, _ = _smith_factors(tuple(zip(*gens)))
+    return _in_lattice(x, _smith_factors(tuple(zip(*gens))))
+
+
+def _in_lattice(x: Sequence[int], smith) -> bool:
+    """in_span_z for the generators that are the columns of g, given smith = _smith_factors(g).
+
+    A caller that meets the same lattice many times keeps smith and skips
+    rebuilding, checking and hashing the generator matrix.
+    """
+    factors, u, _ = smith
+    if len(x) != len(u):
+        raise ValueError("generator length does not match the vector")
     for i, row in enumerate(u):
         z = sum(map(mul, row, x))
         s = factors[i] if i < len(factors) else 0

@@ -10,9 +10,10 @@ outer automorphism group), related by tau = -w0 composed with gamma.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 from itertools import combinations
-from typing import List, NamedTuple, Optional
+from typing import List, Optional
 
 from .errors import InputError, NotInvolution, frozen_setattr, json_matrix
 from .intlinalg import ident, mat_mul, mat_neg, mat_vec, vdot
@@ -132,12 +133,14 @@ def has_compact_cartan(L: LGroup) -> bool:
     target = mat_neg(coaction(L.theta0))
     point = mat_vec(target, two_rho_check(d))
     pairings = [vdot(a, point) for a in d.simple_roots]
-    word = [i for i, _ in _descend(d, [pairings])]
+    word = [i for i, _, _ in _descend(d, pairings, [0] * d.nsimple)]
     return pairings == [2] * d.nsimple and weyl_from_word(d, word).matrix == target
 
 
-class StandardLevi(NamedTuple):
-    subset: frozenset
+class StandardLevi(namedtuple("StandardLevi", "subset")):
+    """A theta0-stable set of simple indices (subset, a frozenset)."""
+
+    __slots__ = ()
 
     def sorted_indices(self):
         return tuple(sorted(self.subset))

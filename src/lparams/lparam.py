@@ -18,12 +18,13 @@ What depends only on theta = w theta0 is computed once per (L, w) and cached.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction as Q
 from functools import cache
 from math import lcm
 from operator import mul
 from random import Random
-from typing import List, NamedTuple, Tuple
+from typing import List, Tuple
 
 from .errors import (
     ContextMismatch,
@@ -38,9 +39,10 @@ from .errors import (
 )
 from .gaussian import ScaledVec, _numeral, format_tuple, format_vec
 from .intlinalg import (
+    _in_lattice,
+    _smith_factors,
     descend_map,
     ident,
-    in_span_z,
     mat_mul,
     mat_neg,
     mat_vec,
@@ -70,6 +72,7 @@ from .tits import (
     TorusPart,
     act_on_torus_part,
     chevalley,
+    format_torus_part,
     sigma,
     tits_inverse,
     tits_mul,
@@ -79,12 +82,11 @@ from .tits import (
 from .torus import (
     TorusCharData,
     TorusParam,
+    _char_of,
     _kappa,
+    _param_and_kappa,
     char_equal,
-    param_to_char,
-    torus_contragredient,
     torus_egroup,
-    torus_param,
 )
 from .weyl import (
     WeylElem,
@@ -103,13 +105,10 @@ from .weyl import (
 )
 
 
-class LParam(NamedTuple):
+class LParam(namedtuple("LParam", "L lam mu w")):
     """A valid parameter (lambda, mu, w) for the L-group L."""
 
-    L: LGroup
-    lam: ScaledVec
-    mu: TorusPart
-    w: WeylElem
+    __slots__ = ()
 
     @property
     def theta(self) -> Tuple[Tuple[int, ...], ...]:
@@ -118,16 +117,12 @@ class LParam(NamedTuple):
 
     def __repr__(self):
         return (f"LParam(lambda={format_vec(self.lam)}, "
-                f"mu={[str(x) for x in self.mu.entries]}, w={list(self.w.word)})")
+                f"mu={format_torus_part(self.mu)}, w={list(self.w.word)})")
 
 
-class _Involution(NamedTuple):
-    theta: Tuple[Tuple[int, ...], ...]  # w theta0 on X_*
-    twisted: bool                       # w . theta0(w) = e
-    involutive: bool                    # theta^2 = 1
-    one_minus: Tuple[Tuple[int, ...], ...]
-    one_plus: Tuple[Tuple[int, ...], ...]
-    shift: Tuple[int, ...]              # rho_check - w rho_check
+# theta = w theta0 on X_*; twisted: w . theta0(w) = e; involutive: theta^2 = 1;
+# the matrices 1 - theta and 1 + theta; shift = rho_check - w rho_check
+_Involution = namedtuple("_Involution", "theta twisted involutive one_minus one_plus shift")
 
 
 @cache
@@ -261,7 +256,8 @@ def _params_equivalent(p: LParam, q: LParam, desc_p) -> bool:
 
     q reuses desc_p only when lambda_q equals lambda_p, which is tested, so a
     q with another lambda pays its own descent. The candidate u = e conjugates
-    p to itself, so p is used as is.
+    p to itself, so p is used as is; when q reuses desc_p, the candidate for
+    s = e is u = e, and no word is replayed.
     """
     if p.L != q.L:
         raise ContextMismatch("parameters for different L-groups")
@@ -272,8 +268,11 @@ def _params_equivalent(p: LParam, q: LParam, desc_p) -> bool:
         return False
     zero = [i + 1 for i, (re, im) in enumerate(pairings) if re == 0 and im == 0]
     for s in parabolic_subgroup(d, zero):
-        u = weyl_from_word(d, [*y, *s.word, *reversed(x)])
-        pc = conjugate_param(p, u) if u.word else p
+        if y is x and not s.word:
+            pc = p  # u = y s x^-1 = e, known without replaying the word
+        else:
+            u = weyl_from_word(d, [*y, *s.word, *reversed(x)])
+            pc = conjugate_param(p, u) if u.word else p
         if pc.w != q.w:
             continue
         diff = q.mu - pc.mu
@@ -296,10 +295,11 @@ def _dominance_descent(d: RootDatum, v: ScaledVec):
     imaginary) pairings linearizes the orbit like a field order, so the
     dominant point is unique.
     """
-    cols = [[vdot(a, v.re) for a in d.simple_roots], [vdot(a, v.im) for a in d.simple_roots]]
-    steps = _descend(d, cols)
+    p_re = [sum(map(mul, a, v.re)) for a in d.simple_roots]
+    p_im = [sum(map(mul, a, v.im)) for a in d.simple_roots]
+    steps = _descend(d, p_re, p_im)
     c_re, c_im = [0] * d.nsimple, [0] * d.nsimple
-    for i, (ri, ii) in steps:
+    for i, ri, ii in steps:
         c_re[i - 1] += ri
         c_im[i - 1] += ii
     re, im = list(v.re), list(v.im)
@@ -307,7 +307,7 @@ def _dominance_descent(d: RootDatum, v: ScaledVec):
         if a or b:
             re = [x - a * c for x, c in zip(re, cv)]
             im = [x - b * c for x, c in zip(im, cv)]
-    return ScaledVec(re, im, v.den), [i for i, _ in steps], list(zip(*cols))
+    return ScaledVec(re, im, v.den), [i for i, _, _ in steps], list(zip(p_re, p_im))
 
 
 def inf_char(p: LParam) -> ScaledVec:
@@ -338,12 +338,17 @@ def rad_param(p: LParam) -> TorusParam:
     The radical cocharacter lattice is X_* modulo the saturated coroot
     lattice; theta descends because it permutes coroots up to sign.
     """
+    return _rad_param_and_kappa(p)[0]
+
+
+def _rad_param_and_kappa(p: LParam):
+    """(rad_param(p), its kappa): the kappa its validity check computes is kept for _char_of."""
     proj, eg = _radical_egroup(p.L, p.w)
-    return torus_param(eg, p.lam.apply(proj), act_on_torus_part(proj, p.mu))
+    return _param_and_kappa(eg, p.lam.apply(proj), act_on_torus_part(proj, p.mu))
 
 
 def rad_char(p: LParam) -> TorusCharData:
-    return param_to_char(rad_param(p))
+    return _char_of(*_rad_param_and_kappa(p))
 
 
 @cache
@@ -381,10 +386,11 @@ def central_char(p: LParam) -> ScaledVec:
     the class is representative-independent.
     """
     inv = _involution(p.L, p.w)
-    return _kappa(inv.one_minus, inv.one_plus, p.lam, p.mu) + _rho_imaginary(p.L, p.w)
+    return _kappa(p.lam.apply(inv.one_minus), inv.one_plus, p.mu) + _rho_imaginary(p.L, p.w)
 
 
 def central_modulus_gens(p: LParam) -> List[Tuple[int, ...]]:
+    """The simple coroots and the columns of 1 - theta and 1 + theta; they read only L and w."""
     inv = _involution(p.L, p.w)
     gens = [tuple(c) for c in p.L.dual_datum.simple_coroots]
     for mat in (inv.one_minus, inv.one_plus):
@@ -392,10 +398,22 @@ def central_modulus_gens(p: LParam) -> List[Tuple[int, ...]]:
     return gens
 
 
+@cache
+def _central_lattice(L: LGroup, w: WeylElem):
+    """The Smith data of the lattice central_modulus_gens spans, for _in_lattice, once per (L, w).
+
+    The generators read only L and w, so one parameter record over w, with no
+    lambda or mu, stands for all of them; the cache holds one entry per
+    twisted involution met, like _involution.
+    """
+    return _smith_factors(tuple(zip(*central_modulus_gens(LParam(L, None, None, w)))))
+
+
 def central_chars_agree(p: LParam, t1: ScaledVec, t2: ScaledVec) -> bool:
     """t1 - t2 is an integer vector in the span of central_modulus_gens."""
     diff = t1 - t2
-    return diff.den == 1 and not any(diff.im) and in_span_z(diff.re, central_modulus_gens(p))
+    return (diff.den == 1 and not any(diff.im)
+            and _in_lattice(diff.re, _central_lattice(p.L, p.w)))
 
 
 def is_discrete_series(p: LParam) -> bool:
@@ -488,10 +506,10 @@ def _check_over_w(p: LParam, g: ExtTitsElem, what: str) -> None:
 # ---------------------------------------------------------------------------
 # descriptors and the theorem report
 
-class PacketDescriptor(NamedTuple):
-    levi: StandardLevi
-    inf: ScaledVec
-    rad: TorusCharData
+class PacketDescriptor(namedtuple("PacketDescriptor", "levi inf rad")):
+    """The packet's standard Levi, infinitesimal character and radical character."""
+
+    __slots__ = ()
 
 
 def packet_descriptor(p: LParam) -> PacketDescriptor:
@@ -506,7 +524,9 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
     inf(C), and the descent is shared with row 3, whose two twists both carry
     -lambda_p. Row 1 compares it with -w0 inf(p), the dominant point of
     W(-lambda_p) in closed form (-w0 permutes the simple roots), so the row
-    still sets two independent routes against each other.
+    still sets two independent routes against each other. Row 2 computes
+    each torus parameter's kappa once, in its validity check, and row 4
+    reads its lattice's Smith data from the cache per (L, w).
     """
     d = p.L.dual_datum
     cp = contragredient_param(p)
@@ -519,14 +539,15 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
                  f"inf(C)={format_tuple(got)} dominant(-inf)={format_tuple(want)}"))
 
     rc_c = rad_char(cp)
-    rc_dual = param_to_char(torus_contragredient(rad_param(p)))
+    # torus_contragredient(rad_param(p)), keeping the kappa its validity check computes
+    rad_p = rad_param(p)
+    rc_dual = _char_of(*_param_and_kappa(rad_p.egroup, -rad_p.lam, -rad_p.mu))
     rows.append(("rad_char dual", char_equal(rc_c, rc_dual),
                  f"kappa(C)={format_vec(rc_c.kappa)} kappa(dual)={format_vec(rc_dual.kappa)}"))
 
     tp = tau_twist_param(p)
     rows.append(("C-twist vs tau-twist conjugacy", _params_equivalent(cp, tp, desc_c),
-                 f"C: mu={[str(x) for x in cp.mu.entries]} "
-                 f"tau: mu={[str(x) for x in tp.mu.entries]}"))
+                 f"C: mu={format_torus_part(cp.mu)} tau: mu={format_torus_part(tp.mu)}"))
 
     tau_c, neg_tau_p = central_char(cp), -central_char(p)
     rows.append(("central_char flip", central_chars_agree(p, tau_c, neg_tau_p),
@@ -629,7 +650,7 @@ def param_to_dict(p: LParam) -> dict:
         "group": g.label,
         "inner_class": inner,
         "lambda": format_vec(p.lam),
-        "mu": [str(x) for x in p.mu.entries],
+        "mu": format_torus_part(p.mu),
         "w": list(p.w.word),
     }
 

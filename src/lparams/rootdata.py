@@ -11,8 +11,9 @@ vectors over the simple (co)roots, by a closure through the Cartan matrix.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import cache
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 from .errors import (DatumMismatch, InputError, InvalidCartan, NotBasedAut, RankMismatch,
                      frozen_setattr)
@@ -311,15 +312,13 @@ def two_rho_check(d: RootDatum) -> IntVec:
 # ---------------------------------------------------------------------------
 # based automorphisms
 
-class BasedAut(NamedTuple):
+class BasedAut(namedtuple("BasedAut", "datum matrix perm")):
     """Lattice automorphism of X^* permuting the simple roots.
 
     perm is 1-based: matrix sends alpha_i to alpha_{perm[i-1]}.
     """
 
-    datum: RootDatum
-    matrix: Tuple[Tuple[int, ...], ...]
-    perm: Tuple[int, ...]
+    __slots__ = ()
 
 
 def based_aut(d: RootDatum, matrix) -> BasedAut:

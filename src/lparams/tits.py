@@ -9,8 +9,8 @@ sigma_w and delta, and adds the cocycle of the two lifts.
 A torus part is integer numerators over one denominator, each numerator
 reduced into [0, den) and the fraction in lowest terms (the TorusElement
 idiom of the atlas software), so sums, negation and the action of the Weyl
-group and of delta are integer arithmetic; Fractions appear only in the
-`entries` view that printing and serialization read.
+group and of delta are integer arithmetic; format_torus_part writes the
+entries from the numerators, and Fractions appear only in the `entries` view.
 
 The cocycle of sigma_u sigma_v is half the sum of u(beta-check) over beta in
 N(u) & N(v^-1) (Tits, Normalisateurs de tores I, 1966). Each Weyl element met
@@ -22,11 +22,12 @@ Tits' lemma, sigma_w sigma_{w^-1} = exp(2*pi*i*z(w)) with z(w) = (2 rho-check
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction as Q
 from functools import cache
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import (
     ContextMismatch,
@@ -35,7 +36,7 @@ from .errors import (
     NotInvolution,
     PreconditionViolated,
 )
-from .gaussian import read_rational
+from .gaussian import _ratio, read_rational
 from .intlinalg import ident, mat_mul, one_minus, solve_congruence_scaled
 from .rootdata import (BasedAut, RootDatum, cartan_matrix, coaction, identity_aut,
                        positive_coroots, positive_roots, two_rho_check)
@@ -114,10 +115,15 @@ class TorusPart:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        return f"TorusPart({[str(x) for x in self.entries]})"
+        return f"TorusPart({format_torus_part(self)})"
 
     def is_zero(self) -> bool:
         return self.den == 1
+
+
+def format_torus_part(t: TorusPart) -> list:
+    """Each entry as str(Fraction) writes it, in [0, 1), written straight from the numerators."""
+    return [_ratio(x, t.den) for x in t.num]
 
 
 def torus_part(entries) -> TorusPart:
@@ -133,11 +139,10 @@ def act_on_torus_part(matrix, t: TorusPart) -> TorusPart:
     return TorusPart.scaled([sum(map(mul, row, t.num)) for row in matrix], t.den)
 
 
-class TitsContext(NamedTuple):
+class TitsContext(namedtuple("TitsContext", "datum theta0")):
     """A datum together with the distinguished involution delta acts by."""
 
-    datum: RootDatum
-    theta0: BasedAut
+    __slots__ = ()
 
 
 def tits_context(datum: RootDatum, theta0: Optional[BasedAut] = None) -> TitsContext:
@@ -150,11 +155,10 @@ def tits_context(datum: RootDatum, theta0: Optional[BasedAut] = None) -> TitsCon
     return TitsContext(datum, theta0)
 
 
-class ExtTitsElem(NamedTuple):
-    ctx: TitsContext
-    t: TorusPart
-    w: WeylElem
-    eps: int
+class ExtTitsElem(namedtuple("ExtTitsElem", "ctx t w eps")):
+    """exp(2*pi*i*t) sigma_w delta^eps in the extended Tits group of ctx."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return f"ExtTitsElem(t={self.t!r}, w={list(self.w.word)}, eps={self.eps})"
@@ -377,7 +381,7 @@ def run_tits_suite(ctx: TitsContext):
     gens.append(delta_elem(ctx))
     central = all(tits_mul(sq, g) == tits_mul(g, sq) for g in gens)
     rows.append(("sigma_{w0}^2 = exp(2 pi i rho-check), central", ok and central,
-                 f"value {[str(x) for x in sq.t.entries]}"))
+                 f"value {format_torus_part(sq.t)}"))
 
     bad = []
     for w in elems:
@@ -400,7 +404,7 @@ def run_tits_suite(ctx: TitsContext):
 
 def elem_to_dict(g: ExtTitsElem) -> dict:
     return {
-        "mu": [str(x) for x in g.t.entries],
+        "mu": format_torus_part(g.t),
         "w": list(g.w.word),
         "eps": g.eps,
     }

@@ -18,11 +18,13 @@ checks, kappa and character equality are integer arithmetic.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction as Q
+from functools import cache
 from math import lcm
 from operator import mul
 from random import Random
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 from .errors import ContextMismatch, InputError, InvalidParam, NotInvolution
 from .gaussian import ScaledVec, read_rational
@@ -40,11 +42,10 @@ from .tits import TorusPart, torus_part
 Matrix = Tuple[Tuple[int, ...], ...]
 
 
-class TorusEGroup(NamedTuple):
+class TorusEGroup(namedtuple("TorusEGroup", "theta_check gamma")):
     """Dual-side context: involution on X_* and the gamma with delta^2 = exp(2*pi*i*gamma)."""
 
-    theta_check: Matrix
-    gamma: Tuple[Q, ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -68,6 +69,19 @@ def torus_egroup(theta_check, gamma) -> TorusEGroup:
     return TorusEGroup(tc, g)
 
 
+@cache
+def _matrices(m: Matrix):
+    """(1 - m, 1 + m, -m, the columns of 1 - m) for an integer matrix m, once per matrix.
+
+    m is an E-group's theta-check or a character's theta = -theta-check, and
+    the columns of 1 - theta span the lattice char_equal tests; the cache
+    holds one entry per involution met.
+    """
+    neg = mat_neg(m)
+    lattice = one_minus(m)
+    return lattice, one_minus(neg), neg, transpose(lattice)
+
+
 def _in_coset(kappa: ScaledVec, gamma: Tuple[Q, ...]) -> bool:
     """kappa in gamma + Z^n."""
     den = kappa.den
@@ -75,19 +89,17 @@ def _in_coset(kappa: ScaledVec, gamma: Tuple[Q, ...]) -> bool:
                for k, g in zip(kappa.re, gamma))
 
 
-class TorusCharData(NamedTuple):
+class TorusCharData(namedtuple("TorusCharData", "theta lam kappa gamma")):
     """(lambda, kappa) data of a genuine character of the gamma-cover.
 
     theta is the involution on the character lattice X^*; kappa is real.
     """
 
-    theta: Matrix
-    lam: ScaledVec
-    kappa: ScaledVec
-    gamma: Tuple[Q, ...]
+    __slots__ = ()
 
 
 def torus_char_data(theta: Matrix, lam, kappa, gamma) -> TorusCharData:
+    theta = tuple(map(tuple, theta))
     lam = ScaledVec.of(lam)
     kappa = ScaledVec.of(kappa)
     gamma = tuple(map(read_rational, gamma))
@@ -97,7 +109,7 @@ def torus_char_data(theta: Matrix, lam, kappa, gamma) -> TorusCharData:
     if any(kappa.im):
         raise InputError("kappa must be real")
     # (1+theta)lambda = (1+theta)kappa, compared across the two denominators
-    one_plus = one_minus(mat_neg(theta))
+    one_plus = _matrices(theta)[1]
     lam_plus, kap_plus = lam.apply(one_plus), kappa.apply(one_plus)
     if lam_plus != kap_plus:
         raise InvalidParam("(1+theta)lambda != (1+theta)kappa")
@@ -106,21 +118,18 @@ def torus_char_data(theta: Matrix, lam, kappa, gamma) -> TorusCharData:
     return TorusCharData(theta, lam, kappa, gamma)
 
 
-class TorusParam(NamedTuple):
+class TorusParam(namedtuple("TorusParam", "egroup lam mu")):
     """E-group parameter: phi(z) = z^lambda zbar^{theta-check lambda}, phi(j) = exp(2*pi*i*mu) delta."""
 
-    egroup: TorusEGroup
-    lam: ScaledVec
-    mu: TorusPart
+    __slots__ = ()
 
 
-def _kappa(one_minus_tc: Matrix, one_plus_tc: Matrix, lam: ScaledVec, mu: TorusPart) -> ScaledVec:
+def _kappa(dif: ScaledVec, one_plus_tc: Matrix, mu: TorusPart) -> ScaledVec:
     """kappa = (1/2)(1-theta-check)lambda - (1+theta-check)mu, which must be real.
 
-    Takes the matrices 1 - theta-check and 1 + theta-check. lparam's central
-    character is this kappa at theta = w theta0, plus rho_i.
+    Takes dif = (1-theta-check)lambda and the matrix 1 + theta-check. lparam's
+    central character is this kappa at theta = w theta0, plus rho_i.
     """
-    dif = lam.apply(one_minus_tc)
     if any(dif.im):
         raise InvalidParam("kappa is not real: lambda fails the reality constraint")
     mu_plus = [sum(map(mul, row, mu.num)) for row in one_plus_tc]
@@ -135,19 +144,33 @@ def torus_param(eg: TorusEGroup, lam, mu) -> TorusParam:
         mu = torus_part(mu)
     if len(lam.re) != eg.rank or len(mu.num) != eg.rank:
         raise InputError("vector lengths do not match the E-group rank")
-    lattice = one_minus(eg.theta_check)
+    return _param_and_kappa(eg, lam, mu)[0]
+
+
+def _param_and_kappa(eg: TorusEGroup, lam: ScaledVec, mu: TorusPart):
+    """(torus_param, its kappa) for parts of the right type and length.
+
+    The kappa the coset check computes is handed on, so that _char_of need
+    not compute it again.
+    """
+    lattice, one_plus, _, _ = _matrices(eg.theta_check)
     dif = lam.apply(lattice)
     if dif.den != 1 or any(dif.im):
         raise InvalidParam("lambda - theta-check(lambda) is not in Z^n")
-    if not _in_coset(_kappa(lattice, one_minus(mat_neg(eg.theta_check)), lam, mu), eg.gamma):
+    kappa = _kappa(dif, one_plus, mu)
+    if not _in_coset(kappa, eg.gamma):
         raise InvalidParam("kappa is not in gamma + Z^n")
-    return TorusParam(eg, lam, mu)
+    return TorusParam(eg, lam, mu), kappa
 
 
 def param_to_char(p: TorusParam) -> TorusCharData:
-    tc = p.egroup.theta_check
-    kappa = _kappa(one_minus(tc), one_minus(mat_neg(tc)), p.lam, p.mu)
-    return torus_char_data(mat_neg(tc), p.lam, kappa, p.egroup.gamma)
+    lattice, one_plus, _, _ = _matrices(p.egroup.theta_check)
+    return _char_of(p, _kappa(p.lam.apply(lattice), one_plus, p.mu))
+
+
+def _char_of(p: TorusParam, kappa: ScaledVec) -> TorusCharData:
+    """param_to_char(p) for p's kappa; torus_char_data checks it as for any kappa."""
+    return torus_char_data(_matrices(p.egroup.theta_check)[2], p.lam, kappa, p.egroup.gamma)
 
 
 def char_equal(c1: TorusCharData, c2: TorusCharData) -> bool:
@@ -156,7 +179,7 @@ def char_equal(c1: TorusCharData, c2: TorusCharData) -> bool:
     if c1.lam != c2.lam:
         return False
     diff = c1.kappa - c2.kappa
-    return diff.den == 1 and in_span_z(diff.re, transpose(one_minus(c1.theta)))
+    return diff.den == 1 and in_span_z(diff.re, _matrices(c1.theta)[3])
 
 
 def torus_contragredient(p: TorusParam) -> TorusParam:
@@ -171,7 +194,7 @@ def torus_params_equivalent(p: TorusParam, q: TorusParam) -> bool:
     if p.lam != q.lam:
         return False
     d = q.mu - p.mu
-    return solve_congruence_scaled(one_minus(p.egroup.theta_check), d.num, d.den) is not None
+    return solve_congruence_scaled(_matrices(p.egroup.theta_check)[0], d.num, d.den) is not None
 
 
 def random_torus_param(eg: TorusEGroup, rng: Random) -> TorusParam:
@@ -183,8 +206,7 @@ def random_torus_param(eg: TorusEGroup, rng: Random) -> TorusParam:
     """
     n = eg.rank
     tc = eg.theta_check
-    lattice = one_minus(tc)
-    one_plus = one_minus(mat_neg(tc))
+    lattice, one_plus, _, _ = _matrices(tc)
     stacked = lattice + tuple(tuple(2 * x for x in row) for row in lattice)
     for _ in range(200):
         den = rng.choice([1, 2, 2, 4])

@@ -24,10 +24,11 @@ the contragredient on parameters is t -> -t summandwise here.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction as Q
 from functools import cache
 from math import lcm
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, InputError
 from .gaussian import (GaussQ, ScaledVec, format_gauss, format_vec, parse_gauss_scaled,
@@ -39,11 +40,10 @@ from .rootdata import build_datum
 from .tits import TorusPart
 
 
-class WeilIrr(NamedTuple):
-    kind: str  # "chi" or "ind"
-    t: GaussQ
-    eps: int = 0  # chi only
-    k: int = 0  # ind only
+class WeilIrr(namedtuple("WeilIrr", "kind t eps k", defaults=(0, 0))):
+    """An irreducible: kind "chi" or "ind", exponent t, eps (chi only) and k (ind only)."""
+
+    __slots__ = ()
 
     def dim(self) -> int:
         return 1 if self.kind == "chi" else 2
@@ -72,15 +72,14 @@ def weil_ind(k: int, t) -> WeilIrr:
     return WeilIrr("ind", read_gauss(t), k=abs(k))
 
 
-class WeilRep(NamedTuple):
+class WeilRep(namedtuple("WeilRep", "blocks t")):
     """Sorted blocks (k, eps), k = 0 for a character, and their exponents t.
 
     Block i has exponent (t.re[i] + t.im[i] i) / t.den; blocks are sorted on
     (k, re, im, eps).
     """
 
-    blocks: Tuple[Tuple[int, int], ...]
-    t: ScaledVec
+    __slots__ = ()
 
     @property
     def summands(self) -> Tuple[WeilIrr, ...]:

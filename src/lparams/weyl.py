@@ -100,31 +100,30 @@ def _cartan_columns(d: RootDatum):
                  for i in range(d.nsimple))
 
 
-def _descend(d: RootDatum, cols):
+def _descend(d: RootDatum, re: list, im: list):
     """The dominance descent: walk a point v to the dominant chamber by its simple pairings.
 
-    cols, the pairings (<alpha_j, v>)_j of v's real (and imaginary) part with
-    signs read lexicographically, end dominant: while one is negative, the
-    first such i is reflected, p_j -= <alpha_j, alpha-check_i> p_i. Returns the
-    steps (i, pairings at i before it), reaching s_{i_k} ... s_{i_1} (v); no
-    walk takes more steps than there are positive roots.
+    re and im, the real and imaginary parts of the pairings (<alpha_j, v>)_j,
+    changed in place, end dominant: while a pairing is negative in the
+    lexicographic order on (real, imaginary), the first such i is reflected,
+    p_j -= <alpha_j, alpha-check_i> p_i. A real key passes zero imaginary
+    parts. Returns the steps (i, real and imaginary pairing at i before it),
+    reaching s_{i_k} ... s_{i_1} (v); no walk takes more steps than there are
+    positive roots.
     """
     columns = _cartan_columns(d)
     steps = []
     for _ in range(len(positive_roots(d)) + 1):
-        for i in range(d.nsimple):
-            for col in cols:
-                if col[i]:
-                    break
-            if col[i] < 0:
+        for i, a in enumerate(re):
+            if a < 0 or not a and im[i] < 0:
                 break
         else:
             return steps
-        vals = tuple(col[i] for col in cols)
-        steps.append((i + 1, vals))
-        for j, a in columns[i]:
-            for col, x in zip(cols, vals):
-                col[j] -= a * x
+        b = im[i]
+        steps.append((i + 1, a, b))
+        for j, c in columns[i]:
+            re[j] -= c * a
+            im[j] -= c * b
     raise InvariantViolated("dominance descent failed to terminate")
 
 
@@ -149,7 +148,8 @@ def _elem_from_matrix(d: RootDatum, key: Tuple[int, ...]) -> WeylElem:
     else:
         return WeylElem(d, key, ())
     if len(positive_roots(d)) > _MAX_RECURSIVE_ROOTS:
-        return WeylElem(d, key, tuple(i for i, _ in _descend(d, [list(key)])))
+        steps = _descend(d, list(key), [0] * len(key))
+        return WeylElem(d, key, tuple(i for i, _, _ in steps))
     # not _replay, whose frame would stay on the stack through the recursion
     parent = _elem_from_matrix(d, tuple(_replay_key(d, (i + 1,), key)))
     return WeylElem(d, key, (i + 1,) + parent.word)

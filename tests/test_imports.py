@@ -91,6 +91,21 @@ def test_cli_import_loads_no_dataclasses_inspect_or_ast():
     assert not added & {"dataclasses", "inspect", "ast"}, sorted(added)
 
 
+def test_cli_import_builds_no_forward_refs():
+    # a NamedTuple class with string annotations compiles one typing.ForwardRef per field
+    code = ("import typing\n"
+            "made = []\n"
+            "init = typing.ForwardRef.__init__\n"
+            "typing.ForwardRef.__init__ = lambda self, *a, **k: made.append(a) or init(self, *a, **k)\n"
+            "import lparams.cli\n"
+            "print(len(made))\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
 def test_readme_lists_the_library_api():
     section = (ROOT / "README.md").read_text().split("\n## Library API\n", 1)[1]
     listed = set()

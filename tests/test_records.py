@@ -1,6 +1,6 @@
 """The record types: immutable, compared by value, hashed as the tuple of their compared fields.
 
-Eleven records are NamedTuples and four (GaussQ, RootDatum, WeylElem, LGroup)
+Eleven records are namedtuple subclasses and four (GaussQ, RootDatum, WeylElem, LGroup)
 are slotted classes with their own equality. RootDatum.label and
 LGroup.g_datum are not compared. Each hash is the hash of the tuple of the
 compared fields, so set and dict orders do not depend on how a record is built.

@@ -148,7 +148,7 @@ def test_descent_guard_raises_invariant_violated(monkeypatch):
     # allow a single step: the key of w0 needs three
     monkeypatch.setattr(weyl, "positive_roots", lambda d: ((1, 0),))
     with pytest.raises(InvariantViolated):
-        weyl._descend(d, [[-1, -1]])
+        weyl._descend(d, [-1, -1], [0, 0])
 
 
 def test_group_operations_do_no_matrix_arithmetic(monkeypatch):
@@ -200,7 +200,7 @@ WORD_GROUPS = ([f"{t}{n} {lat}" for t, ranks in (("A", (1, 2, 3, 4)), ("B", (2, 
 
 def descent_word(d, key):
     """The word the dominance descent of the whole key gives, the canonicalizer replaced."""
-    return tuple(i for i, _ in weyl._descend(d, [list(key)]))
+    return tuple(i for i, _, _ in weyl._descend(d, list(key), [0] * len(key)))
 
 
 @pytest.mark.parametrize("group", WORD_GROUPS)
