@@ -7,6 +7,9 @@ line. Exit codes: 0 success, 1 a mathematical check failed, 2 parse error,
 3 the parameter needs a Cayley move the library does not model. With --json
 the same content is emitted as one JSON object before the RESULT line.
 Given identical inputs and seed, output is byte-identical.
+
+Each command handler imports the library modules it runs, when it runs, so
+`--help`, a usage error or `check-tits` compiles only what it needs.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from random import Random
-from typing import List, Optional
 
 from .errors import (
     InputError,
@@ -26,37 +27,6 @@ from .errors import (
     NotInvolution,
     json_matrix,
 )
-from .gaussian import format_tuple, format_vec
-from .lgroup import LGroup, named_inner_class, parse_inner_class
-from .lparam import (
-    LParam,
-    central_char,
-    contragredient_param,
-    inf_char,
-    is_discrete_series,
-    levi_of,
-    param_from_dict,
-    param_parts,
-    params_equivalent,
-    rad_char,
-    random_param,
-    tau_twist_param,
-    validity_rows,
-    verify_contragredient,
-)
-from .rootdata import based_aut, build_datum
-from .tits import format_torus_part, run_tits_suite, tits_context
-from .weilrep import (
-    format_rep,
-    parse_weil_rep,
-    weil_dual,
-    weil_hermitian_dual,
-    weil_inf_char,
-    weil_is_hermitian,
-    weil_is_unitary,
-    weil_to_lparam,
-)
-from .weyl import weyl_enumerate
 
 OK, MATH_FAIL, PARSE_ERROR, NEEDS_NORMALIZATION = 0, 1, 2, 3
 
@@ -67,9 +37,9 @@ class Report:
     def __init__(self, command: str, as_json: bool):
         self.command = command
         self.as_json = as_json
-        self.lines: List[str] = []
-        self.checks: List[dict] = []
-        self.info: List[dict] = []
+        self.lines: list[str] = []
+        self.checks: list[dict] = []
+        self.info: list[dict] = []
 
     def check(self, name: str, ok: bool, detail: str) -> None:
         self.lines.append(f"CHECK {name}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -118,13 +88,19 @@ def _load_param_data(text: str) -> dict:
     return data
 
 
-def _fmt_param(p: LParam) -> str:
+def _fmt_param(p) -> str:
+    from .gaussian import format_tuple
+    from .tits import format_torus_part
+
     return (f"lambda={format_tuple(p.lam)} "
             f"mu=({', '.join(format_torus_part(p.mu))}) "
             f"w={list(p.w.word)}")
 
 
-def _build_group(args) -> LGroup:
+def _build_group(args):
+    from .lgroup import parse_inner_class
+    from .rootdata import build_datum
+
     if not args.group:
         raise InputError("--group is required for this command")
     d = build_datum(args.group)
@@ -139,6 +115,9 @@ def _build_group(args) -> LGroup:
 
 def _datum_involution(d, text):
     """Distinguished involution for the Tits suite, on the named datum itself."""
+    from .lgroup import named_inner_class
+    from .rootdata import based_aut
+
     named = named_inner_class(d, text)
     if named is not None:
         return named
@@ -150,6 +129,10 @@ def _datum_involution(d, text):
 
 
 def cmd_check_tits(args, rep: Report) -> int:
+    from .rootdata import build_datum
+    from .tits import run_tits_suite, tits_context
+    from .weyl import weyl_enumerate
+
     name = args.target or args.group
     if not name:
         raise InputError("check-tits needs a group (positional or --group)")
@@ -168,6 +151,8 @@ def cmd_check_tits(args, rep: Report) -> int:
 
 
 def cmd_validate_param(args, rep: Report) -> int:
+    from .lparam import param_parts, validity_rows
+
     data = _load_param_data(args.param)
     parts = param_parts(data)
     rep.note("group", data["group"])
@@ -182,6 +167,10 @@ def cmd_validate_param(args, rep: Report) -> int:
 
 
 def cmd_invariants(args, rep: Report) -> int:
+    from .gaussian import format_tuple
+    from .lparam import (central_char, inf_char, is_discrete_series, levi_of, param_from_dict,
+                         rad_char)
+
     p = param_from_dict(_load_param_data(args.param))
     rep.note("parameter", _fmt_param(p))
     rep.note("inf_char", format_tuple(inf_char(p)))
@@ -201,6 +190,8 @@ def cmd_invariants(args, rep: Report) -> int:
 
 
 def cmd_contragredient(args, rep: Report) -> int:
+    from .lparam import contragredient_param, param_from_dict, params_equivalent, tau_twist_param
+
     p = param_from_dict(_load_param_data(args.param))
     rep.note("parameter", _fmt_param(p))
     cp = contragredient_param(p)
@@ -215,6 +206,8 @@ def cmd_contragredient(args, rep: Report) -> int:
 
 
 def cmd_verify_theorem(args, rep: Report) -> int:
+    from .lparam import param_from_dict, verify_contragredient
+
     p = param_from_dict(_load_param_data(args.param))
     rep.note("parameter", _fmt_param(p))
     rows = verify_contragredient(p)
@@ -227,6 +220,11 @@ def cmd_verify_theorem(args, rep: Report) -> int:
 
 
 def cmd_weilrep(args, rep: Report) -> int:
+    from .gaussian import format_vec
+    from .lparam import contragredient_param, params_equivalent
+    from .weilrep import (format_rep, parse_weil_rep, weil_dual, weil_hermitian_dual,
+                          weil_inf_char, weil_is_hermitian, weil_is_unitary, weil_to_lparam)
+
     r = parse_weil_rep(args.rep)
     p = weil_to_lparam(r)  # refuses a rep too large for the bridge before any note
     rep.note("rep", format_rep(r))
@@ -245,6 +243,10 @@ def cmd_weilrep(args, rep: Report) -> int:
 
 
 def cmd_fuzz(args, rep: Report) -> int:
+    from random import Random
+
+    from .lparam import random_param, verify_contragredient
+
     if args.count < 1:
         raise InputError(f"--count must be at least 1, got {args.count}")
     L = _build_group(args)
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     rep = Report(args.command, args.json)
     try:
