@@ -13,9 +13,10 @@ group and of delta are integer arithmetic; format_torus_part writes the
 entries from the numerators, and Fractions appear only in the `entries` view.
 
 The cocycle of sigma_u sigma_v is half the sum of u(beta-check) over beta in
-N(u) & N(v^-1) (Tits, Normalisateurs de tores I, 1966). Each Weyl element met
-caches its inversion set and the bitmasks of its beta with u(beta-check)_k odd,
-so a product is a popcount per coordinate, one weyl_mul and one reduction.
+N(u) & N(v^-1) (Tits, Normalisateurs de tores I, 1966). The inversion set and
+the bitmasks of its beta with u(beta-check)_k odd are read from the Weyl
+element (weyl._inversion_masks), so a product is a popcount per coordinate,
+one weyl_mul and one reduction.
 Tits' lemma, sigma_w sigma_{w^-1} = exp(2*pi*i*z(w)) with z(w) = (2 rho-check
 - w 2 rho-check)/4 = -z(w), gives the inverse and chevalley in closed form.
 """
@@ -38,10 +39,11 @@ from .errors import (
 )
 from .gaussian import _ratio, read_rational
 from .intlinalg import ident, mat_mul, one_minus, solve_congruence_scaled
-from .rootdata import (BasedAut, RootDatum, cartan_matrix, coaction, identity_aut,
-                       positive_coroots, positive_roots, two_rho_check)
+from .rootdata import BasedAut, RootDatum, cartan_matrix, coaction, identity_aut, two_rho_check
 from .weyl import (
     WeylElem,
+    _inversion_masks,
+    _step,
     apply_aut_to_weyl,
     descent,
     longest_element,
@@ -185,25 +187,6 @@ def delta_elem(ctx: TitsContext) -> ExtTitsElem:
     return ExtTitsElem(ctx, torus_part_zero(ctx.datum.rank), weyl_identity(ctx.datum), 1)
 
 
-@cache
-def _inversions(u: WeylElem):
-    """(N(u), parities) as bitmasks over positive_coroots.
-
-    Bit j of N(u) is set when u sends the j-th beta-check negative (read off its
-    pairing with 2 rho); bit j of parities[k] when, in addition, entry k of
-    u(beta-check) is odd.
-    """
-    d = u.datum
-    two_rho = [sum(col) for col in zip(*positive_roots(d))]
-    inv, par = 0, [0] * d.rank
-    for j, b in enumerate(positive_coroots(d)):
-        ub = [sum(map(mul, row, b)) for row in u.matrix]
-        if sum(map(mul, two_rho, ub)) < 0:
-            inv |= 1 << j
-            par = [p | (x & 1) << j for p, x in zip(par, ub)]
-    return inv, tuple(par)
-
-
 def tits_mul(g1: ExtTitsElem, g2: ExtTitsElem) -> ExtTitsElem:
     """t1 + u(theta0^eps1 t2) + c over lcm(den1, den2, 2), reduced once, times sigma_{u w2'}."""
     if g1.ctx != g2.ctx:
@@ -212,10 +195,10 @@ def tits_mul(g1: ExtTitsElem, g2: ExtTitsElem) -> ExtTitsElem:
     if g1.eps:
         n2 = [sum(map(mul, row, n2)) for row in coaction(ctx.theta0)]
         w2 = apply_aut_to_weyl(ctx.theta0, w2)
-    nv = _inversions(weyl_inv(w2))[0]
+    nv = _inversion_masks(weyl_inv(w2))[0]
     den = lcm(t1.den, t2.den, 2)
     f1, f2, h = den // t1.den, den // t2.den, den // 2
-    num = [f1 * a + h * (m & nv).bit_count() for a, m in zip(t1.num, _inversions(u)[1])]
+    num = [f1 * a + h * (m & nv).bit_count() for a, m in zip(t1.num, _inversion_masks(u)[1])]
     if t2.den != 1:
         num = [x + f2 * sum(map(mul, row, n2)) for x, row in zip(num, u.matrix)]
     return ExtTitsElem(ctx, TorusPart.scaled(num, den), weyl_mul(u, w2), (g1.eps + g2.eps) % 2)
@@ -350,9 +333,10 @@ def run_tits_suite(ctx: TitsContext):
     for w in elems:
         u, letters = w, []
         while u.word:
-            i = max(k for k in range(1, d.nsimple + 1) if descent(u, k))
+            # the largest descent i of u, scanned from the right; then u s_i = (s_i u^-1)^-1
+            i = next(k for k in range(d.nsimple, 0, -1) if descent(u, k))
             letters.append(i)
-            u = weyl_mul(u, simple_reflection(d, i))
+            u = weyl_inv(_step(weyl_inv(u), i))
         alt = tits_identity(ctx)
         for i in reversed(letters):
             alt = tits_mul(alt, sigma(ctx, simple_reflection(d, i)))

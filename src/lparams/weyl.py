@@ -1,19 +1,29 @@
 """Weyl group elements, each interned under its key (<alpha_j, w rho_check>)_j.
 
 rho_check is regular, so the key decides equality. A left reflection moves a
-key through the Cartan matrix, so products, inverses, words and automorphisms
-are replayed on keys without matrices. The canonical (lex-smallest reduced)
-word is the dominance descent on the key, the walk that also gives
-infinitesimal characters. Its first step reflects the first negative index i,
-so an element is interned after its parent s_i w and its word is i followed
-by the parent's: one Cartan-column update per element, not a descent. The
-X_* and X^* matrices are built from the word on first use (Casselman,
-Machine calculations in Weyl groups, 1994).
+key through the Cartan matrix, so words and automorphisms are replayed on keys
+without matrices. The canonical (lex-smallest reduced) word is the dominance
+descent on the key, the walk that also gives infinitesimal characters. Its
+first step reflects the first negative index i, so an element is interned
+after its parent s_i w and its word is i followed by the parent's: one
+Cartan-column update per element, not a descent.
+
+The interned elements carry W's Cayley graph (Casselman, Machine calculations
+in Weyl groups, 1994; du Cloux, A transducer approach to Coxeter groups,
+1999). Private slots of each element hold, filled on first use, its left
+neighbours s_i w (a one-letter replay each), its inverse (its word replayed
+backwards, then linked both ways), its X_* matrix (a rank-one row update of
+its parent's) and its inversion masks (read off the matrix). A product u v
+hops from v along u's word, one list lookup per letter, and hashes no element;
+where a neighbour is missing it fills that one and replays the rest of the
+word, so a cold product costs what a word replay does. The X^* matrix stays
+a functools cache.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from operator import mul
 from typing import Tuple
 
 from .errors import DatumMismatch, InputError, InvariantViolated, frozen_setattr
@@ -23,6 +33,7 @@ from .rootdata import (
     RootDatum,
     based_aut,
     cartan_matrix,
+    positive_coroots,
     positive_roots,
 )
 
@@ -31,18 +42,24 @@ class WeylElem:
     """An interned Weyl element; the datum and the key decide equality.
 
     key is (<alpha_j, w rho_check>)_j, every entry nonzero; word is the
-    canonical reduced word, 1-based.
+    canonical reduced word, 1-based. The private slots, None until first use,
+    hold the element's place in the Cayley graph: _left[i] is s_i w, _inv the
+    inverse (linked both ways), _mat the action on X_* and _masks the
+    inversion masks of _inversion_masks.
     """
 
-    __slots__ = ("datum", "key", "word", "_hash")
+    __slots__ = ("datum", "key", "word", "_hash", "_left", "_inv", "_mat", "_masks")
 
     def __init__(self, datum: RootDatum, key: Tuple[int, ...], word: Tuple[int, ...]):
-        init = object.__setattr__
-        init(self, "datum", datum)
-        init(self, "key", key)
-        init(self, "word", word)
+        _set_datum(self, datum)
+        _set_key(self, key)
+        _set_word(self, word)
         # every cache keyed by Weyl elements hashes them, so hash once
-        init(self, "_hash", hash((datum, key)))
+        _set_hash(self, hash((datum, key)))
+        _set_left(self, None)
+        _set_inv(self, None)
+        _set_mat(self, None)
+        _set_masks(self, None)
 
     __setattr__ = __delattr__ = frozen_setattr
 
@@ -60,27 +77,28 @@ class WeylElem:
     @property
     def matrix(self) -> Tuple[Tuple[int, ...], ...]:
         """Action on X_*."""
-        return _matrix(self, True)
+        m = self._mat
+        return m if m is not None else _fill_matrix(self)
 
     @property
     def xstar(self) -> Tuple[Tuple[int, ...], ...]:
         """Action on X^*."""
-        return _matrix(self, False)
+        return _xstar(self)
 
 
-@cache
-def _matrix(u: WeylElem, on_cochars: bool):
-    """u on X_* (on_cochars) or X^*: s_i M for M the matrix of s_i u, i u's first letter.
+# Each slot's own setter, past the frozen __setattr__: half the cost of
+# object.__setattr__ by name, and every element of a cold enumeration is built here.
+(_set_datum, _set_key, _set_word, _set_hash, _set_left, _set_inv, _set_mat,
+ _set_masks) = (getattr(WeylElem, f).__set__ for f in WeylElem.__slots__)
+
+
+def _reflect_rows(d: RootDatum, i: int, m, on_cochars: bool):
+    """s_i M on X_* (on_cochars) or X^*, for M the matrix of an element.
 
     s_i M = M - c (r M) is a rank-one update of the rows where c is nonzero,
     with (c, r) = (alpha-check_i, alpha_i) on X_* and (alpha_i, alpha-check_i)
     on X^*.
     """
-    d = u.datum
-    if not u.word:
-        return ident(d.rank)
-    i = u.word[0]
-    m = _matrix(_replay(d, (i,), u.key), on_cochars)
     c, r = d.simple_coroots[i - 1], d.simple_roots[i - 1]
     if not on_cochars:
         c, r = r, c
@@ -90,6 +108,57 @@ def _matrix(u: WeylElem, on_cochars: bool):
             rm = [a + x * b for a, b in zip(rm, row)]
     return tuple(tuple(a - x * b for a, b in zip(row, rm)) if x else row
                  for x, row in zip(c, m))
+
+
+def _fill_matrix(u: WeylElem):
+    """u's X_* matrix: s_i M for M the matrix of its parent s_i u, i u's first letter.
+
+    Walks up the parents to the nearest element whose matrix is filled (the
+    identity's is the identity matrix), then fills each on the way back down,
+    so no word recurses on the stack.
+    """
+    chain = []
+    while u._mat is None and u.word:
+        chain.append(u)
+        u = _step(u, u.word[0])
+    if u._mat is None:
+        _set_mat(u, ident(u.datum.rank))
+    m = u._mat
+    for v in reversed(chain):
+        m = _reflect_rows(v.datum, v.word[0], m, True)
+        _set_mat(v, m)
+    return m
+
+
+@cache
+def _xstar(u: WeylElem):
+    """u on X^*: s_i M for M the matrix of its parent s_i u, i u's first letter."""
+    if not u.word:
+        return ident(u.datum.rank)
+    i = u.word[0]
+    return _reflect_rows(u.datum, i, _xstar(_step(u, i)), False)
+
+
+def _inversion_masks(u: WeylElem):
+    """(N(u), parities) as bitmasks over positive_coroots, filled once per element.
+
+    Bit j of N(u) is set when u sends the j-th beta-check negative (read off its
+    pairing with 2 rho); bit j of parities[k] when, in addition, entry k of
+    u(beta-check) is odd.
+    """
+    masks = u._masks
+    if masks is None:
+        d, m = u.datum, u.matrix
+        two_rho = [sum(col) for col in zip(*positive_roots(d))]
+        inv, par = 0, [0] * d.rank
+        for j, b in enumerate(positive_coroots(d)):
+            ub = [sum(map(mul, row, b)) for row in m]
+            if sum(map(mul, two_rho, ub)) < 0:
+                inv |= 1 << j
+                par = [p | (x & 1) << j for p, x in zip(par, ub)]
+        masks = inv, tuple(par)
+        _set_masks(u, masks)
+    return masks
 
 
 @cache
@@ -171,6 +240,22 @@ def _replay(d: RootDatum, word, key) -> WeylElem:
     return _elem_from_matrix(d, tuple(_replay_key(d, word, key)))
 
 
+def _step(u: WeylElem, i: int) -> WeylElem:
+    """s_i u, u's left neighbour i: a one-letter replay on first use, then a list lookup.
+
+    u's neighbour list is made when u is first stepped from.
+    """
+    left = u._left
+    if left is None:
+        left = [None] * (u.datum.nsimple + 1)
+        _set_left(u, left)
+    v = left[i]
+    if v is None:
+        v = left[i] = _replay(u.datum, (i,), u.key)
+    return v
+
+
+@cache
 def weyl_identity(d: RootDatum) -> WeylElem:
     return _elem_from_matrix(d, (1,) * d.nsimple)
 
@@ -185,7 +270,7 @@ def _index(d: RootDatum, i: int) -> int:
 
 
 def simple_reflection(d: RootDatum, i: int) -> WeylElem:
-    return _replay(d, (_index(d, i),), (1,) * d.nsimple)
+    return _step(weyl_identity(d), _index(d, i))
 
 
 def weyl_from_word(d: RootDatum, word) -> WeylElem:
@@ -193,14 +278,34 @@ def weyl_from_word(d: RootDatum, word) -> WeylElem:
 
 
 def weyl_mul(u: WeylElem, v: WeylElem) -> WeylElem:
-    if u.datum != v.datum:
+    """u v: hops from v to the left neighbours along u's word, last letter first.
+
+    The first neighbour not filled yet is filled, and the rest of the word is
+    replayed on its key at once: a product fills one edge per call, so a first
+    product costs about one replay of the word and a repeated one only hops.
+    """
+    if u.datum is not v.datum and u.datum != v.datum:
         raise DatumMismatch("Weyl elements over different data")
-    return _replay(u.datum, u.word, v.key)
+    word = u.word
+    for k in range(len(word) - 1, -1, -1):
+        i = word[k]
+        left = v._left
+        w = left and left[i]
+        if w is None:
+            v = _step(v, i)
+            return _replay(v.datum, word[:k], v.key) if k else v
+        v = w
+    return v
 
 
-@cache
 def weyl_inv(u: WeylElem) -> WeylElem:
-    return _replay(u.datum, u.word[::-1], (1,) * u.datum.nsimple)
+    """u^-1, replayed once per element and linked both ways."""
+    v = u._inv
+    if v is None:
+        v = _replay(u.datum, u.word[::-1], (1,) * u.datum.nsimple)
+        _set_inv(u, v)
+        _set_inv(v, u)
+    return v
 
 
 def weyl_act(u: WeylElem, x, side: str = "X_*"):
@@ -266,7 +371,7 @@ def weyl_order(d: RootDatum) -> int:
 def apply_aut_to_weyl(a: BasedAut, u: WeylElem) -> WeylElem:
     """Conjugate u by a datum automorphism: s_i goes to s_{perm(i)}, letter by letter.
 
-    Cached like weyl_inv: at most |W| entries per automorphism.
+    Cached: at most |W| entries per automorphism.
     """
     if a.datum != u.datum:
         raise DatumMismatch("automorphism and element over different data")

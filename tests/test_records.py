@@ -18,7 +18,7 @@ from lparams.rootdata import RootDatum, build_datum
 from lparams.tits import sigma, tits_context
 from lparams.torus import param_to_char, random_torus_param, torus_egroup
 from lparams.weilrep import WeilIrr, parse_weil_rep, weil_chi
-from lparams.weyl import neg_w0_aut, weyl_from_word
+from lparams.weyl import WeylElem, _inversion_masks, _step, neg_w0_aut, weyl_from_word, weyl_inv
 
 A2 = build_datum("A2 sc")
 L = lgroup_split(A2)
@@ -34,7 +34,8 @@ def _rebuilt(r):
     """A second record of the same type, built from r's fields."""
     if isinstance(r, tuple):
         return type(r)(*r)
-    return type(r)(*(getattr(r, f) for f in type(r).__slots__ if f != "_hash"))
+    assert type(r) is WeylElem
+    return WeylElem(r.datum, r.key, r.word)
 
 
 # (record, an equal record built another way, the names of the compared fields)
@@ -65,6 +66,13 @@ RECORDS = [
 def test_record_contract(record, other, compared):
     # every field, compared or not, and any new attribute refuse assignment and deletion
     fields = record._fields if isinstance(record, tuple) else type(record).__slots__
+    if type(record) is WeylElem:
+        # the Cayley-graph slots, filled here, refuse assignment and deletion like the fields
+        assert {"_left", "_inv", "_mat", "_masks"} <= set(fields)
+        _step(record, 1)
+        weyl_inv(record)
+        _inversion_masks(record)
+        assert None not in (record._left, record._inv, record._mat, record._masks)
     for name in (*fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)

@@ -4,7 +4,9 @@ A WeylElem is its key (<alpha_j, w rho_check>)_j, its word is the dominance
 descent on the key, and its matrices are built from the word on demand. The
 representation it replaced, an X_* matrix canonicalized by peeling left
 descents, is kept here as a test-only oracle, with a breadth-first
-enumeration of W keyed by matrices. Hypothesis laws of the group close the
+enumeration of W keyed by matrices. The Cayley graph the interned elements
+carry (left neighbours, inverses) is checked against one-letter replays and
+the matrix oracle, cold and warm. Hypothesis laws of the group close the
 file.
 """
 
@@ -15,10 +17,10 @@ import pytest
 
 import lparams.intlinalg as intlinalg
 import lparams.weyl as weyl
-from lparams.errors import InvariantViolated
+from lparams.errors import DatumMismatch, InvariantViolated
 from lparams.intlinalg import ident, mat_mul, mat_neg, mat_vec, transpose, vneg
 from lparams.lgroup import has_compact_cartan, lgroup_compact, lgroup_split
-from lparams.rootdata import build_datum, coaction, positive_roots
+from lparams.rootdata import RootDatum, build_datum, coaction, positive_roots
 from lparams.weyl import (
     apply_aut_to_weyl,
     descent,
@@ -30,6 +32,7 @@ from lparams.weyl import (
     weyl_inv,
     weyl_mul,
 )
+from cold_caches import clear_all_caches
 from oracle_matrices import xcostar_reflections, xstar_reflections
 
 # every type of rank <= 4, both lattices where they differ, and GL(n) with |W| <= 1152
@@ -172,8 +175,6 @@ def test_group_operations_do_no_matrix_arithmetic(monkeypatch):
 def test_matrix_is_built_without_mat_mul(monkeypatch):
     """Each letter of the word is a rank-one row update, not a rank^3 product."""
     d = build_datum("GL(9)")
-    u = weyl_mul(weyl.longest_element(d), simple_reflection(d, 4))
-    want = _word_matrix(d, u.word), _word_matrix(d, u.word, xstar_reflections)
     calls = []
 
     def counting(*args):
@@ -182,9 +183,130 @@ def test_matrix_is_built_without_mat_mul(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "mat_mul", counting)
     monkeypatch.setattr(weyl, "mat_mul", counting, raising=False)
-    weyl._matrix.cache_clear()
+    # an empty intern table: u and its parents are new elements with no matrix filled
+    clear_all_caches()
+    u = weyl_mul(weyl.longest_element(d), simple_reflection(d, 4))
+    assert u._mat is None
+    want = _word_matrix(d, u.word), _word_matrix(d, u.word, xstar_reflections)
     assert (u.matrix, u.xstar) == want
     assert len(u.word) == 35 and calls == []
+
+
+# ---------------------------------------------------------------------------
+# the Cayley graph on the interned elements: neighbours, products and inverses
+
+GRAPH_GROUPS = ["A3 sc", "B3 sc", "G2 sc", "D4 sc", "A1 sc x A1 sc"]
+
+
+@pytest.mark.parametrize("group", GRAPH_GROUPS)
+def test_every_neighbour_is_the_one_letter_replay(group, cold):
+    d = build_datum(group)
+    elems = weyl_enumerate(d)
+    rng = Random(f"graph:{group}")
+    # fill some lists by products, as a workload does, then step every element
+    for _ in range(50):
+        weyl_mul(rng.choice(elems), rng.choice(elems))
+    for w in elems:
+        for i in range(1, d.nsimple + 1):
+            weyl._step(w, i)
+    for w in elems:
+        assert len(w._left) == d.nsimple + 1 and w._left[0] is None
+        for i in range(1, d.nsimple + 1):
+            # the replay reads the intern table, so a filled neighbour is the interned element
+            assert w._left[i] is weyl._replay(d, (i,), w.key)
+            assert w._left[i]._left[i] is w
+
+
+def _oracle_pairs(d, pairs):
+    """(u, v) as words, with the oracle's canonical word and matrix of u v."""
+    for wu, wv in pairs:
+        m = mat_mul(_word_matrix(d, wu), _word_matrix(d, wv))
+        yield wu, wv, ref_canon(d, m)[0], m
+
+
+def _check_products(d, pairs):
+    cases = list(_oracle_pairs(d, pairs))
+    for wu, wv, word, m in cases:
+        # from empty tables: the product fills one neighbour and replays the rest of the word
+        clear_all_caches()
+        u, v = weyl_from_word(d, wu), weyl_from_word(d, wv)
+        assert v._left is None and u._inv is None
+        uv = weyl_mul(u, v)
+        assert (uv.word, uv.matrix) == (word, m)
+    elems = {}
+    for wu, wv, word, m in cases:
+        # warm: repeated, a product fills the rest of its walk and then only hops
+        u = elems.setdefault(wu, weyl_from_word(d, wu))
+        v = elems.setdefault(wv, weyl_from_word(d, wv))
+        for _ in range(len(wu) + 1):
+            uv = weyl_mul(u, v)
+            assert (uv.word, uv.matrix) == (word, m)
+            assert uv is weyl_from_word(d, word)
+
+
+@pytest.mark.parametrize("group", ["G2 sc", "A3 sc"])
+def test_products_on_the_graph_match_matrix_oracle(group, cold):
+    d = build_datum(group)
+    words = [word for word, _, _ in ref_enumerate(d)]
+    _check_products(d, [(a, b) for a in words for b in words])
+
+
+def test_seeded_f4_products_on_the_graph_match_matrix_oracle(cold):
+    d = build_datum("F4 sc")
+    rng = Random("graph:F4 sc")
+    top = 2 * len(positive_roots(d))
+    pairs = [tuple(tuple(rng.randrange(1, 5) for _ in range(rng.randrange(top))) for _ in range(2))
+             for _ in range(60)]
+    _check_products(d, pairs)
+
+
+def test_a_repeated_product_fills_its_path_and_then_only_hops(cold, monkeypatch):
+    d = build_datum("F4 sc")
+    u, v = weyl.longest_element(d), weyl_from_word(d, [2, 3, 2, 1])
+    want = weyl_mul(u, v)
+    # each call fills one more neighbour on the walk from v along u's word
+    for _ in range(len(u.word) - 1):
+        assert weyl_mul(u, v) is want
+    monkeypatch.setattr(weyl, "_replay", lambda *args: pytest.fail("replay on a filled path"))
+    assert weyl_mul(u, v) is want
+    x = v
+    for i in reversed(u.word):
+        x = x._left[i]
+    assert x is want
+
+
+@pytest.mark.parametrize("group", GRAPH_GROUPS + ["F4 sc", "GL(5)"])
+def test_inverse_is_linked_both_ways(group, cold):
+    d = build_datum(group)
+    for u in weyl_enumerate(d):
+        v = weyl_inv(u)
+        assert weyl_inv(v) is u and u._inv is v and v._inv is u
+        assert v is weyl_from_word(d, u.word[::-1])
+
+
+def test_products_over_different_data_raise():
+    a2, b2 = build_datum("A2 sc"), build_datum("B2 sc")
+    with pytest.raises(DatumMismatch):
+        weyl_mul(simple_reflection(a2, 1), simple_reflection(b2, 1))
+    # an equal datum built separately is the same datum
+    twin = RootDatum(a2.rank, a2.simple_roots, a2.simple_coroots, "twin")
+    assert twin is not a2
+    s1, s2 = simple_reflection(twin, 1), simple_reflection(a2, 2)
+    assert weyl_mul(s1, s2) == weyl_from_word(a2, [1, 2])
+
+
+def test_clearing_the_caches_leaves_fresh_elements_unfilled():
+    d = build_datum("GL(5)")
+    old = weyl_enumerate(d)
+    for u in old:
+        weyl_mul(u, weyl_inv(u)).matrix
+        u.matrix
+    assert all(u._left is not None and u._inv is not None for u in old[1:])
+    clear_all_caches()
+    fresh = weyl_enumerate(d)
+    assert fresh == old and not any(u is v for u, v in zip(fresh, old))
+    assert all(u._left is None and u._inv is None and u._mat is None and u._masks is None
+               for u in fresh)
 
 
 # ---------------------------------------------------------------------------
