@@ -19,7 +19,6 @@ What depends only on theta = w theta0 is computed once per (L, w) and cached.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction as Q
 from functools import cache
 from math import lcm
 from operator import mul
@@ -329,7 +328,7 @@ def _radical_egroup(L: LGroup, w: WeylElem):
     """
     proj, uinv, rank = _radical_projection(L.dual_datum)
     th_rad = descend_map(proj, uinv, rank, _involution(L, w).theta)
-    return proj, torus_egroup(th_rad, (Q(0),) * len(proj))
+    return proj, torus_egroup(th_rad, (0,) * len(proj))
 
 
 def rad_param(p: LParam) -> TorusParam:

@@ -45,7 +45,6 @@ from .weyl import (
     _inversion_masks,
     _step,
     apply_aut_to_weyl,
-    descent,
     longest_element,
     simple_reflection,
     weyl_enumerate,
@@ -304,7 +303,8 @@ def run_tits_suite(ctx: TitsContext):
 
     Rows are (name, passed, detail). Covers: the braid identity on the
     sigma lifts for every simple pair, a second reduced word per element
-    (max-descent peeling) giving the same lift, sigma_i^2 = alpha-check(-1),
+    giving the same lift (one edge per element, the largest right descent),
+    sigma_i^2 = alpha-check(-1),
     sigma_w sigma_{w^{-1}} = exp(pi*i*(rho-check - w rho-check)),
     sigma_{w0}^2 = exp(2*pi*i*rho-check) and its centrality, equivariance of
     the lifts under theta0, and C(sigma_w) = (sigma_{w^{-1}})^{-1}.
@@ -329,18 +329,19 @@ def run_tits_suite(ctx: TitsContext):
                  f"{d.nsimple * (d.nsimple - 1) // 2} simple pairs" if not bad
                  else f"failing pairs {bad}"))
 
-    bad = []
-    for w in elems:
-        u, letters = w, []
-        while u.word:
-            # the largest descent i of u, scanned from the right; then u s_i = (s_i u^-1)^-1
-            i = next(k for k in range(d.nsimple, 0, -1) if descent(u, k))
-            letters.append(i)
-            u = weyl_inv(_step(weyl_inv(u), i))
-        alt = tits_identity(ctx)
-        for i in reversed(letters):
-            alt = tits_mul(alt, sigma(ctx, simple_reflection(d, i)))
+    # The second word of w is that of w s_i followed by i, for i its largest
+    # right descent. w s_i is one shorter and comes earlier in elems, so its
+    # lift times sigma_i is the product along that word: one edge per element.
+    # A failed element keeps its own product as its lift, which carries the
+    # failure on to the longer words through it.
+    bad, failed = [], {}
+    for w in elems[1:]:
+        winv = weyl_inv(w)
+        i = next(k for k in range(d.nsimple, 0, -1) if winv.key[k - 1] < 0)
+        u = weyl_inv(_step(winv, i))
+        alt = tits_mul(failed.get(u) or sigma(ctx, u), sigma(ctx, simple_reflection(d, i)))
         if alt != sigma(ctx, w):
+            failed[w] = alt
             bad.append(list(w.word))
     rows.append(("reduced-word independence", not bad,
                  f"{len(elems)} elements" if not bad else f"failing words {bad}"))

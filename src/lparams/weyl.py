@@ -16,8 +16,8 @@ backwards, then linked both ways), its X_* matrix (a rank-one row update of
 its parent's) and its inversion masks (read off the matrix). A product u v
 hops from v along u's word, one list lookup per letter, and hashes no element;
 where a neighbour is missing it fills that one and replays the rest of the
-word, so a cold product costs what a word replay does. The X^* matrix stays
-a functools cache.
+word, so a cold product costs what a word replay does. An element keeps one
+matrix: its action on X^* is the transpose of its inverse's X_* matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from operator import mul
 from typing import Tuple
 
 from .errors import DatumMismatch, InputError, InvariantViolated, frozen_setattr
-from .intlinalg import ident, mat_neg, mat_vec
+from .intlinalg import ident, mat_neg, mat_vec, transpose
 from .rootdata import (
     BasedAut,
     RootDatum,
@@ -82,8 +82,8 @@ class WeylElem:
 
     @property
     def xstar(self) -> Tuple[Tuple[int, ...], ...]:
-        """Action on X^*."""
-        return _xstar(self)
+        """Action on X^*: the contragredient of the action on X_*, (M^-1)^T."""
+        return transpose(weyl_inv(self).matrix)
 
 
 # Each slot's own setter, past the frozen __setattr__: half the cost of
@@ -92,16 +92,13 @@ class WeylElem:
  _set_masks) = (getattr(WeylElem, f).__set__ for f in WeylElem.__slots__)
 
 
-def _reflect_rows(d: RootDatum, i: int, m, on_cochars: bool):
-    """s_i M on X_* (on_cochars) or X^*, for M the matrix of an element.
+def _reflect_rows(d: RootDatum, i: int, m):
+    """s_i M on X_*, for M the X_* matrix of an element.
 
     s_i M = M - c (r M) is a rank-one update of the rows where c is nonzero,
-    with (c, r) = (alpha-check_i, alpha_i) on X_* and (alpha_i, alpha-check_i)
-    on X^*.
+    with (c, r) = (alpha-check_i, alpha_i).
     """
     c, r = d.simple_coroots[i - 1], d.simple_roots[i - 1]
-    if not on_cochars:
-        c, r = r, c
     rm = [0] * d.rank
     for x, row in zip(r, m):
         if x:
@@ -125,18 +122,9 @@ def _fill_matrix(u: WeylElem):
         _set_mat(u, ident(u.datum.rank))
     m = u._mat
     for v in reversed(chain):
-        m = _reflect_rows(v.datum, v.word[0], m, True)
+        m = _reflect_rows(v.datum, v.word[0], m)
         _set_mat(v, m)
     return m
-
-
-@cache
-def _xstar(u: WeylElem):
-    """u on X^*: s_i M for M the matrix of its parent s_i u, i u's first letter."""
-    if not u.word:
-        return ident(u.datum.rank)
-    i = u.word[0]
-    return _reflect_rows(u.datum, i, _xstar(_step(u, i)), False)
 
 
 def _inversion_masks(u: WeylElem):
@@ -315,11 +303,6 @@ def weyl_act(u: WeylElem, x, side: str = "X_*"):
     if side == "X^*":
         return mat_vec(u.xstar, x)
     raise InputError(f"unknown side {side!r}")
-
-
-def descent(u: WeylElem, i: int) -> bool:
-    """True iff length(u * s_i) < length(u), that is <alpha_i, u^{-1} rho_check> < 0."""
-    return weyl_inv(u).key[_index(u.datum, i) - 1] < 0
 
 
 def longest_element(d: RootDatum) -> WeylElem:

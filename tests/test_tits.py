@@ -4,6 +4,11 @@ The oracle realizes the extended Tits group of SL(n) concretely: torus parts
 exp(2*pi*i*mu) become diagonal matrices of complex units, the canonical lift
 of a simple reflection becomes the usual signed permutation block, and every
 abstract identity is replayed as plain matrix arithmetic.
+
+The reduced-word row of run_tits_suite checks one edge per element; the row
+it replaced, each element's max-descent word peeled and multiplied out one
+letter at a time, is kept as an oracle for its failure report under broken
+products.
 """
 
 from fractions import Fraction as Q
@@ -11,6 +16,7 @@ from random import Random
 
 import pytest
 
+import lparams.tits as tits
 from lparams.errors import PreconditionViolated
 from lparams.rootdata import based_aut, build_datum, two_rho_check
 from lparams.tits import (
@@ -41,6 +47,7 @@ from lparams.weyl import (
     weyl_inv,
     weyl_mul,
 )
+from oracle_matrices import descent
 
 
 def _ctx(name):
@@ -183,6 +190,67 @@ def test_run_tits_suite_all_green():
     for name in ("A1 sc", "A2 sc", "B2 sc", "GL(2)"):
         rows = run_tits_suite(_ctx(name))
         assert rows and all(ok for _, ok, _ in rows), rows
+
+
+def _peel_row(ctx):
+    """The reduced-word row by peeling: each element's largest right descent
+    taken off until e, then the lifts of the letters multiplied left to right."""
+    d = ctx.datum
+    elems = weyl_enumerate(d)
+    bad = []
+    for w in elems:
+        u, letters = w, []
+        while u.word:
+            i = next(k for k in range(d.nsimple, 0, -1) if descent(u, k))
+            letters.append(i)
+            u = weyl_mul(u, simple_reflection(d, i))
+        alt = tits_identity(ctx)
+        for i in reversed(letters):
+            alt = tits.tits_mul(alt, sigma(ctx, simple_reflection(d, i)))
+        if alt != sigma(ctx, w):
+            bad.append(list(w.word))
+    return ("reduced-word independence", not bad,
+            f"{len(elems)} elements" if not bad else f"failing words {bad}")
+
+
+def _half_on_length_3(mul):
+    """mul, plus 1/2 on coordinate 1 when the product lies over a length-3 element."""
+    def broken(g1, g2):
+        g = mul(g1, g2)
+        if len(g.w.word) != 3:
+            return g
+        return g._replace(t=g.t + TorusPart.scaled([1] + [0] * (len(g.t.num) - 1), 2))
+    return broken
+
+
+def _half_after_sigma_2(mul):
+    """mul, plus 1/2 (1, ..., 1) when the right factor is sigma_2 and the left
+    factor's length is 1 mod 4."""
+    def broken(g1, g2):
+        g = mul(g1, g2)
+        if len(g1.w.word) % 4 != 1 or g2 != sigma(g1.ctx, simple_reflection(g1.ctx.datum, 2)):
+            return g
+        return g._replace(t=g.t + TorusPart.scaled([1] * len(g.t.num), 2))
+    return broken
+
+
+@pytest.mark.parametrize("mutant", [_half_on_length_3, _half_after_sigma_2])
+@pytest.mark.parametrize("name", ["B3 sc", "A3 sc", "G2 sc", "D4 sc"])
+def test_reduced_word_row_reports_what_the_peel_does(name, mutant, monkeypatch):
+    ctx = _ctx(name)
+    monkeypatch.setattr(tits, "tits_mul", mutant(tits.tits_mul))
+    row = run_tits_suite(ctx)[1]
+    assert not row[1]
+    assert row == _peel_row(ctx)
+
+
+def test_suite_makes_one_reduced_word_product_per_element(monkeypatch):
+    """On F4 sc: 32 braid products, 1151 edges, 4 squares, 1152 lemma products,
+    11 for sigma_{w0}^2 and its centrality and 1152 Chevalley products."""
+    mul, calls = tits.tits_mul, []
+    monkeypatch.setattr(tits, "tits_mul", lambda g1, g2: calls.append(1) or mul(g1, g2))
+    assert all(ok for _, ok, _ in run_tits_suite(_ctx("F4 sc")))
+    assert len(calls) == 3502
 
 
 def test_serialization_round_trip():

@@ -35,7 +35,6 @@ from lparams.tits import (
 )
 from lparams.weyl import (
     apply_aut_to_weyl,
-    descent,
     simple_reflection,
     weyl_act,
     weyl_enumerate,
@@ -43,6 +42,7 @@ from lparams.weyl import (
     weyl_inv,
     weyl_mul,
 )
+from oracle_matrices import descent
 
 A1A1_SWAP = [[0, 1], [1, 0]]
 D4_SWAP = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]

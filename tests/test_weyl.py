@@ -11,7 +11,6 @@ from lparams.lparam import make_param
 from lparams.rootdata import build_datum, positive_roots
 from lparams.weyl import (
     apply_aut_to_weyl,
-    descent,
     longest_element,
     neg_w0_aut,
     simple_reflection,
@@ -23,6 +22,7 @@ from lparams.weyl import (
     weyl_mul,
     weyl_order,
 )
+from oracle_matrices import descent
 
 
 def test_a2_products_and_canonical_words():

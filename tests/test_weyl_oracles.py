@@ -23,7 +23,6 @@ from lparams.lgroup import has_compact_cartan, lgroup_compact, lgroup_split
 from lparams.rootdata import RootDatum, build_datum, coaction, positive_roots
 from lparams.weyl import (
     apply_aut_to_weyl,
-    descent,
     neg_w0_aut,
     simple_reflection,
     weyl_enumerate,
@@ -33,7 +32,7 @@ from lparams.weyl import (
     weyl_mul,
 )
 from cold_caches import clear_all_caches
-from oracle_matrices import xcostar_reflections, xstar_reflections
+from oracle_matrices import descent, xcostar_reflections, xstar_reflections
 
 # every type of rank <= 4, both lattices where they differ, and GL(n) with |W| <= 1152
 GROUPS = (["T1", "A1 sc", "A1 ad", "A2 sc", "A3 sc", "A3 ad", "A4 sc", "B2 sc", "B2 ad",
@@ -353,7 +352,11 @@ def _nested(depth, f):
 
 @pytest.mark.parametrize("copies", [7, 14])
 def test_deep_product_longest_element(copies, cold):
-    """7 copies (252 positive roots) recurse on parents, 14 (504) keep the full descent."""
+    """7 copies (252 positive roots) recurse on parents, 14 (504) keep the full descent.
+
+    -w0 reverses each factor's Dynkin diagram; its X^* matrix is read off the
+    inverse's X_* matrix, with no recursion over the word.
+    """
     d = build_datum(" x ".join(["GL(9)"] * copies))
     w0 = weyl.longest_element(build_datum("GL(9)")).word
     # the canonical word of a product is its factors' words, one after the other
@@ -361,6 +364,8 @@ def test_deep_product_longest_element(copies, cold):
     # called under 200 extra frames, as from a deep caller
     assert _nested(200, lambda: weyl.longest_element(d)).word == want
     assert descent_word(d, (-1,) * d.nsimple) == want
+    perm = tuple(8 * k + 9 - i for k in range(copies) for i in range(1, 9))
+    assert _nested(200, lambda: neg_w0_aut(d)).perm == perm
 
 
 # ---------------------------------------------------------------------------
