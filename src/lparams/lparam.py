@@ -45,6 +45,7 @@ from .intlinalg import (
     mat_mul,
     mat_neg,
     mat_vec,
+    matrix_rank,
     one_minus,
     saturation_projection,
     solve_congruence_scaled,
@@ -62,7 +63,6 @@ from .rootdata import (
     build_datum,
     coaction,
     compose_aut,
-    positive_root_table,
     transpose_aut,
 )
 from .tits import (
@@ -96,8 +96,6 @@ from .weyl import (
     longest_element,
     neg_w0_aut,
     parabolic_subgroup,
-    weyl_act,
-    weyl_enumerate,
     weyl_from_word,
     weyl_identity,
     weyl_mul,
@@ -243,9 +241,11 @@ def params_equivalent(p: LParam, q: LParam) -> bool:
     conjugate; otherwise the u with u(lambda_p) = lambda_q are exactly
     y^{-1} s x for s in the stabilizer W_J of the dominant point, J the
     simple indices of zero pairing. Each such u conjugates p, and the torus
-    parts are compared by a lattice solve. The cost scales with |W_J|, which
-    is 1 for regular lambda, not with |W|. verify_contragredient, which has
-    already descended lambda_p, calls _params_equivalent with that descent.
+    parts are compared by a lattice solve. W_J is walked lazily, in (length,
+    word) order, and the walk stops at the first u that conjugates p to q; W_J
+    is {e} for regular lambda, and only a pair that is not conjugate walks all
+    of it. verify_contragredient, which has already descended lambda_p, calls
+    _params_equivalent with that descent.
     """
     return _params_equivalent(p, q, _dominance_descent(p.L.dual_datum, p.lam))
 
@@ -256,7 +256,8 @@ def _params_equivalent(p: LParam, q: LParam, desc_p) -> bool:
     q reuses desc_p only when lambda_q equals lambda_p, which is tested, so a
     q with another lambda pays its own descent. The candidate u = e conjugates
     p to itself, so p is used as is; when q reuses desc_p, the candidate for
-    s = e is u = e, and no word is replayed.
+    s = e is u = e, and no word is replayed. The walk of W_J stops at the
+    first s whose u conjugates p to q.
     """
     if p.L != q.L:
         raise ContextMismatch("parameters for different L-groups")
@@ -437,15 +438,6 @@ def _s_hat_roots(p: LParam) -> List[Tuple[int, ...]]:
             if _orthogonal(alpha, p.lam) and _orthogonal(alpha, th_lam)]
 
 
-def _levi_subsystem(d: RootDatum, subset: frozenset) -> frozenset:
-    """Roots supported on the given simple indices."""
-    keep = set()
-    for _, alpha, coeffs in positive_root_table(d):
-        if all(c == 0 or (i + 1) in subset for i, c in enumerate(coeffs)):
-            keep.update((alpha, vneg(alpha)))
-    return frozenset(keep)
-
-
 def _levi_roots(d: RootDatum, theta) -> frozenset:
     """The roots vanishing on ker(1 - theta); for an involution, those negated by theta^T."""
     th_star = transpose(theta)
@@ -470,12 +462,15 @@ def levi_of(p: LParam) -> Tuple[StandardLevi, LParam]:
                 "centralizer root is negated by theta; a Cayley move would be needed",
                 witness=alpha)
     perm = p.L.theta0.perm
-    for u in weyl_enumerate(d):
-        image = frozenset(tuple(weyl_act(u, alpha, side="X^*")) for alpha in mset)
-        subset = frozenset(i + 1 for i in range(d.nsimple) if d.simple_roots[i] in image)
-        if any(perm[i - 1] not in subset for i in subset):
-            continue
-        if _levi_subsystem(d, subset) == image:
+    rank = matrix_rank(sorted(mset))
+    for u in parabolic_subgroup(d, range(1, d.nsimple + 1)):
+        # J = {i : u^-1 alpha_i in M}, u^-1 acting on X^* by u's X_* matrix transposed.
+        # M is the roots in a subspace, so Phi_J lies in u(M), and the two are equal
+        # exactly when J spans u(M), as Phi meets span(J) in Phi_J: when |J| = rank M
+        cols = transpose(u.matrix)
+        subset = frozenset(i + 1 for i, alpha in enumerate(d.simple_roots)
+                           if mat_vec(cols, alpha) in mset)
+        if len(subset) == rank and all(perm[i - 1] in subset for i in subset):
             return StandardLevi(subset), conjugate_param(p, u)
     raise InputError("no Weyl element standardizes the Levi")
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import cache
 from operator import mul
-from typing import Tuple
+from typing import Iterator, Tuple
 
 from .errors import DatumMismatch, InputError, InvariantViolated, frozen_setattr
 from .intlinalg import ident, mat_neg, mat_vec, transpose
@@ -298,6 +298,8 @@ def weyl_inv(u: WeylElem) -> WeylElem:
 
 def weyl_act(u: WeylElem, x, side: str = "X_*"):
     """Apply u to a vector of X_* (default) or X^*; entries may be complex."""
+    if len(x) != u.datum.rank:
+        raise InputError(f"vector of length {len(x)} for a datum of rank {u.datum.rank}")
     if side == "X_*":
         return mat_vec(u.matrix, x)
     if side == "X^*":
@@ -312,22 +314,24 @@ def longest_element(d: RootDatum) -> WeylElem:
 
 @cache
 def weyl_enumerate(d: RootDatum) -> Tuple[WeylElem, ...]:
-    """All of W, ordered by length then lexicographic canonical word."""
-    return parabolic_subgroup(d, range(1, d.nsimple + 1))
+    """All of W, ordered by length then lexicographic canonical word: the one materialised W."""
+    return tuple(parabolic_subgroup(d, range(1, d.nsimple + 1)))
 
 
-def parabolic_subgroup(d: RootDatum, subset) -> Tuple[WeylElem, ...]:
-    """W_J for J the given simple indices, ordered by length then canonical word.
+def parabolic_subgroup(d: RootDatum, subset) -> Iterator[WeylElem]:
+    """Yield W_J for J the given simple indices, by length then canonical word.
 
     Each length is s_i u over i in J and the left ascents i of the previous
     length's u, kept when the word of s_i u is i then u's word, that is when
     no entry of its key before the i-th is negative: each element is met
-    once, in order, and interned from its parent u, at a cost scaling with
-    |W_J| rather than |W|.
+    once, in order, and interned from its parent u. The walk is lazy, one
+    length at a time, so a caller that stops early interns only the layers
+    it reached; the indices are checked when the walk starts.
     """
     letters = sorted(_index(d, i) for i in subset)
     columns = _cartan_columns(d)
-    out, layer = [weyl_identity(d)], [weyl_identity(d)]
+    layer = [weyl_identity(d)]
+    yield layer[0]
     while layer:
         nxt = []
         for i in letters:
@@ -341,9 +345,8 @@ def parabolic_subgroup(d: RootDatum, subset) -> Tuple[WeylElem, ...]:
                         p = _replay_key(d, (i,), u.key)
                         if f > i or min(p[:i - 1]) > 0:
                             nxt.append(_elem_from_matrix(d, tuple(p)))
-        out.extend(nxt)
+        yield from nxt
         layer = nxt
-    return tuple(out)
 
 
 def weyl_order(d: RootDatum) -> int:

@@ -4,18 +4,30 @@ s_i(y) = y - <alpha_i, y> alpha-check_i on X_*.
 
 The library never forms these matrices (it moves pairing keys through the
 Cartan matrix), so the oracle tests multiply them out as an independent
-route. The right-descent predicate the library once exported is kept here
-too. Not a test module: pytest does not collect it.
+route. The right-descent predicate the library once exported, and the
+Levi subsystem levi_of once compared against, are kept here too. Not a test
+module: pytest does not collect it.
 """
 
 from functools import cache
 
+from lparams.intlinalg import vneg
+from lparams.rootdata import positive_root_table
 from lparams.weyl import weyl_inv
 
 
 def descent(u, i):
     """True iff length(u * s_i) < length(u), that is <alpha_i, u^{-1} rho_check> < 0."""
     return weyl_inv(u).key[i - 1] < 0
+
+
+def levi_subsystem(d, subset):
+    """Roots supported on the given simple indices."""
+    keep = set()
+    for _, alpha, coeffs in positive_root_table(d):
+        if all(c == 0 or (i + 1) in subset for i, c in enumerate(coeffs)):
+            keep.update((alpha, vneg(alpha)))
+    return frozenset(keep)
 
 
 @cache

@@ -7,6 +7,9 @@ reflection matrices and expanded each root in the simple roots by a Fraction
 Gauss-Jordan solve to read its sign and height. `lparam._levi_roots` reads
 the Levi roots M as the roots negated by theta transpose; the oracle is the
 annihilator of sympy's kernel of 1 - theta, as levi_of used to compute it.
+The Levi subsystem levi_of once compared against, now the test-only
+`oracle_matrices.levi_subsystem` of the scan oracle for levi_of, is checked
+against the same expansion.
 """
 
 import json
@@ -22,7 +25,6 @@ from lparams.lgroup import parse_inner_class
 from lparams.lparam import (
     _involution,
     _levi_roots,
-    _levi_subsystem,
     levi_of,
     make_param,
     param_to_dict,
@@ -41,7 +43,7 @@ from lparams.rootdata import (
 )
 from lparams.tits import torus_part
 from lparams.weyl import weyl_from_word
-from oracle_matrices import xcostar_reflections, xstar_reflections
+from oracle_matrices import levi_subsystem, xcostar_reflections, xstar_reflections
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -152,7 +154,7 @@ def test_levi_subsystem_matches_expansion(spec):
         want = frozenset(v for v in orbit
                          if all(c == 0 or (i + 1) in subset
                                 for i, c in enumerate(_expand(d.simple_roots, v))))
-        assert _levi_subsystem(d, subset) == want
+        assert levi_subsystem(d, subset) == want
 
 
 def test_levi_roots_match_sympy_kernel():

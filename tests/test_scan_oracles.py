@@ -1,11 +1,13 @@
 """The W-free theorem pipeline against brute-force scans of the whole Weyl group.
 
-`twisted_involutions`, the dominance descent `_dominance_descent` and
-`params_equivalent` no longer scan W: the first walks the twisted-involution
-graph, the second descends by simple pairings updated through the Cartan
-matrix, and the third only tries the stabilizer of the dominant point. The
-scans they replaced are kept here, verbatim in substance, as test-only
-oracles.
+`twisted_involutions`, the dominance descent `_dominance_descent`,
+`params_equivalent` and `levi_of` no longer scan a materialised W: the first
+walks the twisted-involution graph, the second descends by simple pairings
+updated through the Cartan matrix, the third only tries the stabilizer of
+the dominant point, and the fourth walks W lazily and reads its test off
+u's own matrix. The scans they replaced are kept here, verbatim in
+substance, as test-only oracles, and the lazy walks are checked to intern
+only what they reach.
 
 The theorem op takes shortcuts that are checked here too, on every
 theorem_fleet and big_weyl configuration, at seeded lambda, lambda = 0,
@@ -16,12 +18,13 @@ summed coefficients. The per-step update it replaced is kept as an oracle.
 """
 
 from fractions import Fraction as Q
-from itertools import product
+from itertools import islice, product
 from random import Random
 
 import pytest
 
 from lparams import lparam, weyl
+from lparams.errors import NormalizationRequired
 from lparams.gaussian import GaussQ, ScaledVec, read_gauss
 from lparams.intlinalg import (
     descend_map,
@@ -31,19 +34,23 @@ from lparams.intlinalg import (
     solve_congruence_scaled,
     vdot,
 )
-from lparams.lgroup import parse_inner_class
+from lparams.lgroup import StandardLevi, parse_inner_class
 from lparams.lparam import (
     _dominance_descent,
+    _levi_roots,
     _params_equivalent,
     _radical_egroup,
+    _s_hat_roots,
     conjugate_param,
     contragredient_param,
+    levi_of,
     make_param,
     params_equivalent,
     random_param,
     tau_twist_param,
     twisted_involutions,
     validity_rows,
+    verify_contragredient,
 )
 from lparams.rootdata import all_roots, build_datum, coaction
 from lparams.tits import TorusPart, torus_part
@@ -53,13 +60,15 @@ from lparams.weyl import (
     apply_aut_to_weyl,
     longest_element,
     parabolic_subgroup,
+    weyl_act,
     weyl_enumerate,
     weyl_identity,
     weyl_mul,
     weyl_order,
 )
+from cold_caches import clear_all_caches
 from gauss_entries import gauss_entries
-from oracle_matrices import xcostar_reflections
+from oracle_matrices import levi_subsystem, xcostar_reflections
 
 D4_SWAP = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
@@ -131,6 +140,24 @@ def scan_params_equivalent(p, q):
     return False
 
 
+def scan_levi_of(p):
+    """levi_of over the materialised W: the X^* image of M under each u against Phi_J."""
+    d = p.L.dual_datum
+    mset = _levi_roots(d, p.theta)
+    for alpha in _s_hat_roots(p):
+        if alpha in mset:
+            raise NormalizationRequired("centralizer root is negated by theta", witness=alpha)
+    perm = p.L.theta0.perm
+    for u in weyl_enumerate(d):
+        image = frozenset(tuple(weyl_act(u, alpha, side="X^*")) for alpha in mset)
+        subset = frozenset(i + 1 for i in range(d.nsimple) if d.simple_roots[i] in image)
+        if any(perm[i - 1] not in subset for i in subset):
+            continue
+        if levi_subsystem(d, subset) == image:
+            return StandardLevi(subset), conjugate_param(p, u)
+    raise AssertionError("no Weyl element standardizes the Levi")
+
+
 # ---------------------------------------------------------------------------
 
 def _swap(n):
@@ -200,10 +227,10 @@ def test_dominant_rep_singular_and_complex():
 
 def test_parabolic_subgroup_orders():
     d = build_datum("B3 sc")
-    assert len(parabolic_subgroup(d, [])) == 1
-    assert len(parabolic_subgroup(d, [1, 2])) == 6
-    assert len(parabolic_subgroup(d, [1, 3])) == 4
-    assert len(parabolic_subgroup(d, [1, 2, 3])) == weyl_order(d)
+    assert len(tuple(parabolic_subgroup(d, []))) == 1
+    assert len(tuple(parabolic_subgroup(d, [1, 2]))) == 6
+    assert len(tuple(parabolic_subgroup(d, [1, 3]))) == 4
+    assert len(tuple(parabolic_subgroup(d, [1, 2, 3]))) == weyl_order(d)
 
 
 @pytest.mark.parametrize("group,inner", SMALL, ids=_ids(SMALL))
@@ -390,3 +417,61 @@ def test_radical_egroup_matches_fresh(group, inner):
         theta = mat_mul(w.matrix, coaction(L.theta0))
         fresh = torus_egroup(descend_map(proj, uinv, rank, theta), (0,) * len(proj))
         assert _radical_egroup(L, w) == (proj, fresh)
+
+
+# ---------------------------------------------------------------------------
+# levi_of and the lazy walk of W
+
+# the theorem_fleet and big_weyl configurations of the benchmark
+BENCH = SMALL + BIG[:3]
+
+
+def _levi_outcome(fn, p):
+    """(sorted J, reduced parameter), or ("cayley", witness root) when fn asks for a Cayley move."""
+    try:
+        levi, reduced = fn(p)
+    except NormalizationRequired as exc:
+        return "cayley", exc.witness
+    return sorted(levi.subset), reduced
+
+
+@pytest.mark.parametrize("group,inner", BENCH, ids=_ids(BENCH))
+def test_levi_of_matches_scan(group, inner):
+    L = _L(group, inner)
+    d = L.dual_datum
+    rng = Random(f"levi-scan:{group}")
+    params = [random_param(L, rng) for _ in range(6)]
+    params.append(make_param(L, (0,) * d.rank, (0,) * d.rank, []))
+    if d.rank <= 3:
+        params.append(next(q for q in (_wall_param(L, p) for p in params) if q is not None))
+    for p in params:
+        assert _levi_outcome(levi_of, p) == _levi_outcome(scan_levi_of, p), p
+
+
+def _interned():
+    return weyl._elem_from_matrix.cache_info().currsize
+
+
+def test_levi_of_interns_only_the_walk_it_reads(cold):
+    # a materialised W(GL(5) x GL(5)) would intern all 14,400 elements
+    L = _L("GL(5) x GL(5)", "split")
+    p = random_param(L, Random(3))
+    clear_all_caches()  # count only what levi_of interns, not the sampling's walk
+    levi_of(p)
+    assert _interned() < 100
+
+
+def test_theorem_at_lambda_zero_walks_only_to_the_first_conjugator(cold):
+    # at lambda = 0 the stabilizer W_J is all of W(GL(8)), 40,320 elements
+    L = _L("GL(8)", "split")
+    p = make_param(L, (0,) * 8, (0,) * 8, [])
+    before = _interned()
+    assert all(ok for _, ok, _ in verify_contragredient(p))
+    assert _interned() - before < 100
+
+
+def test_walk_of_w_is_lazy(cold):
+    d = build_datum("GL(9) x GL(9) x GL(9)")
+    first = list(islice(parabolic_subgroup(d, range(1, d.nsimple + 1)), 10))
+    assert [u.word for u in first] == [()] + [(i,) for i in range(1, 10)]
+    assert _interned() < 200

@@ -121,6 +121,18 @@ def test_weyl_act_sides():
             weyl_act(s, (Q(1),), side=side)
 
 
+def test_weyl_act_refuses_a_vector_of_the_wrong_length():
+    # the matrix is zipped against the vector, so a short or long one was cut silently
+    d = build_datum("A2 sc")
+    s1 = simple_reflection(d, 1)
+    assert weyl_act(s1, (1, 0)) == (-1, 0)
+    assert weyl_act(s1, (1, 0), side="X^*") == (-1, 1)
+    for side in ("X_*", "X^*"):
+        for x in ((1, 2, 3), (1,), ()):
+            with pytest.raises(InputError):
+                weyl_act(s1, x, side=side)
+
+
 def test_act_respects_pairing():
     # <u x, u y> = <x, y> with x in X^*, y in X_*
     rng = Random(11)
