@@ -14,9 +14,9 @@ entries from the numerators, and Fractions appear only in the `entries` view.
 
 The cocycle of sigma_u sigma_v is half the sum of u(beta-check) over beta in
 N(u) & N(v^-1) (Tits, Normalisateurs de tores I, 1966). The inversion set and
-the bitmasks of its beta with u(beta-check)_k odd are read from the Weyl
-element (weyl._inversion_masks), so a product is a popcount per coordinate,
-one weyl_mul and one reduction.
+the bitmasks of its beta with u(beta-check)_k odd are kept on the Weyl
+element, filled from its parent's on first use (weyl._inversion_masks), so a
+product is a popcount per coordinate, one weyl_mul and one reduction.
 Tits' lemma, sigma_w sigma_{w^-1} = exp(2*pi*i*z(w)) with z(w) = (2 rho-check
 - w 2 rho-check)/4 = -z(w), gives the inverse and chevalley in closed form.
 """
@@ -36,12 +36,14 @@ from .errors import (
     InvariantViolated,
     NotInvolution,
     PreconditionViolated,
+    frozen_setattr,
 )
 from .gaussian import _ratio, read_rational
 from .intlinalg import ident, mat_mul, one_minus, solve_congruence_scaled
 from .rootdata import BasedAut, RootDatum, cartan_matrix, coaction, identity_aut, two_rho_check
 from .weyl import (
     WeylElem,
+    _fill_matrix,
     _inversion_masks,
     _step,
     apply_aut_to_weyl,
@@ -54,15 +56,6 @@ from .weyl import (
 )
 
 
-def _reduce_mod_one(num, den: int):
-    """(numerators, denominator) of num / den modulo Z^n in normal form."""
-    num = [x % den for x in num]
-    g = gcd(den, *num)
-    if g == 1:
-        return tuple(num), den
-    return tuple(x // g for x in num), den // g
-
-
 class TorusPart:
     """Rational vector modulo Z^n: the element exp(2*pi*i*mu) of the torus.
 
@@ -70,24 +63,31 @@ class TorusPart:
     form: every numerator lies in [0, den), gcd(den, *num) = 1, and zero is
     den = 1. Equal torus parts therefore have equal fields, and equality,
     hashing, sums, negation and act_on_torus_part are integer arithmetic.
-    `entries` is a read-only Fraction view, each entry in [0, 1).
+    `entries` is a read-only Fraction view, each entry in [0, 1). Immutable:
+    `scaled` is the one constructor that sets the fields.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, entries):
+    def __new__(cls, entries):
         """From Fraction, int or numeral-string entries (read_rational), reduced modulo Z^n."""
-        qs = [read_rational(x) for x in entries]
-        den = lcm(*(q.denominator for q in qs))
-        self.num, self.den = _reduce_mod_one(
-            [q.numerator * (den // q.denominator) for q in qs], den)
+        ratios = [(x if type(x) is Q else read_rational(x)).as_integer_ratio() for x in entries]
+        den = lcm(*(q for _, q in ratios))
+        return TorusPart.scaled([p * (den // q) for p, q in ratios], den)
 
-    @classmethod
-    def scaled(cls, num, den: int) -> "TorusPart":
-        """num / den modulo Z^n, for integer numerators and a denominator den >= 1."""
-        t = cls.__new__(cls)
-        t.num, t.den = _reduce_mod_one(num, den)
+    @staticmethod
+    def scaled(num, den: int) -> "TorusPart":
+        """num / den modulo Z^n in normal form, for integer numerators and a denominator den >= 1."""
+        num = [x % den for x in num]
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [x // g for x in num], den // g
+        t = object.__new__(TorusPart)
+        _set_num(t, tuple(num))
+        _set_den(t, den)
         return t
+
+    __setattr__ = __delattr__ = frozen_setattr
 
     @property
     def entries(self):
@@ -122,6 +122,10 @@ class TorusPart:
         return self.den == 1
 
 
+# the slots' own setters, past the frozen __setattr__, as for WeylElem
+_set_num, _set_den = (getattr(TorusPart, f).__set__ for f in TorusPart.__slots__)
+
+
 def format_torus_part(t: TorusPart) -> list:
     """Each entry as str(Fraction) writes it, in [0, 1), written straight from the numerators."""
     return [_ratio(x, t.den) for x in t.num]
@@ -131,7 +135,9 @@ def torus_part(entries) -> TorusPart:
     return TorusPart(entries)
 
 
+@cache
 def torus_part_zero(rank: int) -> TorusPart:
+    """The zero of rank `rank`, one shared record per rank."""
     return TorusPart.scaled((0,) * rank, 1)
 
 
@@ -186,21 +192,36 @@ def delta_elem(ctx: TitsContext) -> ExtTitsElem:
     return ExtTitsElem(ctx, torus_part_zero(ctx.datum.rank), weyl_identity(ctx.datum), 1)
 
 
+# ExtTitsElem's fields as one tuple, past the namedtuple's Python-level __new__
+_new_tuple = tuple.__new__
+
+
 def tits_mul(g1: ExtTitsElem, g2: ExtTitsElem) -> ExtTitsElem:
-    """t1 + u(theta0^eps1 t2) + c over lcm(den1, den2, 2), reduced once, times sigma_{u w2'}."""
-    if g1.ctx != g2.ctx:
+    """t1 + u(theta0^eps1 t2) + c over lcm(den1, den2, 2), reduced once, times sigma_{u w2'}.
+
+    c is half the parity counts of N(u) & N(w2'^-1), read off the elements' slots.
+    """
+    ctx, t1, u, e1 = g1
+    ctx2, t2, w2, e2 = g2
+    if ctx is not ctx2 and ctx != ctx2:
         raise ContextMismatch("elements from different Tits contexts")
-    ctx, u, t1, t2, w2, n2 = g1.ctx, g1.w, g1.t, g2.t, g2.w, g2.t.num
-    if g1.eps:
+    n2 = t2.num
+    if e1:
         n2 = [sum(map(mul, row, n2)) for row in coaction(ctx.theta0)]
         w2 = apply_aut_to_weyl(ctx.theta0, w2)
-    nv = _inversion_masks(weyl_inv(w2))[0]
-    den = lcm(t1.den, t2.den, 2)
-    f1, f2, h = den // t1.den, den // t2.den, den // 2
-    num = [f1 * a + h * (m & nv).bit_count() for a, m in zip(t1.num, _inversion_masks(u)[1])]
-    if t2.den != 1:
-        num = [x + f2 * sum(map(mul, row, n2)) for x, row in zip(num, u.matrix)]
-    return ExtTitsElem(ctx, TorusPart.scaled(num, den), weyl_mul(u, w2), (g1.eps + g2.eps) % 2)
+    v = w2._inv or weyl_inv(w2)
+    nv = (v._masks or _inversion_masks(v))[0]
+    par = (u._masks or _inversion_masks(u))[1]
+    d1, d2 = t1.den, t2.den
+    den = lcm(d1, d2, 2)
+    f1, f2, h = den // d1, den // d2, den // 2
+    if d2 == 1:
+        num = [f1 * a + h * (m & nv).bit_count() for a, m in zip(t1.num, par)]
+    else:
+        num = [f1 * a + h * (m & nv).bit_count() + f2 * sum(map(mul, row, n2))
+               for a, m, row in zip(t1.num, par, u._mat or _fill_matrix(u))]
+    return _new_tuple(ExtTitsElem, (ctx, TorusPart.scaled(num, den), weyl_mul(u, w2),
+                                    (e1 + e2) % 2))
 
 
 @cache
@@ -210,30 +231,31 @@ def _four_z(w: WeylElem):
     return tuple(a - sum(map(mul, row, rc2)) for a, row in zip(rc2, w.matrix))
 
 
-def _lemma_minus(w: WeylElem, num, den: int):
-    """z(w) - num/den as (numerators, lcm(den, 4)), unreduced, for z(w) of Tits' lemma."""
-    out = lcm(den, 4)
-    f, h = out // den, out // 4
-    return [h * z - f * x for z, x in zip(_four_z(w), num)], out
-
-
 def tits_inverse(g: ExtTitsElem) -> ExtTitsElem:
     """delta^eps sigma_w^{-1} exp(-t), with sigma_w^{-1} = exp(z(w^-1)) sigma_{w^-1} by Tits'
     lemma: exp(theta0^eps(z(w^-1) - w^-1 t)) sigma_{theta0^eps(w^-1)} delta^eps."""
-    ctx, winv = g.ctx, weyl_inv(g.w)
-    if weyl_mul(winv, g.w) != weyl_identity(ctx.datum):
+    ctx, t, w, eps = g
+    winv = w._inv or weyl_inv(w)
+    if weyl_mul(winv, w) != weyl_identity(ctx.datum):
         raise InvariantViolated("sigma_{w^-1} sigma_w does not lie over the identity")
-    num, den = _lemma_minus(winv, [sum(map(mul, row, g.t.num)) for row in winv.matrix], g.t.den)
-    if g.eps:
+    den = lcm(t.den, 4)
+    f, h = den // t.den, den // 4
+    num = [h * z - f * sum(map(mul, row, t.num))
+           for z, row in zip(_four_z(winv), winv._mat or _fill_matrix(winv))]
+    if eps:
         num = [sum(map(mul, row, num)) for row in coaction(ctx.theta0)]
         winv = apply_aut_to_weyl(ctx.theta0, winv)
-    return ExtTitsElem(ctx, TorusPart.scaled(num, den), winv, g.eps)
+    return _new_tuple(ExtTitsElem, (ctx, TorusPart.scaled(num, den), winv, eps))
 
 
 def chevalley(g: ExtTitsElem) -> ExtTitsElem:
     """Chevalley involution: exp(t) -> exp(-t), delta -> delta and sigma_w ->
     (sigma_{w^{-1}})^{-1} = exp(z(w)) sigma_w, by Tits' lemma."""
-    return ExtTitsElem(g.ctx, TorusPart.scaled(*_lemma_minus(g.w, g.t.num, g.t.den)), g.w, g.eps)
+    ctx, t, w, eps = g
+    den = lcm(t.den, 4)
+    f, h = den // t.den, den // 4
+    num = [h * z - f * x for z, x in zip(_four_z(w), t.num)]
+    return _new_tuple(ExtTitsElem, (ctx, TorusPart.scaled(num, den), w, eps))
 
 
 @cache
@@ -260,7 +282,7 @@ def check_titslemma(ctx: TitsContext, w: WeylElem):
     agreement flag).
     """
     prod = tits_mul(sigma(ctx, w), sigma(ctx, weyl_inv(w)))
-    predicted = TorusPart.scaled(*_lemma_minus(w, (0,) * ctx.datum.rank, 1))
+    predicted = TorusPart.scaled(_four_z(w), 4)
     ok = prod.w == weyl_identity(ctx.datum) and prod.eps == 0 and prod.t == predicted
     return prod.t, predicted, ok
 

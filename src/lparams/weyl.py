@@ -13,11 +13,12 @@ in Weyl groups, 1994; du Cloux, A transducer approach to Coxeter groups,
 1999). Private slots of each element hold, filled on first use, its left
 neighbours s_i w (a one-letter replay each), its inverse (its word replayed
 backwards, then linked both ways), its X_* matrix (a rank-one row update of
-its parent's) and its inversion masks (read off the matrix). A product u v
-hops from v along u's word, one list lookup per letter, and hashes no element;
-where a neighbour is missing it fills that one and replays the rest of the
-word, so a cold product costs what a word replay does. An element keeps one
-matrix: its action on X^* is the transpose of its inverse's X_* matrix.
+its parent's) and its inversion masks (its parent's and one more root, found
+by one row-times-matrix product). A product u v hops from v along u's word,
+one list lookup per letter, and hashes no element; where a neighbour is
+missing it fills that one and replays the rest of the word, so a cold product
+costs what a word replay does. An element keeps one matrix: its action on X^*
+is the transpose of its inverse's X_* matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .rootdata import (
     RootDatum,
     based_aut,
     cartan_matrix,
-    positive_coroots,
+    positive_root_table,
     positive_roots,
 )
 
@@ -92,19 +93,23 @@ class WeylElem:
  _set_masks) = (getattr(WeylElem, f).__set__ for f in WeylElem.__slots__)
 
 
-def _reflect_rows(d: RootDatum, i: int, m):
-    """s_i M on X_*, for M the X_* matrix of an element.
-
-    s_i M = M - c (r M) is a rank-one update of the rows where c is nonzero,
-    with (c, r) = (alpha-check_i, alpha_i).
-    """
-    c, r = d.simple_coroots[i - 1], d.simple_roots[i - 1]
-    rm = [0] * d.rank
+def _row_times(r, m) -> list:
+    """The row r M as a list: for M the X_* matrix of an element v and r in X^*, v^-1 r."""
+    rm = [0] * len(r)
     for x, row in zip(r, m):
         if x:
             rm = [a + x * b for a, b in zip(rm, row)]
+    return rm
+
+
+def _reflect_rows(d: RootDatum, i: int, m, rm):
+    """s_i M on X_*, for M the X_* matrix of an element and rm = _row_times(alpha_i, M).
+
+    s_i M = M - alpha-check_i rm is a rank-one update of the rows where
+    alpha-check_i is nonzero.
+    """
     return tuple(tuple(a - x * b for a, b in zip(row, rm)) if x else row
-                 for x, row in zip(c, m))
+                 for x, row in zip(d.simple_coroots[i - 1], m))
 
 
 def _fill_matrix(u: WeylElem):
@@ -122,7 +127,8 @@ def _fill_matrix(u: WeylElem):
         _set_mat(u, ident(u.datum.rank))
     m = u._mat
     for v in reversed(chain):
-        m = _reflect_rows(v.datum, v.word[0], m)
+        d, i = v.datum, v.word[0]
+        m = _reflect_rows(d, i, m, _row_times(d.simple_roots[i - 1], m))
         _set_mat(v, m)
     return m
 
@@ -130,23 +136,69 @@ def _fill_matrix(u: WeylElem):
 def _inversion_masks(u: WeylElem):
     """(N(u), parities) as bitmasks over positive_coroots, filled once per element.
 
-    Bit j of N(u) is set when u sends the j-th beta-check negative (read off its
-    pairing with 2 rho); bit j of parities[k] when, in addition, entry k of
-    u(beta-check) is odd.
+    Bit j of N(u) is set when u sends the j-th beta-check negative; bit j of
+    parities[k] when, in addition, entry k of u(beta-check) is odd. As in
+    _fill_matrix, walks up to the nearest parent whose masks are filled (the
+    identity's are empty) and fills each on the way down. For u = s_i v, v its
+    parent, gamma = v^-1 alpha_i is positive and N(u) = N(v) + {gamma-check}
+    (Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.6-1.7). Since
+    u beta-check = v beta-check - <gamma, beta-check> alpha-check_i, where entry
+    k of alpha-check_i is odd parities[k] flips on N(v) where that pairing is
+    odd and gains gamma-check's bit. Each element's X_* matrix is filled on
+    the way too, from the same row product.
     """
-    masks = u._masks
-    if masks is None:
-        d, m = u.datum, u.matrix
-        two_rho = [sum(col) for col in zip(*positive_roots(d))]
-        inv, par = 0, [0] * d.rank
-        for j, b in enumerate(positive_coroots(d)):
-            ub = [sum(map(mul, row, b)) for row in m]
-            if sum(map(mul, two_rho, ub)) < 0:
-                inv |= 1 << j
-                par = [p | (x & 1) << j for p, x in zip(par, ub)]
-        masks = inv, tuple(par)
-        _set_masks(u, masks)
-    return masks
+    d, chain = u.datum, []
+    while u._masks is None and u.word:
+        chain.append(u)
+        u = _step(u, u.word[0])
+    if u._masks is None:
+        _set_masks(u, (0, (0,) * d.rank))
+    (inv, par), m, steps = u._masks, u.matrix, _root_steps(d)
+    for u in reversed(chain):
+        i = u.word[0]
+        rm = _row_times(d.simple_roots[i - 1], m)
+        step = steps.get(tuple(rm))
+        if step is None:
+            raise InvariantViolated("v^-1 alpha_i is not a positive root for a parent v")
+        bit, flip = 1 << step[0], step[1] & inv
+        par = tuple((p ^ flip) | bit if x & 1 else p for p, x in zip(par, d.simple_coroots[i - 1]))
+        inv |= bit
+        _set_masks(u, (inv, par))
+        if u._mat is None:
+            _set_mat(u, _reflect_rows(d, i, m, rm))
+        m = u._mat
+    return u._masks
+
+
+@cache
+def _root_steps(d: RootDatum):
+    """{positive root: (j, odd)}, for the mask step of _inversion_masks.
+
+    j is the index of the root's coroot in positive_coroots, and bit l of odd
+    is set when <root, beta-check_l> is odd. A walk on simple coefficients, as
+    in positive_root_table, pairs each root with its coroot: s_i takes a root
+    beta to beta - <beta, alpha-check_i> alpha_i and its coroot to beta-check
+    - <alpha_i, beta-check> alpha-check_i. odd is linear in beta, so the step
+    xors in alpha_i's mask when <beta, alpha-check_i> is odd.
+    """
+    a, cotable = cartan_matrix(d), positive_root_table(d, True)
+    cols = tuple(zip(*a))
+    odd_i = [sum(1 << j for j, (_, _, c) in enumerate(cotable) if sum(map(mul, row, c)) & 1)
+             for row in a]
+    pairs = {e: (e, o) for e, o in zip(ident(d.nsimple), odd_i)}
+    queue = list(pairs)
+    for c in queue:
+        cc, odd = pairs[c]
+        for i, col in enumerate(cols):
+            n = sum(map(mul, c, col))
+            if n and c[i] >= n:
+                img = c[:i] + (c[i] - n,) + c[i + 1:]
+                if img not in pairs:
+                    pairs[img] = (cc[:i] + (cc[i] - sum(map(mul, a[i], cc)),) + cc[i + 1:],
+                                  odd ^ odd_i[i] if n & 1 else odd)
+                    queue.append(img)
+    index = {c: j for j, (_, _, c) in enumerate(cotable)}
+    return {v: (index[pairs[c][0]], pairs[c][1]) for _, v, c in positive_root_table(d)}
 
 
 @cache

@@ -4,21 +4,41 @@ s_i(y) = y - <alpha_i, y> alpha-check_i on X_*.
 
 The library never forms these matrices (it moves pairing keys through the
 Cartan matrix), so the oracle tests multiply them out as an independent
-route. The right-descent predicate the library once exported, and the
-Levi subsystem levi_of once compared against, are kept here too. Not a test
-module: pytest does not collect it.
+route. The right-descent predicate the library once exported, the Levi
+subsystem levi_of once compared against, and the inversion masks as the
+library once filled them, one coroot at a time, are kept here too. Not a
+test module: pytest does not collect it.
 """
 
 from functools import cache
+from operator import mul
 
 from lparams.intlinalg import vneg
-from lparams.rootdata import positive_root_table
+from lparams.rootdata import positive_coroots, positive_root_table, positive_roots
 from lparams.weyl import weyl_inv
 
 
 def descent(u, i):
     """True iff length(u * s_i) < length(u), that is <alpha_i, u^{-1} rho_check> < 0."""
     return weyl_inv(u).key[i - 1] < 0
+
+
+def inversion_masks(u):
+    """(N(u), parities) as weyl._inversion_masks gives them, read off u's X_* matrix.
+
+    Bit j of N(u) is set when u sends the j-th positive coroot beta-check
+    negative (its pairing with 2 rho is negative), and bit j of parities[k]
+    when, in addition, entry k of u(beta-check) is odd.
+    """
+    d, m = u.datum, u.matrix
+    two_rho = [sum(col) for col in zip(*positive_roots(d))]
+    inv, par = 0, [0] * d.rank
+    for j, b in enumerate(positive_coroots(d)):
+        ub = [sum(map(mul, row, b)) for row in m]
+        if sum(map(mul, two_rho, ub)) < 0:
+            inv |= 1 << j
+            par = [p | (x & 1) << j for p, x in zip(par, ub)]
+    return inv, tuple(par)
 
 
 def levi_subsystem(d, subset):

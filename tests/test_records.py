@@ -1,7 +1,7 @@
 """The record types: immutable, compared by value, hashed as the tuple of their compared fields.
 
-Eleven records are namedtuple subclasses and four (GaussQ, RootDatum, WeylElem, LGroup)
-are slotted classes with their own equality. RootDatum.label and
+Eleven records are namedtuple subclasses and five (GaussQ, RootDatum, WeylElem, TorusPart,
+LGroup) are slotted classes with their own equality. RootDatum.label and
 LGroup.g_datum are not compared. Each hash is the hash of the tuple of the
 compared fields, so set and dict orders do not depend on how a record is built.
 """
@@ -15,7 +15,7 @@ from lparams.gaussian import GaussQ, parse_gauss
 from lparams.lgroup import LGroup, lgroup_split, standard_levis
 from lparams.lparam import make_param, packet_descriptor, random_param
 from lparams.rootdata import RootDatum, build_datum
-from lparams.tits import sigma, tits_context
+from lparams.tits import TorusPart, sigma, tits_context, torus_part
 from lparams.torus import param_to_char, random_torus_param, torus_egroup
 from lparams.weilrep import WeilIrr, parse_weil_rep, weil_chi
 from lparams.weyl import WeylElem, _inversion_masks, _step, neg_w0_aut, weyl_from_word, weyl_inv
@@ -47,6 +47,7 @@ RECORDS = [
     (weyl_from_word(A2, [1, 2]), _rebuilt(weyl_from_word(A2, [1, 2])), ("datum", "key")),
     (CTX, tits_context(L.dual_datum), ("datum", "theta0")),
     (sigma(CTX, S2), _rebuilt(sigma(CTX, S2)), ("ctx", "t", "w", "eps")),
+    (torus_part(["1/2", 0]), TorusPart.scaled([3, 4], 2), ("num", "den")),
     (EG, torus_egroup([[0, 1], [1, 0]], ["0", "0"]), ("theta_check", "gamma")),
     (param_to_char(TP), _rebuilt(param_to_char(TP)), ("theta", "lam", "kappa", "gamma")),
     (TP, _rebuilt(TP), ("egroup", "lam", "mu")),

@@ -17,6 +17,7 @@ from random import Random
 
 import pytest
 
+from lparams.errors import ContextMismatch, InputError
 from lparams.intlinalg import mat_vec, saturation_projection, vadd
 from lparams.lgroup import lgroup_tits_context, parse_inner_class
 from lparams.rootdata import build_datum, coaction
@@ -160,6 +161,25 @@ def test_torus_part_normal_form():
         _assert_normal(t, tuple(_oracle_mod_one(x) for x in entries))
     assert TorusPart.scaled((4, -6, 8), 8) == TorusPart((Q(1, 2), Q(1, 4), 0))
     assert hash(TorusPart((Q(1, 2),))) == hash(TorusPart.scaled((3,), 2))
+
+
+@pytest.mark.parametrize("bad", [["0.5"], [0.5], [True], [None], [Q(1, 2), 1.0]])
+def test_torus_part_refuses_what_read_rational_refuses(bad):
+    with pytest.raises(InputError):
+        TorusPart(bad)
+
+
+def test_products_compare_contexts_by_value():
+    d = build_datum("A2 sc")
+    ctx, twin = tits_context(d), tits_context(d)
+    assert ctx is not twin and ctx == twin
+    s1, s2 = sigma(ctx, simple_reflection(d, 1)), simple_reflection(d, 2)
+    assert tits_mul(s1, sigma(twin, s2)) == tits_mul(s1, sigma(ctx, s2))
+    # the same datum with another theta0, and another datum of the same rank
+    for other in (lgroup_tits_context(parse_inner_class(d, "compact")),
+                  tits_context(build_datum("B2 sc"))):
+        with pytest.raises(ContextMismatch):
+            tits_mul(s1, sigma(other, simple_reflection(other.datum, 2)))
 
 
 @pytest.mark.parametrize("group, inner", FLEET, ids=[g for g, _ in FLEET])

@@ -6,8 +6,9 @@ representation it replaced, an X_* matrix canonicalized by peeling left
 descents, is kept here as a test-only oracle, with a breadth-first
 enumeration of W keyed by matrices. The Cayley graph the interned elements
 carry (left neighbours, inverses) is checked against one-letter replays and
-the matrix oracle, cold and warm. Hypothesis laws of the group close the
-file.
+the matrix oracle, cold and warm, and so are the inversion masks filled from
+the parent against the old per-coroot fill. Hypothesis laws of the group
+close the file.
 """
 
 from functools import cache, reduce
@@ -32,7 +33,7 @@ from lparams.weyl import (
     weyl_mul,
 )
 from cold_caches import clear_all_caches
-from oracle_matrices import descent, xcostar_reflections, xstar_reflections
+from oracle_matrices import descent, inversion_masks, xcostar_reflections, xstar_reflections
 
 # every type of rank <= 4, both lattices where they differ, and GL(n) with |W| <= 1152
 GROUPS = (["T1", "A1 sc", "A1 ad", "A2 sc", "A3 sc", "A3 ad", "A4 sc", "B2 sc", "B2 ad",
@@ -366,6 +367,53 @@ def test_deep_product_longest_element(copies, cold):
     assert descent_word(d, (-1,) * d.nsimple) == want
     perm = tuple(8 * k + 9 - i for k in range(copies) for i in range(1, 9))
     assert _nested(200, lambda: neg_w0_aut(d)).perm == perm
+
+
+# ---------------------------------------------------------------------------
+# inversion masks from the parent, against the per-coroot fill
+
+MASK_GROUPS = ["A1 sc", "A2 sc", "A3 ad", "B3 sc", "B3 ad", "C3 sc", "C3 ad", "G2 sc", "D4 sc",
+               "D4 ad", "F4 sc", "B4 ad", "C4 ad", "GL(3)", "GL(5)", "A1 sc x A1 sc",
+               "B2 ad x G2 sc"]
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["walk", "shuffled"])
+@pytest.mark.parametrize("group", MASK_GROUPS)
+def test_masks_from_the_parent_match_the_per_coroot_fill(group, shuffled, cold):
+    d = build_datum(group)
+    elems = list(weyl_enumerate(d))
+    if shuffled:
+        # most elements then fill a chain of unfilled parents first
+        Random(f"masks:{group}").shuffle(elems)
+    got = [weyl._inversion_masks(u) for u in elems]
+    assert got == [inversion_masks(u) for u in elems]
+
+
+@pytest.mark.parametrize("group", ["GL(8)", "F4 sc x F4 sc"])
+def test_masks_of_seeded_elements_match_the_per_coroot_fill(group, cold):
+    d = build_datum(group)
+    rng = Random(f"masks:{group}")
+    top = 2 * len(positive_roots(d))
+    for _ in range(500):
+        u = weyl_from_word(d, [rng.randrange(1, d.nsimple + 1) for _ in range(rng.randrange(top))])
+        assert weyl._inversion_masks(u) == inversion_masks(u)
+
+
+def test_one_fill_fills_every_canonical_ancestor(cold):
+    d = build_datum("GL(6)")
+    w0 = weyl.longest_element(d)
+    weyl._inversion_masks(w0)
+    # the canonical parent of an element drops the first letter of its word
+    chain = [weyl_from_word(d, w0.word[k:]) for k in range(len(w0.word) + 1)]
+    assert all(u._masks is not None for u in chain)
+    assert chain[-1] is weyl_identity(d) and chain[-1]._masks == (0, (0,) * d.rank)
+
+
+def test_a_root_missing_from_the_step_table_raises_invariant_violated(cold, monkeypatch):
+    d = build_datum("A2 sc")
+    monkeypatch.setattr(weyl, "_root_steps", lambda d: {})
+    with pytest.raises(InvariantViolated):
+        weyl._inversion_masks(simple_reflection(d, 1))
 
 
 # ---------------------------------------------------------------------------
