@@ -9,7 +9,9 @@ the same content is emitted as one JSON object before the RESULT line.
 Given identical inputs and seed, output is byte-identical.
 
 Each command handler imports the library modules it runs, when it runs, so
-`--help`, a usage error or `check-tits` compiles only what it needs.
+`--help`, a usage error or `check-tits` compiles only what it needs; a
+handler that reads --param reads its JSON first, so malformed input exits 2
+before any library module is compiled.
 """
 
 from __future__ import annotations
@@ -151,9 +153,9 @@ def cmd_check_tits(args, rep: Report) -> int:
 
 
 def cmd_validate_param(args, rep: Report) -> int:
+    data = _load_param_data(args.param)
     from .lparam import param_parts, validity_rows
 
-    data = _load_param_data(args.param)
     parts = param_parts(data)
     rep.note("group", data["group"])
     rep.note("inner_class", str(data["inner_class"]))
@@ -167,11 +169,12 @@ def cmd_validate_param(args, rep: Report) -> int:
 
 
 def cmd_invariants(args, rep: Report) -> int:
+    data = _load_param_data(args.param)
     from .gaussian import format_tuple
     from .lparam import (central_char, inf_char, is_discrete_series, levi_of, param_from_dict,
                          rad_char)
 
-    p = param_from_dict(_load_param_data(args.param))
+    p = param_from_dict(data)
     rep.note("parameter", _fmt_param(p))
     rep.note("inf_char", format_tuple(inf_char(p)))
     rc = rad_char(p)
@@ -190,9 +193,10 @@ def cmd_invariants(args, rep: Report) -> int:
 
 
 def cmd_contragredient(args, rep: Report) -> int:
+    data = _load_param_data(args.param)
     from .lparam import contragredient_param, param_from_dict, params_equivalent, tau_twist_param
 
-    p = param_from_dict(_load_param_data(args.param))
+    p = param_from_dict(data)
     rep.note("parameter", _fmt_param(p))
     cp = contragredient_param(p)
     tp = tau_twist_param(p)
@@ -206,9 +210,10 @@ def cmd_contragredient(args, rep: Report) -> int:
 
 
 def cmd_verify_theorem(args, rep: Report) -> int:
+    data = _load_param_data(args.param)
     from .lparam import param_from_dict, verify_contragredient
 
-    p = param_from_dict(_load_param_data(args.param))
+    p = param_from_dict(data)
     rep.note("parameter", _fmt_param(p))
     rows = verify_contragredient(p)
     for name, ok, detail in rows:

@@ -4,25 +4,29 @@ rho_check is regular, so the key decides equality. A left reflection moves a
 key through the Cartan matrix, so words and automorphisms are replayed on keys
 without matrices. The canonical (lex-smallest reduced) word is the dominance
 descent on the key, the walk that also gives infinitesimal characters. Its
-first step reflects the first negative index i, so an element is interned
-after its parent s_i w and its word is i followed by the parent's: one
-Cartan-column update per element, not a descent.
+first step reflects the first negative index i, so the word is i followed by
+the word of the parent s_i w. One table interns the elements, each from a
+neighbour already in it: the layer walk and a left step intern s_i u from
+the u that reached it, and a lookup that misses walks up the parents to the
+nearest interned one and interns back down. Each costs one Cartan-column
+update per element, with no descent and no recursion.
 
 The interned elements carry W's Cayley graph (Casselman, Machine calculations
 in Weyl groups, 1994; du Cloux, A transducer approach to Coxeter groups,
 1999). Private slots of each element hold, filled on first use, its left
-neighbours s_i w (a one-letter replay each), its inverse (its word replayed
-backwards, then linked both ways), its X_* matrix (a rank-one row update of
-its parent's) and its inversion masks (its parent's and one more root, found
-by one row-times-matrix product). A product u v hops from v along u's word,
-one list lookup per letter, and hashes no element; where a neighbour is
-missing it fills that one and replays the rest of the word, so a cold product
-costs what a word replay does. An element keeps one matrix: its action on X^*
-is the transpose of its inverse's X_* matrix.
+neighbours s_i w (one Cartan-column update each), its inverse (its word
+replayed backwards, then linked both ways), its X_* matrix (a rank-one row
+update of its parent's) and its inversion masks (its parent's and one more
+root, found by one row-times-matrix product). A product u v hops from v along
+u's word, one list lookup per letter, and hashes no element; where a neighbour
+is missing it fills that one and replays the rest of the word, so a cold
+product costs what a word replay does. An element keeps one matrix: its action
+on X^* is the transpose of its inverse's X_* matrix.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict, namedtuple
 from functools import cache
 from operator import mul
 from typing import Iterator, Tuple
@@ -236,32 +240,63 @@ def _descend(d: RootDatum, re: list, im: list):
     raise InvariantViolated("dominance descent failed to terminate")
 
 
-# The recursion in _elem_from_matrix runs down the canonical parents not yet
-# interned, two interpreter frames per letter; a datum with more positive roots
-# than this keeps the iterative descent, so no word can exhaust the stack.
-_MAX_RECURSIVE_ROOTS = 256
+# The intern table, {datum: {key: element}}. Every miss interns one element,
+# so the misses are the table's size.
+_interned = defaultdict(dict)
+_hits = 0
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-# named after the matrix canonicalizer it replaced: perfbench/spans.py reads its cache_info()
-@cache
 def _elem_from_matrix(d: RootDatum, key: Tuple[int, ...]) -> WeylElem:
-    """The one element with this key; its word is the dominance descent on the key.
+    """The one element with this key, looked up in the intern table.
 
-    The descent reflects the first negative index i, then descends the key of
-    s_i w, so the word is i followed by the word of s_i w, read from this cache:
-    one Cartan-column update per element whose parent is interned.
+    On a miss, walks up the canonical parents (reflect the first negative
+    index, the dominance descent's first step) to the nearest interned key,
+    or to the identity's, then interns each key on the way back down with its
+    first letter followed by its parent's word: one Cartan-column update per
+    element not yet interned, and no recursion however long the word.
     """
-    for i, x in enumerate(key):
-        if x < 0:
+    global _hits
+    tab = _interned[d]
+    u = tab.get(key)
+    if u is not None:
+        _hits += 1
+        return u
+    columns, p, chain = _cartan_columns(d), list(key), []
+    while True:
+        for i, x in enumerate(p):
+            if x < 0:
+                break
+        else:
+            u = tab[key] = WeylElem(d, key, ())
             break
-    else:
-        return WeylElem(d, key, ())
-    if len(positive_roots(d)) > _MAX_RECURSIVE_ROOTS:
-        steps = _descend(d, list(key), [0] * len(key))
-        return WeylElem(d, key, tuple(i for i, _, _ in steps))
-    # not _replay, whose frame would stay on the stack through the recursion
-    parent = _elem_from_matrix(d, tuple(_replay_key(d, (i + 1,), key)))
-    return WeylElem(d, key, (i + 1,) + parent.word)
+        chain.append((i + 1, key))
+        for j, a in columns[i]:
+            p[j] -= a * x
+        key = tuple(p)
+        u = tab.get(key)
+        if u is not None:
+            _hits += 1
+            break
+    for i, key in reversed(chain):
+        u = tab[key] = WeylElem(d, key, (i,) + u.word)
+    return u
+
+
+def _cache_info():
+    n = sum(map(len, _interned.values()))
+    return _CacheInfo(_hits, n, None, n)
+
+
+def _cache_clear():
+    global _hits
+    _interned.clear()
+    _hits = 0
+
+
+# named after the matrix canonicalizer it replaced; a functools cache's statistics and
+# clearing, which perfbench/spans.py reads and every cold set-up calls
+_elem_from_matrix.cache_info, _elem_from_matrix.cache_clear = _cache_info, _cache_clear
 
 
 def _replay_key(d: RootDatum, word, key) -> list:
@@ -281,17 +316,42 @@ def _replay(d: RootDatum, word, key) -> WeylElem:
 
 
 def _step(u: WeylElem, i: int) -> WeylElem:
-    """s_i u, u's left neighbour i: a one-letter replay on first use, then a list lookup.
+    """s_i u, u's left neighbour i: interned from u on first use, then a list lookup.
 
-    u's neighbour list is made when u is first stepped from.
+    u's neighbour list is made when u is first stepped from. When the key of
+    s_i u is negative at i and positive before it, u is its canonical parent
+    and its word is i then u's; when i is u's first letter, s_i u is u's
+    canonical parent and its word is the rest of u's. Any other neighbour is
+    looked up by its key alone.
     """
+    global _hits
     left = u._left
     if left is None:
         left = [None] * (u.datum.nsimple + 1)
         _set_left(u, left)
     v = left[i]
+    if v is not None:
+        return v
+    d, word, x = u.datum, u.word, u.key[i - 1]
+    p = list(u.key)
+    for j, a in _cartan_columns(d)[i - 1]:
+        p[j] -= a * x
+    key = tuple(p)
+    # entry i of the new key is -x
+    if x > 0 and min(p[:i - 1], default=1) > 0:
+        word = (i,) + word
+    elif word and word[0] == i:
+        word = word[1:]
+    else:
+        v = left[i] = _elem_from_matrix(d, key)
+        return v
+    tab = _interned[d]
+    v = tab.get(key)
     if v is None:
-        v = left[i] = _replay(u.datum, (i,), u.key)
+        v = tab[key] = WeylElem(d, key, word)
+    else:
+        _hits += 1
+    left[i] = v
     return v
 
 
@@ -376,27 +436,41 @@ def parabolic_subgroup(d: RootDatum, subset) -> Iterator[WeylElem]:
     Each length is s_i u over i in J and the left ascents i of the previous
     length's u, kept when the word of s_i u is i then u's word, that is when
     no entry of its key before the i-th is negative: each element is met
-    once, in order, and interned from its parent u. The walk is lazy, one
-    length at a time, so a caller that stops early interns only the layers
-    it reached; the indices are checked when the walk starts.
+    once, in order, and interned from u with that word, its key updated from
+    u's by one Cartan column. The walk is lazy, one length at a time, so a
+    caller that stops early interns only the layers it reached; the indices
+    are checked when the walk starts.
     """
+    global _hits
     letters = sorted(_index(d, i) for i in subset)
     columns = _cartan_columns(d)
     layer = [weyl_identity(d)]
     yield layer[0]
     while layer:
-        nxt = []
+        # read per layer: a caller may empty the table between two yields
+        nxt, tab = [], _interned[d]
         for i in letters:
-            near = {j + 1 for j, _ in columns[i - 1]}
+            col = columns[i - 1]
+            near = {j + 1 for j, _ in col}
             for u in layer:
-                if u.key[i - 1] > 0:
+                x = u.key[i - 1]
+                if x > 0:
                     # u's key is positive before its first letter f, and s_i raises every
                     # entry but the i-th: f > i passes, and f < i only if s_i moves entry f
-                    f = u.word[0] if u.word else i + 1
+                    word = u.word
+                    f = word[0] if word else i + 1
                     if f > i or f in near:
-                        p = _replay_key(d, (i,), u.key)
+                        p = list(u.key)
+                        for j, a in col:
+                            p[j] -= a * x
                         if f > i or min(p[:i - 1]) > 0:
-                            nxt.append(_elem_from_matrix(d, tuple(p)))
+                            key = tuple(p)
+                            v = tab.get(key)
+                            if v is None:
+                                v = tab[key] = WeylElem(d, key, (i,) + word)
+                            else:
+                                _hits += 1
+                            nxt.append(v)
         yield from nxt
         layer = nxt
 

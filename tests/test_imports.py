@@ -153,6 +153,10 @@ ALL_MODULES = {"cli", *(p.stem for p in MODULES)}
       for cmd in ["verify-theorem", "validate-param", "invariants", "contragredient"]),
     pytest.param(["fuzz", "--group", "A2 sc", "--count", "2"], 0, {"lparam"}, {"weilrep"},
                  id="fuzz"),
+    # a malformed --param is a usage error: it exits 2 before any library module compiles
+    *(pytest.param([cmd, "--param", '{"group": "A2 sc", "inner_cl'], 2, {"cli", "errors"},
+                   ALL_MODULES - {"cli", "errors"}, id=f"{cmd}-malformed")
+      for cmd in ["verify-theorem", "validate-param", "invariants", "contragredient"]),
     pytest.param(["weilrep", "chi(1/2,0)+I(2,-1/3+i)"], 0, ALL_MODULES, set(), id="weilrep"),
 ])
 def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, not_loaded):

@@ -131,10 +131,29 @@ def test_one_loop_descent_on_real_keys(group, inner):
 
 def test_word_path_past_256_roots_matches_column_oracle(cold):
     d = build_datum(" x ".join(["GL(9)"] * 8))
-    assert len(positive_roots(d)) > weyl._MAX_RECURSIVE_ROOTS
+    assert len(positive_roots(d)) > 256
     rng = Random("deep-words")
     for _ in range(20):
         u = weyl_from_word(d, [rng.randrange(1, d.nsimple + 1) for _ in range(rng.randrange(300))])
+        assert u.word == tuple(i for i, _ in descend_columns(d, [list(u.key)]))
+
+
+def test_cold_intern_of_deep_words_matches_column_oracle(cold):
+    """A miss walks up to the nearest interned parent and back down, with no recursion:
+    w0 of 14 x GL(9) has a word of 504 letters, each a parent not yet interned."""
+    d = build_datum(" x ".join(["GL(9)"] * 14))
+    w0 = weyl.longest_element(d)
+    assert len(w0.word) == len(positive_roots(d)) == 504
+    assert weyl._elem_from_matrix.cache_info().currsize == 505
+    assert w0.word == tuple(i for i, _ in descend_columns(d, [list(w0.key)]))
+    rng = Random("deep-cold-words")
+    for _ in range(20):
+        # each word from an empty table: its whole chain of parents is interned by one walk
+        weyl._elem_from_matrix.cache_clear()
+        word = [rng.randrange(1, d.nsimple + 1) for _ in range(rng.randrange(600, 1200))]
+        u = weyl_from_word(d, word)
+        assert len(u.word) > 100
+        assert weyl._elem_from_matrix.cache_info().currsize == len(u.word) + 1
         assert u.word == tuple(i for i, _ in descend_columns(d, [list(u.key)]))
 
 

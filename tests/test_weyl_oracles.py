@@ -295,6 +295,25 @@ def test_products_over_different_data_raise():
     assert weyl_mul(s1, s2) == weyl_from_word(a2, [1, 2])
 
 
+def test_the_intern_table_keeps_cache_statistics():
+    """hits, misses and currsize as a functools cache reports them; every miss interns one
+    element, and clearing the package's caches empties the table."""
+    d = build_datum("B3 sc")
+    weyl_enumerate(d)
+    clear_all_caches()
+    info = weyl._elem_from_matrix.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    elems = weyl_enumerate(d)
+    # a cold walk interns each element once, from the one that reached it
+    assert weyl._elem_from_matrix.cache_info()[:2] == (0, len(elems))
+    w0 = weyl.longest_element(d)
+    assert w0 is elems[-1] and weyl_from_word(d, w0.word) is w0
+    info = weyl._elem_from_matrix.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, len(elems), len(elems))
+    clear_all_caches()
+    assert weyl._elem_from_matrix.cache_info().currsize == 0
+
+
 def test_clearing_the_caches_leaves_fresh_elements_unfilled():
     d = build_datum("GL(5)")
     old = weyl_enumerate(d)
@@ -337,6 +356,31 @@ def test_enumeration_words_match_descent(group, cold, monkeypatch):
         assert u.word == descent_word(d, u.key)
 
 
+NEIGHBOUR_GROUPS = ["A3 sc", "B3 sc", "G2 sc", "D4 sc", "F4 sc", "A1 sc x A1 sc"]
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["walk", "shuffled"])
+@pytest.mark.parametrize("group", NEIGHBOUR_GROUPS)
+def test_every_neighbour_gets_the_descent_word(group, shuffled, cold, monkeypatch):
+    """A neighbour missing from the table is interned from u: i then u's word for a child,
+    the rest of u's word for u's parent, the key's own walk for any other neighbour."""
+    d = build_datum(group)
+    with monkeypatch.context() as m:
+        # the walk updates each key in place from a Cartan column
+        m.setattr(weyl, "_replay_key", lambda *args: pytest.fail("key replayed"))
+        elems = list(weyl_enumerate(d))
+    if shuffled:
+        Random(f"neighbours:{group}").shuffle(elems)
+    # the elements outlive the table, so the first step to each neighbour interns it
+    clear_all_caches()
+    for u in elems:
+        for i in range(1, d.nsimple + 1):
+            v = weyl._step(u, i)
+            assert v.word == descent_word(d, v.key)
+            assert v is weyl._elem_from_matrix(d, v.key)
+    assert weyl._elem_from_matrix.cache_info().currsize == len(elems)
+
+
 @pytest.mark.parametrize("group", ["F4 sc", "B4 ad", "D4 sc", "GL(6)", "B3 sc x G2 sc"])
 def test_random_words_match_descent(group, cold):
     d = build_datum(group)
@@ -353,7 +397,7 @@ def _nested(depth, f):
 
 @pytest.mark.parametrize("copies", [7, 14])
 def test_deep_product_longest_element(copies, cold):
-    """7 copies (252 positive roots) recurse on parents, 14 (504) keep the full descent.
+    """7 copies (252 positive roots) and 14 (504): w0 is interned by one walk up its parents.
 
     -w0 reverses each factor's Dynkin diagram; its X^* matrix is read off the
     inverse's X_* matrix, with no recursion over the word.
