@@ -6,10 +6,10 @@ without matrices. The canonical (lex-smallest reduced) word is the dominance
 descent on the key, the walk that also gives infinitesimal characters. Its
 first step reflects the first negative index i, so the word is i followed by
 the word of the parent s_i w. One table interns the elements, each from a
-neighbour already in it: the layer walk and a left step intern s_i u from
-the u that reached it, and a lookup that misses walks up the parents to the
-nearest interned one and interns back down. Each costs one Cartan-column
-update per element, with no descent and no recursion.
+neighbour already in it: the layer walk interns s_i u from the u that
+reached it, and a lookup that misses walks up the parents to the nearest
+interned one and interns back down. Each costs one Cartan-column update per
+element, with no descent and no recursion.
 
 The interned elements carry W's Cayley graph (Casselman, Machine calculations
 in Weyl groups, 1994; du Cloux, A transducer approach to Coxeter groups,
@@ -241,7 +241,9 @@ def _descend(d: RootDatum, re: list, im: list):
 
 
 # The intern table, {datum: {key: element}}. Every miss interns one element,
-# so the misses are the table's size.
+# so the misses are the table's size. The hits count only lookups that found an
+# element already interned: the layer walk interns each element from the one
+# that reached it with no lookup of its parent, so a cold walk reads no hits.
 _interned = defaultdict(dict)
 _hits = 0
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -316,42 +318,20 @@ def _replay(d: RootDatum, word, key) -> WeylElem:
 
 
 def _step(u: WeylElem, i: int) -> WeylElem:
-    """s_i u, u's left neighbour i: interned from u on first use, then a list lookup.
+    """s_i u, u's left neighbour i: one Cartan-column update on first use, then a list lookup.
 
-    u's neighbour list is made when u is first stepped from. When the key of
-    s_i u is negative at i and positive before it, u is its canonical parent
-    and its word is i then u's; when i is u's first letter, s_i u is u's
-    canonical parent and its word is the rest of u's. Any other neighbour is
-    looked up by its key alone.
+    u's neighbour list is made when u is first stepped from.
     """
-    global _hits
     left = u._left
     if left is None:
         left = [None] * (u.datum.nsimple + 1)
         _set_left(u, left)
     v = left[i]
-    if v is not None:
-        return v
-    d, word, x = u.datum, u.word, u.key[i - 1]
-    p = list(u.key)
-    for j, a in _cartan_columns(d)[i - 1]:
-        p[j] -= a * x
-    key = tuple(p)
-    # entry i of the new key is -x
-    if x > 0 and min(p[:i - 1], default=1) > 0:
-        word = (i,) + word
-    elif word and word[0] == i:
-        word = word[1:]
-    else:
-        v = left[i] = _elem_from_matrix(d, key)
-        return v
-    tab = _interned[d]
-    v = tab.get(key)
     if v is None:
-        v = tab[key] = WeylElem(d, key, word)
-    else:
-        _hits += 1
-    left[i] = v
+        d, x, p = u.datum, u.key[i - 1], list(u.key)
+        for j, a in _cartan_columns(d)[i - 1]:
+            p[j] -= a * x
+        v = left[i] = _elem_from_matrix(d, tuple(p))
     return v
 
 

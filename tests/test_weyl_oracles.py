@@ -362,8 +362,8 @@ NEIGHBOUR_GROUPS = ["A3 sc", "B3 sc", "G2 sc", "D4 sc", "F4 sc", "A1 sc x A1 sc"
 @pytest.mark.parametrize("shuffled", [False, True], ids=["walk", "shuffled"])
 @pytest.mark.parametrize("group", NEIGHBOUR_GROUPS)
 def test_every_neighbour_gets_the_descent_word(group, shuffled, cold, monkeypatch):
-    """A neighbour missing from the table is interned from u: i then u's word for a child,
-    the rest of u's word for u's parent, the key's own walk for any other neighbour."""
+    """A neighbour missing from the table is interned by the miss walk from its key: up the
+    canonical parents to the nearest interned one, then i followed by the parent's word."""
     d = build_datum(group)
     with monkeypatch.context() as m:
         # the walk updates each key in place from a Cartan column
