@@ -41,7 +41,7 @@ def transpose(m):
 
 def mat_mul(a, b):
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_neg(m):
@@ -51,10 +51,6 @@ def mat_neg(m):
 def mat_vec(m, v):
     """m (rows) applied to column vector v."""
     return tuple(sum(map(mul, row, v)) for row in m)
-
-
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vneg(a):
@@ -256,25 +252,11 @@ def in_span_z(x: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:
         raise ValueError("generator length does not match the vector")
     if not gens:
         return not any(x)
-    return _in_lattice(x, _smith_factors(tuple(zip(*gens))))
-
-
-def _in_lattice(x: Sequence[int], smith) -> bool:
-    """in_span_z for the generators that are the columns of g, given smith = _smith_factors(g).
-
-    A caller that meets the same lattice many times keeps smith and skips
-    rebuilding, checking and hashing the generator matrix.
-    """
-    factors, u, _ = smith
-    if len(x) != len(u):
-        raise ValueError("generator length does not match the vector")
+    factors, u, _ = _smith_factors(tuple(zip(*gens)))
     for i, row in enumerate(u):
         z = sum(map(mul, row, x))
         s = factors[i] if i < len(factors) else 0
-        if s:
-            if z % s:
-                return False
-        elif z:
+        if z % s if s else z:
             return False
     return True
 

@@ -38,8 +38,6 @@ from .errors import (
 )
 from .gaussian import ScaledVec, _numeral, format_tuple, format_vec
 from .intlinalg import (
-    _in_lattice,
-    _smith_factors,
     descend_map,
     ident,
     mat_mul,
@@ -50,19 +48,17 @@ from .intlinalg import (
     saturation_projection,
     solve_congruence_scaled,
     transpose,
-    vadd,
-    vdot,
     vneg,
 )
 from .lgroup import LGroup, StandardLevi, lgroup_tits_context, parse_inner_class
 from .rootdata import (
     RootDatum,
-    all_coroots,
     all_roots,
     based_aut,
     build_datum,
     coaction,
     compose_aut,
+    positive_coroots,
     transpose_aut,
 )
 from .tits import (
@@ -356,21 +352,20 @@ def _rho_imaginary(L: LGroup, w: WeylElem) -> ScaledVec:
     """Half the sum of the imaginary roots made positive by a functional (1, t, t^2, ...), t >= 2.
 
     The imaginary roots are the roots of the group itself (coroots of the
-    dual datum) negated by theta = w theta0; computed once per (L, w).
+    dual datum) negated by theta = w theta0, computed once per (L, w). They
+    are closed under negation and f(-c) = -f(c), so each positive c with
+    theta c = -c adds c or -c, whichever f makes positive.
     """
     theta = _involution(L, w).theta
-    imag = [c for c in sorted(all_coroots(L.dual_datum))
-            if tuple(mat_vec(theta, c)) == tuple(-x for x in c)]
+    imag = [c for c in positive_coroots(L.dual_datum)
+            if all(sum(map(mul, row, c)) == -x for row, x in zip(theta, c))]
     n = L.dual_datum.rank
     t = 2
     while True:
-        f = tuple(t ** k for k in range(n))
-        vals = [vdot(f, r) for r in imag]
-        if all(v != 0 for v in vals):
-            total = (0,) * n
-            for r, v in zip(imag, vals):
-                if v > 0:
-                    total = vadd(total, r)
+        f = [t ** k for k in range(n)]
+        vals = [sum(map(mul, f, c)) for c in imag]
+        if all(vals):
+            total = [sum(c[k] if v > 0 else -c[k] for c, v in zip(imag, vals)) for k in range(n)]
             return ScaledVec(total, (0,) * n, 2)
         t += 1
 
@@ -398,22 +393,44 @@ def central_modulus_gens(p: LParam) -> List[Tuple[int, ...]]:
     return gens
 
 
-@cache
-def _central_lattice(L: LGroup, w: WeylElem):
-    """The Smith data of the lattice central_modulus_gens spans, for _in_lattice, once per (L, w).
+def _parity_mask(v) -> int:
+    """The integer vector v mod 2, as a bitmask: bit k is entry k's parity."""
+    return sum((x & 1) << k for k, x in enumerate(v))
 
-    The generators read only L and w, so one parameter record over w, with no
-    lambda or mu, stands for all of them; the cache holds one entry per
-    twisted involution met, like _involution.
+
+def _xor_reduce(x: int, basis) -> int:
+    """x reduced against an xor basis: 0 exactly when x is in the basis's span."""
+    for b in basis:
+        x = min(x, x ^ b)
+    return x
+
+
+@cache
+def _central_lattice(L: LGroup, w: WeylElem) -> Tuple[int, ...]:
+    """The lattice central_modulus_gens spans, mod 2, as an xor basis, once per (L, w).
+
+    The lattice contains 2Z^n, as (1 - theta) e_k + (1 + theta) e_k = 2 e_k,
+    so an integer vector lies in it exactly when its parity mask lies in the
+    F_2-span of the generators' masks (1 + theta = 1 - theta mod 2, so each
+    distinct mask is reduced once). The basis holds at most n masks with
+    distinct leading bits, in decreasing order, so x = min(x, x ^ b) over it
+    clears x's bits from the top down. The generators read only L and w, so
+    one parameter record over w, with no lambda or mu, stands for them all.
     """
-    return _smith_factors(tuple(zip(*central_modulus_gens(LParam(L, None, None, w)))))
+    basis: List[int] = []
+    for x in {_parity_mask(g) for g in central_modulus_gens(LParam(L, None, None, w))}:
+        x = _xor_reduce(x, basis)
+        if x:
+            basis.append(x)
+            basis.sort(reverse=True)
+    return tuple(basis)
 
 
 def central_chars_agree(p: LParam, t1: ScaledVec, t2: ScaledVec) -> bool:
-    """t1 - t2 is an integer vector in the span of central_modulus_gens."""
+    """t1 - t2 is an integer vector in the span of central_modulus_gens: its parity mask reduces to 0."""
     diff = t1 - t2
     return (diff.den == 1 and not any(diff.im)
-            and _in_lattice(diff.re, _central_lattice(p.L, p.w)))
+            and not _xor_reduce(_parity_mask(diff.re), _central_lattice(p.L, p.w)))
 
 
 def is_discrete_series(p: LParam) -> bool:
@@ -520,7 +537,7 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
     W(-lambda_p) in closed form (-w0 permutes the simple roots), so the row
     still sets two independent routes against each other. Row 2 computes
     each torus parameter's kappa once, in its validity check, and row 4
-    reads its lattice's Smith data from the cache per (L, w).
+    reads its lattice's xor basis mod 2 from the cache per (L, w).
     """
     d = p.L.dual_datum
     cp = contragredient_param(p)

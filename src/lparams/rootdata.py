@@ -298,12 +298,6 @@ def all_roots(d: RootDatum):
 
 
 @cache
-def all_coroots(d: RootDatum):
-    pos = positive_coroots(d)
-    return frozenset(pos).union(vneg(v) for v in pos)
-
-
-@cache
 def two_rho_check(d: RootDatum) -> IntVec:
     """The sum of the positive coroots, 2 rho_check, as integers."""
     return tuple(sum(v[k] for v in positive_coroots(d)) for k in range(d.rank))

@@ -1,15 +1,16 @@
 """Weyl group elements, each interned under its key (<alpha_j, w rho_check>)_j.
 
 rho_check is regular, so the key decides equality. A left reflection moves a
-key through the Cartan matrix, so words and automorphisms are replayed on keys
-without matrices. The canonical (lex-smallest reduced) word is the dominance
-descent on the key, the walk that also gives infinitesimal characters. Its
-first step reflects the first negative index i, so the word is i followed by
-the word of the parent s_i w. One table interns the elements, each from a
-neighbour already in it: the layer walk interns s_i u from the u that
-reached it, and a lookup that misses walks up the parents to the nearest
-interned one and interns back down. Each costs one Cartan-column update per
-element, with no descent and no recursion.
+key through the Cartan matrix, so words are replayed on keys without matrices,
+and a based automorphism, which fixes rho_check, permutes the key's entries.
+The canonical (lex-smallest reduced) word is the dominance descent on the
+key, the walk that also gives infinitesimal characters. Its first step
+reflects the first negative index i, so the word is i followed by the word of
+the parent s_i w. One table interns the elements, each from a neighbour
+already in it: the layer walk interns s_i u from the u that reached it, and a
+lookup that misses walks up the parents to the nearest interned one and
+interns back down. Each costs one Cartan-column update per element, with no
+descent and no recursion.
 
 The interned elements carry W's Cayley graph (Casselman, Machine calculations
 in Weyl groups, 1994; du Cloux, A transducer approach to Coxeter groups,
@@ -461,13 +462,18 @@ def weyl_order(d: RootDatum) -> int:
 
 @cache
 def apply_aut_to_weyl(a: BasedAut, u: WeylElem) -> WeylElem:
-    """Conjugate u by a datum automorphism: s_i goes to s_{perm(i)}, letter by letter.
+    """Conjugate u by a datum automorphism: s_i goes to s_{perm(i)}.
 
-    Cached: at most |W| entries per automorphism.
+    a permutes the simple roots and coroots alike, so it fixes rho_check, and
+    the image's key has u's key entry i at perm(i): one intern lookup, with no
+    word replayed. Cached: at most |W| entries per automorphism.
     """
     if a.datum != u.datum:
         raise DatumMismatch("automorphism and element over different data")
-    return _replay(u.datum, [a.perm[i - 1] for i in u.word], (1,) * u.datum.nsimple)
+    key = [0] * len(u.key)
+    for j, x in zip(a.perm, u.key):
+        key[j - 1] = x
+    return _elem_from_matrix(u.datum, tuple(key))
 
 
 def neg_w0_aut(d: RootDatum) -> BasedAut:

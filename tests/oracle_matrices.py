@@ -6,8 +6,9 @@ The library never forms these matrices (it moves pairing keys through the
 Cartan matrix), so the oracle tests multiply them out as an independent
 route. The right-descent predicate the library once exported, the Levi
 subsystem levi_of once compared against, and the inversion masks as the
-library once filled them, one coroot at a time, are kept here too. Not a
-test module: pytest does not collect it.
+library once filled them, one coroot at a time, are kept here too, as are
+vadd and all_coroots, which the library no longer needs. Not a test module:
+pytest does not collect it.
 """
 
 from functools import cache
@@ -16,6 +17,17 @@ from operator import mul
 from lparams.intlinalg import vneg
 from lparams.rootdata import positive_coroots, positive_root_table, positive_roots
 from lparams.weyl import weyl_inv
+
+
+def vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+@cache
+def all_coroots(d):
+    """The positive coroots and their negatives."""
+    pos = positive_coroots(d)
+    return frozenset(pos).union(vneg(v) for v in pos)
 
 
 def descent(u, i):

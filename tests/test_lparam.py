@@ -21,7 +21,7 @@ from lparams.errors import (
 )
 from lparams import lparam
 from lparams.gaussian import GaussQ, ScaledVec
-from lparams.intlinalg import ident, mat_mul, mat_vec, vadd, vdot
+from lparams.intlinalg import ident, mat_mul, mat_vec, vdot
 from lparams.lgroup import (build_lgroup, lgroup_compact, lgroup_split, parse_inner_class,
                             standard_levis)
 from lparams.lparam import (
@@ -46,13 +46,14 @@ from lparams.lparam import (
     validity_rows,
     verify_contragredient,
 )
-from lparams.rootdata import all_coroots, based_aut, build_datum, coaction, two_rho_check
+from lparams.rootdata import based_aut, build_datum, coaction, two_rho_check
 from lparams.tits import TorusPart, torus_part
 from lparams.torus import param_to_char, torus_contragredient
 from lparams.weyl import (apply_aut_to_weyl, longest_element, weyl_act, weyl_enumerate,
                           weyl_identity, weyl_mul)
 
 from gauss_entries import gauss_entries
+from oracle_matrices import all_coroots, vadd
 
 
 SL2 = lgroup_split(build_datum("A1 sc"))

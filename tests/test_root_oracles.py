@@ -32,7 +32,6 @@ from lparams.lparam import (
     twisted_involutions,
 )
 from lparams.rootdata import (
-    all_coroots,
     all_roots,
     build_datum,
     dual_datum,
@@ -43,7 +42,7 @@ from lparams.rootdata import (
 )
 from lparams.tits import torus_part
 from lparams.weyl import weyl_from_word
-from oracle_matrices import levi_subsystem, xcostar_reflections, xstar_reflections
+from oracle_matrices import all_coroots, levi_subsystem, xcostar_reflections, xstar_reflections
 
 DATA = Path(__file__).resolve().parent / "data"
 

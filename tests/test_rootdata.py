@@ -7,7 +7,6 @@ import pytest
 from lparams.errors import InputError, NotBasedAut, RankMismatch
 from lparams.intlinalg import ident, mat_vec, transpose, vdot
 from lparams.rootdata import (
-    all_coroots,
     all_roots,
     based_aut,
     build_datum,
@@ -23,6 +22,8 @@ from lparams.rootdata import (
     two_rho_check,
 )
 from lparams.weyl import neg_w0_aut
+
+from oracle_matrices import all_coroots
 
 
 def test_a1_lattices():

@@ -4,7 +4,10 @@
   column-list descent it replaced is kept here as an oracle.
 - `_params_equivalent` uses p itself when q reuses p's descent and s = e,
   with no replay of the word of u = e.
-- Row 4 reads the Smith data of its lattice from a cache per (L, w).
+- Row 4 reads its lattice mod 2, an xor basis, from a cache per (L, w);
+  it is checked against `in_span_z`'s Smith route.
+- rho_i is read off one pass over the positive coroots; the scan of all
+  coroots it replaced is kept here as an oracle.
 - `torus` reads 1 - theta-check, 1 + theta-check, -theta-check and
   char_equal's lattice from a cache per involution matrix.
 - A torus parameter's kappa is computed once, by its validity check.
@@ -18,7 +21,7 @@ import pytest
 
 from lparams import lparam, torus, weyl
 from lparams.gaussian import ScaledVec
-from lparams.intlinalg import in_span_z, mat_neg, one_minus, transpose
+from lparams.intlinalg import in_span_z, mat_neg, mat_vec, one_minus, transpose, vdot, vneg
 from lparams.lgroup import parse_inner_class
 from lparams.lparam import (
     LParam,
@@ -39,6 +42,8 @@ from lparams.rootdata import build_datum, cartan_matrix, positive_roots
 from lparams.tits import TorusPart, format_torus_part, torus_part_zero
 from lparams.torus import param_to_char, torus_egroup
 from lparams.weyl import weyl_enumerate, weyl_from_word
+
+from oracle_matrices import all_coroots, vadd
 
 D4_SWAP = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
@@ -202,14 +207,24 @@ def oracle_modulus_gens(L, w):
             + list(transpose(one_minus(theta))) + list(transpose(one_minus(mat_neg(theta)))))
 
 
-@pytest.mark.parametrize("group,inner", CONFIGS, ids=IDS)
+# CONFIGS, a compact class of type C, a product, and ten seeded twisted
+# involutions of split GL(9), of its 2,620
+ROW_4 = CONFIGS + [("C4 sc", "compact"), ("GL(3) x GL(3)", "split"), ("GL(9)", "split")]
+ROW_4_SAMPLE = {"GL(9)": 10}
+
+
+@pytest.mark.parametrize("group,inner", ROW_4,
+                         ids=IDS + ["C4 sc|compact", "GL(3) x GL(3)|split", "GL(9)|split"])
 def test_cached_row_4_matches_in_span_z(group, inner):
     L = _L(group, inner)
     n = L.dual_datum.rank
     rng = Random(f"row4:{group}")
     zero = ScaledVec([0] * n, [0] * n, 1)
     verdicts = set()
-    for w in twisted_involutions(L):
+    ws = twisted_involutions(L)
+    if group in ROW_4_SAMPLE:
+        ws = rng.sample(ws, ROW_4_SAMPLE[group])
+    for w in ws:
         # row 4 reads only L and w
         p = LParam(L, zero, torus_part_zero(n), w)
         gens = central_modulus_gens(p)
@@ -228,6 +243,28 @@ def test_cached_row_4_matches_in_span_z(group, inner):
             assert want == (diff.den == 1 and in_span_z(diff.re, oracle_modulus_gens(L, w)))
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def rho_imaginary_all_coroots(L, w):
+    """rho_i by the route the one pass replaced: every coroot, sorted, tested for theta c = -c."""
+    theta = lparam._involution(L, w).theta
+    imag = [c for c in sorted(all_coroots(L.dual_datum)) if mat_vec(theta, c) == vneg(c)]
+    n = L.dual_datum.rank
+    t = 2
+    while not all(vdot([t ** k for k in range(n)], c) for c in imag):
+        t += 1
+    total = (0,) * n
+    for c in imag:
+        if vdot([t ** k for k in range(n)], c) > 0:
+            total = vadd(total, c)
+    return ScaledVec(total, (0,) * n, 2)
+
+
+@pytest.mark.parametrize("group,inner", CONFIGS, ids=IDS)
+def test_rho_imaginary_matches_all_coroots_route(group, inner, cold):
+    L = _L(group, inner)
+    for w in twisted_involutions(L):
+        assert lparam._rho_imaginary(L, w) == rho_imaginary_all_coroots(L, w)
 
 
 def test_row_4_rejects_an_integral_difference_outside_the_lattice():

@@ -18,7 +18,7 @@ from random import Random
 import pytest
 
 from lparams.errors import ContextMismatch, InputError
-from lparams.intlinalg import mat_vec, saturation_projection, vadd
+from lparams.intlinalg import mat_vec, saturation_projection
 from lparams.lgroup import lgroup_tits_context, parse_inner_class
 from lparams.rootdata import build_datum, coaction
 from lparams.tits import (
@@ -43,7 +43,7 @@ from lparams.weyl import (
     weyl_inv,
     weyl_mul,
 )
-from oracle_matrices import descent
+from oracle_matrices import descent, vadd
 
 A1A1_SWAP = [[0, 1], [1, 0]]
 D4_SWAP = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]

@@ -21,7 +21,7 @@ import lparams.weyl as weyl
 from lparams.errors import DatumMismatch, InvariantViolated
 from lparams.intlinalg import ident, mat_mul, mat_neg, mat_vec, transpose, vneg
 from lparams.lgroup import has_compact_cartan, lgroup_compact, lgroup_split
-from lparams.rootdata import RootDatum, build_datum, coaction, positive_roots
+from lparams.rootdata import RootDatum, based_aut, build_datum, coaction, positive_roots
 from lparams.weyl import (
     apply_aut_to_weyl,
     neg_w0_aut,
@@ -126,6 +126,24 @@ def test_seeded_products_match_matrix_oracle(group):
         conj = mat_mul(mat_mul(n, mu), n_inv)
         assert apply_aut_to_weyl(flip, u).word == ref_canon(d, conj)[0]
         assert apply_aut_to_weyl(flip, u).matrix == conj
+
+
+# based automorphisms: the D4 diagram swap and triality (perm (3, 2, 4, 1), of order 3, so
+# the only one here that tells perm from its inverse), -w0 (None) and a factor swap
+AUTS = [("D4 sc", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+        ("D4 sc", [[0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]),
+        ("A3 sc", None), ("GL(5)", None), ("GL(3) x GL(3)", None),
+        ("A1 sc x A1 sc", [[0, 1], [1, 0]])]
+
+
+@pytest.mark.parametrize("group,matrix", AUTS, ids=["D4 swap", "D4 triality", "A3 -w0",
+                                                    "GL(5) -w0", "GL(3)xGL(3) -w0",
+                                                    "A1xA1 swap"])
+def test_aut_on_weyl_is_the_letter_by_letter_replay(group, matrix, cold):
+    d = build_datum(group)
+    a = neg_w0_aut(d) if matrix is None else based_aut(d, matrix)
+    for u in weyl_enumerate(d):
+        assert apply_aut_to_weyl(a, u) is weyl_from_word(d, [a.perm[i - 1] for i in u.word])
 
 
 COMPACT_GROUPS = (["A1 sc", "A2 sc", "A3 sc", "A4 sc", "B2 sc", "B3 sc", "B4 sc", "C3 sc",
