@@ -11,7 +11,8 @@ Given identical inputs and seed, output is byte-identical.
 Each command handler imports the library modules it runs, when it runs, so
 `--help`, a usage error or `check-tits` compiles only what it needs; a
 handler that reads --param reads its JSON first, so malformed input exits 2
-before any library module is compiled.
+before any library module is compiled, and `weilrep` parses its literal
+before it imports `lparam`.
 """
 
 from __future__ import annotations
@@ -226,11 +227,12 @@ def cmd_verify_theorem(args, rep: Report) -> int:
 
 def cmd_weilrep(args, rep: Report) -> int:
     from .gaussian import format_vec
-    from .lparam import contragredient_param, params_equivalent
     from .weilrep import (format_rep, parse_weil_rep, weil_dual, weil_hermitian_dual,
                           weil_inf_char, weil_is_hermitian, weil_is_unitary, weil_to_lparam)
 
-    r = parse_weil_rep(args.rep)
+    r = parse_weil_rep(args.rep)  # a malformed literal exits 2 before lparam is compiled
+    from .lparam import contragredient_param, params_equivalent
+
     p = weil_to_lparam(r)  # refuses a rep too large for the bridge before any note
     rep.note("rep", format_rep(r))
     rep.note("dim", r.dim())

@@ -77,9 +77,9 @@ from .tits import (
 from .torus import (
     TorusCharData,
     TorusParam,
-    _char_of,
+    _char_data,
     _kappa,
-    _param_and_kappa,
+    _matrices,
     char_equal,
     torus_egroup,
 )
@@ -160,8 +160,11 @@ def validity_rows(L: LGroup, lam, mu, w) -> List[Tuple[str, bool, str, type]]:
     return _validity_rows(L, *_coerce_parts(L, lam, mu, w))
 
 
-def _validity_rows(L: LGroup, lam: ScaledVec, mu: TorusPart, w: WeylElem):
-    """validity_rows on parts that _coerce_parts has already checked."""
+def _validity_rows(L: LGroup, lam: ScaledVec, mu: TorusPart, w: WeylElem, dif=None):
+    """validity_rows on parts that _coerce_parts has already checked.
+
+    dif, when given, is (1 - theta)lambda, read instead of computed.
+    """
     inv = _involution(L, w)
     rows: List[Tuple[str, bool, str, type]] = []
 
@@ -174,7 +177,8 @@ def _validity_rows(L: LGroup, lam: ScaledVec, mu: TorusPart, w: WeylElem):
     if not (c_ok and inv_ok):
         return rows
 
-    dif = lam.apply(inv.one_minus)
+    if dif is None:
+        dif = lam.apply(inv.one_minus)
     int_ok = dif.den == 1 and not any(dif.im)
     rows.append(("integrality", int_ok,
                  "lambda - theta(lambda) in Z^n" if int_ok
@@ -196,8 +200,12 @@ def _validity_rows(L: LGroup, lam: ScaledVec, mu: TorusPart, w: WeylElem):
 
 def make_param(L: LGroup, lam, mu, w) -> LParam:
     """Validate (lambda, mu, w) against the homomorphism conditions."""
-    lam, mu, w = _coerce_parts(L, lam, mu, w)
-    for name, ok, detail, err in _validity_rows(L, lam, mu, w):
+    return _make_param(L, *_coerce_parts(L, lam, mu, w))
+
+
+def _make_param(L: LGroup, lam: ScaledVec, mu: TorusPart, w: WeylElem, dif=None) -> LParam:
+    """make_param on checked parts; dif, when given, is (1 - theta)lambda."""
+    for name, ok, detail, err in _validity_rows(L, lam, mu, w, dif):
         if not ok:
             raise err(detail)
     return LParam(L, lam, mu, w)
@@ -208,10 +216,11 @@ def phi_j(p: LParam) -> ExtTitsElem:
     return ExtTitsElem(lgroup_tits_context(p.L), p.mu, p.w, 1)
 
 
-def _from_phi_j(L: LGroup, lam, g: ExtTitsElem) -> LParam:
+def _from_phi_j(L: LGroup, lam: ScaledVec, g: ExtTitsElem) -> LParam:
+    """The parameter (lam, g), g's parts coming from the Tits group over L, so none is coerced."""
     if g.eps != 1:
         raise InvariantViolated("the image of j left the delta coset")
-    return make_param(L, lam, g.t, g.w)
+    return _make_param(L, lam, g.t, g.w)
 
 
 def conjugate_param(p: LParam, by) -> LParam:
@@ -328,23 +337,28 @@ def _radical_egroup(L: LGroup, w: WeylElem):
     return proj, torus_egroup(th_rad, (0,) * len(proj))
 
 
+def _rad_images(p: LParam):
+    """(radical E-group, projection, lambda_r = proj lambda, (1 - theta_rad)lambda_r) for p."""
+    proj, eg = _radical_egroup(p.L, p.w)
+    lam_r = p.lam.apply(proj)
+    return eg, proj, lam_r, lam_r.apply(_matrices(eg.theta_check)[0])
+
+
 def rad_param(p: LParam) -> TorusParam:
     """Push the parameter through the surjection onto the radical-torus E-group.
 
     The radical cocharacter lattice is X_* modulo the saturated coroot
     lattice; theta descends because it permutes coroots up to sign.
     """
-    return _rad_param_and_kappa(p)[0]
-
-
-def _rad_param_and_kappa(p: LParam):
-    """(rad_param(p), its kappa): the kappa its validity check computes is kept for _char_of."""
-    proj, eg = _radical_egroup(p.L, p.w)
-    return _param_and_kappa(eg, p.lam.apply(proj), act_on_torus_part(proj, p.mu))
+    eg, proj, lam_r, dif_r = _rad_images(p)
+    mu_r = act_on_torus_part(proj, p.mu)
+    _char_data(eg, lam_r, dif_r, mu_r)
+    return TorusParam(eg, lam_r, mu_r)
 
 
 def rad_char(p: LParam) -> TorusCharData:
-    return _char_of(*_rad_param_and_kappa(p))
+    eg, proj, lam_r, dif_r = _rad_images(p)
+    return _char_data(eg, lam_r, dif_r, act_on_torus_part(proj, p.mu))
 
 
 @cache
@@ -380,8 +394,12 @@ def central_char(p: LParam) -> ScaledVec:
     of mu, and any two positive systems differ by a root-lattice element, so
     the class is representative-independent.
     """
-    inv = _involution(p.L, p.w)
-    return _kappa(p.lam.apply(inv.one_minus), inv.one_plus, p.mu) + _rho_imaginary(p.L, p.w)
+    return _central_char(p.L, p.w, _dif(p), p.mu)
+
+
+def _central_char(L: LGroup, w: WeylElem, dif: ScaledVec, mu: TorusPart) -> ScaledVec:
+    """central_char of the parameter over w with (1 - theta)lambda = dif and torus part mu."""
+    return _kappa(dif, _involution(L, w).one_plus, mu) + _rho_imaginary(L, w)
 
 
 def central_modulus_gens(p: LParam) -> List[Tuple[int, ...]]:
@@ -495,23 +513,31 @@ def levi_of(p: LParam) -> Tuple[StandardLevi, LParam]:
 # ---------------------------------------------------------------------------
 # dualities
 
+def _dif(p: LParam) -> ScaledVec:
+    """(1 - theta)lambda, the integer image of lambda that validity and kappa read."""
+    return p.lam.apply(_involution(p.L, p.w).one_minus)
+
+
 def contragredient_param(p: LParam) -> LParam:
     """Compose with the Chevalley involution: lambda -> -lambda, phi(j) -> C(phi(j))."""
-    g = chevalley(phi_j(p))
-    _check_over_w(p, g, "C(phi(j))")
-    return _from_phi_j(p.L, -p.lam, g)
+    return _twist(p, chevalley(phi_j(p)), "C(phi(j))", -_dif(p))
 
 
 def tau_twist_param(p: LParam) -> LParam:
     """Precompose with z -> z^{-1}, j -> j^{-1}: lambda -> -lambda, phi(j) -> phi(j)^{-1}."""
-    g = tits_inverse(phi_j(p))
-    _check_over_w(p, g, "phi(j)^{-1}")
-    return _from_phi_j(p.L, -p.lam, g)
+    return _twist(p, tits_inverse(phi_j(p)), "phi(j)^{-1}", -_dif(p))
 
 
-def _check_over_w(p: LParam, g: ExtTitsElem, what: str) -> None:
+def _twist(p: LParam, g: ExtTitsElem, what: str, neg_dif: ScaledVec) -> LParam:
+    """The parameter (-lambda_p, g) for g = C(phi(j)) or phi(j)^{-1}, checked as make_param checks.
+
+    g lies over p's w, so the twist's theta is p's and its (1 - theta)lambda
+    is neg_dif = -(1 - theta)lambda_p; g's parts come from the Tits group, so
+    none is coerced.
+    """
     if g.w != p.w or g.eps != 1:
         raise InvariantViolated(f"{what} does not lie over w delta (w={list(p.w.word)})")
+    return _make_param(p.L, -p.lam, g.t, g.w, neg_dif)
 
 
 # ---------------------------------------------------------------------------
@@ -531,16 +557,28 @@ def packet_descriptor(p: LParam) -> PacketDescriptor:
 def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
     """The four contragredient checks; each row is (name, passed, detail).
 
-    lambda_C = -lambda_p is descended once: its dominant point is row 1's
-    inf(C), and the descent is shared with row 3, whose two twists both carry
-    -lambda_p. Row 1 compares it with -w0 inf(p), the dominant point of
-    W(-lambda_p) in closed form (-w0 permutes the simple roots), so the row
-    still sets two independent routes against each other. Row 2 computes
-    each torus parameter's kappa once, in its validity check, and row 4
-    reads its lattice's xor basis mod 2 from the cache per (L, w).
+    Both dualities send lambda to -lambda over p's w and change only the
+    Tits-group part, so each integer image of lambda_C and lambda_tau is the
+    negation of p's. C(p) comes from contragredient_param; then dif = (1 -
+    theta)lambda_p, lambda_r = proj lambda_p and dif_r = (1 - theta_rad)lambda_r
+    are computed once. tau(p) is validated from -dif, as make_param validates
+    it. Row 2 checks rad(C(p)) from (-lambda_r, -dif_r) and proj mu_C, rad(p)
+    from (lambda_r, dif_r) and proj mu, and the dual from (-lambda_r, -dif_r)
+    and -proj mu, one kappa each. Row 4 reads kappa(C) from -dif and mu_C and
+    kappa(p) from dif and mu.
+
+    What the theorem compares stays independent: the mu parts come from
+    chevalley and tits_inverse on one side and from the torus negation on
+    the other; row 1 sets the descent of lambda_C, its dominant point inf(C),
+    against -w0 inf(p) from p's own descent (-w0 permutes the simple roots);
+    row 3 reuses lambda_C's descent, as both twists carry -lambda_p, and
+    solves a lattice congruence; row 4 reduces its difference against its
+    lattice's xor basis mod 2, cached per (L, w).
     """
-    d = p.L.dual_datum
+    L, w, d = p.L, p.w, p.L.dual_datum
     cp = contragredient_param(p)
+    dif = _dif(p)
+    neg_dif = -dif
     desc_c = _dominance_descent(d, cp.lam)
     rows = []
 
@@ -549,18 +587,20 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
     rows.append(("inf_char negation", got == want,
                  f"inf(C)={format_tuple(got)} dominant(-inf)={format_tuple(want)}"))
 
-    rc_c = rad_char(cp)
-    # torus_contragredient(rad_param(p)), keeping the kappa its validity check computes
-    rad_p = rad_param(p)
-    rc_dual = _char_of(*_param_and_kappa(rad_p.egroup, -rad_p.lam, -rad_p.mu))
+    eg, proj, lam_r, dif_r = _rad_images(p)
+    neg_lam_r, neg_dif_r = -lam_r, -dif_r
+    mu_r = act_on_torus_part(proj, p.mu)
+    rc_c = _char_data(eg, neg_lam_r, neg_dif_r, act_on_torus_part(proj, cp.mu))
+    _char_data(eg, lam_r, dif_r, mu_r)  # rad(p), checked as rad_param checks it
+    rc_dual = _char_data(eg, neg_lam_r, neg_dif_r, -mu_r)
     rows.append(("rad_char dual", char_equal(rc_c, rc_dual),
                  f"kappa(C)={format_vec(rc_c.kappa)} kappa(dual)={format_vec(rc_dual.kappa)}"))
 
-    tp = tau_twist_param(p)
+    tp = _twist(p, tits_inverse(phi_j(p)), "phi(j)^{-1}", neg_dif)
     rows.append(("C-twist vs tau-twist conjugacy", _params_equivalent(cp, tp, desc_c),
                  f"C: mu={format_torus_part(cp.mu)} tau: mu={format_torus_part(tp.mu)}"))
 
-    tau_c, neg_tau_p = central_char(cp), -central_char(p)
+    tau_c, neg_tau_p = _central_char(L, w, neg_dif, cp.mu), -_central_char(L, w, dif, p.mu)
     rows.append(("central_char flip", central_chars_agree(p, tau_c, neg_tau_p),
                  f"tau(C)={format_vec(tau_c)} -tau(p)={format_vec(neg_tau_p)}"))
     return rows

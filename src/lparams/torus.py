@@ -138,39 +138,40 @@ def _kappa(dif: ScaledVec, one_plus_tc: Matrix, mu: TorusPart) -> ScaledVec:
     return ScaledVec([x * a - y * b for x, y in zip(dif.re, mu_plus)], (0,) * len(mu_plus), den)
 
 
+def _char_data(eg: TorusEGroup, lam: ScaledVec, dif: ScaledVec, mu: TorusPart) -> TorusCharData:
+    """The character of the parameter (lambda, mu) into eg, checked; dif = (1-theta-check)lambda.
+
+    The one validity check of a torus parameter, on parts of the right type
+    and length: dif is integral, and kappa, computed once, lies in gamma +
+    Z^n. On the character side theta = -theta-check, so (1+theta)lambda is
+    dif, and the character's (1+theta)lambda = (1+theta)kappa test reads it.
+    A caller that holds dif, or its negation for (-lambda, mu'), applies no
+    matrix to lambda.
+    """
+    if dif.den != 1 or any(dif.im):
+        raise InvalidParam("lambda - theta-check(lambda) is not in Z^n")
+    lattice, one_plus, neg, _ = _matrices(eg.theta_check)
+    kappa = _kappa(dif, one_plus, mu)
+    if not _in_coset(kappa, eg.gamma):
+        raise InvalidParam("kappa is not in gamma + Z^n")
+    # (1+theta)kappa = dif on numerators: kappa is real and dif an integer vector
+    if any(sum(map(mul, row, kappa.re)) != kappa.den * x for row, x in zip(lattice, dif.re)):
+        raise InvalidParam("(1+theta)lambda != (1+theta)kappa")
+    return TorusCharData(neg, lam, kappa, eg.gamma)
+
+
 def torus_param(eg: TorusEGroup, lam, mu) -> TorusParam:
     lam = ScaledVec.of(lam)
     if not isinstance(mu, TorusPart):
         mu = torus_part(mu)
     if len(lam.re) != eg.rank or len(mu.num) != eg.rank:
         raise InputError("vector lengths do not match the E-group rank")
-    return _param_and_kappa(eg, lam, mu)[0]
-
-
-def _param_and_kappa(eg: TorusEGroup, lam: ScaledVec, mu: TorusPart):
-    """(torus_param, its kappa) for parts of the right type and length.
-
-    The kappa the coset check computes is handed on, so that _char_of need
-    not compute it again.
-    """
-    lattice, one_plus, _, _ = _matrices(eg.theta_check)
-    dif = lam.apply(lattice)
-    if dif.den != 1 or any(dif.im):
-        raise InvalidParam("lambda - theta-check(lambda) is not in Z^n")
-    kappa = _kappa(dif, one_plus, mu)
-    if not _in_coset(kappa, eg.gamma):
-        raise InvalidParam("kappa is not in gamma + Z^n")
-    return TorusParam(eg, lam, mu), kappa
+    _char_data(eg, lam, lam.apply(_matrices(eg.theta_check)[0]), mu)
+    return TorusParam(eg, lam, mu)
 
 
 def param_to_char(p: TorusParam) -> TorusCharData:
-    lattice, one_plus, _, _ = _matrices(p.egroup.theta_check)
-    return _char_of(p, _kappa(p.lam.apply(lattice), one_plus, p.mu))
-
-
-def _char_of(p: TorusParam, kappa: ScaledVec) -> TorusCharData:
-    """param_to_char(p) for p's kappa; torus_char_data checks it as for any kappa."""
-    return torus_char_data(_matrices(p.egroup.theta_check)[2], p.lam, kappa, p.egroup.gamma)
+    return _char_data(p.egroup, p.lam, p.lam.apply(_matrices(p.egroup.theta_check)[0]), p.mu)
 
 
 def char_equal(c1: TorusCharData, c2: TorusCharData) -> bool:

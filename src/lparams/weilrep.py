@@ -19,7 +19,10 @@ arithmetic; a GaussQ exponent is built only for a WeilIrr irreducible.
 
 This is the GL(n) end of the dictionary: a multiset of total dimension n is
 the same thing as a parameter into GL(n,C) in diagonal-block position, and
-the contragredient on parameters is t -> -t summandwise here.
+the contragredient on parameters is t -> -t summandwise here. The bridge
+functions import the library modules they use when they run, so reading a
+literal loads only errors and gaussian, and a malformed one is refused before
+the rest of the library is compiled.
 """
 
 from __future__ import annotations
@@ -28,16 +31,15 @@ from collections import namedtuple
 from fractions import Fraction as Q
 from functools import cache
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, InputError
 from .gaussian import (GaussQ, ScaledVec, format_gauss, format_vec, parse_gauss_scaled,
                        parse_integer, read_gauss)
-from .intlinalg import ident
-from .lgroup import LGroup, lgroup_split
-from .lparam import LParam, make_param
-from .rootdata import build_datum
-from .tits import TorusPart
+
+if TYPE_CHECKING:
+    from .lgroup import LGroup
+    from .lparam import LParam
 
 
 class WeilIrr(namedtuple("WeilIrr", "kind t eps k", defaults=(0, 0))):
@@ -162,6 +164,9 @@ def weil_inf_char(r: WeilRep) -> ScaledVec:
 @cache
 def _gl_lgroup(n: int) -> LGroup:
     """The split L-group of GL(n), built once per n."""
+    from .lgroup import lgroup_split
+    from .rootdata import build_datum
+
     return lgroup_split(build_datum(f"GL({n})"))
 
 
@@ -174,6 +179,9 @@ def weil_to_lparam(r: WeilRep, n: Optional[int] = None) -> LParam:
     congruence per block and that choice satisfies it for either parity of k.
     GL(n) is supported for n <= 9, so a larger rep is refused here.
     """
+    from .lparam import make_param
+    from .tits import TorusPart
+
     dim = r.dim()
     if n is not None and n != dim:
         raise DimensionMismatch(f"rep has dimension {dim}, expected {n}")
@@ -200,6 +208,8 @@ def lparam_to_weilrep(p: LParam) -> WeilRep:
     split one in GL(n,C) but not within the torus normalizer, so this map
     is the coarser of the two equivalences.
     """
+    from .intlinalg import ident
+
     d = p.L.dual_datum
     n = d.rank
     if p.L.theta0.matrix != ident(n):

@@ -57,6 +57,9 @@ FUZZ_GOLDENS = {
     "fuzz_b3_split": ("B3 sc", "split"),
     "fuzz_c3ad_split": ("C3 ad", "split"),
     "fuzz_g2_split": ("G2 sc", "split"),
+    # big_weyl-sized groups: |W(F4)| = 1152, |W(A5)| = 720
+    "fuzz_f4_split": ("F4 sc", "split"),
+    "fuzz_gl6_split": ("GL(6)", "split"),
 }
 
 

@@ -32,6 +32,8 @@ TEST_FILES = sorted(TESTS.glob("*.py"))
 # public names that nothing in src/ reaches, each with the reason it stays
 REACHED_FROM_OUTSIDE = {
     "tits.elem_to_dict": "the tits_products benchmark digest writes its elements with it",
+    "torus.torus_char_data": "the checked constructor of the character picture, from given "
+                             "(lambda, kappa) data; the library builds characters from parameters",
 }
 
 
@@ -158,6 +160,9 @@ ALL_MODULES = {"cli", *(p.stem for p in MODULES)}
                    ALL_MODULES - {"cli", "errors"}, id=f"{cmd}-malformed")
       for cmd in ["verify-theorem", "validate-param", "invariants", "contragredient"]),
     pytest.param(["weilrep", "chi(1/2,0)+I(2,-1/3+i)"], 0, ALL_MODULES, set(), id="weilrep"),
+    # a malformed literal exits 2 having compiled only the parser's modules
+    pytest.param(["weilrep", "chi(1/2,0"], 2, {"cli", "errors", "weilrep", "gaussian"},
+                 ALL_MODULES - {"cli", "errors", "weilrep", "gaussian"}, id="weilrep-malformed"),
 ])
 def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, not_loaded):
     proc = _run_python(RUN_COMMAND, *argv)

@@ -12,6 +12,10 @@
   char_equal's lattice from a cache per involution matrix.
 - A torus parameter's kappa is computed once, by its validity check.
 - `format_torus_part` writes a torus part from its numerators.
+- The op computes lambda_p's integer images once and hands their negations
+  to C(p), tau(p) and rows 2 and 4. `verify_by_public_route`, the op's body
+  before that sharing, made of the public functions, is kept here as an
+  oracle.
 """
 
 from fractions import Fraction as Q
@@ -20,7 +24,8 @@ from random import Random
 import pytest
 
 from lparams import lparam, torus, weyl
-from lparams.gaussian import ScaledVec
+from lparams.errors import InvalidParam, LparamsError
+from lparams.gaussian import ScaledVec, format_tuple, format_vec
 from lparams.intlinalg import in_span_z, mat_neg, mat_vec, one_minus, transpose, vdot, vneg
 from lparams.lgroup import parse_inner_class
 from lparams.lparam import (
@@ -28,20 +33,26 @@ from lparams.lparam import (
     _dominance_descent,
     _params_equivalent,
     _radical_egroup,
+    central_char,
     central_chars_agree,
     central_modulus_gens,
     conjugate_param,
+    contragredient_param,
+    inf_char,
+    make_param,
+    param_from_dict,
     params_equivalent,
     rad_char,
     rad_param,
     random_param,
+    tau_twist_param,
     twisted_involutions,
     verify_contragredient,
 )
 from lparams.rootdata import build_datum, cartan_matrix, positive_roots
-from lparams.tits import TorusPart, format_torus_part, torus_part_zero
-from lparams.torus import param_to_char, torus_egroup
-from lparams.weyl import weyl_enumerate, weyl_from_word
+from lparams.tits import TorusPart, chevalley, format_torus_part, tits_inverse, torus_part_zero
+from lparams.torus import char_equal, param_to_char, torus_contragredient, torus_egroup
+from lparams.weyl import longest_element, weyl_enumerate, weyl_from_word
 
 from oracle_matrices import all_coroots, vadd
 
@@ -334,3 +345,150 @@ def test_format_torus_part_matches_fraction_text():
             assert format_torus_part(t) == [str(x) for x in t.entries]
     assert format_torus_part(TorusPart.scaled([1, 2, 3], 4)) == ["1/4", "1/2", "3/4"]
     assert format_torus_part(torus_part_zero(2)) == ["0", "0"]
+
+
+# ---------------------------------------------------------------------------
+# the theorem op against the public route
+
+def verify_by_public_route(p):
+    """verify_contragredient made of the public functions, each computing its own images of lambda.
+
+    The op's body before it shared p's images: C(p) and tau(p) from
+    contragredient_param and tau_twist_param, rad(C(p)) and rad(p) each
+    projecting its own lambda, the dual built by torus_contragredient and read
+    by param_to_char, both dominant points by inf_char, the conjugacy test by
+    params_equivalent, and each central character applying 1 - theta itself.
+    """
+    d = p.L.dual_datum
+    cp = contragredient_param(p)
+    rows = []
+    want = -inf_char(p).apply(longest_element(d).matrix)
+    got = inf_char(cp)
+    rows.append(("inf_char negation", got == want,
+                 f"inf(C)={format_tuple(got)} dominant(-inf)={format_tuple(want)}"))
+    rc_c = rad_char(cp)
+    rc_dual = param_to_char(torus_contragredient(rad_param(p)))
+    rows.append(("rad_char dual", char_equal(rc_c, rc_dual),
+                 f"kappa(C)={format_vec(rc_c.kappa)} kappa(dual)={format_vec(rc_dual.kappa)}"))
+    tp = tau_twist_param(p)
+    rows.append(("C-twist vs tau-twist conjugacy", params_equivalent(cp, tp),
+                 f"C: mu={format_torus_part(cp.mu)} tau: mu={format_torus_part(tp.mu)}"))
+    tau_c, neg_tau_p = central_char(cp), -central_char(p)
+    rows.append(("central_char flip", central_chars_agree(p, tau_c, neg_tau_p),
+                 f"tau(C)={format_vec(tau_c)} -tau(p)={format_vec(neg_tau_p)}"))
+    return rows
+
+
+def _outcome(route, p):
+    """route(p)'s rows, or the class and message of the library error it raised."""
+    try:
+        return route(p)
+    except LparamsError as exc:
+        return type(exc), str(exc)
+
+
+EXTRA = [("GL(7)", "split"), ("GL(7)", "compact"), ("F4 sc", "compact"), ("B4 ad", "split"),
+         ("D4 sc", "compact"), ("C4 sc", "compact"), ("A3 sc", "compact"),
+         ("GL(3) x GL(3)", "split"), ("B3 sc x G2 sc", "split"), ("GL(5) x GL(5)", "split")]
+ROUTE_CONFIGS = CONFIGS + EXTRA
+ROUTE_IDS = IDS + [f"{g}|{ic}" for g, ic in EXTRA]
+
+
+def _route_params(L, count=20, zero=True):
+    """count seeded parameters of L, then, if zero, lambda = 0 with mu = 0 and w = e."""
+    rng = Random(f"public-route:{L.g_datum.label}")
+    n = L.dual_datum.rank
+    params = [random_param(L, rng) for _ in range(count)]
+    return params + [make_param(L, (0,) * n, (0,) * n, [])] if zero else params
+
+
+@pytest.mark.parametrize("group,inner", ROUTE_CONFIGS, ids=ROUTE_IDS)
+def test_op_matches_public_route(group, inner):
+    for p in _route_params(_L(group, inner)):
+        rows = verify_contragredient(p)
+        assert all(ok for _, ok, _ in rows), rows
+        assert rows == verify_by_public_route(p), p
+
+
+def test_op_matches_public_route_at_singular_lambda():
+    # lambda = (1, 1, 0, -2) pairs to zero with e1 - e2; theta = 1 for w = e in the split class
+    L = _L("GL(4)", "split")
+    p = make_param(L, (1, 1, 0, -2), (0, 0, 0, 0), [])
+    assert (0, 0) in _dominance_descent(L.dual_datum, p.lam)[2]
+    rows = verify_contragredient(p)
+    assert all(ok for _, ok, _ in rows), rows
+    assert rows == verify_by_public_route(p)
+
+
+def test_op_matches_public_route_on_a_radical_torus_part_of_order_4():
+    # theta_rad swaps and negates the two radical coordinates and mu_r = (1/4, 3/4), so
+    # -mu_r != mu_r and (1 + theta_rad)mu_r != 0: kappa(dual) reads the sign of -proj mu
+    p = param_from_dict({"group": "GL(2) x GL(2)",
+                         "inner_class": [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+                         "lambda": ["11/6+3i", "-19/4-13/6i", "23/4+13/6i", "1/6-3i"],
+                         "mu": ["0", "1/4", "3/4", "0"], "w": []})
+    rp = rad_param(p)
+    assert rp.egroup.theta_check == ((0, -1), (-1, 0))
+    assert rp.mu == TorusPart.scaled([1, 3], 4)
+    rows = verify_contragredient(p)
+    assert all(ok for _, ok, _ in rows), rows
+    assert rows == verify_by_public_route(p)
+
+
+def _off_coset(f, shift):
+    """f with its image's torus part moved by shift, where the image lies over the delta coset."""
+    def moved(g):
+        out = f(g)
+        return type(out)(out.ctx, out.t + shift, out.w, out.eps) if out.eps == 1 else out
+    return moved
+
+
+def _shifts(n):
+    """Torus parts that move mu off its coset: each e_k / 2, e_1 / 4, and (1/2, ..., 1/2)."""
+    halves = [TorusPart.scaled([int(i == k) for i in range(n)], 2) for k in range(n)]
+    return halves + [TorusPart.scaled([1] + [0] * (n - 1), 4), TorusPart.scaled([1] * n, 2)]
+
+
+@pytest.mark.parametrize("name, original", [("chevalley", chevalley),
+                                            ("tits_inverse", tits_inverse)])
+@pytest.mark.parametrize("group,inner", CONFIGS, ids=IDS)
+def test_off_coset_twist_fails_as_on_the_public_route(monkeypatch, name, original, group, inner):
+    L = _L(group, inner)
+    # at lambda = 0 a twist moved off its coset is conjugate to no other, and row 3 walks all of W
+    params = _route_params(L, 4, zero=len(weyl_enumerate(L.dual_datum)) <= 48)
+    raised = set()
+    for shift in _shifts(L.dual_datum.rank):
+        monkeypatch.setattr(lparam, name, _off_coset(original, shift))
+        for p in params:
+            got = _outcome(verify_contragredient, p)
+            assert got == _outcome(verify_by_public_route, p), (p, shift)
+            if isinstance(got, tuple):
+                raised.add(got[0])
+    # in every configuration some shift is refused, by a twist's parity row or a radical check
+    assert raised, (group, inner)
+
+
+@pytest.mark.parametrize("group,inner", [("GL(3)", "compact"), ("GL(4)", "compact"),
+                                         ("GL(3) x GL(3)", "compact"), ("GL(4)", "split")])
+def test_kappa_off_one_plus_theta_lambda_is_refused_on_both_routes(monkeypatch, group, inner):
+    # kappa moved by e_1 stays in gamma + Z^n; where the radical theta-check negates e_1,
+    # (1 + theta)kappa moves by 2 e_1 and the character's test must refuse it
+    kappa = torus._kappa
+
+    def moved(dif, one_plus, mu):
+        k = kappa(dif, one_plus, mu)
+        return k + ScaledVec([1] + [0] * (len(k.re) - 1), [0] * len(k.re), 1) if k.re else k
+
+    L = _L(group, inner)
+    params = _route_params(L, 10)
+    monkeypatch.setattr(torus, "_kappa", moved)
+    refused = 0
+    for p in params:
+        theta_rad = _radical_egroup(L, p.w)[1].theta_check
+        got = _outcome(verify_contragredient, p)
+        assert got == _outcome(verify_by_public_route, p), p
+        if theta_rad[0][0] == -1:
+            assert got == (InvalidParam, "(1+theta)lambda != (1+theta)kappa"), p
+            refused += 1
+    # the split class fixes the centre, theta_rad = 1, and no kappa can fail the test there
+    assert refused == (0 if inner == "split" else len(params))
