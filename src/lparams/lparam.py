@@ -525,7 +525,12 @@ def contragredient_param(p: LParam) -> LParam:
 
 def tau_twist_param(p: LParam) -> LParam:
     """Precompose with z -> z^{-1}, j -> j^{-1}: lambda -> -lambda, phi(j) -> phi(j)^{-1}."""
-    return _twist(p, tits_inverse(phi_j(p)), "phi(j)^{-1}", -_dif(p))
+    return _tau_twist(p, -_dif(p))
+
+
+def _tau_twist(p: LParam, neg_dif: ScaledVec) -> LParam:
+    """tau_twist_param(p), given neg_dif = -(1 - theta)lambda_p."""
+    return _twist(p, tits_inverse(phi_j(p)), "phi(j)^{-1}", neg_dif)
 
 
 def _twist(p: LParam, g: ExtTitsElem, what: str, neg_dif: ScaledVec) -> LParam:
@@ -596,7 +601,7 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
     rows.append(("rad_char dual", char_equal(rc_c, rc_dual),
                  f"kappa(C)={format_vec(rc_c.kappa)} kappa(dual)={format_vec(rc_dual.kappa)}"))
 
-    tp = _twist(p, tits_inverse(phi_j(p)), "phi(j)^{-1}", neg_dif)
+    tp = _tau_twist(p, neg_dif)
     rows.append(("C-twist vs tau-twist conjugacy", _params_equivalent(cp, tp, desc_c),
                  f"C: mu={format_torus_part(cp.mu)} tau: mu={format_torus_part(tp.mu)}"))
 

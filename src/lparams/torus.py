@@ -98,26 +98,6 @@ class TorusCharData(namedtuple("TorusCharData", "theta lam kappa gamma")):
     __slots__ = ()
 
 
-def torus_char_data(theta: Matrix, lam, kappa, gamma) -> TorusCharData:
-    theta = tuple(map(tuple, theta))
-    lam = ScaledVec.of(lam)
-    kappa = ScaledVec.of(kappa)
-    gamma = tuple(map(read_rational, gamma))
-    n = len(theta)
-    if not (len(lam.re) == len(kappa.re) == len(gamma) == n):
-        raise InputError("vector lengths do not match the involution")
-    if any(kappa.im):
-        raise InputError("kappa must be real")
-    # (1+theta)lambda = (1+theta)kappa, compared across the two denominators
-    one_plus = _matrices(theta)[1]
-    lam_plus, kap_plus = lam.apply(one_plus), kappa.apply(one_plus)
-    if lam_plus != kap_plus:
-        raise InvalidParam("(1+theta)lambda != (1+theta)kappa")
-    if not _in_coset(kappa, gamma):
-        raise InvalidParam("kappa is not in gamma + Z^n")
-    return TorusCharData(theta, lam, kappa, gamma)
-
-
 class TorusParam(namedtuple("TorusParam", "egroup lam mu")):
     """E-group parameter: phi(z) = z^lambda zbar^{theta-check lambda}, phi(j) = exp(2*pi*i*mu) delta."""
 

@@ -7,15 +7,19 @@ Cartan matrix), so the oracle tests multiply them out as an independent
 route. The right-descent predicate the library once exported, the Levi
 subsystem levi_of once compared against, and the inversion masks as the
 library once filled them, one coroot at a time, are kept here too, as are
-vadd and all_coroots, which the library no longer needs. Not a test module:
-pytest does not collect it.
+vadd, all_coroots and torus_char_data, which the library no longer needs.
+Not a test module: pytest does not collect it.
 """
 
+from fractions import Fraction as Q
 from functools import cache
 from operator import mul
 
-from lparams.intlinalg import vneg
+from lparams.errors import InputError, InvalidParam
+from lparams.gaussian import ScaledVec, read_rational
+from lparams.intlinalg import mat_neg, one_minus, vneg
 from lparams.rootdata import positive_coroots, positive_root_table, positive_roots
+from lparams.torus import TorusCharData
 from lparams.weyl import weyl_inv
 
 
@@ -28,6 +32,29 @@ def all_coroots(d):
     """The positive coroots and their negatives."""
     pos = positive_coroots(d)
     return frozenset(pos).union(vneg(v) for v in pos)
+
+
+def torus_char_data(theta, lam, kappa, gamma):
+    """The character (lambda, kappa) of the gamma-cover, checked from its definition.
+
+    The library builds characters only from parameters (torus.param_to_char);
+    the tests build the negated character (-lambda, -kappa) and a second
+    kappa for one lambda with this. kappa must be real, (1+theta)lambda =
+    (1+theta)kappa, and kappa must lie in gamma + Z^n.
+    """
+    theta = tuple(map(tuple, theta))
+    lam, kappa = ScaledVec.of(lam), ScaledVec.of(kappa)
+    gamma = tuple(map(read_rational, gamma))
+    if not (len(lam.re) == len(kappa.re) == len(gamma) == len(theta)):
+        raise InputError("vector lengths do not match the involution")
+    if any(kappa.im):
+        raise InputError("kappa must be real")
+    one_plus = one_minus(mat_neg(theta))
+    if lam.apply(one_plus) != kappa.apply(one_plus):
+        raise InvalidParam("(1+theta)lambda != (1+theta)kappa")
+    if any((Q(k, kappa.den) - g).denominator != 1 for k, g in zip(kappa.re, gamma)):
+        raise InvalidParam("kappa is not in gamma + Z^n")
+    return TorusCharData(theta, lam, kappa, gamma)
 
 
 def descent(u, i):

@@ -32,7 +32,6 @@ from lparams.torus import (
     char_equal,
     param_to_char,
     random_torus_param,
-    torus_char_data,
     torus_contragredient,
     torus_egroup,
 )
@@ -51,6 +50,7 @@ from lparams.weilrep import (
     weil_rep,
     weil_to_lparam,
 )
+from oracle_matrices import torus_char_data
 
 DATA = Path(__file__).parent / "data"
 

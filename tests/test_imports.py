@@ -32,8 +32,6 @@ TEST_FILES = sorted(TESTS.glob("*.py"))
 # public names that nothing in src/ reaches, each with the reason it stays
 REACHED_FROM_OUTSIDE = {
     "tits.elem_to_dict": "the tits_products benchmark digest writes its elements with it",
-    "torus.torus_char_data": "the checked constructor of the character picture, from given "
-                             "(lambda, kappa) data; the library builds characters from parameters",
 }
 
 

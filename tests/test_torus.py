@@ -9,15 +9,16 @@ from lparams.errors import ContextMismatch, InputError, InvalidParam, NotInvolut
 from lparams.gaussian import ScaledVec, parse_gauss, read_gauss
 from lparams.tits import torus_part
 from lparams.torus import (
+    TorusParam,
     char_equal,
     param_to_char,
     random_torus_param,
-    torus_char_data,
     torus_contragredient,
     torus_egroup,
     torus_param,
     torus_params_equivalent,
 )
+from oracle_matrices import torus_char_data
 
 # the four rank-relevant real tori: S^1, R^x, C^x, S^1 x R^x
 CIRCLE = ((-1,),)
@@ -103,6 +104,15 @@ def test_param_validation_errors():
     # complex lambda on a split coordinate violates reality unless paired
     with pytest.raises(InvalidParam):
         torus_param(torus_egroup(CIRCLE, (0,)), (parse_gauss("i"),), (0,))
+
+
+@pytest.mark.parametrize("lam", ["1/4", "i"])
+def test_param_to_char_checks_a_param_built_directly(lam):
+    # (1-theta-check)lambda = 2 lambda is not integral, or not real: both are
+    # refused with torus_param's message
+    p = TorusParam(torus_egroup(CIRCLE, (0,)), ScaledVec.of([parse_gauss(lam)]), torus_part([0]))
+    with pytest.raises(InvalidParam, match=r"^lambda - theta-check\(lambda\) is not in Z\^n$"):
+        param_to_char(p)
 
 
 def test_cplx_factor_pairs_conjugates():
