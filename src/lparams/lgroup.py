@@ -33,11 +33,17 @@ from .weyl import _descend, neg_w0_aut, weyl_from_word
 
 
 class LGroup:
-    """The dual datum and theta0 on it, which decide equality, and the group's datum g_datum."""
+    """The dual datum and theta0 on it, which decide equality, and the group's datum g_datum.
+
+    theta0 must square to the identity: a parameter's theta = w theta0 is then
+    an involution exactly when w . theta0(w) = e.
+    """
 
     __slots__ = ("dual_datum", "theta0", "g_datum", "_hash")
 
     def __init__(self, dual_datum: RootDatum, theta0: BasedAut, g_datum: RootDatum):
+        if mat_mul(theta0.matrix, theta0.matrix) != ident(dual_datum.rank):
+            raise NotInvolution("theta0 does not square to the identity")
         init = object.__setattr__
         init(self, "dual_datum", dual_datum)
         init(self, "theta0", theta0)
@@ -62,11 +68,9 @@ class LGroup:
 
 
 def lgroup_from_tau(d: RootDatum, tau: BasedAut) -> LGroup:
-    """L-group with theta0 the transpose of tau; tau must be a based involution of d."""
+    """L-group with theta0 the transpose of tau, a based involution of d; LGroup checks theta0^2 = 1."""
     if tau.datum != d:
         raise InputError("tau is not an automorphism of the given datum")
-    if mat_mul(tau.matrix, tau.matrix) != ident(d.rank):
-        raise NotInvolution("tau does not square to the identity")
     theta0 = transpose_aut(tau)
     return LGroup(dual_datum(d), theta0, d)
 
@@ -141,9 +145,6 @@ class StandardLevi(namedtuple("StandardLevi", "subset")):
     """A theta0-stable set of simple indices (subset, a frozenset)."""
 
     __slots__ = ()
-
-    def sorted_indices(self):
-        return tuple(sorted(self.subset))
 
     def __repr__(self):
         return f"StandardLevi({sorted(self.subset)})"

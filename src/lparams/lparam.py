@@ -14,6 +14,10 @@ lambda is a ScaledVec and mu a TorusPart, both integer numerators over one
 denominator, and so are the infinitesimal and central characters, so
 validity, pairings with roots and the invariants are integer arithmetic.
 What depends only on theta = w theta0 is computed once per (L, w) and cached.
+A parameter also keeps dif = (1 - theta)lambda, the integer image of lambda
+that validity, the central and radical characters read: make_param computes
+it once, and the dualities, which send lambda to -lambda over the same w,
+hand its negation on.
 """
 
 from __future__ import annotations
@@ -79,7 +83,6 @@ from .torus import (
     TorusParam,
     _char_data,
     _kappa,
-    _matrices,
     char_equal,
     torus_egroup,
 )
@@ -98,8 +101,8 @@ from .weyl import (
 )
 
 
-class LParam(namedtuple("LParam", "L lam mu w")):
-    """A valid parameter (lambda, mu, w) for the L-group L."""
+class LParam(namedtuple("LParam", "L lam mu w dif")):
+    """A valid parameter (lambda, mu, w) for the L-group L, and dif = (1 - theta)lambda."""
 
     __slots__ = ()
 
@@ -113,9 +116,10 @@ class LParam(namedtuple("LParam", "L lam mu w")):
                 f"mu={format_torus_part(self.mu)}, w={list(self.w.word)})")
 
 
-# theta = w theta0 on X_*; twisted: w . theta0(w) = e; involutive: theta^2 = 1;
+# theta = w theta0 on X_*; twisted: w . theta0(w) = e, which is theta^2 = 1, as
+# theta^2 = (w . theta0(w)) theta0^2 and LGroup holds theta0^2 = 1;
 # the matrices 1 - theta and 1 + theta; shift = rho_check - w rho_check
-_Involution = namedtuple("_Involution", "theta twisted involutive one_minus one_plus shift")
+_Involution = namedtuple("_Involution", "theta twisted one_minus one_plus shift")
 
 
 @cache
@@ -131,8 +135,7 @@ def _involution(L: LGroup, w: WeylElem) -> _Involution:
     shift2 = _four_z(w)
     if any(x % 2 for x in shift2):
         raise InvariantViolated("rho_check - w rho_check is not an integer vector")
-    return _Involution(theta, twisted, mat_mul(theta, theta) == ident(d.rank),
-                       one_minus(theta), one_minus(mat_neg(theta)),
+    return _Involution(theta, twisted, one_minus(theta), one_minus(mat_neg(theta)),
                        tuple(x // 2 for x in shift2))
 
 
@@ -142,6 +145,7 @@ def _orthogonal(alpha, v: ScaledVec) -> bool:
 
 
 def _coerce_parts(L: LGroup, lam, mu, w):
+    """(lambda, mu, w, dif = (1 - theta)lambda), each of the type and length a parameter holds."""
     d = L.dual_datum
     if isinstance(w, (list, tuple)):
         w = weyl_from_word(d, w)
@@ -152,33 +156,28 @@ def _coerce_parts(L: LGroup, lam, mu, w):
         mu = torus_part(mu)
     if len(lam.re) != d.rank or len(mu.num) != d.rank:
         raise InputError("lambda/mu length does not match the dual rank")
-    return lam, mu, w
+    return lam, mu, w, lam.apply(_involution(L, w).one_minus)
 
 
 def validity_rows(L: LGroup, lam, mu, w) -> List[Tuple[str, bool, str, type]]:
     """All validity verdicts: (name, passed, detail, error class to raise)."""
-    return _validity_rows(L, *_coerce_parts(L, lam, mu, w))
+    _, mu, w, dif = _coerce_parts(L, lam, mu, w)
+    return _validity_rows(L, mu, w, dif)
 
 
-def _validity_rows(L: LGroup, lam: ScaledVec, mu: TorusPart, w: WeylElem, dif=None):
-    """validity_rows on parts that _coerce_parts has already checked.
-
-    dif, when given, is (1 - theta)lambda, read instead of computed.
-    """
+def _validity_rows(L: LGroup, mu: TorusPart, w: WeylElem, dif: ScaledVec):
+    """validity_rows on parts that _coerce_parts has already checked; dif = (1 - theta)lambda."""
     inv = _involution(L, w)
     rows: List[Tuple[str, bool, str, type]] = []
 
     c_ok = inv.twisted
     rows.append(("twisted-involution", c_ok,
                  "w . theta0(w) = e" if c_ok else "w . theta0(w) != e", ValidityC))
-    inv_ok = inv.involutive
-    rows.append(("theta-involution", inv_ok,
-                 "theta^2 = 1" if inv_ok else "theta^2 != 1", NotInvolution))
-    if not (c_ok and inv_ok):
+    rows.append(("theta-involution", c_ok,
+                 "theta^2 = 1" if c_ok else "theta^2 != 1", NotInvolution))
+    if not c_ok:
         return rows
 
-    if dif is None:
-        dif = lam.apply(inv.one_minus)
     int_ok = dif.den == 1 and not any(dif.im)
     rows.append(("integrality", int_ok,
                  "lambda - theta(lambda) in Z^n" if int_ok
@@ -203,12 +202,12 @@ def make_param(L: LGroup, lam, mu, w) -> LParam:
     return _make_param(L, *_coerce_parts(L, lam, mu, w))
 
 
-def _make_param(L: LGroup, lam: ScaledVec, mu: TorusPart, w: WeylElem, dif=None) -> LParam:
-    """make_param on checked parts; dif, when given, is (1 - theta)lambda."""
-    for name, ok, detail, err in _validity_rows(L, lam, mu, w, dif):
+def _make_param(L: LGroup, lam: ScaledVec, mu: TorusPart, w: WeylElem, dif: ScaledVec) -> LParam:
+    """make_param on checked parts; dif = (1 - theta)lambda."""
+    for name, ok, detail, err in _validity_rows(L, mu, w, dif):
         if not ok:
             raise err(detail)
-    return LParam(L, lam, mu, w)
+    return LParam(L, lam, mu, w, dif)
 
 
 def phi_j(p: LParam) -> ExtTitsElem:
@@ -217,10 +216,14 @@ def phi_j(p: LParam) -> ExtTitsElem:
 
 
 def _from_phi_j(L: LGroup, lam: ScaledVec, g: ExtTitsElem) -> LParam:
-    """The parameter (lam, g), g's parts coming from the Tits group over L, so none is coerced."""
+    """The parameter (lam, g), g's parts coming from the Tits group over L, so none is coerced.
+
+    dif is computed from g's own w, not carried across the conjugation, so
+    the conjugate's validity is checked afresh.
+    """
     if g.eps != 1:
         raise InvariantViolated("the image of j left the delta coset")
-    return _make_param(L, lam, g.t, g.w)
+    return _make_param(L, lam, g.t, g.w, lam.apply(_involution(L, g.w).one_minus))
 
 
 def conjugate_param(p: LParam, by) -> LParam:
@@ -338,10 +341,12 @@ def _radical_egroup(L: LGroup, w: WeylElem):
 
 
 def _rad_images(p: LParam):
-    """(radical E-group, projection, lambda_r = proj lambda, (1 - theta_rad)lambda_r) for p."""
+    """(radical E-group, projection, lambda_r = proj lambda, (1 - theta_rad)lambda_r) for p.
+
+    (1 - theta_rad)lambda_r is proj dif, as proj theta = theta_rad proj (descend_map).
+    """
     proj, eg = _radical_egroup(p.L, p.w)
-    lam_r = p.lam.apply(proj)
-    return eg, proj, lam_r, lam_r.apply(_matrices(eg.theta_check)[0])
+    return eg, proj, p.lam.apply(proj), p.dif.apply(proj)
 
 
 def rad_param(p: LParam) -> TorusParam:
@@ -394,12 +399,7 @@ def central_char(p: LParam) -> ScaledVec:
     of mu, and any two positive systems differ by a root-lattice element, so
     the class is representative-independent.
     """
-    return _central_char(p.L, p.w, _dif(p), p.mu)
-
-
-def _central_char(L: LGroup, w: WeylElem, dif: ScaledVec, mu: TorusPart) -> ScaledVec:
-    """central_char of the parameter over w with (1 - theta)lambda = dif and torus part mu."""
-    return _kappa(dif, _involution(L, w).one_plus, mu) + _rho_imaginary(L, w)
+    return _kappa(p.dif, _involution(p.L, p.w).one_plus, p.mu) + _rho_imaginary(p.L, p.w)
 
 
 def central_modulus_gens(p: LParam) -> List[Tuple[int, ...]]:
@@ -436,7 +436,8 @@ def _central_lattice(L: LGroup, w: WeylElem) -> Tuple[int, ...]:
     one parameter record over w, with no lambda or mu, stands for them all.
     """
     basis: List[int] = []
-    for x in {_parity_mask(g) for g in central_modulus_gens(LParam(L, None, None, w))}:
+    gens = central_modulus_gens(LParam(L, None, None, w, None))
+    for x in {_parity_mask(g) for g in gens}:
         x = _xor_reduce(x, basis)
         if x:
             basis.append(x)
@@ -488,7 +489,7 @@ def levi_of(p: LParam) -> Tuple[StandardLevi, LParam]:
     not modeled, so NormalizationRequired is raised with the root as witness.
     """
     d = p.L.dual_datum
-    if not _involution(p.L, p.w).involutive:
+    if not _involution(p.L, p.w).twisted:
         raise NotInvolution("theta^2 != 1")
     mset = _levi_roots(d, p.theta)
     for alpha in _s_hat_roots(p):
@@ -513,36 +514,25 @@ def levi_of(p: LParam) -> Tuple[StandardLevi, LParam]:
 # ---------------------------------------------------------------------------
 # dualities
 
-def _dif(p: LParam) -> ScaledVec:
-    """(1 - theta)lambda, the integer image of lambda that validity and kappa read."""
-    return p.lam.apply(_involution(p.L, p.w).one_minus)
-
-
 def contragredient_param(p: LParam) -> LParam:
     """Compose with the Chevalley involution: lambda -> -lambda, phi(j) -> C(phi(j))."""
-    return _twist(p, chevalley(phi_j(p)), "C(phi(j))", -_dif(p))
+    return _twist(p, chevalley(phi_j(p)), "C(phi(j))")
 
 
 def tau_twist_param(p: LParam) -> LParam:
     """Precompose with z -> z^{-1}, j -> j^{-1}: lambda -> -lambda, phi(j) -> phi(j)^{-1}."""
-    return _tau_twist(p, -_dif(p))
+    return _twist(p, tits_inverse(phi_j(p)), "phi(j)^{-1}")
 
 
-def _tau_twist(p: LParam, neg_dif: ScaledVec) -> LParam:
-    """tau_twist_param(p), given neg_dif = -(1 - theta)lambda_p."""
-    return _twist(p, tits_inverse(phi_j(p)), "phi(j)^{-1}", neg_dif)
-
-
-def _twist(p: LParam, g: ExtTitsElem, what: str, neg_dif: ScaledVec) -> LParam:
+def _twist(p: LParam, g: ExtTitsElem, what: str) -> LParam:
     """The parameter (-lambda_p, g) for g = C(phi(j)) or phi(j)^{-1}, checked as make_param checks.
 
     g lies over p's w, so the twist's theta is p's and its (1 - theta)lambda
-    is neg_dif = -(1 - theta)lambda_p; g's parts come from the Tits group, so
-    none is coerced.
+    is -p.dif; g's parts come from the Tits group, so none is coerced.
     """
     if g.w != p.w or g.eps != 1:
         raise InvariantViolated(f"{what} does not lie over w delta (w={list(p.w.word)})")
-    return _make_param(p.L, -p.lam, g.t, g.w, neg_dif)
+    return _make_param(p.L, -p.lam, g.t, g.w, -p.dif)
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +553,13 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
     """The four contragredient checks; each row is (name, passed, detail).
 
     Both dualities send lambda to -lambda over p's w and change only the
-    Tits-group part, so each integer image of lambda_C and lambda_tau is the
-    negation of p's. C(p) comes from contragredient_param; then dif = (1 -
-    theta)lambda_p, lambda_r = proj lambda_p and dif_r = (1 - theta_rad)lambda_r
-    are computed once. tau(p) is validated from -dif, as make_param validates
-    it. Row 2 checks rad(C(p)) from (-lambda_r, -dif_r) and proj mu_C, rad(p)
-    from (lambda_r, dif_r) and proj mu, and the dual from (-lambda_r, -dif_r)
-    and -proj mu, one kappa each. Row 4 reads kappa(C) from -dif and mu_C and
-    kappa(p) from dif and mu.
+    Tits-group part, so C(p) and tau(p), from contragredient_param and
+    tau_twist_param, keep -p.dif as their (1 - theta)lambda, and row 4's
+    central_char reads each record's dif: the op applies no 1 - theta. Row 2
+    projects lambda_p and p.dif once, to lambda_r and dif_r, and checks
+    rad(C(p)) from (-lambda_r, -dif_r) and proj mu_C, rad(p) from (lambda_r,
+    dif_r) and proj mu, and the dual from (-lambda_r, -dif_r) and -proj mu,
+    one kappa each.
 
     What the theorem compares stays independent: the mu parts come from
     chevalley and tits_inverse on one side and from the torus negation on
@@ -580,10 +569,8 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
     solves a lattice congruence; row 4 reduces its difference against its
     lattice's xor basis mod 2, cached per (L, w).
     """
-    L, w, d = p.L, p.w, p.L.dual_datum
+    d = p.L.dual_datum
     cp = contragredient_param(p)
-    dif = _dif(p)
-    neg_dif = -dif
     desc_c = _dominance_descent(d, cp.lam)
     rows = []
 
@@ -601,11 +588,11 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
     rows.append(("rad_char dual", char_equal(rc_c, rc_dual),
                  f"kappa(C)={format_vec(rc_c.kappa)} kappa(dual)={format_vec(rc_dual.kappa)}"))
 
-    tp = _tau_twist(p, neg_dif)
+    tp = tau_twist_param(p)
     rows.append(("C-twist vs tau-twist conjugacy", _params_equivalent(cp, tp, desc_c),
                  f"C: mu={format_torus_part(cp.mu)} tau: mu={format_torus_part(tp.mu)}"))
 
-    tau_c, neg_tau_p = _central_char(L, w, neg_dif, cp.mu), -_central_char(L, w, dif, p.mu)
+    tau_c, neg_tau_p = central_char(cp), -central_char(p)
     rows.append(("central_char flip", central_chars_agree(p, tau_c, neg_tau_p),
                  f"tau(C)={format_vec(tau_c)} -tau(p)={format_vec(neg_tau_p)}"))
     return rows

@@ -10,7 +10,7 @@ A torus part is integer numerators over one denominator, each numerator
 reduced into [0, den) and the fraction in lowest terms (the TorusElement
 idiom of the atlas software), so sums, negation and the action of the Weyl
 group and of delta are integer arithmetic; format_torus_part writes the
-entries from the numerators, and Fractions appear only in the `entries` view.
+entries from the numerators.
 
 The cocycle of sigma_u sigma_v is half the sum of u(beta-check) over beta in
 N(u) & N(v^-1) (Tits, Normalisateurs de tores I, 1966). The inversion set and
@@ -63,8 +63,7 @@ class TorusPart:
     form: every numerator lies in [0, den), gcd(den, *num) = 1, and zero is
     den = 1. Equal torus parts therefore have equal fields, and equality,
     hashing, sums, negation and act_on_torus_part are integer arithmetic.
-    `entries` is a read-only Fraction view, each entry in [0, 1). Immutable:
-    `scaled` is the one constructor that sets the fields.
+    Immutable: `scaled` is the one constructor that sets the fields.
     """
 
     __slots__ = ("num", "den")
@@ -88,10 +87,6 @@ class TorusPart:
         return t
 
     __setattr__ = __delattr__ = frozen_setattr
-
-    @property
-    def entries(self):
-        return tuple(Q(x, self.den) for x in self.num)
 
     def __add__(self, other: "TorusPart") -> "TorusPart":
         d1, d2 = self.den, other.den
@@ -117,9 +112,6 @@ class TorusPart:
 
     def __repr__(self):
         return f"TorusPart({format_torus_part(self)})"
-
-    def is_zero(self) -> bool:
-        return self.den == 1
 
 
 # the slots' own setters, past the frozen __setattr__, as for WeylElem

@@ -7,7 +7,8 @@ Cartan matrix), so the oracle tests multiply them out as an independent
 route. The right-descent predicate the library once exported, the Levi
 subsystem levi_of once compared against, and the inversion masks as the
 library once filled them, one coroot at a time, are kept here too, as are
-vadd, all_coroots and torus_char_data, which the library no longer needs.
+vadd, all_coroots, torus_char_data and torus_entries, which the library no
+longer needs.
 Not a test module: pytest does not collect it.
 """
 
@@ -25,6 +26,11 @@ from lparams.weyl import weyl_inv
 
 def vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
+
+
+def torus_entries(t):
+    """A torus part's entries as Fractions, each in [0, 1)."""
+    return tuple(Q(x, t.den) for x in t.num)
 
 
 @cache

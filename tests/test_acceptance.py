@@ -50,7 +50,7 @@ from lparams.weilrep import (
     weil_rep,
     weil_to_lparam,
 )
-from oracle_matrices import torus_char_data
+from oracle_matrices import torus_char_data, torus_entries
 
 DATA = Path(__file__).parent / "data"
 
@@ -96,7 +96,7 @@ def _mul(a, b):
 
 
 def _sl2_embed(g):
-    c = _unit(g.t.entries[0])
+    c = _unit(torus_entries(g.t)[0])
     m = ((c, 0), (0, 1 / c))
     for _ in g.w.word:
         m = _mul(m, ((0, 1), (-1, 0)))
@@ -104,7 +104,7 @@ def _sl2_embed(g):
 
 
 def _sl3_embed(g):
-    c1, c2 = (_unit(x) for x in g.t.entries)
+    c1, c2 = (_unit(x) for x in torus_entries(g.t))
     m = ((c1, 0, 0), (0, c2 / c1, 0), (0, 0, 1 / c2))
     blocks = {1: ((0, 1, 0), (-1, 0, 0), (0, 0, 1)),
               2: ((1, 0, 0), (0, 0, 1), (0, -1, 0))}

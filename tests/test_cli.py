@@ -30,6 +30,16 @@ def test_validate_param_golden_rejection(capsys):
     assert out == (DATA / "golden_validate_bad.txt").read_text()
 
 
+@pytest.mark.parametrize("flags, golden", [([], "golden_validate_untwisted.txt"),
+                                           (["--json"], "golden_validate_untwisted.json")])
+def test_validate_param_golden_untwisted(capsys, flags, golden):
+    # w = s1 on GL(3) compact is not a twisted involution, and theta^2 != 1 with it
+    code, out = _run(capsys, "validate-param", "--param", str(DATA / "validate_untwisted.param"),
+                     *flags)
+    assert code == 1
+    assert out == (DATA / golden).read_text()
+
+
 def test_inline_json_matches_file(capsys):
     inline = (DATA / "sl2r_ds.param").read_text().strip()
     code_a, out_a = _run(capsys, "invariants", "--param", str(DATA / "sl2r_ds.param"))

@@ -24,6 +24,7 @@ from lparams.weilrep import (
 )
 
 from gauss_entries import gauss_entries
+from oracle_matrices import torus_entries
 
 GL2 = lgroup_split(build_datum("GL(2)"))
 PGL2 = lgroup_split(build_datum("A1 ad"))
@@ -80,7 +81,7 @@ def _adjoint_weil_rep(p):
     alpha = p.L.dual_datum.simple_roots[0]
     m = sum(a * x for a, x in zip(alpha, gauss_entries(p.lam)))
     if not p.w.word:
-        eps = int(2 * sum(Q(a) * x for a, x in zip(alpha, p.mu.entries))) % 2
+        eps = int(2 * sum(Q(a) * x for a, x in zip(alpha, torus_entries(p.mu)))) % 2
         return weil_rep([weil_chi(m, eps), weil_chi(-m, eps), weil_chi(0, 0)])
     k = int(2 * m.re)
     if k:

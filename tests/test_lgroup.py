@@ -5,6 +5,7 @@ import pytest
 from lparams.errors import InputError, NotInvolution
 from lparams.intlinalg import ident, mat_neg, transpose
 from lparams.lgroup import (
+    LGroup,
     build_lgroup,
     has_compact_cartan,
     lgroup_compact,
@@ -57,6 +58,17 @@ def test_build_lgroup_argument_contract():
         build_lgroup(d4, rot)
 
 
+def test_lgroup_refuses_a_theta0_that_is_not_an_involution():
+    # a hand-built LGroup skips lgroup_from_tau; validity reads theta^2 = 1 off
+    # w . theta0(w) = e, which needs theta0^2 = 1
+    g = build_datum("D4 sc")
+    d = dual_datum(g)
+    triality = based_aut(d, ((0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0)))
+    assert triality.perm == (3, 2, 4, 1)
+    with pytest.raises(NotInvolution):
+        LGroup(d, triality, g)
+
+
 def test_parse_inner_class():
     d = build_datum("A2 sc")
     assert parse_inner_class(d, "split") == lgroup_split(d)
@@ -102,11 +114,11 @@ def test_has_compact_cartan_matches_minus_one_in_weyl():
 
 def test_standard_levis():
     d1 = build_datum("A1 sc")
-    assert [s.sorted_indices() for s in standard_levis(lgroup_split(d1))] == [(), (1,)]
+    assert [tuple(sorted(s.subset)) for s in standard_levis(lgroup_split(d1))] == [(), (1,)]
     # split A2: every subset is theta0-stable
     d2 = build_datum("A2 sc")
-    split_sets = [s.sorted_indices() for s in standard_levis(lgroup_split(d2))]
+    split_sets = [tuple(sorted(s.subset)) for s in standard_levis(lgroup_split(d2))]
     assert split_sets == [(), (1,), (2,), (1, 2)]
     # compact A2: theta0 flips 1 and 2, killing the singletons
-    compact_sets = [s.sorted_indices() for s in standard_levis(lgroup_compact(d2))]
+    compact_sets = [tuple(sorted(s.subset)) for s in standard_levis(lgroup_compact(d2))]
     assert compact_sets == [(), (1, 2)]

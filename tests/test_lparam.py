@@ -53,7 +53,7 @@ from lparams.weyl import (apply_aut_to_weyl, longest_element, weyl_act, weyl_enu
                           weyl_identity, weyl_mul)
 
 from gauss_entries import gauss_entries
-from oracle_matrices import all_coroots, vadd
+from oracle_matrices import all_coroots, torus_entries, vadd
 
 
 SL2 = lgroup_split(build_datum("A1 sc"))
@@ -69,7 +69,7 @@ def test_sl2_discrete_series_param():
     assert is_discrete_series(p)
     assert inf_char(p) == ScaledVec.of([1])
     levi, reduced = levi_of(p)
-    assert levi.sorted_indices() == (1,)
+    assert tuple(sorted(levi.subset)) == (1,)
     assert reduced.w == p.w
     assert central_char(p) == ScaledVec.of([2])
 
@@ -92,6 +92,31 @@ def test_validity_c_rejects_non_twisted_involution():
         make_param(A2S, (0, 0), (0, 0), [1, 2])
     rows = validity_rows(A2S, (0, 0), (0, 0), [1, 2])
     assert rows[0][0] == "twisted-involution" and not rows[0][1]
+
+
+THETA_SQUARED = [(g, ic) for g in ("A2 sc", "B3 sc", "C3 ad", "G2 sc", "GL(4)")
+                 for ic in ("split", "compact")] + [
+    ("A1 sc x A1 sc", [[0, 1], [1, 0]]),
+    ("D4 sc", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])]
+
+
+@pytest.mark.parametrize("group,inner", THETA_SQUARED,
+                         ids=[f"{g}|{ic if isinstance(ic, str) else 'swap'}"
+                              for g, ic in THETA_SQUARED])
+def test_theta_squared_is_one_exactly_at_twisted_involutions(group, inner):
+    # theta^2 = (w . theta0(w)) theta0^2 and theta0^2 = 1, so the theta-involution row
+    # reports the twisted-involution test; here theta^2 is multiplied out over all of W
+    L = parse_inner_class(build_datum(group), inner)
+    d = L.dual_datum
+    zero = (0,) * d.rank
+    twisted = set(twisted_involutions(L))
+    assert len(twisted) > 1
+    for w in weyl_enumerate(d):
+        theta = mat_mul(w.matrix, coaction(L.theta0))
+        involutive = mat_mul(theta, theta) == ident(d.rank)
+        assert involutive == (w in twisted) == lparam._involution(L, w).twisted
+        rows = validity_rows(L, zero, zero, w)
+        assert rows[1][:2] == ("theta-involution", involutive)
 
 
 def test_make_param_coerces_once(monkeypatch):
@@ -206,11 +231,11 @@ def test_is_discrete_series_table():
 def test_levi_of_proper_factor():
     p = make_param(GL3, (1, 0, 5), (0, 0, 0), [1])
     levi, reduced = levi_of(p)
-    assert levi.sorted_indices() == (1,)
+    assert tuple(sorted(levi.subset)) == (1,)
     assert params_equivalent(p, reduced)
     # principal series reduce to the empty Levi
     q = make_param(GL3, (3, 1, 0), (0, 0, 0), [])
-    assert levi_of(q)[0].sorted_indices() == ()
+    assert tuple(sorted(levi_of(q)[0].subset)) == ()
 
 
 def test_levi_limit_shape_needs_normalization():
@@ -384,7 +409,7 @@ def test_param_document_mu_is_read_without_a_fraction(monkeypatch):
 def test_packet_descriptor_fields():
     p = make_param(GL2, (1, 0), (0, 0), [1])
     desc = packet_descriptor(p)
-    assert desc.levi.sorted_indices() == (1,)
+    assert tuple(sorted(desc.levi.subset)) == (1,)
     assert desc.inf == ScaledVec.of([1, 0])
     assert desc.rad.kappa == ScaledVec.of([0])
     assert standard_levis(GL2)[-1].subset == desc.levi.subset
@@ -444,14 +469,14 @@ def _oracle_central_char(p):
             rho_i = vadd(rho_i, tuple(Q(x, 2) for x in r))
     lam = gauss_entries(p.lam)
     dif = tuple(a - b for a, b in zip(lam, mat_vec(p.theta, lam)))
-    mu = p.mu.entries
+    mu = torus_entries(p.mu)
     return ScaledVec.of(
         vadd(_vsub(tuple((x * Q(1, 2)).re for x in dif), vadd(mu, mat_vec(p.theta, mu))), rho_i))
 
 
 def _perturbations(p, rng, elems):
     """(lambda, mu, w) triples: p itself and moves of one entry on or off its lattice."""
-    lam, mu = list(gauss_entries(p.lam)), list(p.mu.entries)
+    lam, mu = list(gauss_entries(p.lam)), list(torus_entries(p.mu))
     yield lam, mu, p.w
     for shift in (Q(1, 3), Q(1, 2), GaussQ(0, Q(1, 2)), Q(1), Q(-2)):
         k = rng.randrange(len(lam))
@@ -473,7 +498,7 @@ def test_integer_validity_and_central_char_match_oracles(group, inner):
         p = random_param(L, rng)
         assert central_char(p) == _oracle_central_char(p)
         for lam, mu, w in _perturbations(p, rng, elems):
-            want = _oracle_validity(L, lam, TorusPart(mu).entries, w)
+            want = _oracle_validity(L, lam, torus_entries(TorusPart(mu)), w)
             got = [(name, ok) for name, ok, _, _ in validity_rows(L, lam, mu, w)]
             assert got == want, (lam, mu, w)
             verdicts.add(tuple(got))

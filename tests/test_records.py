@@ -53,7 +53,7 @@ RECORDS = [
     (TP, _rebuilt(TP), ("egroup", "lam", "mu")),
     (L, LGroup(L.dual_datum, L.theta0, L.dual_datum), ("dual_datum", "theta0")),
     (standard_levis(L)[1], _rebuilt(standard_levis(L)[1]), ("subset",)),
-    (random_param(L, Random(3)), _rebuilt(random_param(L, Random(3))), ("L", "lam", "mu", "w")),
+    (random_param(L, Random(3)), _rebuilt(random_param(L, Random(3))), ("L", "lam", "mu", "w", "dif")),
     (packet_descriptor(P), packet_descriptor(make_param(GL2, ("2/2", 0), (0, 0), [1])),
      ("levi", "inf", "rad")),
     (weil_chi("1/2", 0), WeilIrr(t=GaussQ(Q(1, 2)), kind="chi"), ("kind", "t", "eps", "k")),

@@ -203,7 +203,7 @@ def test_levi_of_refuses_a_theta_that_is_not_an_involution():
     # is not a twisted involution, and theta = s1 (-w0) does not square to 1
     L = parse_inner_class(build_datum("GL(3)"), "compact")
     p = make_param(L, ("1", "0", "-1"), torus_part((0, 0, 0)), weyl_from_word(L.dual_datum, []))
-    bad = type(p)(L, p.lam, p.mu, weyl_from_word(L.dual_datum, [1]))
-    assert not _involution(L, bad.w).involutive
+    bad = type(p)(L, p.lam, p.mu, weyl_from_word(L.dual_datum, [1]), p.dif)
+    assert not _involution(L, bad.w).twisted
     with pytest.raises(NotInvolution):
         levi_of(bad)

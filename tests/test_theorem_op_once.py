@@ -12,10 +12,11 @@
   char_equal's lattice from a cache per involution matrix.
 - A torus parameter's kappa is computed once, by its validity check.
 - `format_torus_part` writes a torus part from its numerators.
-- The op computes lambda_p's integer images once and hands their negations
-  to C(p), tau(p) and rows 2 and 4. `verify_by_public_route`, the op's body
-  before that sharing, made of the public functions, is kept here as an
-  oracle.
+- A parameter keeps dif = (1 - theta)lambda, computed by the validator that
+  built it; C(p) and tau(p) keep -p.dif, so the op applies no 1 - theta.
+  Every constructor's dif is checked against a fresh theta, and
+  `verify_by_public_route`, the op made of the public functions, is kept
+  here as an oracle.
 """
 
 from fractions import Fraction as Q
@@ -24,9 +25,9 @@ from random import Random
 import pytest
 
 from lparams import lparam, torus, weyl
-from lparams.errors import InvalidParam, LparamsError
+from lparams.errors import InvalidParam, LparamsError, NormalizationRequired
 from lparams.gaussian import ScaledVec, format_tuple, format_vec
-from lparams.intlinalg import in_span_z, mat_neg, mat_vec, one_minus, transpose, vdot, vneg
+from lparams.intlinalg import in_span_z, mat_mul, mat_neg, mat_vec, one_minus, transpose, vdot, vneg
 from lparams.lgroup import parse_inner_class
 from lparams.lparam import (
     LParam,
@@ -39,8 +40,10 @@ from lparams.lparam import (
     conjugate_param,
     contragredient_param,
     inf_char,
+    levi_of,
     make_param,
     param_from_dict,
+    param_to_dict,
     params_equivalent,
     rad_char,
     rad_param,
@@ -49,12 +52,13 @@ from lparams.lparam import (
     twisted_involutions,
     verify_contragredient,
 )
-from lparams.rootdata import build_datum, cartan_matrix, positive_roots
+from lparams.rootdata import build_datum, cartan_matrix, coaction, positive_roots
 from lparams.tits import TorusPart, chevalley, format_torus_part, tits_inverse, torus_part_zero
 from lparams.torus import char_equal, param_to_char, torus_contragredient, torus_egroup
+from lparams.weilrep import parse_weil_rep, weil_to_lparam
 from lparams.weyl import longest_element, weyl_enumerate, weyl_from_word
 
-from oracle_matrices import all_coroots, vadd
+from oracle_matrices import all_coroots, torus_entries, vadd
 
 D4_SWAP = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
@@ -237,7 +241,7 @@ def test_cached_row_4_matches_in_span_z(group, inner):
         ws = rng.sample(ws, ROW_4_SAMPLE[group])
     for w in ws:
         # row 4 reads only L and w
-        p = LParam(L, zero, torus_part_zero(n), w)
+        p = LParam(L, zero, torus_part_zero(n), w, zero)
         gens = central_modulus_gens(p)
         assert sorted(gens) == sorted(oracle_modulus_gens(L, w))
         for k in range(6):
@@ -281,8 +285,8 @@ def test_rho_imaginary_matches_all_coroots_route(group, inner, cold):
 def test_row_4_rejects_an_integral_difference_outside_the_lattice():
     # the split GL(4) class at w = e: theta = 1, the lattice is the coroot lattice + 2Z^4
     L = _L("GL(4)", "split")
-    p = LParam(L, ScaledVec.of([0] * 4), torus_part_zero(4), weyl_enumerate(L.dual_datum)[0])
     zero = ScaledVec.of([0] * 4)
+    p = LParam(L, zero, torus_part_zero(4), weyl_enumerate(L.dual_datum)[0], zero)
     assert not central_chars_agree(p, ScaledVec.of([1, 0, 0, 0]), zero)
     assert central_chars_agree(p, ScaledVec.of([1, -1, 0, 0]), zero)
     assert central_chars_agree(p, ScaledVec.of([2, 0, 0, 0]), zero)
@@ -342,7 +346,7 @@ def test_format_torus_part_matches_fraction_text():
         for _ in range(40):
             t = TorusPart.scaled([rng.randrange(-3 * den, 3 * den) for _ in range(rng.randrange(6))],
                                  den)
-            assert format_torus_part(t) == [str(x) for x in t.entries]
+            assert format_torus_part(t) == [str(x) for x in torus_entries(t)]
     assert format_torus_part(TorusPart.scaled([1, 2, 3], 4)) == ["1/4", "1/2", "3/4"]
     assert format_torus_part(torus_part_zero(2)) == ["0", "0"]
 
@@ -351,13 +355,13 @@ def test_format_torus_part_matches_fraction_text():
 # the theorem op against the public route
 
 def verify_by_public_route(p):
-    """verify_contragredient made of the public functions, each computing its own images of lambda.
+    """verify_contragredient made of the public functions, each reading its own record.
 
-    The op's body before it shared p's images: C(p) and tau(p) from
-    contragredient_param and tau_twist_param, rad(C(p)) and rad(p) each
-    projecting its own lambda, the dual built by torus_contragredient and read
-    by param_to_char, both dominant points by inf_char, the conjugacy test by
-    params_equivalent, and each central character applying 1 - theta itself.
+    C(p) and tau(p) from contragredient_param and tau_twist_param, rad(C(p))
+    and rad(p) each projecting its own lambda and dif, the dual built by
+    torus_contragredient and read by param_to_char, both dominant points by
+    inf_char, the conjugacy test by params_equivalent, and each central
+    character by central_char.
     """
     d = p.L.dual_datum
     cp = contragredient_param(p)
@@ -492,3 +496,74 @@ def test_kappa_off_one_plus_theta_lambda_is_refused_on_both_routes(monkeypatch, 
             refused += 1
     # the split class fixes the centre, theta_rad = 1, and no kappa can fail the test there
     assert refused == (0 if inner == "split" else len(params))
+
+
+# ---------------------------------------------------------------------------
+# the record's dif
+
+def _fresh_dif(p):
+    """(1 - theta)lambda of p, from theta = w theta0 multiplied out afresh."""
+    return p.lam.apply(one_minus(mat_mul(p.w.matrix, coaction(p.L.theta0))))
+
+
+@pytest.mark.parametrize("group,inner", CONFIGS, ids=IDS)
+def test_every_constructor_keeps_one_minus_theta_lambda(group, inner):
+    L = _L(group, inner)
+    n = L.dual_datum.rank
+    elems = weyl_enumerate(L.dual_datum)
+    rng = Random(f"dif:{group}")
+    reduced = 0
+    for p in _route_params(L):
+        built = [p, make_param(L, p.lam, p.mu, p.w), param_from_dict(param_to_dict(p)),
+                 conjugate_param(p, TorusPart.scaled([rng.randrange(8) for _ in range(n)], 8)),
+                 conjugate_param(p, rng.choice(elems)),
+                 contragredient_param(p), tau_twist_param(p)]
+        try:
+            built.append(levi_of(p)[1])
+            reduced += 1
+        except NormalizationRequired:
+            pass
+        for q in built:
+            assert q.dif == _fresh_dif(q), q
+    assert reduced
+
+
+@pytest.mark.parametrize("literal", ["chi(1/2+i,1)+I(2,-1/4+3/2i)", "I(0,1/4)", "I(-3,1/2)",
+                                     "I(1,1/2)+I(2,-1/2)+I(3,i)+I(4,0)+chi(1,1)"])
+def test_weil_to_lparam_keeps_one_minus_theta_lambda(literal):
+    p = weil_to_lparam(parse_weil_rep(literal))
+    assert p.dif == _fresh_dif(p)
+
+
+@pytest.mark.parametrize("group,inner", CONFIGS, ids=IDS)
+def test_op_applies_no_one_minus_theta(monkeypatch, group, inner):
+    # each ScaledVec.apply of the op is counted, except inside a conjugation of row 3's
+    # walk, which validates the conjugate afresh from its own w
+    L = _L(group, inner)
+    params = _route_params(L)
+    applied, counting = [], [True]
+    apply, conjugate = ScaledVec.apply, lparam.conjugate_param
+
+    def counted_apply(v, m):
+        if counting[0]:
+            applied.append(m)
+        return apply(v, m)
+
+    def uncounted_conjugate(p, by):
+        counting[0] = False
+        try:
+            return conjugate(p, by)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(ScaledVec, "apply", counted_apply)
+    monkeypatch.setattr(lparam, "conjugate_param", uncounted_conjugate)
+    for p in params:
+        one_minus_theta = lparam._involution(L, p.w).one_minus
+        one_minus_rad = torus._matrices(_radical_egroup(L, p.w)[1].theta_check)[0]
+        applied.clear()
+        assert all(ok for _, ok, _ in verify_contragredient(p))
+        # -w0 on inf(p), and the radical projection on lambda_p and on p.dif
+        assert len(applied) == 3
+        assert one_minus_theta not in applied
+        assert not one_minus_rad or one_minus_rad not in applied

@@ -47,7 +47,7 @@ from lparams.weyl import (
     weyl_inv,
     weyl_mul,
 )
-from oracle_matrices import descent
+from oracle_matrices import descent, torus_entries
 
 
 def _ctx(name):
@@ -287,7 +287,7 @@ def _unit(q):
 
 def _sl2_torus(t):
     # exp of mu alpha-check: alpha-check = diag(1, -1) direction
-    c = _unit(t.entries[0])
+    c = _unit(torus_entries(t)[0])
     return ((c, 0), (0, 1 / c))
 
 
@@ -296,8 +296,8 @@ _SL2_SIGMA = ((0, 1), (-1, 0))
 
 def _sl3_torus(t):
     # coordinates in the coroot basis: diag(c1, c2/c1, 1/c2)
-    c1 = _unit(t.entries[0])
-    c2 = _unit(t.entries[1])
+    c1 = _unit(torus_entries(t)[0])
+    c2 = _unit(torus_entries(t)[1])
     return ((c1, 0, 0), (0, c2 / c1, 0), (0, 0, 1 / c2))
 
 

@@ -9,7 +9,7 @@ import pytest
 from lparams.errors import DimensionMismatch, InputError
 from lparams.gaussian import GaussQ, ScaledVec, parse_gauss
 from lparams.lgroup import lgroup_compact, lgroup_split
-from lparams.lparam import LParam, conjugate_param, make_param, params_equivalent
+from lparams.lparam import LParam, _involution, conjugate_param, make_param, params_equivalent
 from lparams.rootdata import build_datum
 from lparams.tits import torus_part
 from lparams.weilrep import (
@@ -30,6 +30,7 @@ from lparams.weilrep import (
 from lparams.weyl import weyl_from_word
 
 from gauss_entries import gauss_entries
+from oracle_matrices import torus_entries
 
 
 def _rand_rep(rng, max_dim=4, qmax=4):
@@ -130,7 +131,7 @@ def test_bridge_to_gl1():
     p = weil_to_lparam(weil_rep([weil_chi(Q(3), 1)]))
     assert p.L == lgroup_split(build_datum("GL(1)"))
     assert p.lam == ScaledVec.of([3])
-    assert p.mu.entries == (Q(1, 2),)
+    assert torus_entries(p.mu) == (Q(1, 2),)
     assert lparam_to_weilrep(p) == weil_rep([weil_chi(Q(3), 1)])
 
 
@@ -139,7 +140,7 @@ def test_bridge_to_gl2_induced():
     p = weil_to_lparam(r)
     assert p.lam == ScaledVec.of([Q(3, 2), Q(-1, 2)])
     assert p.w.word == (1,)
-    assert p.mu.entries == (Q(1, 2), Q(0))
+    assert torus_entries(p.mu) == (Q(1, 2), Q(0))
     assert lparam_to_weilrep(p) == r
 
 
@@ -289,7 +290,7 @@ def _oracle_lam(r):
 
 def _oracle_weilrep(p):
     """Fixed coordinates are characters; a 2-cycle is I(difference, midpoint)."""
-    lam, mu, m = gauss_entries(p.lam), p.mu.entries, p.w.matrix
+    lam, mu, m = gauss_entries(p.lam), torus_entries(p.mu), p.w.matrix
     n = len(lam)
     img = [next(r for r in range(n) if m[r][i]) for i in range(n)]
     out = []
@@ -337,7 +338,8 @@ def _raw_param(group, lam, mu, word, compact=False):
     """An LParam built without make_param's validity checks."""
     d = build_datum(group)
     L = (lgroup_compact if compact else lgroup_split)(d)
-    return LParam(L, ScaledVec.of(lam), torus_part(mu), weyl_from_word(L.dual_datum, word))
+    lam, w = ScaledVec.of(lam), weyl_from_word(L.dual_datum, word)
+    return LParam(L, lam, torus_part(mu), w, lam.apply(_involution(L, w).one_minus))
 
 
 @pytest.mark.parametrize("p, message", [
