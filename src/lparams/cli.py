@@ -3,10 +3,10 @@
 Reports are plain text with a fixed line grammar so they can be diffed as
 golden files: CHECK lines for verdicts, INFO lines for computed values,
 INSTANCE lines for fuzz cases, and always a final "RESULT <code> <summary>"
-line. Exit codes: 0 success, 1 a mathematical check failed, 2 parse error,
-3 the parameter needs a Cayley move the library does not model. With --json
-the same content is emitted as one JSON object before the RESULT line.
-Given identical inputs and seed, output is byte-identical.
+line. Exit codes: 0 success, 1 a mathematical check failed, 2 parse error or
+out of memory, 3 the parameter needs a Cayley move the library does not model.
+With --json the same content is emitted as one JSON object before the RESULT
+line. Given identical inputs and seed, output is byte-identical.
 
 Each command handler imports the library modules it runs, when it runs, so
 `--help`, a usage error or `check-tits` compiles only what it needs; a
@@ -338,6 +338,8 @@ def main(argv: list[str] | None = None) -> int:
         return rep.finish(MATH_FAIL, str(exc))
     except LparamsError as exc:
         return rep.finish(PARSE_ERROR, str(exc))
+    except MemoryError:
+        return rep.finish(PARSE_ERROR, "out of memory")
 
 
 if __name__ == "__main__":

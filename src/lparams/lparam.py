@@ -324,19 +324,16 @@ def inf_char(p: LParam) -> ScaledVec:
 
 
 @cache
-def _radical_projection(d: RootDatum):
-    """saturation_projection of the coroot lattice, once per datum."""
-    return saturation_projection(d.simple_coroots, d.rank)
+def _radical_egroup(L: LGroup):
+    """(projection, E-group of the radical torus), once per L.
 
-
-@cache
-def _radical_egroup(L: LGroup, w: WeylElem):
-    """(projection, E-group of the radical torus) for theta = w theta0, once per (L, w).
-
-    The cache holds one entry per twisted involution met, like _involution.
+    W acts trivially on X_* modulo the saturated coroot lattice, as s_alpha
+    moves x by a multiple of alpha-check, so theta = w theta0 descends to
+    what theta0 does, for every w.
     """
-    proj, uinv, rank = _radical_projection(L.dual_datum)
-    th_rad = descend_map(proj, uinv, rank, _involution(L, w).theta)
+    d = L.dual_datum
+    proj, uinv, rank = saturation_projection(d.simple_coroots, d.rank)
+    th_rad = descend_map(proj, uinv, rank, coaction(L.theta0))
     return proj, torus_egroup(th_rad, (0,) * len(proj))
 
 
@@ -345,7 +342,7 @@ def _rad_images(p: LParam):
 
     (1 - theta_rad)lambda_r is proj dif, as proj theta = theta_rad proj (descend_map).
     """
-    proj, eg = _radical_egroup(p.L, p.w)
+    proj, eg = _radical_egroup(p.L)
     return eg, proj, p.lam.apply(proj), p.dif.apply(proj)
 
 
@@ -402,10 +399,10 @@ def central_char(p: LParam) -> ScaledVec:
     return _kappa(p.dif, _involution(p.L, p.w).one_plus, p.mu) + _rho_imaginary(p.L, p.w)
 
 
-def central_modulus_gens(p: LParam) -> List[Tuple[int, ...]]:
-    """The simple coroots and the columns of 1 - theta and 1 + theta; they read only L and w."""
-    inv = _involution(p.L, p.w)
-    gens = [tuple(c) for c in p.L.dual_datum.simple_coroots]
+def central_modulus_gens(L: LGroup, w: WeylElem) -> List[Tuple[int, ...]]:
+    """The simple coroots and the columns of 1 - theta and 1 + theta, for theta = w theta0."""
+    inv = _involution(L, w)
+    gens = [tuple(c) for c in L.dual_datum.simple_coroots]
     for mat in (inv.one_minus, inv.one_plus):
         gens.extend(transpose(mat))
     return gens
@@ -432,12 +429,10 @@ def _central_lattice(L: LGroup, w: WeylElem) -> Tuple[int, ...]:
     F_2-span of the generators' masks (1 + theta = 1 - theta mod 2, so each
     distinct mask is reduced once). The basis holds at most n masks with
     distinct leading bits, in decreasing order, so x = min(x, x ^ b) over it
-    clears x's bits from the top down. The generators read only L and w, so
-    one parameter record over w, with no lambda or mu, stands for them all.
+    clears x's bits from the top down.
     """
     basis: List[int] = []
-    gens = central_modulus_gens(LParam(L, None, None, w, None))
-    for x in {_parity_mask(g) for g in gens}:
+    for x in {_parity_mask(g) for g in central_modulus_gens(L, w)}:
         x = _xor_reduce(x, basis)
         if x:
             basis.append(x)

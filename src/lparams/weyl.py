@@ -6,11 +6,11 @@ and a based automorphism, which fixes rho_check, permutes the key's entries.
 The canonical (lex-smallest reduced) word is the dominance descent on the
 key, the walk that also gives infinitesimal characters. Its first step
 reflects the first negative index i, so the word is i followed by the word of
-the parent s_i w. One table interns the elements, each from a neighbour
-already in it: the layer walk interns s_i u from the u that reached it, and a
-lookup that misses walks up the parents to the nearest interned one and
-interns back down. Each costs one Cartan-column update per element, with no
-descent and no recursion.
+the parent s_i w. One table interns the elements asked for and no others:
+the layer walk interns s_i u from the u that reached it, a step to u's parent
+interns it with the rest of u's word, and a miss walks up the parents to the
+nearest interned one and interns only its own key. Each costs one
+Cartan-column update per element or letter walked, with no recursion.
 
 The interned elements carry W's Cayley graph (Casselman, Machine calculations
 in Weyl groups, 1994; du Cloux, A transducer approach to Coxeter groups,
@@ -242,22 +242,23 @@ def _descend(d: RootDatum, re: list, im: list):
 
 
 # The intern table, {datum: {key: element}}. Every miss interns one element,
-# so the misses are the table's size. The hits count only lookups that found an
-# element already interned: the layer walk interns each element from the one
-# that reached it with no lookup of its parent, so a cold walk reads no hits.
+# the one asked for, so the misses are the table's size. The hits count only
+# lookups that found it interned: neither the keys a miss walks past nor the
+# layer walk, which interns each element from the one that reached it, count.
 _interned = defaultdict(dict)
 _hits = 0
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-def _elem_from_matrix(d: RootDatum, key: Tuple[int, ...]) -> WeylElem:
+def _elem_from_matrix(d: RootDatum, key: Tuple[int, ...], word=None) -> WeylElem:
     """The one element with this key, looked up in the intern table.
 
-    On a miss, walks up the canonical parents (reflect the first negative
+    A miss interns this element alone. Its word, unless the caller knows it,
+    comes from a walk up the canonical parents (reflect the first negative
     index, the dominance descent's first step) to the nearest interned key,
-    or to the identity's, then interns each key on the way back down with its
-    first letter followed by its parent's word: one Cartan-column update per
-    element not yet interned, and no recursion however long the word.
+    or to the identity's: the letters walked, then that element's word. The
+    walk costs one Cartan-column update per letter, interns none of the keys
+    it passes and does not recurse.
     """
     global _hits
     tab = _interned[d]
@@ -265,24 +266,22 @@ def _elem_from_matrix(d: RootDatum, key: Tuple[int, ...]) -> WeylElem:
     if u is not None:
         _hits += 1
         return u
-    columns, p, chain = _cartan_columns(d), list(key), []
-    while True:
-        for i, x in enumerate(p):
-            if x < 0:
+    if word is None:
+        columns, p, word = _cartan_columns(d), list(key), []
+        while True:
+            for i, x in enumerate(p):
+                if x < 0:
+                    break
+            else:
                 break
-        else:
-            u = tab[key] = WeylElem(d, key, ())
-            break
-        chain.append((i + 1, key))
-        for j, a in columns[i]:
-            p[j] -= a * x
-        key = tuple(p)
-        u = tab.get(key)
-        if u is not None:
-            _hits += 1
-            break
-    for i, key in reversed(chain):
-        u = tab[key] = WeylElem(d, key, (i,) + u.word)
+            word.append(i + 1)
+            for j, a in columns[i]:
+                p[j] -= a * x
+            u = tab.get(tuple(p))
+            if u is not None:
+                word += u.word
+                break
+    u = tab[key] = WeylElem(d, key, tuple(word))
     return u
 
 
@@ -321,7 +320,8 @@ def _replay(d: RootDatum, word, key) -> WeylElem:
 def _step(u: WeylElem, i: int) -> WeylElem:
     """s_i u, u's left neighbour i: one Cartan-column update on first use, then a list lookup.
 
-    u's neighbour list is made when u is first stepped from.
+    u's neighbour list is made when u is first stepped from. u's parent (i
+    u's first letter) is interned with the rest of u's word, with no walk.
     """
     left = u._left
     if left is None:
@@ -329,10 +329,10 @@ def _step(u: WeylElem, i: int) -> WeylElem:
         _set_left(u, left)
     v = left[i]
     if v is None:
-        d, x, p = u.datum, u.key[i - 1], list(u.key)
+        d, x, p, word = u.datum, u.key[i - 1], list(u.key), u.word
         for j, a in _cartan_columns(d)[i - 1]:
             p[j] -= a * x
-        v = left[i] = _elem_from_matrix(d, tuple(p))
+        v = left[i] = _elem_from_matrix(d, tuple(p), word[1:] if word[:1] == (i,) else None)
     return v
 
 

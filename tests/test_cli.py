@@ -181,6 +181,33 @@ def test_exit_code_normalization(capsys):
     assert out.strip().splitlines()[-1].startswith("RESULT 3 ")
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_out_of_memory_exits_2_not_1(capsys, monkeypatch, flags):
+    """Running out of memory is no failed check: the lines so far, then RESULT 2."""
+    from lparams import lparam
+
+    draw = lparam.random_param
+    calls = []
+
+    def starved(L, rng):
+        calls.append(L)
+        if len(calls) == 2:
+            raise MemoryError
+        return draw(L, rng)
+
+    monkeypatch.setattr(lparam, "random_param", starved)
+    code, out = _run(capsys, "fuzz", "--group", "B2 sc", "--count", "3", *flags)
+    assert code == 2
+    assert out.endswith("RESULT 2 out of memory\n")
+    if flags:
+        doc = json.loads(out.splitlines()[0])
+        assert doc["result"] == {"code": 2, "summary": "out of memory"}
+        assert [c["name"] for c in doc["checks"]] == ["instance 0"]
+    else:
+        assert [line.split(":")[0] for line in out.splitlines() if line.startswith("INSTANCE")] \
+            == ["INSTANCE 0"]
+
+
 def test_contragredient_reports_both_twists(capsys):
     code, out = _run(capsys, "contragredient", "--param", str(DATA / "sl2r_ds.param"))
     assert code == 0

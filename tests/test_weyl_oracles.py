@@ -471,6 +471,42 @@ def test_one_fill_fills_every_canonical_ancestor(cold):
     assert chain[-1] is weyl_identity(d) and chain[-1]._masks == (0, (0,) * d.rank)
 
 
+def _alone(group, count):
+    """(datum, keys): w0, or count seeded deep words' keys, each to be interned alone."""
+    d = build_datum(group)
+    if not count:
+        return d, [(-1,) * d.nsimple]
+    rng = Random(f"alone:{group}")
+    words = ([rng.randrange(1, d.nsimple + 1) for _ in range(rng.randrange(60, 120))]
+             for _ in range(count))
+    return d, [tuple(weyl._replay_key(d, w, (1,) * d.nsimple)) for w in words]
+
+
+@pytest.mark.parametrize("group,count", [("F4 sc", 0), ("GL(9)", 0), ("GL(5) x GL(5)", 20)])
+def test_fill_of_an_element_interned_alone_interns_its_parents(group, count, cold, monkeypatch):
+    """A miss interns the element asked for and none of its parents; filling its matrix and
+    masks then climbs by the parent step, which interns each parent with no miss walk."""
+    d, keys = _alone(group, count)
+    intern, info = weyl._elem_from_matrix, weyl._elem_from_matrix.cache_info
+
+    def no_walk(d, key, word=None):
+        assert word is not None or key in weyl._interned[d], "miss walk"
+        return intern(d, key, word)
+
+    for k, key in enumerate(keys):
+        clear_all_caches()
+        u = intern(d, key)
+        assert info().currsize == 1 and u.word == descent_word(d, key) and len(u.word) > 5
+        with monkeypatch.context() as m:
+            m.setattr(weyl, "_elem_from_matrix", no_walk)
+            if k % 2:  # the masks first, which fill the matrices on the way
+                weyl._inversion_masks(u)
+            mat, masks = u.matrix, weyl._inversion_masks(u)
+        assert info().currsize == len(u.word) + 1
+        assert mat == _word_matrix(d, u.word)
+        assert masks == inversion_masks(u)
+
+
 def test_a_root_missing_from_the_step_table_raises_invariant_violated(cold, monkeypatch):
     d = build_datum("A2 sc")
     monkeypatch.setattr(weyl, "_root_steps", lambda d: {})
