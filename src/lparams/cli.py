@@ -80,11 +80,11 @@ def _load_param_data(text: str) -> dict:
         try:
             with open(text, "r", encoding="utf-8") as f:
                 raw = f.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read parameter file {text!r}: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"parameter input is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("parameter input must be a JSON object")
@@ -111,7 +111,7 @@ def _build_group(args):
     if inner.lstrip().startswith("["):
         try:
             inner = json.loads(inner)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             pass  # parse_inner_class reports it as an unknown inner class
     return parse_inner_class(d, inner)
 
@@ -126,7 +126,7 @@ def _datum_involution(d, text):
         return named
     try:
         rows = json_matrix(json.loads(text) if isinstance(text, str) else text)
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (json.JSONDecodeError, RecursionError, TypeError) as exc:
         raise InputError(f"bad inner class {text!r}") from exc
     return based_aut(d, rows)
 

@@ -5,9 +5,9 @@ saturations, ranks, unimodular inverses) is read off one Smith factorisation
 per matrix, computed once and cached (invariant factors, u and v, as tuples).
 Right-hand sides travel as integer numerators over one denominator, so a
 congruence solve is two integer matrix-vector products and a divisibility
-test per invariant factor. Determinants come from Bareiss fraction-free
-elimination. The lattice entry points take int entries only and raise
-ValueError on a Fraction, a float or a bool.
+test per invariant factor; Smith is the one elimination kernel. The lattice
+entry points take int entries only and raise ValueError on a Fraction, a
+float or a bool.
 """
 
 from __future__ import annotations
@@ -74,31 +74,6 @@ def _int_rows(m, square: bool = False) -> IntMat:
     if square and any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix is not square")
     return rows
-
-
-def determinant(m) -> int:
-    """Determinant of a square integer matrix by Bareiss fraction-free elimination.
-
-    After step k each entry right of and below the pivot is a (k+1)-minor, so
-    the division by the previous pivot is exact.
-    """
-    a = [list(row) for row in _int_rows(m, square=True)]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        p = a[k][k]
-        for i in range(k + 1, n):
-            row, f = a[i], a[i][k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * p - f * a[k][j]) // prev
-        prev = p
-    return sign * prev
 
 
 def matrix_rank(m) -> int:

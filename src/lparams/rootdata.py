@@ -18,7 +18,6 @@ from typing import Tuple
 from .errors import (DatumMismatch, InputError, InvalidCartan, NotBasedAut, RankMismatch,
                      frozen_setattr)
 from .intlinalg import (
-    determinant,
     ident,
     mat_from_rows,
     mat_inv_z,
@@ -100,6 +99,9 @@ def cartan_matrix(d: RootDatum):
 
 
 def _validate_cartan(d: RootDatum) -> None:
+    """InvalidCartan unless the Cartan matrix is a generalized one of finite type, that is
+    with finitely many real roots (Kac, 1990, ch. 4-5). The root closure decides it: a cap
+    of 6 on its coefficients, E8's largest, refuses every infinite type and admits E6-E8."""
     m = d.nsimple
     a = cartan_matrix(d)
     for i in range(m):
@@ -114,36 +116,7 @@ def _validate_cartan(d: RootDatum) -> None:
     for vecs, name in ((d.simple_roots, "roots"), (d.simple_coroots, "coroots")):
         if m and matrix_rank(vecs) != m:
             raise InvalidCartan(f"simple {name} are linearly dependent")
-    # finite type iff every principal minor is positive (per component)
-    for comp in _components(a):
-        k = len(comp)
-        for mask in range(1, 1 << k):
-            idx = [comp[t] for t in range(k) if mask >> t & 1]
-            sub = tuple(tuple(a[i][j] for j in idx) for i in idx)
-            if determinant(sub) <= 0:
-                raise InvalidCartan(
-                    f"principal minor on rows {tuple(i + 1 for i in idx)} is not positive")
-
-
-def _components(a):
-    m = len(a)
-    seen = [False] * m
-    comps = []
-    for s in range(m):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(m):
-                if not seen[j] and a[i][j] != 0:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
+    positive_root_table(d)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +229,9 @@ def dual_datum(d: RootDatum) -> RootDatum:
 # ---------------------------------------------------------------------------
 # roots, closures, rho-check
 
+_MAX_COEFF = 6  # E8's highest root; no finite root system has more (Bourbaki, VI, plates)
+
+
 @cache
 def positive_root_table(d: RootDatum, coroots: bool = False):
     """((height, vector, coefficients), ...) of the positive (co)roots, by height then vector.
@@ -263,7 +239,10 @@ def positive_root_table(d: RootDatum, coroots: bool = False):
     From the simple roots e_i, s_i sends c to c - <beta, alpha_i-check> e_i with
     <beta, alpha_i-check> = sum_j c_j a[j][i] (a the Cartan matrix; its
     transpose for coroots); an image with no negative coefficient is kept.
-    Each non-simple positive root is such an image of a lower one.
+    Each non-simple positive root is such an image of a lower one. An image
+    coefficient above 6, E8's largest, is refused, so E6-E8 pass and finite type is
+    decided: an infinite type's real roots are unbounded, and the first on a chain of
+    raising steps to pass 6 is an image formed here.
     """
     a = transpose(cartan_matrix(d)) if coroots else cartan_matrix(d)
     seen = set(ident(d.nsimple))
@@ -274,6 +253,8 @@ def positive_root_table(d: RootDatum, coroots: bool = False):
             n = sum(cj * a[j][i] for j, cj in enumerate(c) if cj)
             img = c[:i] + (c[i] - n,) + c[i + 1:]
             if n and img[i] >= 0 and img not in seen:
+                if img[i] > _MAX_COEFF:
+                    raise InvalidCartan(f"root coefficient above {_MAX_COEFF}: not of finite type")
                 seen.add(img)
                 queue.append(img)
     cols = transpose(d.simple_coroots if coroots else d.simple_roots)

@@ -27,8 +27,9 @@ on X^* is the transpose of its inverse's X_* matrix.
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from functools import cache
+from math import prod
 from operator import mul
 from typing import Iterator, Tuple
 
@@ -457,7 +458,10 @@ def parabolic_subgroup(d: RootDatum, subset) -> Iterator[WeylElem]:
 
 
 def weyl_order(d: RootDatum) -> int:
-    return len(weyl_enumerate(d))
+    """|W| = prod(e + 1), interning nothing: n_h - n_{h+1} exponents e equal h, n_h being
+    the number of positive roots of height h (Kostant's conjugate partition)."""
+    counts = Counter(h for h, _, _ in positive_root_table(d))
+    return prod((h + 1) ** (n - counts[h + 1]) for h, n in counts.items())
 
 
 @cache

@@ -8,12 +8,13 @@ route. The right-descent predicate the library once exported, the Levi
 subsystem levi_of once compared against, and the inversion masks as the
 library once filled them, one coroot at a time, are kept here too, as are
 vadd, all_coroots, torus_char_data and torus_entries, which the library no
-longer needs.
+longer needs, and leibniz_det, the determinant the library no longer computes.
 Not a test module: pytest does not collect it.
 """
 
 from fractions import Fraction as Q
 from functools import cache
+from itertools import permutations
 from operator import mul
 
 from lparams.errors import InputError, InvalidParam
@@ -26,6 +27,19 @@ from lparams.weyl import weyl_inv
 
 def vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
+
+
+def leibniz_det(m):
+    """The permutation expansion, an elimination-free determinant for small n."""
+    n = len(m)
+    total = 0
+    for p in permutations(range(n)):
+        sign = (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        term = sign
+        for i in range(n):
+            term *= m[i][p[i]]
+        total += term
+    return total
 
 
 def torus_entries(t):

@@ -287,6 +287,46 @@ def test_check_tits_inner_class_is_not_coerced(capsys, inner):
     assert out == f"RESULT 2 bad inner class {inner!r}\n"
 
 
+NESTED = "[" * 100_000
+
+
+def _undecodable_inputs(tmp_path):
+    """(argv, RESULT line) per site that reads JSON: each input used to end in a traceback."""
+    bad_utf8 = tmp_path / "bad_utf8.param"
+    bad_utf8.write_bytes(b'\xff\xfe{"group": "A1 sc"}')
+    nested_file = tmp_path / "nested.param"
+    nested_file.write_text(NESTED)
+    depth = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+    return [
+        (["validate-param", "--param", str(bad_utf8)],
+         f"RESULT 2 cannot read parameter file {str(bad_utf8)!r}: 'utf-8' codec can't decode "
+         "byte 0xff in position 0: invalid start byte"),
+        (["verify-theorem", "--param", str(nested_file)],
+         f"RESULT 2 parameter input is not valid JSON: {depth}"),
+        (["verify-theorem", "--param", '{"group": ' + NESTED],
+         f"RESULT 2 parameter input is not valid JSON: {depth}"),
+        (["fuzz", "--group", "A1 sc", "--inner-class", NESTED, "--count", "1"],
+         f"RESULT 2 unknown inner class {NESTED!r}"),
+        (["check-tits", "A1 sc", "--inner-class", NESTED],
+         f"RESULT 2 bad inner class {NESTED!r}"),
+    ]
+
+
+@pytest.mark.parametrize("site", range(5), ids=["param-not-utf8", "param-file-nested",
+                                                 "param-inline-nested", "fuzz-inner-class-nested",
+                                                 "check-tits-inner-class-nested"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_undecodable_json_input_exits_2(capsys, tmp_path, site, flags):
+    argv, result = _undecodable_inputs(tmp_path)[site]
+    code, out = _run(capsys, *argv, *flags)
+    lines = out.splitlines()
+    assert code == 2 and lines[-1] == result
+    if flags:
+        assert json.loads(lines[0])["result"] == {"code": 2, "summary": result[len("RESULT 2 "):]}
+    else:
+        assert len(lines) == 1
+
+
 @pytest.mark.parametrize("name,spelling", [("split", "Split"), ("split", " split"),
                                            ("compact", "COMPACT"), ("compact", "compact\t")])
 def test_check_tits_reads_inner_class_names_like_fuzz(capsys, name, spelling):

@@ -34,6 +34,7 @@ from lparams.lparam import (
 from lparams.rootdata import (
     all_roots,
     build_datum,
+    datum_from_vectors,
     dual_datum,
     positive_coroots,
     positive_root_table,
@@ -50,7 +51,8 @@ TYPES = [f"{letter}{n}" for letter, ranks in
          (("A", range(1, 5)), ("B", range(2, 5)), ("C", range(2, 5)), ("D", range(2, 5)),
           ("F", (4,)), ("G", (2,)))
          for n in ranks]
-PRODUCTS = ["A1 sc x A1 sc", "A2 sc x GL(2)", "B2 ad x G2 sc", "GL(2) x T1", "C3 sc x A1 ad"]
+PRODUCTS = ["A1 sc x A1 sc", "A2 sc x GL(2)", "B2 ad x G2 sc", "GL(2) x T1", "C3 sc x A1 ad",
+            "GL(9) x GL(9)", "F4 sc x F4 sc x B4 ad", " x ".join(["A1 sc"] * 8)]
 DATA_SPECS = ([f"{t} {lat}" for t in TYPES for lat in ("sc", "ad")]
               + [f"GL({n})" for n in range(1, 10)] + ["T1"] + PRODUCTS)
 
@@ -130,6 +132,8 @@ def _oracle_table(d, coroots):
 @pytest.mark.parametrize("spec", DATA_SPECS)
 def test_root_table_matches_orbit_and_expansion(spec):
     d = build_datum(spec)
+    # the root closure that decides finite type accepts every supported datum
+    assert datum_from_vectors(d.simple_roots, d.simple_coroots, d.rank) == d
     # 2 rho of d is 2 rho-check of the dual datum, whose coroots are the roots of d
     for coroots, pos_fn, all_fn, rho_fn in (
             (False, positive_roots, all_roots, lambda d: two_rho_check(dual_datum(d))),

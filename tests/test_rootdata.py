@@ -1,12 +1,15 @@
 """Root datum construction, duality, root closures, based automorphisms."""
 
 from fractions import Fraction as Q
+from itertools import product
+from random import Random
 
 import pytest
 
-from lparams.errors import InputError, NotBasedAut, RankMismatch
+from lparams.errors import InputError, InvalidCartan, NotBasedAut, RankMismatch
 from lparams.intlinalg import ident, mat_vec, transpose, vdot
 from lparams.rootdata import (
+    RootDatum,
     all_roots,
     based_aut,
     build_datum,
@@ -17,13 +20,14 @@ from lparams.rootdata import (
     dual_datum,
     identity_aut,
     inverse_aut,
+    positive_coroots,
     positive_roots,
     transpose_aut,
     two_rho_check,
 )
 from lparams.weyl import neg_w0_aut
 
-from oracle_matrices import all_coroots
+from oracle_matrices import all_coroots, leibniz_det
 
 
 def test_a1_lattices():
@@ -125,10 +129,71 @@ def test_datum_from_vectors_refuses_non_integers(roots, coroots):
 
 def test_datum_from_vectors_checks_pairing():
     # <alpha, alpha-check> must be 2
-    from lparams.errors import InvalidCartan
-
     with pytest.raises(InvalidCartan):
         datum_from_vectors([(1,)], [(1,)])
+
+
+def _gcms():
+    """Every rank-2 and rank-3 generalized Cartan matrix with off-diagonal entries in
+    {0, -1, -2, -3, -4}, then 3,000 seeded rank-4 ones, half of their pairs zero."""
+    pairs = [(0, 0)] + list(product(range(-4, 0), repeat=2))
+    rng = Random(32)
+    choices = [(m, c) for m in (2, 3) for c in product(pairs, repeat=m * (m - 1) // 2)]
+    choices += [(4, [(0, 0) if rng.random() < 0.5 else rng.choice(pairs[1:]) for _ in range(6)])
+                for _ in range(3000)]
+    for m, choice in choices:
+        a = [[2 if i == j else 0 for j in range(m)] for i in range(m)]
+        for (i, j), (x, y) in zip(((i, j) for i in range(m) for j in range(i + 1, m)), choice):
+            a[i][j], a[j][i] = x, y
+        yield a
+
+
+def _realize(a):
+    """Roots e_i and coroots sum_i a[i][j] e_i + e_{m+j} in Z^2m: independent for any a."""
+    m = len(a)
+    eye = ident(2 * m)
+    coroots = [tuple(a[k][j] if k < m else eye[m + j][k] for k in range(2 * m))
+               for j in range(m)]
+    return eye[:m], coroots
+
+
+def _positive_minors(a):
+    """The rule datum_from_vectors once applied: every principal minor is positive."""
+    m = len(a)
+    return all(leibniz_det([[a[i][j] for j in idx] for i in idx]) > 0
+               for mask in range(1, 1 << m)
+               for idx in [[i for i in range(m) if mask >> i & 1]])
+
+
+def test_finite_type_matches_the_principal_minor_rule():
+    # a generalized Cartan matrix is of finite type iff its real roots are finite
+    # (Kac, ch. 4-5), iff every principal minor is positive (Kac, ch. 4)
+    seen = finite = 0
+    for a in _gcms():
+        roots, coroots = _realize(a)
+        try:
+            d = datum_from_vectors(roots, coroots)
+        except InvalidCartan as exc:
+            assert not _positive_minors(a), (a, exc)
+            assert "not of finite type" in str(exc)
+        else:
+            assert _positive_minors(a), a
+            assert cartan_matrix(d) == tuple(map(tuple, a))
+            finite += 1
+        seen += 1
+    # 6 of rank 2 (A1 x A1, A2, B2 twice, G2 twice), 31 of rank 3 and 138 of rank 4
+    assert seen == 7930 and finite == 175
+
+
+@pytest.mark.parametrize("a", [((2, -2), (-2, 2)), ((2, -1), (-4, 2)), ((2, -3), (-3, 2)),
+                               ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))],
+                         ids=["affine A1", "affine A2(2)", "hyperbolic", "affine A2"])
+def test_directly_built_datum_of_infinite_type_raises(a):
+    # RootDatum validates nothing; the root closure refuses to run without end
+    d = RootDatum(len(a), a, ident(len(a)))
+    for fn in (positive_roots, positive_coroots, two_rho_check):
+        with pytest.raises(InvalidCartan, match="not of finite type"):
+            fn(d)
 
 
 def test_based_aut_flip_on_a2():

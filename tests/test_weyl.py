@@ -10,9 +10,11 @@ from lparams.lgroup import lgroup_split
 from lparams.lparam import make_param
 from lparams.rootdata import build_datum, positive_roots
 from lparams.weyl import (
+    _elem_from_matrix,
     apply_aut_to_weyl,
     longest_element,
     neg_w0_aut,
+    parabolic_subgroup,
     simple_reflection,
     weyl_act,
     weyl_enumerate,
@@ -22,6 +24,7 @@ from lparams.weyl import (
     weyl_mul,
     weyl_order,
 )
+from cold_caches import clear_all_caches
 from oracle_matrices import descent
 
 
@@ -96,6 +99,31 @@ def test_enumerate_orders():
     assert weyl_order(build_datum("A3 sc")) == 24
     assert weyl_order(build_datum("A1 sc x A1 sc")) == 4
     assert weyl_order(build_datum("T1")) == 1
+
+
+ORDER_SPECS = ([f"{letter}{n} {lat}" for letter, ranks in
+                (("A", range(1, 5)), ("B", range(2, 5)), ("C", range(2, 5)), ("D", range(2, 5)),
+                 ("F", (4,)), ("G", (2,)))
+                for n in ranks for lat in ("sc", "ad")]
+               + [f"GL({n})" for n in range(1, 9)]
+               + ["T1", "A2 sc x GL(2)", "B2 ad x G2 sc", "C3 sc x A1 ad x T1"])
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS)
+def test_weyl_order_from_exponents_matches_the_walk(spec):
+    d = build_datum(spec)
+    assert weyl_order(d) == len(tuple(parabolic_subgroup(d, range(1, d.nsimple + 1))))
+
+
+def test_weyl_order_interns_no_element():
+    clear_all_caches()
+    d = build_datum("F4 sc")
+    before = _elem_from_matrix.cache_info().currsize
+    assert weyl_order(d) == 1152
+    assert _elem_from_matrix.cache_info().currsize == before
+    # |W(A8)|^2: 131,681,894,400 elements, far more than fit in memory
+    assert weyl_order(build_datum("GL(9) x GL(9)")) == 362880 ** 2
+    assert _elem_from_matrix.cache_info().currsize == before
 
 
 def test_descents():
