@@ -28,6 +28,7 @@ from .errors import (
     LparamsError,
     NormalizationRequired,
     NotInvolution,
+    clipped_repr,
     json_matrix,
 )
 
@@ -127,14 +128,14 @@ def _datum_involution(d, text):
     try:
         rows = json_matrix(json.loads(text) if isinstance(text, str) else text)
     except (json.JSONDecodeError, RecursionError, TypeError) as exc:
-        raise InputError(f"bad inner class {text!r}") from exc
+        raise InputError(f"bad inner class {clipped_repr(text)}") from exc
     return based_aut(d, rows)
 
 
 def cmd_check_tits(args, rep: Report) -> int:
     from .rootdata import build_datum
     from .tits import run_tits_suite, tits_context
-    from .weyl import weyl_enumerate
+    from .weyl import weyl_order
 
     name = args.target or args.group
     if not name:
@@ -147,7 +148,7 @@ def cmd_check_tits(args, rep: Report) -> int:
     rows = run_tits_suite(ctx)
     for rname, ok, detail in rows:
         rep.check(rname, ok, detail)
-    nelem = len(weyl_enumerate(ctx.datum))
+    nelem = weyl_order(ctx.datum)
     if all(ok for _, ok, _ in rows):
         return rep.finish(OK, f"{nelem} Weyl elements checked")
     return rep.finish(MATH_FAIL, "Tits suite failed")

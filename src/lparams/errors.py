@@ -1,5 +1,6 @@
-"""Exception taxonomy shared by all modules, the strict JSON array checks, and the
-one __setattr__ of the immutable slotted records."""
+"""Exception taxonomy shared by all modules, the strict JSON array checks, the
+bounded echo of refused input, and the one __setattr__ of the immutable slotted
+records."""
 
 
 class LparamsError(Exception):
@@ -94,6 +95,13 @@ def json_matrix(value) -> list:
     for row in json_array(value, list):
         json_array(row, int)
     return value
+
+
+def clipped_repr(value) -> str:
+    """repr(value), cut to its first 200 characters and "..." when longer: a refusal that
+    echoes its input stays short, however long the input."""
+    text = repr(value)
+    return text if len(text) <= 200 else text[:200] + "..."
 
 
 def frozen_setattr(self, name, *value):

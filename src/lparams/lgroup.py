@@ -15,8 +15,8 @@ from functools import cache
 from itertools import combinations
 from typing import List, Optional
 
-from .errors import InputError, NotInvolution, frozen_setattr, json_matrix
-from .intlinalg import ident, mat_mul, mat_neg, mat_vec, vdot
+from .errors import InputError, NotInvolution, clipped_repr, frozen_setattr, json_matrix
+from .intlinalg import ident, mat_mul, mat_neg
 from .rootdata import (
     BasedAut,
     RootDatum,
@@ -26,10 +26,9 @@ from .rootdata import (
     dual_datum,
     identity_aut,
     transpose_aut,
-    two_rho_check,
 )
 from .tits import TitsContext, tits_context
-from .weyl import _descend, neg_w0_aut, weyl_from_word
+from .weyl import longest_element, neg_w0_aut
 
 
 class LGroup:
@@ -113,11 +112,11 @@ def parse_inner_class(d: RootDatum, text) -> LGroup:
     if tau is not None:
         return lgroup_from_tau(d, tau)
     if isinstance(text, str):
-        raise InputError(f"unknown inner class {text!r}")
+        raise InputError(f"unknown inner class {clipped_repr(text)}")
     try:
         mat = json_matrix(text)
     except TypeError as exc:
-        raise InputError(f"bad inner class matrix: {text!r}") from exc
+        raise InputError(f"bad inner class matrix: {clipped_repr(text)}") from exc
     return build_lgroup(d, based_aut(d, mat))
 
 
@@ -129,16 +128,10 @@ def lgroup_tits_context(L: LGroup) -> TitsContext:
 def has_compact_cartan(L: LGroup) -> bool:
     """True iff some w makes w . theta0 act as inversion on the dual torus.
 
-    Such a w carries rho_check to -coaction(theta0) rho_check, so the dominance
-    descent of that point's pairings (taken on 2 rho_check, in integers) must
-    end at rho_check; its steps spell w.
+    theta0 permutes the simple coroots, so it fixes rho_check, and such a w
+    sends rho_check to -rho_check: w0 is the one element of W that does.
     """
-    d = L.dual_datum
-    target = mat_neg(coaction(L.theta0))
-    point = mat_vec(target, two_rho_check(d))
-    pairings = [vdot(a, point) for a in d.simple_roots]
-    word = [i for i, _, _ in _descend(d, pairings, [0] * d.nsimple)]
-    return pairings == [2] * d.nsimple and weyl_from_word(d, word).matrix == target
+    return longest_element(L.dual_datum).matrix == mat_neg(coaction(L.theta0))
 
 
 class StandardLevi(namedtuple("StandardLevi", "subset")):

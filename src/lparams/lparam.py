@@ -38,6 +38,7 @@ from .errors import (
     ValidityC,
     ValidityE,
     ValidityIntegrality,
+    clipped_repr,
     json_array,
 )
 from .gaussian import ScaledVec, _numeral, format_tuple, format_vec
@@ -713,7 +714,7 @@ def param_parts(data: dict) -> Tuple[LGroup, ScaledVec, TorusPart, List[int]]:
         mu = TorusPart.scaled([a * (den // d) for a, d in pairs], den)
         word = json_array(data["w"], int)
     except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad parameter data: {data!r}") from exc
+        raise InputError(f"bad parameter data: {clipped_repr(data)}") from exc
     return parse_inner_class(build_datum(group), inner), lam, mu, word
 
 

@@ -48,8 +48,8 @@ from .weyl import (
     _step,
     apply_aut_to_weyl,
     longest_element,
+    parabolic_subgroup,
     simple_reflection,
-    weyl_enumerate,
     weyl_identity,
     weyl_inv,
     weyl_mul,
@@ -267,18 +267,6 @@ def aut_on_tits(a: BasedAut, g: ExtTitsElem) -> ExtTitsElem:
                        apply_aut_to_weyl(a, g.w), g.eps)
 
 
-def check_titslemma(ctx: TitsContext, w: WeylElem):
-    """Compare sigma_w sigma_{w^{-1}} with exp(pi*i*(rho-check - w rho-check)).
-
-    Returns (torus part computed by multiplication, predicted torus part,
-    agreement flag).
-    """
-    prod = tits_mul(sigma(ctx, w), sigma(ctx, weyl_inv(w)))
-    predicted = TorusPart.scaled(_four_z(w), 4)
-    ok = prod.w == weyl_identity(ctx.datum) and prod.eps == 0 and prod.t == predicted
-    return prod.t, predicted, ok
-
-
 def h_conjugate_to_inverse(g: ExtTitsElem) -> Optional[TorusPart]:
     """Witness h = exp(2*pi*i*nu) with h C(g) h^{-1} = g^{-1}, if one exists.
 
@@ -313,7 +301,7 @@ def h_conjugate_to_inverse(g: ExtTitsElem) -> Optional[TorusPart]:
 
 
 def run_tits_suite(ctx: TitsContext):
-    """Exhaustive identity checks over the whole Weyl group.
+    """Exhaustive identity checks over the whole Weyl group, in one walk of W.
 
     Rows are (name, passed, detail). Covers: the braid identity on the
     sigma lifts for every simple pair, a second reduced word per element
@@ -321,81 +309,75 @@ def run_tits_suite(ctx: TitsContext):
     sigma_i^2 = alpha-check(-1),
     sigma_w sigma_{w^{-1}} = exp(pi*i*(rho-check - w rho-check)),
     sigma_{w0}^2 = exp(2*pi*i*rho-check) and its centrality, equivariance of
-    the lifts under theta0, and C(sigma_w) = (sigma_{w^{-1}})^{-1}.
+    the lifts under theta0, and C(sigma_w) = (sigma_{w^{-1}})^{-1}. The four
+    per-element rows read only w, w^-1, theta0(w) and w s_i, so one lazy walk
+    of W in (length, word) order runs them all, and W is not stored.
     """
     d = ctx.datum
-    elems = weyl_enumerate(d)
-    rows = []
+    one = tits_identity(ctx)
+    lifts = [sigma(ctx, simple_reflection(d, i)) for i in range(1, d.nsimple + 1)]
 
     a = cartan_matrix(d)
-    bad = []
+    braid = []
     for i in range(d.nsimple):
         for j in range(i + 1, d.nsimple):
             m = {0: 2, 1: 3, 2: 4, 3: 6}[a[i][j] * a[j][i]]
-            si, sj = sigma(ctx, simple_reflection(d, i + 1)), sigma(ctx, simple_reflection(d, j + 1))
-            lhs, rhs = tits_identity(ctx), tits_identity(ctx)
+            si, sj = lifts[i], lifts[j]
+            lhs = rhs = one
             for k in range(m):
                 lhs = tits_mul(lhs, si if k % 2 == 0 else sj)
                 rhs = tits_mul(rhs, sj if k % 2 == 0 else si)
             if lhs != rhs:
-                bad.append((i + 1, j + 1))
-    rows.append(("braid relations", not bad,
-                 f"{d.nsimple * (d.nsimple - 1) // 2} simple pairs" if not bad
-                 else f"failing pairs {bad}"))
+                braid.append((i + 1, j + 1))
+
+    squares = [i for i, si in enumerate(lifts, 1)
+               if tits_mul(si, si) != torus_elem(ctx, TorusPart.scaled(d.simple_coroots[i - 1], 2))]
+
+    s0 = sigma(ctx, longest_element(d))
+    sq = tits_mul(s0, s0)
+    ok = sq == torus_elem(ctx, TorusPart.scaled(two_rho_check(d), 2))
+    central = all(tits_mul(sq, g) == tits_mul(g, sq) for g in lifts + [delta_elem(ctx)])
 
     # The second word of w is that of w s_i followed by i, for i its largest
-    # right descent. w s_i is one shorter and comes earlier in elems, so its
+    # right descent. w s_i is one shorter and came earlier in the walk, so its
     # lift times sigma_i is the product along that word: one edge per element.
     # A failed element keeps its own product as its lift, which carries the
     # failure on to the longer words through it.
-    bad, failed = [], {}
-    for w in elems[1:]:
-        winv = weyl_inv(w)
-        i = next(k for k in range(d.nsimple, 0, -1) if winv.key[k - 1] < 0)
-        u = weyl_inv(_step(winv, i))
-        alt = tits_mul(failed.get(u) or sigma(ctx, u), sigma(ctx, simple_reflection(d, i)))
-        if alt != sigma(ctx, w):
-            failed[w] = alt
-            bad.append(list(w.word))
-    rows.append(("reduced-word independence", not bad,
-                 f"{len(elems)} elements" if not bad else f"failing words {bad}"))
+    edge, lemma, equi, chev, failed, n = [], [], [], [], {}, 0
+    for w in parabolic_subgroup(d, range(1, d.nsimple + 1)):
+        n += 1
+        s, winv = sigma(ctx, w), weyl_inv(w)
+        sinv = sigma(ctx, winv)
+        if w.word:
+            i = next(k for k in range(d.nsimple, 0, -1) if winv.key[k - 1] < 0)
+            u = weyl_inv(_step(winv, i))
+            alt = tits_mul(failed.get(u) or sigma(ctx, u), lifts[i - 1])
+            if alt != s:
+                failed[w] = alt
+                edge.append(list(w.word))
+        if tits_mul(s, sinv) != torus_elem(ctx, TorusPart.scaled(_four_z(w), 4)):
+            lemma.append(list(w.word))
+        if aut_on_tits(ctx.theta0, s) != sigma(ctx, apply_aut_to_weyl(ctx.theta0, w)):
+            equi.append(list(w.word))
+        if tits_mul(chevalley(s), sinv) != one:
+            chev.append(list(w.word))
 
-    bad = []
-    for i in range(1, d.nsimple + 1):
-        si = sigma(ctx, simple_reflection(d, i))
-        if tits_mul(si, si) != torus_elem(ctx, TorusPart.scaled(d.simple_coroots[i - 1], 2)):
-            bad.append(i)
-    rows.append(("sigma_i^2 = alpha-check(-1)", not bad,
-                 f"{d.nsimple} generators" if not bad else f"failing indices {bad}"))
+    def per_element(name, bad):
+        return name, not bad, f"{n} elements" if not bad else f"failing words {bad}"
 
-    bad = [list(w.word) for w in elems if not check_titslemma(ctx, w)[2]]
-    rows.append(("sigma_w sigma_{w^-1} torus value", not bad,
-                 f"{len(elems)} elements" if not bad else f"failing words {bad}"))
-
-    w0 = longest_element(d)
-    s0 = sigma(ctx, w0)
-    sq = tits_mul(s0, s0)
-    ok = sq == torus_elem(ctx, TorusPart.scaled(two_rho_check(d), 2))
-    gens = [sigma(ctx, simple_reflection(d, i)) for i in range(1, d.nsimple + 1)]
-    gens.append(delta_elem(ctx))
-    central = all(tits_mul(sq, g) == tits_mul(g, sq) for g in gens)
-    rows.append(("sigma_{w0}^2 = exp(2 pi i rho-check), central", ok and central,
-                 f"value {format_torus_part(sq.t)}"))
-
-    bad = []
-    for w in elems:
-        if aut_on_tits(ctx.theta0, sigma(ctx, w)) != sigma(ctx, apply_aut_to_weyl(ctx.theta0, w)):
-            bad.append(list(w.word))
-    rows.append(("theta0 equivariance of lifts", not bad,
-                 f"{len(elems)} elements" if not bad else f"failing words {bad}"))
-
-    bad = []
-    for w in elems:
-        if tits_mul(chevalley(sigma(ctx, w)), sigma(ctx, weyl_inv(w))) != tits_identity(ctx):
-            bad.append(list(w.word))
-    rows.append(("C(sigma_w) = (sigma_{w^-1})^{-1}", not bad,
-                 f"{len(elems)} elements" if not bad else f"failing words {bad}"))
-    return rows
+    return [
+        ("braid relations", not braid,
+         f"{d.nsimple * (d.nsimple - 1) // 2} simple pairs" if not braid
+         else f"failing pairs {braid}"),
+        per_element("reduced-word independence", edge),
+        ("sigma_i^2 = alpha-check(-1)", not squares,
+         f"{d.nsimple} generators" if not squares else f"failing indices {squares}"),
+        per_element("sigma_w sigma_{w^-1} torus value", lemma),
+        ("sigma_{w0}^2 = exp(2 pi i rho-check), central", ok and central,
+         f"value {format_torus_part(sq.t)}"),
+        per_element("theta0 equivariance of lifts", equi),
+        per_element("C(sigma_w) = (sigma_{w^-1})^{-1}", chev),
+    ]
 
 
 # ---------------------------------------------------------------------------

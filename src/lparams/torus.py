@@ -19,7 +19,6 @@ checks, kappa and character equality are integer arithmetic.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction as Q
 from functools import cache
 from math import lcm
 from operator import mul
@@ -82,8 +81,8 @@ def _matrices(m: Matrix):
     return lattice, one_minus(neg), neg, transpose(lattice)
 
 
-def _in_coset(kappa: ScaledVec, gamma: Tuple[Q, ...]) -> bool:
-    """kappa in gamma + Z^n."""
+def _in_coset(kappa: ScaledVec, gamma: tuple) -> bool:
+    """kappa in gamma + Z^n, for gamma a tuple of Fractions."""
     den = kappa.den
     return all((k * g.denominator - g.numerator * den) % (den * g.denominator) == 0
                for k, g in zip(kappa.re, gamma))

@@ -209,7 +209,12 @@ def _root_steps(d: RootDatum):
 
 @cache
 def _cartan_columns(d: RootDatum):
-    """For each simple index i, the pairs (j, <alpha_j, alpha-check_i>) with a nonzero pairing."""
+    """For each simple index i, the pairs (j, <alpha_j, alpha-check_i>) with a nonzero pairing.
+
+    Every walk on keys reads these, so the root closure runs first: a datum of
+    infinite type raises InvalidCartan here instead of walking without end.
+    """
+    positive_root_table(d)
     a = cartan_matrix(d)
     return tuple(tuple((j, a[j][i]) for j in range(d.nsimple) if a[j][i])
                  for i in range(d.nsimple))
@@ -406,9 +411,8 @@ def longest_element(d: RootDatum) -> WeylElem:
     return _elem_from_matrix(d, (-1,) * d.nsimple)
 
 
-@cache
 def weyl_enumerate(d: RootDatum) -> Tuple[WeylElem, ...]:
-    """All of W, ordered by length then lexicographic canonical word: the one materialised W."""
+    """All of W as a tuple in (length, word) order: parabolic_subgroup's walk, made afresh."""
     return tuple(parabolic_subgroup(d, range(1, d.nsimple + 1)))
 
 

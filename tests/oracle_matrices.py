@@ -8,7 +8,9 @@ route. The right-descent predicate the library once exported, the Levi
 subsystem levi_of once compared against, and the inversion masks as the
 library once filled them, one coroot at a time, are kept here too, as are
 vadd, all_coroots, torus_char_data and torus_entries, which the library no
-longer needs, and leibniz_det, the determinant the library no longer computes.
+longer needs, leibniz_det, the determinant the library no longer computes,
+and multipass_tits_suite, the Tits suite as it was before it walked W once,
+with check_titslemma, its Tits' lemma row.
 Not a test module: pytest does not collect it.
 """
 
@@ -17,12 +19,15 @@ from functools import cache
 from itertools import permutations
 from operator import mul
 
+import lparams.tits as tits
 from lparams.errors import InputError, InvalidParam
 from lparams.gaussian import ScaledVec, read_rational
 from lparams.intlinalg import mat_neg, one_minus, vneg
-from lparams.rootdata import positive_coroots, positive_root_table, positive_roots
+from lparams.rootdata import (cartan_matrix, positive_coroots, positive_root_table,
+                              positive_roots, two_rho_check)
 from lparams.torus import TorusCharData
-from lparams.weyl import weyl_inv
+from lparams.weyl import (apply_aut_to_weyl, longest_element, simple_reflection, weyl_enumerate,
+                          weyl_identity, weyl_inv, weyl_mul)
 
 
 def vadd(a, b):
@@ -123,3 +128,91 @@ def xcostar_reflections(d):
     return tuple(tuple(tuple((r == c) - av[r] * a[c] for c in range(d.rank))
                        for r in range(d.rank))
                  for a, av in zip(d.simple_roots, d.simple_coroots))
+
+
+def check_titslemma(ctx, w):
+    """Compare sigma_w sigma_{w^{-1}} with exp(pi*i*(rho-check - w rho-check)).
+
+    Returns (torus part computed by multiplication through tits.tits_mul,
+    predicted torus part, agreement flag).
+    """
+    prod = tits.tits_mul(tits.sigma(ctx, w), tits.sigma(ctx, weyl_inv(w)))
+    rc2 = two_rho_check(ctx.datum)
+    four_z = [a - sum(map(mul, row, rc2)) for a, row in zip(rc2, w.matrix)]
+    predicted = tits.TorusPart.scaled(four_z, 4)
+    ok = prod.w == weyl_identity(ctx.datum) and prod.eps == 0 and prod.t == predicted
+    return prod.t, predicted, ok
+
+
+def multipass_tits_suite(ctx):
+    """The rows of tits.run_tits_suite, one loop over a stored W per row.
+
+    Products go through tits.tits_mul, looked up on the module at each call,
+    so a mutant patched in there reaches this suite and the library's alike.
+    """
+    sigma, one, d = tits.sigma, tits.tits_identity(ctx), ctx.datum
+    elems = weyl_enumerate(d)
+    rows = []
+
+    a = cartan_matrix(d)
+    bad = []
+    for i in range(d.nsimple):
+        for j in range(i + 1, d.nsimple):
+            m = {0: 2, 1: 3, 2: 4, 3: 6}[a[i][j] * a[j][i]]
+            si, sj = sigma(ctx, simple_reflection(d, i + 1)), sigma(ctx, simple_reflection(d, j + 1))
+            lhs = rhs = one
+            for k in range(m):
+                lhs = tits.tits_mul(lhs, si if k % 2 == 0 else sj)
+                rhs = tits.tits_mul(rhs, sj if k % 2 == 0 else si)
+            if lhs != rhs:
+                bad.append((i + 1, j + 1))
+    rows.append(("braid relations", not bad,
+                 f"{d.nsimple * (d.nsimple - 1) // 2} simple pairs" if not bad
+                 else f"failing pairs {bad}"))
+
+    # w's second word is that of w s_i, i its largest right descent, then i;
+    # a failed w s_i carries its own product on to w
+    bad, failed = [], {}
+    for w in elems[1:]:
+        i = next(k for k in range(d.nsimple, 0, -1) if descent(w, k))
+        u = weyl_mul(w, simple_reflection(d, i))
+        alt = tits.tits_mul(failed.get(u) or sigma(ctx, u), sigma(ctx, simple_reflection(d, i)))
+        if alt != sigma(ctx, w):
+            failed[w] = alt
+            bad.append(list(w.word))
+    rows.append(("reduced-word independence", not bad,
+                 f"{len(elems)} elements" if not bad else f"failing words {bad}"))
+
+    bad = []
+    for i in range(1, d.nsimple + 1):
+        si = sigma(ctx, simple_reflection(d, i))
+        alpha_check = tits.TorusPart.scaled(d.simple_coroots[i - 1], 2)
+        if tits.tits_mul(si, si) != tits.torus_elem(ctx, alpha_check):
+            bad.append(i)
+    rows.append(("sigma_i^2 = alpha-check(-1)", not bad,
+                 f"{d.nsimple} generators" if not bad else f"failing indices {bad}"))
+
+    bad = [list(w.word) for w in elems if not check_titslemma(ctx, w)[2]]
+    rows.append(("sigma_w sigma_{w^-1} torus value", not bad,
+                 f"{len(elems)} elements" if not bad else f"failing words {bad}"))
+
+    s0 = sigma(ctx, longest_element(d))
+    sq = tits.tits_mul(s0, s0)
+    ok = sq == tits.torus_elem(ctx, tits.TorusPart.scaled(two_rho_check(d), 2))
+    gens = [sigma(ctx, simple_reflection(d, i)) for i in range(1, d.nsimple + 1)]
+    gens.append(tits.delta_elem(ctx))
+    central = all(tits.tits_mul(sq, g) == tits.tits_mul(g, sq) for g in gens)
+    rows.append(("sigma_{w0}^2 = exp(2 pi i rho-check), central", ok and central,
+                 f"value {tits.format_torus_part(sq.t)}"))
+
+    bad = [list(w.word) for w in elems
+           if tits.aut_on_tits(ctx.theta0, sigma(ctx, w))
+           != sigma(ctx, apply_aut_to_weyl(ctx.theta0, w))]
+    rows.append(("theta0 equivariance of lifts", not bad,
+                 f"{len(elems)} elements" if not bad else f"failing words {bad}"))
+
+    bad = [list(w.word) for w in elems
+           if tits.tits_mul(tits.chevalley(sigma(ctx, w)), sigma(ctx, weyl_inv(w))) != one]
+    rows.append(("C(sigma_w) = (sigma_{w^-1})^{-1}", not bad,
+                 f"{len(elems)} elements" if not bad else f"failing words {bad}"))
+    return rows

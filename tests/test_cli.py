@@ -305,10 +305,11 @@ def _undecodable_inputs(tmp_path):
          f"RESULT 2 parameter input is not valid JSON: {depth}"),
         (["verify-theorem", "--param", '{"group": ' + NESTED],
          f"RESULT 2 parameter input is not valid JSON: {depth}"),
+        # a refusal echoes the first 200 characters of its input's repr
         (["fuzz", "--group", "A1 sc", "--inner-class", NESTED, "--count", "1"],
-         f"RESULT 2 unknown inner class {NESTED!r}"),
+         f"RESULT 2 unknown inner class {NESTED!r:.200}..."),
         (["check-tits", "A1 sc", "--inner-class", NESTED],
-         f"RESULT 2 bad inner class {NESTED!r}"),
+         f"RESULT 2 bad inner class {NESTED!r:.200}..."),
     ]
 
 
@@ -325,6 +326,42 @@ def test_undecodable_json_input_exits_2(capsys, tmp_path, site, flags):
         assert json.loads(lines[0])["result"] == {"code": 2, "summary": result[len("RESULT 2 "):]}
     else:
         assert len(lines) == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_oversized_param_document_is_echoed_in_part(capsys, flags):
+    data = {"group": "A1 sc", "inner_class": "split", "lambda": ["0"], "mu": [0.5] * 10_000,
+            "w": []}
+    code, out = _run(capsys, "verify-theorem", "--param", json.dumps(data), *flags)
+    summary = f"bad parameter data: {data!r:.200}..."
+    assert code == 2 and out.splitlines()[-1] == f"RESULT 2 {summary}"
+    assert len(out) < 2 * len(summary) + 200
+    if flags:
+        assert json.loads(out.splitlines()[0])["result"] == {"code": 2, "summary": summary}
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["check-tits", "F4 sc", "--inner-class", "compact"], "check_tits_f4_compact.txt"),
+    (["check-tits", "GL(7)", "--inner-class", "compact"], "check_tits_gl7_compact.txt"),
+    (["check-tits", "D4 sc", "--inner-class", D4_SWAP, "--json"], "check_tits_d4_swap.json"),
+], ids=["f4-compact", "gl7-compact", "d4-swap-json"])
+def test_check_tits_golden(capsys, argv, golden):
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    assert out == (DATA / golden).read_text()
+
+
+def test_check_tits_neither_stores_nor_counts_w_by_enumeration(capsys, monkeypatch):
+    import lparams.tits as tits
+    import lparams.weyl as weyl
+
+    def stored(d):
+        raise RuntimeError("check-tits stored W")
+
+    monkeypatch.setattr(weyl, "weyl_enumerate", stored)
+    monkeypatch.setattr(tits, "weyl_enumerate", stored, raising=False)
+    code, out = _run(capsys, "check-tits", "B3 sc", "--inner-class", "compact")
+    assert code == 0 and out.splitlines()[-1] == "RESULT 0 48 Weyl elements checked"
 
 
 @pytest.mark.parametrize("name,spelling", [("split", "Split"), ("split", " split"),

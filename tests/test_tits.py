@@ -8,23 +8,28 @@ abstract identity is replayed as plain matrix arithmetic.
 The reduced-word row of run_tits_suite checks one edge per element; the row
 it replaced, each element's max-descent word peeled and multiplied out one
 letter at a time, is kept as an oracle for its failure report under broken
-products.
+products. The suite walks W once; oracle_matrices.multipass_tits_suite, one
+loop over a stored W per row, is compared with it row for row, with the real
+product and under the broken ones.
 """
 
+import json
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 from random import Random
 
 import pytest
 
 import lparams.tits as tits
-from lparams.errors import PreconditionViolated
+from lparams.errors import LparamsError, PreconditionViolated
+from lparams.lgroup import named_inner_class
 from lparams.rootdata import based_aut, build_datum, two_rho_check
 from lparams.tits import (
     ExtTitsElem,
     TorusPart,
     aut_on_tits,
     chevalley,
-    check_titslemma,
     delta_elem,
     elem_to_dict,
     h_conjugate_to_inverse,
@@ -47,7 +52,9 @@ from lparams.weyl import (
     weyl_inv,
     weyl_mul,
 )
-from oracle_matrices import descent, torus_entries
+from oracle_matrices import check_titslemma, descent, multipass_tits_suite, torus_entries
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 
 def _ctx(name):
@@ -242,6 +249,42 @@ def test_reduced_word_row_reports_what_the_peel_does(name, mutant, monkeypatch):
     row = run_tits_suite(ctx)[1]
     assert not row[1]
     assert row == _peel_row(ctx)
+
+
+def _check_tits_fleet():
+    """The (group, inner class) pairs the cli_requests benchmark runs check-tits on."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        from workloads import CHECK_TITS
+    finally:
+        sys.path.remove(PERFBENCH)
+    return CHECK_TITS
+
+
+SUITE_CONTEXTS = list(dict.fromkeys(_check_tits_fleet() + [
+    ("F4 sc", "split"), ("F4 sc", "compact"),
+    ("D4 sc", json.dumps([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])),
+    ("GL(5)", "compact"), ("A1 sc x A1 sc", json.dumps([[0, 1], [1, 0]]))]))
+
+
+def _suite_outcome(suite, ctx):
+    """The suite's rows, or the refusal it ends in."""
+    try:
+        return suite(ctx)
+    except LparamsError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("mutant", [None, _half_on_length_3, _half_after_sigma_2],
+                         ids=["real", "half_on_length_3", "half_after_sigma_2"])
+@pytest.mark.parametrize("group,inner", SUITE_CONTEXTS, ids=[f"{g}-{i}" for g, i in SUITE_CONTEXTS])
+def test_one_pass_suite_matches_the_multipass_oracle(group, inner, mutant, monkeypatch):
+    d = build_datum(group)
+    theta0 = named_inner_class(d, inner)
+    ctx = tits_context(d, theta0 if theta0 is not None else based_aut(d, json.loads(inner)))
+    if mutant is not None:
+        monkeypatch.setattr(tits, "tits_mul", mutant(tits.tits_mul))
+    assert _suite_outcome(run_tits_suite, ctx) == _suite_outcome(multipass_tits_suite, ctx)
 
 
 def test_suite_makes_one_reduced_word_product_per_element(monkeypatch):

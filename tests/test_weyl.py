@@ -1,6 +1,10 @@
 """Weyl group elements: words, products, actions, the longest element."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -197,3 +201,46 @@ def test_apply_aut_to_weyl():
     # w0 is central under any diagram symmetry
     w0 = longest_element(d)
     assert apply_aut_to_weyl(flip, w0) == w0
+
+
+def test_weyl_enumerate_is_not_cached():
+    # W is walked afresh on each call, and no cache keeps it
+    d = build_datum("B3 sc")
+    assert not hasattr(weyl_enumerate, "cache_clear")
+    first, again = weyl_enumerate(d), weyl_enumerate(d)
+    assert first == again and first is not again and len(first) == weyl_order(d) == 48
+
+
+# each call through a walk on keys; the child prints the name of each that raises InvalidCartan
+INFINITE_TYPE_CHILD = """
+import sys
+import lparams.weyl as w
+from lparams.errors import InvalidCartan
+from lparams.rootdata import RootDatum
+d = RootDatum(2, ((2, -2), (-2, 2)), ((1, 0), (0, 1)))
+calls = {
+    "weyl_enumerate": lambda: w.weyl_enumerate(d),
+    "neg_w0_aut": lambda: w.neg_w0_aut(d),
+    "longest_element": lambda: w.longest_element(d),
+    "weyl_identity": lambda: w.weyl_identity(d),
+    "weyl_from_word": lambda: w.weyl_from_word(d, [1, 2]),
+    "parabolic_subgroup": lambda: list(w.parabolic_subgroup(d, [1, 2])),
+}
+for name, call in calls.items():
+    try:
+        call()
+    except InvalidCartan:
+        print(name)
+"""
+
+
+def test_weyl_entry_points_refuse_a_datum_of_infinite_type():
+    # RootDatum validates nothing, and the walks read keys, not the root table: on the
+    # affine A1 matrix they ran without end, so the child runs under a timeout
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", INFINITE_TYPE_CHILD], capture_output=True,
+                          text=True, timeout=10, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["weyl_enumerate", "neg_w0_aut", "longest_element",
+                                   "weyl_identity", "weyl_from_word", "parabolic_subgroup"]

@@ -20,7 +20,7 @@ import lparams.intlinalg as intlinalg
 import lparams.weyl as weyl
 from lparams.errors import DatumMismatch, InvariantViolated
 from lparams.intlinalg import ident, mat_mul, mat_neg, mat_vec, transpose, vneg
-from lparams.lgroup import has_compact_cartan, lgroup_compact, lgroup_split
+from lparams.lgroup import has_compact_cartan, lgroup_compact, lgroup_split, parse_inner_class
 from lparams.rootdata import RootDatum, based_aut, build_datum, coaction, positive_roots
 from lparams.weyl import (
     apply_aut_to_weyl,
@@ -147,7 +147,12 @@ def test_aut_on_weyl_is_the_letter_by_letter_replay(group, matrix, cold):
 
 
 COMPACT_GROUPS = (["A1 sc", "A2 sc", "A3 sc", "A4 sc", "B2 sc", "B3 sc", "B4 sc", "C3 sc",
-                   "D4 sc", "G2 sc", "F4 sc"] + [f"GL({n})" for n in range(2, 7)])
+                   "D4 sc", "G2 sc", "F4 sc"] + [f"GL({n})" for n in range(2, 7)]
+                  + ["A1 ad", "A2 ad", "A3 ad", "A4 ad", "B2 ad", "B3 ad", "B4 ad", "C3 ad",
+                     "D4 ad", "G2 ad", "F4 ad", "B3 sc x G2 sc", "GL(3) x GL(3)", "A1 sc x T1",
+                     "T1"])
+SWAPS = [("D4 sc", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+         ("A1 sc x A1 sc", [[0, 1], [1, 0]])]
 
 
 def scan_has_compact_cartan(L):
@@ -161,6 +166,12 @@ def scan_has_compact_cartan(L):
 @pytest.mark.parametrize("make", [lgroup_split, lgroup_compact], ids=["split", "compact"])
 def test_has_compact_cartan_matches_scan(group, make):
     L = make(build_datum(group))
+    assert has_compact_cartan(L) == scan_has_compact_cartan(L)
+
+
+@pytest.mark.parametrize("group,gamma", SWAPS, ids=[g for g, _ in SWAPS])
+def test_has_compact_cartan_matches_scan_on_swaps(group, gamma):
+    L = parse_inner_class(build_datum(group), gamma)
     assert has_compact_cartan(L) == scan_has_compact_cartan(L)
 
 
