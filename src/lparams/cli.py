@@ -82,7 +82,9 @@ def _load_param_data(text: str) -> dict:
             with open(text, "r", encoding="utf-8") as f:
                 raw = f.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read parameter file {text!r}: {exc}") from exc
+            # an OSError's text repeats the path: both echoes are clipped
+            reason = str(exc).replace(repr(text), clipped_repr(text))
+            raise InputError(f"cannot read parameter file {clipped_repr(text)}: {reason}") from exc
     try:
         data = json.loads(raw)
     except (json.JSONDecodeError, RecursionError) as exc:

@@ -16,7 +16,7 @@ from functools import cache
 from typing import Tuple
 
 from .errors import (DatumMismatch, InputError, InvalidCartan, NotBasedAut, RankMismatch,
-                     frozen_setattr)
+                     clipped_repr, frozen_setattr)
 from .intlinalg import (
     ident,
     mat_from_rows,
@@ -170,7 +170,7 @@ def _factor_datum(token: str) -> RootDatum:
         return RootDatum(n, vecs, vecs, f"GL({n})")
     m = _TYPE_RE.match(token)
     if not m:
-        raise InputError(f"bad group token: {token!r}")
+        raise InputError(f"bad group token: {clipped_repr(token)}")
     letter, n, lattice = m.group(1), int(m.group(2)), m.group(3) or "sc"
     if n > 4:
         raise InputError(f"rank of {letter}{n} exceeds the supported cap of 4")
@@ -188,10 +188,10 @@ def _factor_datum(token: str) -> RootDatum:
 def build_datum(spec: str) -> RootDatum:
     """Parse "A2 sc x GL(2)"-style product specs into a datum."""
     if not isinstance(spec, str) or not spec.strip():
-        raise InputError(f"bad group spec: {spec!r}")
+        raise InputError(f"bad group spec: {clipped_repr(spec)}")
     tokens = re.split(r"\s*[x×]\s*", spec.strip())
     if not all(tokens):
-        raise InputError(f"empty product factor in group spec: {spec!r}")
+        raise InputError(f"empty product factor in group spec: {clipped_repr(spec)}")
     factors = [_factor_datum(t) for t in tokens]
     if len(factors) == 1:
         return factors[0]

@@ -33,7 +33,7 @@ from functools import cache
 from math import lcm
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, InputError
+from .errors import DimensionMismatch, InputError, clipped_repr
 from .gaussian import (GaussQ, ScaledVec, format_gauss, format_vec, parse_gauss_scaled,
                        parse_integer, read_gauss)
 
@@ -57,7 +57,7 @@ class WeilIrr(namedtuple("WeilIrr", "kind t eps k", defaults=(0, 0))):
 def _eps(eps) -> int:
     """eps itself, if it is the int 0 or 1; InputError otherwise."""
     if type(eps) is not int or eps not in (0, 1):
-        raise InputError(f"eps must be 0 or 1, got {eps!r}")
+        raise InputError(f"eps must be 0 or 1, got {clipped_repr(eps)}")
     return eps
 
 
@@ -271,14 +271,14 @@ def _split_top(text: str, sep: str) -> List[str]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise InputError(f"unbalanced parentheses in {text!r}")
+                raise InputError(f"unbalanced parentheses in {clipped_repr(text)}")
         if ch == sep and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
     if depth != 0:
-        raise InputError(f"unbalanced parentheses in {text!r}")
+        raise InputError(f"unbalanced parentheses in {clipped_repr(text)}")
     parts.append("".join(cur))
     return parts
 
@@ -295,29 +295,29 @@ def parse_weil_rep(text: str) -> WeilRep:
     terms = []  # (k, eps, (a, b, den))
     for term in _split_top(body, "+"):
         if not (term.endswith(")") and "(" in term):
-            raise InputError(f"bad rep term: {term!r}")
+            raise InputError(f"bad rep term: {clipped_repr(term)}")
         head, args = term[:-1].split("(", 1)
         parts = _split_top(args, ",")
         if head == "chi":
             if len(parts) != 2:
-                raise InputError(f"chi needs (t,eps): {term!r}")
+                raise InputError(f"chi needs (t,eps): {clipped_repr(term)}")
             try:
                 eps = parse_integer(parts[1])
             except ValueError as exc:
-                raise InputError(f"bad eps in {term!r}") from exc
+                raise InputError(f"bad eps in {clipped_repr(term)}") from exc
             t = _parse_t(parts[0], term)  # a bad exponent is reported before a bad eps
             terms.append((0, _eps(eps), t))
         elif head == "I":
             if len(parts) != 2:
-                raise InputError(f"I needs (k,t): {term!r}")
+                raise InputError(f"I needs (k,t): {clipped_repr(term)}")
             try:
                 k = parse_integer(parts[0])
             except ValueError as exc:
-                raise InputError(f"bad k in {term!r}") from exc
+                raise InputError(f"bad k in {clipped_repr(term)}") from exc
             t = _parse_t(parts[1], term)
             terms.extend([(abs(k), 0, t)] if k else [(0, 0, t), (0, 1, t)])
         else:
-            raise InputError(f"unknown rep term {head!r} in {term!r}")
+            raise InputError(f"unknown rep term {clipped_repr(head)} in {clipped_repr(term)}")
     den = lcm(*(d for _, _, (_, _, d) in terms))
     return _rep(((k, a * (den // d), b * (den // d), eps) for k, eps, (a, b, d) in terms), den)
 
@@ -326,4 +326,4 @@ def _parse_t(text: str, term: str) -> Tuple[int, int, int]:
     try:
         return parse_gauss_scaled(text)
     except (InputError, ValueError) as exc:
-        raise InputError(f"bad exponent in {term!r}") from exc
+        raise InputError(f"bad exponent in {clipped_repr(term)}") from exc

@@ -10,7 +10,9 @@ library once filled them, one coroot at a time, are kept here too, as are
 vadd, all_coroots, torus_char_data and torus_entries, which the library no
 longer needs, leibniz_det, the determinant the library no longer computes,
 and multipass_tits_suite, the Tits suite as it was before it walked W once,
-with check_titslemma, its Tits' lemma row.
+with check_titslemma, its Tits' lemma row. radical_route is rad(p) and the
+theorem's row 2 as lparam computed them on every L before a radical torus of
+rank 0 was read from a record cached per L.
 Not a test module: pytest does not collect it.
 """
 
@@ -21,11 +23,12 @@ from operator import mul
 
 import lparams.tits as tits
 from lparams.errors import InputError, InvalidParam
-from lparams.gaussian import ScaledVec, read_rational
-from lparams.intlinalg import mat_neg, one_minus, vneg
-from lparams.rootdata import (cartan_matrix, positive_coroots, positive_root_table,
+from lparams.gaussian import ScaledVec, format_vec, read_rational
+from lparams.intlinalg import (descend_map, mat_mul, mat_neg, one_minus, saturation_projection,
+                               vneg)
+from lparams.rootdata import (cartan_matrix, coaction, positive_coroots, positive_root_table,
                               positive_roots, two_rho_check)
-from lparams.torus import TorusCharData
+from lparams.torus import TorusCharData, TorusParam, _char_data, char_equal, torus_egroup
 from lparams.weyl import (apply_aut_to_weyl, longest_element, simple_reflection, weyl_enumerate,
                           weyl_identity, weyl_inv, weyl_mul)
 
@@ -80,6 +83,28 @@ def torus_char_data(theta, lam, kappa, gamma):
     if any((Q(k, kappa.den) - g).denominator != 1 for k, g in zip(kappa.re, gamma)):
         raise InvalidParam("kappa is not in gamma + Z^n")
     return TorusCharData(theta, lam, kappa, gamma)
+
+
+def radical_route(p, cp):
+    """(rad_param(p), rad_char(p), row 2 for p and cp = C(p)), each projected and checked.
+
+    The radical E-group is built afresh from p's theta = w theta0; lambda_p,
+    p.dif and the mu parts of p and C(p) are projected to it, and rad(p),
+    rad(C(p)) and the dual (-lambda_r, -mu_r) are checked by _char_data, one
+    each. On a radical torus of rank 0 every vector here is empty.
+    """
+    d = p.L.dual_datum
+    proj, uinv, rank = saturation_projection(d.simple_coroots, d.rank)
+    theta = mat_mul(p.w.matrix, coaction(p.L.theta0))
+    eg = torus_egroup(descend_map(proj, uinv, rank, theta), (0,) * len(proj))
+    lam_r, dif_r = p.lam.apply(proj), p.dif.apply(proj)
+    mu_r = tits.act_on_torus_part(proj, p.mu)
+    rc_p = _char_data(eg, lam_r, dif_r, mu_r)
+    rc_c = _char_data(eg, -lam_r, -dif_r, tits.act_on_torus_part(proj, cp.mu))
+    rc_dual = _char_data(eg, -lam_r, -dif_r, -mu_r)
+    row = ("rad_char dual", char_equal(rc_c, rc_dual),
+           f"kappa(C)={format_vec(rc_c.kappa)} kappa(dual)={format_vec(rc_dual.kappa)}")
+    return TorusParam(eg, lam_r, mu_r), rc_p, row
 
 
 def descent(u, i):

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
+import errno
 import json
 import os
 import subprocess
@@ -22,6 +23,19 @@ def test_verify_theorem_golden(capsys):
     code, out = _run(capsys, "verify-theorem", "--param", str(DATA / "sl2r_ds.param"))
     assert code == 0
     assert out == (DATA / "golden_verify_sl2r.txt").read_text()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    # SL(2, R): its radical torus has rank 0, so rad_char is the one empty character
+    (["invariants", "--param", str(DATA / "sl2r_ds.param")], "golden_invariants_sl2r.txt"),
+    # split GL(4), random_param at Random(0): a radical torus of rank 1, kappa = (-1)
+    (["verify-theorem", "--json", "--param", str(DATA / "gl4_split.param")],
+     "golden_verify_gl4_split.json"),
+], ids=["invariants-sl2r", "verify-gl4-json"])
+def test_radical_character_goldens(capsys, argv, golden):
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    assert out == (DATA / golden).read_text()
 
 
 def test_validate_param_golden_rejection(capsys):
@@ -379,6 +393,62 @@ def test_empty_product_factor_exits_2(capsys, spec):
     code, out = _run(capsys, "fuzz", "--group", spec, "--count", "1")
     assert code == 2
     assert out == f"RESULT 2 empty product factor in group spec: {spec!r}\n"
+
+
+def _clipped(text):
+    """repr(text) cut to 200 characters and "...", as a refusal echoes a long input."""
+    return f"{text!r:.200}..."
+
+
+_LONG = 100_000
+_TOKEN, _BLANK, _LETTERS, _ZEROS = "Q" * _LONG, " " * _LONG, "y" * _LONG, "0" * _LONG
+_SPEC = "x " + "A1 sc x " * (_LONG // 8) + "A1 sc"
+# weilrep literals of over 100,000 characters, each refused by the term or text it echoes
+_OPEN, _CLOSE = f"chi(1/2,0{_ZEROS}", f"chi(1/2,0)){_ZEROS}"
+_HEAD = "p" * _LONG
+_CHI, _I = f"chi(1{_ZEROS})", f"I(1{_ZEROS})"
+_EPS, _K, _EXP = f"chi(0,{_LETTERS})", f"I({_LETTERS},1)", f"chi({_LETTERS},0)"
+_NINES = "9" * 4000  # an eps of 4,000 digits is still one int for the numeral grammar
+
+
+@pytest.mark.parametrize("argv, summary", [
+    (["check-tits", f"A2 sc x {_TOKEN}"], f"bad group token: {_clipped(_TOKEN)}"),
+    (["check-tits", _BLANK], f"bad group spec: {_clipped(_BLANK)}"),
+    (["fuzz", "--group", _SPEC, "--count", "1"],
+     f"empty product factor in group spec: {_clipped(_SPEC)}"),
+    (["weilrep", _OPEN], f"unbalanced parentheses in {_clipped(_OPEN)}"),
+    (["weilrep", _CLOSE], f"unbalanced parentheses in {_clipped(_CLOSE)}"),
+    (["weilrep", _LETTERS], f"bad rep term: {_clipped(_LETTERS)}"),
+    (["weilrep", _HEAD + "(1,0)"],
+     f"unknown rep term {_clipped(_HEAD)} in {_clipped(_HEAD + '(1,0)')}"),
+    (["weilrep", _CHI], f"chi needs (t,eps): {_clipped(_CHI)}"),
+    (["weilrep", _I], f"I needs (k,t): {_clipped(_I)}"),
+    (["weilrep", _EPS], f"bad eps in {_clipped(_EPS)}"),
+    (["weilrep", _K], f"bad k in {_clipped(_K)}"),
+    (["weilrep", _EXP], f"bad exponent in {_clipped(_EXP)}"),
+    (["weilrep", f"chi(0,{_NINES})"], f"eps must be 0 or 1, got {_NINES:.200}..."),
+    (["verify-theorem", "--param", _LETTERS],
+     f"cannot read parameter file {_clipped(_LETTERS)}: [Errno {errno.ENAMETOOLONG}] "
+     f"{os.strerror(errno.ENAMETOOLONG)}: {_clipped(_LETTERS)}"),
+], ids=["group-token", "group-spec", "empty-factor", "weilrep-open", "weilrep-close",
+        "weilrep-term", "weilrep-head", "weilrep-chi", "weilrep-I", "weilrep-eps",
+        "weilrep-k", "weilrep-exponent", "weilrep-eps-value", "param-file"])
+def test_refusal_of_a_long_input_echoes_it_in_part(capsys, argv, summary):
+    code, out = _run(capsys, *argv)
+    assert code == 2
+    assert out == f"RESULT 2 {summary}\n"
+    assert len(out) < 600
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["check-tits", "Z2 sc"], "RESULT 2 bad group token: 'Z2 sc'"),
+    (["weilrep", "chi(1/2,0"], "RESULT 2 unbalanced parentheses in 'chi(1/2,0'"),
+    (["verify-theorem", "--param", "no-such.param"],
+     "RESULT 2 cannot read parameter file 'no-such.param': "
+     f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'no-such.param'"),
+], ids=["group-token", "weilrep", "param-file"])
+def test_refusal_of_a_short_input_echoes_it_whole(capsys, argv, line):
+    assert _run(capsys, *argv) == (2, line + "\n")
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

@@ -17,9 +17,15 @@
   Every constructor's dif is checked against a fresh theta, and
   `verify_by_public_route`, the op made of the public functions, is kept
   here as an oracle.
+- A semisimple L has a radical torus of rank 0: `rad_param`, `rad_char` and
+  row 2 read one character built per L, checked against `radical_route`,
+  the projections and three torus checks they replaced. Where the rank is
+  positive, row 2 still checks three torus parameters.
 """
 
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -58,8 +64,9 @@ from lparams.torus import char_equal, param_to_char, torus_contragredient, torus
 from lparams.weilrep import parse_weil_rep, weil_to_lparam
 from lparams.weyl import longest_element, weyl_enumerate, weyl_from_word
 
-from oracle_matrices import all_coroots, torus_entries, vadd
+from oracle_matrices import all_coroots, radical_route, torus_entries, vadd
 
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 D4_SWAP = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
 # the theorem_fleet and big_weyl configurations of the benchmark
@@ -321,20 +328,26 @@ def test_cached_torus_matrices_on_small_egroups():
                                          ("GL(6)", "split"), ("F4 sc", "split")])
 def test_kappa_once_per_torus_parameter(monkeypatch, group, inner):
     L = _L(group, inner)
+    rank = len(_radical_egroup(L)[0])
     rng = Random(f"kappa:{group}")
     calls = []
     kappa = torus._kappa
     monkeypatch.setattr(torus, "_kappa", lambda *a: calls.append(a) or kappa(*a))
+    # on rank 0 the one character is built once per L, with one kappa
+    lparam._trivial_radical.cache_clear()
+    lparam._trivial_radical(L)
+    assert len(calls) == (0 if rank else 1)
     for _ in range(4):
         p = random_param(L, rng)
         calls.clear()
         assert rad_char(p) == param_to_char(rad_param(p))
-        # rad_char: one kappa; then rad_param's check and param_to_char's own
-        assert len(calls) == 3
+        # rad_char: one kappa; then rad_param's check and param_to_char's own.
+        # On rank 0 the first two read the cached character.
+        assert len(calls) == (3 if rank else 1)
         calls.clear()
         assert all(ok for _, ok, _ in verify_contragredient(p))
-        # row 2: rad(C), rad(p) and the dual's parameter, one kappa each
-        assert len(calls) == 3
+        # row 2: rad(C), rad(p) and the dual's parameter, one kappa each, or none on rank 0
+        assert len(calls) == (3 if rank else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +374,9 @@ def verify_by_public_route(p):
     and rad(p) each projecting its own lambda and dif, the dual built by
     torus_contragredient and read by param_to_char, both dominant points by
     inf_char, the conjugacy test by params_equivalent, and each central
-    character by central_char.
+    character by central_char. On a radical torus of rank 0, rad_char and
+    rad_param read the character cached per L that row 2 reads too;
+    radical_route checks that record by the projection route.
     """
     d = p.L.dual_datum
     cp = contragredient_param(p)
@@ -424,13 +439,16 @@ def test_op_matches_public_route_at_singular_lambda():
     assert rows == verify_by_public_route(p)
 
 
+# theta_rad swaps and negates the two radical coordinates and mu_r = (1/4, 3/4), so
+# -mu_r != mu_r and (1 + theta_rad)mu_r != 0: kappa(dual) reads the sign of -proj mu
+ORDER_4 = {"group": "GL(2) x GL(2)",
+           "inner_class": [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+           "lambda": ["11/6+3i", "-19/4-13/6i", "23/4+13/6i", "1/6-3i"],
+           "mu": ["0", "1/4", "3/4", "0"], "w": []}
+
+
 def test_op_matches_public_route_on_a_radical_torus_part_of_order_4():
-    # theta_rad swaps and negates the two radical coordinates and mu_r = (1/4, 3/4), so
-    # -mu_r != mu_r and (1 + theta_rad)mu_r != 0: kappa(dual) reads the sign of -proj mu
-    p = param_from_dict({"group": "GL(2) x GL(2)",
-                         "inner_class": [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
-                         "lambda": ["11/6+3i", "-19/4-13/6i", "23/4+13/6i", "1/6-3i"],
-                         "mu": ["0", "1/4", "3/4", "0"], "w": []})
+    p = param_from_dict(ORDER_4)
     rp = rad_param(p)
     assert rp.egroup.theta_check == ((0, -1), (-1, 0))
     assert rp.mu == TorusPart.scaled([1, 3], 4)
@@ -499,6 +517,93 @@ def test_kappa_off_one_plus_theta_lambda_is_refused_on_both_routes(monkeypatch, 
 
 
 # ---------------------------------------------------------------------------
+# the radical character of a semisimple L, once per L
+
+def _radical_rank(group, inner):
+    return len(_radical_egroup(_L(group, inner))[0])
+
+
+RANK_0 = [c for c in ROUTE_CONFIGS if not _radical_rank(*c)]
+RANK_0_IDS = [i for c, i in zip(ROUTE_CONFIGS, ROUTE_IDS) if not _radical_rank(*c)]
+# the rank-positive ROUTE_CONFIGS, groups with a T1 or GL(2) factor in both inner
+# classes, and ORDER_4's parameter
+RANK_POSITIVE = [c for c in ROUTE_CONFIGS if _radical_rank(*c)] + [
+    ("A1 sc x T1", "split"), ("A1 sc x T1", "compact"),
+    ("B2 sc x GL(2)", "split"), ("B2 sc x GL(2)", "compact"), ("GL(2) x GL(2)", "order 4")]
+RANK_POSITIVE_IDS = [f"{g}|{ic}" for g, ic in RANK_POSITIVE]
+
+
+def test_radical_rank_splits_route_configs():
+    assert [c for c in ROUTE_CONFIGS if _radical_rank(*c)] == [
+        ("GL(4)", "split"), ("GL(3)", "compact"), ("GL(6)", "split"), ("GL(7)", "split"),
+        ("GL(7)", "compact"), ("GL(3) x GL(3)", "split"), ("GL(5) x GL(5)", "split")]
+    assert len(RANK_0) == 14
+
+
+@pytest.mark.parametrize("group,inner", RANK_0, ids=RANK_0_IDS)
+def test_rank_0_radical_matches_the_projection_route(group, inner):
+    L = _L(group, inner)
+    empty = ScaledVec((), (), 1)
+    for p in _route_params(L):
+        param, char, row = radical_route(p, contragredient_param(p))
+        assert param.lam == char.lam == char.kappa == empty
+        assert param.mu == TorusPart.scaled((), 1)
+        assert rad_param(p) == param
+        assert rad_char(p) == char
+        assert verify_contragredient(p)[1] == row == (
+            "rad_char dual", True, "kappa(C)=[] kappa(dual)=[]")
+
+
+def _counted_char_data(monkeypatch):
+    calls = []
+    char_data = lparam._char_data
+    monkeypatch.setattr(lparam, "_char_data", lambda *a: calls.append(a) or char_data(*a))
+    return calls
+
+
+@pytest.mark.parametrize("group,inner", RANK_0, ids=RANK_0_IDS)
+def test_rank_0_row_2_checks_no_torus_parameter(monkeypatch, group, inner):
+    L = _L(group, inner)
+    params = _route_params(L, 4)
+    lparam._trivial_radical.cache_clear()
+    calls = _counted_char_data(monkeypatch)
+    for p in params:
+        verify_contragredient(p)
+    # the one build of the cached character; every op after it reads the record
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("group,inner", RANK_POSITIVE, ids=RANK_POSITIVE_IDS)
+def test_rank_positive_row_2_checks_three_torus_parameters(monkeypatch, group, inner):
+    if inner == "order 4":
+        params = [param_from_dict(ORDER_4)]
+    else:
+        params = _route_params(_L(group, inner), 4)
+    assert lparam._trivial_radical(params[0].L) is None
+    calls = _counted_char_data(monkeypatch)
+    for p in params:
+        calls.clear()
+        rows = verify_contragredient(p)
+        assert len(calls) == 3
+        param, char, row = radical_route(p, contragredient_param(p))
+        assert rows[1] == row
+        assert rad_param(p) == param
+        assert rad_char(p) == char
+
+
+def test_benchmark_cold_set_up_empties_the_radical_cache():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import spans
+    finally:
+        sys.path.remove(PERFBENCH)
+    lparam._trivial_radical(_L("F4 sc", "split"))
+    assert lparam._trivial_radical.cache_info().currsize
+    spans.clear_caches()
+    assert lparam._trivial_radical.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
 # the record's dif
 
 def _fresh_dif(p):
@@ -558,12 +663,15 @@ def test_op_applies_no_one_minus_theta(monkeypatch, group, inner):
 
     monkeypatch.setattr(ScaledVec, "apply", counted_apply)
     monkeypatch.setattr(lparam, "conjugate_param", uncounted_conjugate)
+    rank = len(_radical_egroup(L)[0])
+    lparam._trivial_radical(L)
     for p in params:
         one_minus_theta = lparam._involution(L, p.w).one_minus
         one_minus_rad = torus._matrices(_radical_egroup(L)[1].theta_check)[0]
         applied.clear()
         assert all(ok for _, ok, _ in verify_contragredient(p))
-        # -w0 on inf(p), and the radical projection on lambda_p and on p.dif
-        assert len(applied) == 3
+        # -w0 on inf(p), and the radical projection on lambda_p and on p.dif where the
+        # radical torus has positive rank; on rank 0 row 2 reads the record cached per L
+        assert len(applied) == (3 if rank else 1)
         assert one_minus_theta not in applied
         assert not one_minus_rad or one_minus_rad not in applied
