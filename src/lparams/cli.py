@@ -87,7 +87,7 @@ def _load_param_data(text: str) -> dict:
             raise InputError(f"cannot read parameter file {clipped_repr(text)}: {reason}") from exc
     try:
         data = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit too
         raise InputError(f"parameter input is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("parameter input must be a JSON object")
@@ -114,7 +114,7 @@ def _build_group(args):
     if inner.lstrip().startswith("["):
         try:
             inner = json.loads(inner)
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):
             pass  # parse_inner_class reports it as an unknown inner class
     return parse_inner_class(d, inner)
 
@@ -129,7 +129,7 @@ def _datum_involution(d, text):
         return named
     try:
         rows = json_matrix(json.loads(text) if isinstance(text, str) else text)
-    except (json.JSONDecodeError, RecursionError, TypeError) as exc:
+    except (ValueError, RecursionError, TypeError) as exc:
         raise InputError(f"bad inner class {clipped_repr(text)}") from exc
     return based_aut(d, rows)
 

@@ -9,7 +9,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Tuple, Union
 
-from .errors import InputError, frozen_setattr
+from .errors import InputError, clipped_repr, frozen_setattr
 
 Rat = Union[int, Q]
 
@@ -227,7 +227,7 @@ def read_rational(x) -> Q:
     try:
         return parse_rational(x)
     except ValueError as exc:
-        raise InputError(f"bad rational entry: {x!r}") from exc
+        raise InputError(f"bad rational entry: {clipped_repr(x)}") from exc
 
 
 def read_gauss(x) -> GaussQ:
@@ -258,7 +258,7 @@ def _coefficient(text: str) -> Tuple[int, int]:
 def parse_gauss_scaled(text: str) -> Tuple[int, int, int]:
     """parse_gauss as integers (a, b, den), den >= 1 and not reduced: the number is (a + b i) / den."""
     if not isinstance(text, str):
-        raise InputError(f"expected a string, got {text!r}")
+        raise InputError(f"expected a string, got {clipped_repr(text)}")
     m = _GAUSS_RE.fullmatch(text)
     try:
         if m is None:
@@ -268,7 +268,7 @@ def parse_gauss_scaled(text: str) -> Tuple[int, int, int]:
         else:
             (a, c), (b, d) = _numeral(m["re"]), _coefficient(m["im"]) if m["im"] else (0, 1)
     except ValueError as exc:
-        raise InputError(f"bad Gaussian rational: {text!r}") from exc
+        raise InputError(f"bad Gaussian rational: {clipped_repr(text)}") from exc
     return a * d, b * c, c * d
 
 

@@ -324,51 +324,58 @@ def inf_char(p: LParam) -> ScaledVec:
     return _dominance_descent(p.L.dual_datum, p.lam)[0]
 
 
+# the radical torus of L: the projection of X_* onto its cocharacters and its E-group;
+# where the projection has no rows (L is semisimple), also the torus's one parameter,
+# its character and row 2's row
+_Radical = namedtuple("_Radical", "proj egroup param char row")
+
+
 @cache
-def _radical_egroup(L: LGroup):
-    """(projection, E-group of the radical torus), once per L.
+def _radical(L: LGroup) -> _Radical:
+    """The radical torus of L, once per L.
 
     W acts trivially on X_* modulo the saturated coroot lattice, as s_alpha
     moves x by a multiple of alpha-check, so theta = w theta0 descends to
-    what theta0 does, for every w.
+    what theta0 does, for every w. Where the torus has rank 0, lambda_r,
+    dif_r and mu_r are empty for every parameter of L: rad(p), rad(C(p)) and
+    the dual's character are one character, checked once by _char_data, and
+    row 2's verdict and text are char_equal and format_vec on it.
     """
     d = L.dual_datum
     proj, uinv, rank = saturation_projection(d.simple_coroots, d.rank)
-    th_rad = descend_map(proj, uinv, rank, coaction(L.theta0))
-    return proj, torus_egroup(th_rad, (0,) * len(proj))
-
-
-# the one parameter and character of a radical torus of rank 0, and row 2's row
-_TrivialRadical = namedtuple("_TrivialRadical", "param char row")
-
-
-@cache
-def _trivial_radical(L: LGroup):
-    """A _TrivialRadical when L's radical torus has rank 0 (L is semisimple), else None; once per L.
-
-    The projection then has no rows, so lambda_r, dif_r and mu_r are empty
-    for every parameter of L: rad(p), rad(C(p)) and the dual's character are
-    one character, checked once by _char_data, and row 2's verdict and text
-    are char_equal and format_vec on it, computed once.
-    """
-    proj, eg = _radical_egroup(L)
+    eg = torus_egroup(descend_map(proj, uinv, rank, coaction(L.theta0)), (0,) * len(proj))
     if proj:
-        return None
+        return _Radical(proj, eg, None, None, None)
     lam, mu = ScaledVec((), (), 1), TorusPart.scaled((), 1)
     rc = _char_data(eg, lam, lam, mu)
     kappa = format_vec(rc.kappa)
-    return _TrivialRadical(TorusParam(eg, lam, mu), rc,
-                           ("rad_char dual", char_equal(rc, rc),
-                            f"kappa(C)={kappa} kappa(dual)={kappa}"))
+    return _Radical(proj, eg, TorusParam(eg, lam, mu), rc,
+                    ("rad_char dual", char_equal(rc, rc), f"kappa(C)={kappa} kappa(dual)={kappa}"))
 
 
-def _rad_images(p: LParam):
-    """(radical E-group, projection, lambda_r = proj lambda, (1 - theta_rad)lambda_r) for p.
+def _radical_of(p: LParam, cp: LParam | None = None) -> _Radical:
+    """p's radical record: rad(p) and its character, and row 2's row when cp = C(p) is given.
 
-    (1 - theta_rad)lambda_r is proj dif, as proj theta = theta_rad proj (descend_map).
+    Where the radical torus has rank 0 this is _radical(p.L) itself. Else
+    lambda_p, p.dif and mu_p are projected once, to lambda_r, dif_r =
+    (1 - theta_rad)lambda_r (as proj theta = theta_rad proj, descend_map)
+    and mu_r, and _char_data checks rad(p) from them; row 2 checks rad(C(p))
+    from (-lambda_r, -dif_r) and proj mu_C, and the dual from (-lambda_r,
+    -dif_r) and -mu_r, one kappa each.
     """
-    proj, eg = _radical_egroup(p.L)
-    return eg, proj, p.lam.apply(proj), p.dif.apply(proj)
+    rad = _radical(p.L)
+    proj, eg = rad.proj, rad.egroup
+    if not proj:
+        return rad
+    lam_r, dif_r, mu_r = p.lam.apply(proj), p.dif.apply(proj), act_on_torus_part(proj, p.mu)
+    rc, row = _char_data(eg, lam_r, dif_r, mu_r), None
+    if cp is not None:
+        neg_lam_r, neg_dif_r = -lam_r, -dif_r
+        rc_c = _char_data(eg, neg_lam_r, neg_dif_r, act_on_torus_part(proj, cp.mu))
+        rc_dual = _char_data(eg, neg_lam_r, neg_dif_r, -mu_r)
+        row = ("rad_char dual", char_equal(rc_c, rc_dual),
+               f"kappa(C)={format_vec(rc_c.kappa)} kappa(dual)={format_vec(rc_dual.kappa)}")
+    return _Radical(proj, eg, TorusParam(eg, lam_r, mu_r), rc, row)
 
 
 def rad_param(p: LParam) -> TorusParam:
@@ -377,21 +384,11 @@ def rad_param(p: LParam) -> TorusParam:
     The radical cocharacter lattice is X_* modulo the saturated coroot
     lattice; theta descends because it permutes coroots up to sign.
     """
-    trivial = _trivial_radical(p.L)
-    if trivial is not None:
-        return trivial.param
-    eg, proj, lam_r, dif_r = _rad_images(p)
-    mu_r = act_on_torus_part(proj, p.mu)
-    _char_data(eg, lam_r, dif_r, mu_r)
-    return TorusParam(eg, lam_r, mu_r)
+    return _radical_of(p).param
 
 
 def rad_char(p: LParam) -> TorusCharData:
-    trivial = _trivial_radical(p.L)
-    if trivial is not None:
-        return trivial.char
-    eg, proj, lam_r, dif_r = _rad_images(p)
-    return _char_data(eg, lam_r, dif_r, act_on_torus_part(proj, p.mu))
+    return _radical_of(p).char
 
 
 @cache
@@ -582,11 +579,8 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
     Tits-group part, so C(p) and tau(p), from contragredient_param and
     tau_twist_param, keep -p.dif as their (1 - theta)lambda, and row 4's
     central_char reads each record's dif: the op applies no 1 - theta. Row 2
-    projects lambda_p and p.dif once, to lambda_r and dif_r, and checks
-    rad(C(p)) from (-lambda_r, -dif_r) and proj mu_C, rad(p) from (lambda_r,
-    dif_r) and proj mu, and the dual from (-lambda_r, -dif_r) and -proj mu,
-    one kappa each. Where the radical torus has rank 0 the three are one
-    character, and row 2 is read from _trivial_radical, built once per L.
+    is _radical_of's row: three kappas from one projection of lambda_p and
+    p.dif, or, where the radical torus has rank 0, the row built once per L.
 
     What the theorem compares stays independent: the mu parts come from
     chevalley and tits_inverse on one side and from the torus negation on
@@ -608,18 +602,7 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
     rows.append(("inf_char negation", ok,
                  f"inf(C)={text} dominant(-inf)={text if ok else format_tuple(want)}"))
 
-    trivial = _trivial_radical(p.L)
-    if trivial is not None:
-        rows.append(trivial.row)
-    else:
-        eg, proj, lam_r, dif_r = _rad_images(p)
-        neg_lam_r, neg_dif_r = -lam_r, -dif_r
-        mu_r = act_on_torus_part(proj, p.mu)
-        rc_c = _char_data(eg, neg_lam_r, neg_dif_r, act_on_torus_part(proj, cp.mu))
-        _char_data(eg, lam_r, dif_r, mu_r)  # rad(p), checked as rad_param checks it
-        rc_dual = _char_data(eg, neg_lam_r, neg_dif_r, -mu_r)
-        rows.append(("rad_char dual", char_equal(rc_c, rc_dual),
-                     f"kappa(C)={format_vec(rc_c.kappa)} kappa(dual)={format_vec(rc_dual.kappa)}"))
+    rows.append(_radical_of(p, cp).row)
 
     tp = tau_twist_param(p)
     rows.append(("C-twist vs tau-twist conjugacy", _params_equivalent(cp, tp, desc_c),

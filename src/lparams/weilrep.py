@@ -69,7 +69,7 @@ def weil_chi(t, eps: int) -> WeilIrr:
 def weil_ind(k: int, t) -> WeilIrr:
     """I(|k|, t); t is read by read_gauss and k must be a nonzero int (not a bool or a float)."""
     if type(k) is not int or k == 0:
-        raise InputError(f"I(k,t) needs a nonzero integer k, got {k!r}; "
+        raise InputError(f"I(k,t) needs a nonzero integer k, got {clipped_repr(k)}; "
                          "I(0,t) is reducible, build it at the rep level")
     return WeilIrr("ind", read_gauss(t), k=abs(k))
 
@@ -109,7 +109,7 @@ def weil_rep(items: Sequence[WeilIrr]) -> WeilRep:
     items = list(items)
     for it in items:
         if not isinstance(it, WeilIrr):
-            raise InputError(f"not a Weil irreducible: {it!r}")
+            raise InputError(f"not a Weil irreducible: {clipped_repr(it)}")
     t = ScaledVec.of([it.t for it in items])
     return _rep(zip((it.k for it in items), t.re, t.im, (it.eps for it in items)), t.den)
 

@@ -33,7 +33,7 @@ from math import prod
 from operator import mul
 from typing import Iterator, Tuple
 
-from .errors import DatumMismatch, InputError, InvariantViolated, frozen_setattr
+from .errors import DatumMismatch, InputError, InvariantViolated, clipped_repr, frozen_setattr
 from .intlinalg import ident, mat_neg, mat_vec, transpose
 from .rootdata import (
     BasedAut,
@@ -350,9 +350,9 @@ def weyl_identity(d: RootDatum) -> WeylElem:
 def _index(d: RootDatum, i: int) -> int:
     """A simple index: a plain int (not a bool, a float or a string) in 1..nsimple."""
     if type(i) is not int:
-        raise InputError(f"simple index must be an integer, got {i!r}")
+        raise InputError(f"simple index must be an integer, got {clipped_repr(i)}")
     if not 1 <= i <= d.nsimple:
-        raise InputError(f"simple index {i} out of range 1..{d.nsimple}")
+        raise InputError(f"simple index {clipped_repr(i)} out of range 1..{d.nsimple}")
     return i
 
 

@@ -342,6 +342,24 @@ def test_undecodable_json_input_exits_2(capsys, tmp_path, site, flags):
         assert len(lines) == 1
 
 
+# an integer of 5,001 digits, past the 4,300 that int() reads from text since 3.10.7
+_HUGE = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-theorem", "--param",
+     f'{{"group": "A1 sc", "inner_class": "split", "lambda": ["0"], "mu": ["0"], "w": [{_HUGE}]}}'],
+    ["fuzz", "--group", "A1 sc", "--inner-class", f"[[{_HUGE}]]", "--count", "1"],
+    ["check-tits", "A1 sc", "--inner-class", f"[[{_HUGE}]]"],
+], ids=["param-w", "fuzz-inner-class", "check-tits-inner-class"])
+def test_integer_past_the_digit_limit_exits_2(capsys, argv):
+    # the refusal's text depends on the interpreter: a release without the limit reads the
+    # integer and refuses it as an index or a matrix entry
+    code, out = _run(capsys, *argv)
+    assert code == 2
+    assert out.startswith("RESULT 2 ") and out.count("\n") == 1 and len(out) < 300
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
 def test_oversized_param_document_is_echoed_in_part(capsys, flags):
     data = {"group": "A1 sc", "inner_class": "split", "lambda": ["0"], "mu": [0.5] * 10_000,
@@ -409,6 +427,7 @@ _HEAD = "p" * _LONG
 _CHI, _I = f"chi(1{_ZEROS})", f"I(1{_ZEROS})"
 _EPS, _K, _EXP = f"chi(0,{_LETTERS})", f"I({_LETTERS},1)", f"chi({_LETTERS},0)"
 _NINES = "9" * 4000  # an eps of 4,000 digits is still one int for the numeral grammar
+_XS, _INDEX = "x" * _LONG, 10 ** 4000
 
 
 @pytest.mark.parametrize("argv, summary", [
@@ -430,9 +449,16 @@ _NINES = "9" * 4000  # an eps of 4,000 digits is still one int for the numeral g
     (["verify-theorem", "--param", _LETTERS],
      f"cannot read parameter file {_clipped(_LETTERS)}: [Errno {errno.ENAMETOOLONG}] "
      f"{os.strerror(errno.ENAMETOOLONG)}: {_clipped(_LETTERS)}"),
+    (["verify-theorem", "--param", json.dumps(
+        {"group": "A1 sc", "inner_class": "split", "lambda": [_XS], "mu": ["0"], "w": []})],
+     f"bad Gaussian rational: {_clipped(_XS)}"),
+    (["verify-theorem", "--param", json.dumps(
+        {"group": "A1 sc", "inner_class": "split", "lambda": ["0"], "mu": ["0"], "w": [_INDEX]})],
+     f"simple index {_INDEX!r:.200}... out of range 1..1"),
 ], ids=["group-token", "group-spec", "empty-factor", "weilrep-open", "weilrep-close",
         "weilrep-term", "weilrep-head", "weilrep-chi", "weilrep-I", "weilrep-eps",
-        "weilrep-k", "weilrep-exponent", "weilrep-eps-value", "param-file"])
+        "weilrep-k", "weilrep-exponent", "weilrep-eps-value", "param-file", "param-lambda",
+        "param-w"])
 def test_refusal_of_a_long_input_echoes_it_in_part(capsys, argv, summary):
     code, out = _run(capsys, *argv)
     assert code == 2
@@ -446,9 +472,44 @@ def test_refusal_of_a_long_input_echoes_it_in_part(capsys, argv, summary):
     (["verify-theorem", "--param", "no-such.param"],
      "RESULT 2 cannot read parameter file 'no-such.param': "
      f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'no-such.param'"),
-], ids=["group-token", "weilrep", "param-file"])
+    (["verify-theorem", "--param",
+      '{"group": "A1 sc", "inner_class": "split", "lambda": ["1/0"], "mu": ["0"], "w": []}'],
+     "RESULT 2 bad Gaussian rational: '1/0'"),
+    (["verify-theorem", "--param",
+      '{"group": "A1 sc", "inner_class": "split", "lambda": ["0"], "mu": ["0"], "w": [3]}'],
+     "RESULT 2 simple index 3 out of range 1..1"),
+], ids=["group-token", "weilrep", "param-file", "param-lambda", "param-w"])
 def test_refusal_of_a_short_input_echoes_it_whole(capsys, argv, line):
     assert _run(capsys, *argv) == (2, line + "\n")
+
+
+def _library_refusals():
+    from lparams.gaussian import parse_gauss_scaled, read_rational
+    from lparams.rootdata import build_datum
+    from lparams.weilrep import weil_ind, weil_rep
+    from lparams.weyl import weyl_from_word
+
+    return [
+        (parse_gauss_scaled, "expected a string, got {}"),
+        (read_rational, "bad rational entry: {}"),
+        (lambda x: weyl_from_word(build_datum("A1 sc"), [x]),
+         "simple index must be an integer, got {}"),
+        (lambda x: weil_ind(x, 0), "I(k,t) needs a nonzero integer k, got {}; "
+                                   "I(0,t) is reducible, build it at the rep level"),
+        (lambda x: weil_rep([x]), "not a Weil irreducible: {}"),
+    ]
+
+
+@pytest.mark.parametrize("site", range(5), ids=["gauss-not-a-string", "rational-entry",
+                                                 "simple-index", "weil-ind-k", "weil-rep-item"])
+def test_library_refusal_echoes_a_long_input_in_part(site):
+    from lparams.errors import InputError
+
+    call, message = _library_refusals()[site]
+    for value, echo in [(("x",) * _LONG, f"{('x',) * _LONG!r:.200}..."), ((1.5,), "(1.5,)")]:
+        with pytest.raises(InputError) as exc:
+            call(value)
+        assert str(exc.value) == message.format(echo)
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

@@ -39,7 +39,7 @@ from lparams.lparam import (
     LParam,
     _dominance_descent,
     _params_equivalent,
-    _radical_egroup,
+    _radical,
     central_char,
     central_chars_agree,
     central_modulus_gens,
@@ -312,7 +312,7 @@ def test_cached_torus_matrices_match_fresh(group, inner, cold):
     L = _L(group, inner)
     for w in twisted_involutions(L):
         theta = lparam._involution(L, w).theta
-        tc = _radical_egroup(L)[1].theta_check
+        tc = _radical(L).egroup.theta_check
         for m in (theta, tc, mat_neg(theta), mat_neg(tc)):
             assert torus._matrices(m) == _fresh(m)
             assert torus._matrices(m) is torus._matrices(tuple(map(tuple, m)))
@@ -328,14 +328,14 @@ def test_cached_torus_matrices_on_small_egroups():
                                          ("GL(6)", "split"), ("F4 sc", "split")])
 def test_kappa_once_per_torus_parameter(monkeypatch, group, inner):
     L = _L(group, inner)
-    rank = len(_radical_egroup(L)[0])
+    rank = len(_radical(L).proj)
     rng = Random(f"kappa:{group}")
     calls = []
     kappa = torus._kappa
     monkeypatch.setattr(torus, "_kappa", lambda *a: calls.append(a) or kappa(*a))
     # on rank 0 the one character is built once per L, with one kappa
-    lparam._trivial_radical.cache_clear()
-    lparam._trivial_radical(L)
+    lparam._radical.cache_clear()
+    lparam._radical(L)
     assert len(calls) == (0 if rank else 1)
     for _ in range(4):
         p = random_param(L, rng)
@@ -506,7 +506,7 @@ def test_kappa_off_one_plus_theta_lambda_is_refused_on_both_routes(monkeypatch, 
     monkeypatch.setattr(torus, "_kappa", moved)
     refused = 0
     for p in params:
-        theta_rad = _radical_egroup(L)[1].theta_check
+        theta_rad = _radical(L).egroup.theta_check
         got = _outcome(verify_contragredient, p)
         assert got == _outcome(verify_by_public_route, p), p
         if theta_rad[0][0] == -1:
@@ -520,7 +520,7 @@ def test_kappa_off_one_plus_theta_lambda_is_refused_on_both_routes(monkeypatch, 
 # the radical character of a semisimple L, once per L
 
 def _radical_rank(group, inner):
-    return len(_radical_egroup(_L(group, inner))[0])
+    return len(_radical(_L(group, inner)).proj)
 
 
 RANK_0 = [c for c in ROUTE_CONFIGS if not _radical_rank(*c)]
@@ -565,7 +565,7 @@ def _counted_char_data(monkeypatch):
 def test_rank_0_row_2_checks_no_torus_parameter(monkeypatch, group, inner):
     L = _L(group, inner)
     params = _route_params(L, 4)
-    lparam._trivial_radical.cache_clear()
+    lparam._radical.cache_clear()
     calls = _counted_char_data(monkeypatch)
     for p in params:
         verify_contragredient(p)
@@ -579,7 +579,7 @@ def test_rank_positive_row_2_checks_three_torus_parameters(monkeypatch, group, i
         params = [param_from_dict(ORDER_4)]
     else:
         params = _route_params(_L(group, inner), 4)
-    assert lparam._trivial_radical(params[0].L) is None
+    assert lparam._radical(params[0].L).row is None
     calls = _counted_char_data(monkeypatch)
     for p in params:
         calls.clear()
@@ -597,10 +597,10 @@ def test_benchmark_cold_set_up_empties_the_radical_cache():
         import spans
     finally:
         sys.path.remove(PERFBENCH)
-    lparam._trivial_radical(_L("F4 sc", "split"))
-    assert lparam._trivial_radical.cache_info().currsize
+    lparam._radical(_L("F4 sc", "split"))
+    assert lparam._radical.cache_info().currsize
     spans.clear_caches()
-    assert lparam._trivial_radical.cache_info().currsize == 0
+    assert lparam._radical.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +663,11 @@ def test_op_applies_no_one_minus_theta(monkeypatch, group, inner):
 
     monkeypatch.setattr(ScaledVec, "apply", counted_apply)
     monkeypatch.setattr(lparam, "conjugate_param", uncounted_conjugate)
-    rank = len(_radical_egroup(L)[0])
-    lparam._trivial_radical(L)
+    rank = len(_radical(L).proj)
+    lparam._radical(L)
     for p in params:
         one_minus_theta = lparam._involution(L, p.w).one_minus
-        one_minus_rad = torus._matrices(_radical_egroup(L)[1].theta_check)[0]
+        one_minus_rad = torus._matrices(_radical(L).egroup.theta_check)[0]
         applied.clear()
         assert all(ok for _, ok, _ in verify_contragredient(p))
         # -w0 on inf(p), and the radical projection on lambda_p and on p.dif where the
