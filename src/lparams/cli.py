@@ -87,8 +87,10 @@ def _load_param_data(text: str) -> dict:
             raise InputError(f"cannot read parameter file {clipped_repr(text)}: {reason}") from exc
     try:
         data = json.loads(raw)
-    except (ValueError, RecursionError) as exc:  # an integer past the digit limit too
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"parameter input is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # valid JSON, but int() refuses a literal past its digit limit
+        raise InputError(f"parameter input holds an integer past the digit limit: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("parameter input must be a JSON object")
     return data

@@ -99,8 +99,14 @@ def json_matrix(value) -> list:
 
 def clipped_repr(value) -> str:
     """repr(value), cut to its first 200 characters and "..." when longer: a refusal that
-    echoes its input stays short, however long the input."""
-    text = repr(value)
+    echoes its input stays short, however long the input. repr refuses an int past the
+    interpreter's digit limit, so such an int is echoed by its size in bits."""
+    try:
+        text = repr(value)
+    except ValueError as exc:
+        if isinstance(value, int):
+            return f"<int of {value.bit_length()} bits>"
+        text = f"<{type(value).__name__}: {exc}>"
     return text if len(text) <= 200 else text[:200] + "..."
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
+from itertools import count
 from math import lcm
 from operator import mul
 from random import Random
@@ -58,12 +59,11 @@ from .intlinalg import (
 from .lgroup import LGroup, StandardLevi, lgroup_tits_context, parse_inner_class
 from .rootdata import (
     RootDatum,
-    all_roots,
+    _root_system,
     based_aut,
     build_datum,
     coaction,
     compose_aut,
-    positive_coroots,
     transpose_aut,
 )
 from .tits import (
@@ -117,10 +117,27 @@ class LParam(namedtuple("LParam", "L lam mu w dif")):
                 f"mu={format_torus_part(self.mu)}, w={list(self.w.word)})")
 
 
-# theta = w theta0 on X_*; twisted: w . theta0(w) = e, which is theta^2 = 1, as
-# theta^2 = (w . theta0(w)) theta0^2 and LGroup holds theta0^2 = 1;
-# the matrices 1 - theta and 1 + theta; shift = rho_check - w rho_check
-_Involution = namedtuple("_Involution", "theta twisted one_minus one_plus shift")
+class _Involution(namedtuple("_Involution",
+                              "theta twisted one_minus one_plus shift rho_i central")):
+    """theta = w theta0 on X_*; twisted: w . theta0(w) = e, which is theta^2 = 1, as
+    theta^2 = (w . theta0(w)) theta0^2 and LGroup holds theta0^2 = 1; the matrices
+    1 - theta and 1 + theta; shift = rho_check - w rho_check; rho_i, half the sum of
+    a positive system of imaginary roots; central, the lattice central_modulus_gens
+    spans, mod 2, as an xor basis."""
+
+    __slots__ = ()
+
+    def parity_target(self, mu: TorusPart):
+        """The integer vector 2(mu + theta(mu)) + (rho_check - w rho_check), or None if
+        it is not integral; validity's parity row compares it with (1 - theta)lambda mod 2."""
+        # 2(mu + theta(mu)) has numerators 2 * (1 + theta) mu.num over mu.den
+        den, target = mu.den, []
+        for row, r in zip(self.one_plus, self.shift):
+            x, rem = divmod(2 * sum(map(mul, row, mu.num)), den)
+            if rem:
+                return None
+            target.append(x + r)
+        return target
 
 
 @cache
@@ -129,15 +146,44 @@ def _involution(L: LGroup, w: WeylElem) -> _Involution:
 
     Computed once per (L, w); the cache holds one entry per Weyl element met,
     in practice the twisted involutions of L.
+
+    rho_i: the imaginary roots are the roots of the group itself (coroots of
+    the dual datum) negated by theta. They are closed under negation and
+    f(-c) = -f(c), so for a functional f = (1, t, t^2, ...), t >= 2, nonzero
+    on all of them, each positive c with theta c = -c adds c or -c, whichever
+    f makes positive.
+
+    central: the lattice contains 2Z^n, as (1 - theta) e_k + (1 + theta) e_k =
+    2 e_k, so an integer vector lies in it exactly when its parity mask lies
+    in the F_2-span of the generators' masks (1 + theta = 1 - theta mod 2, so
+    each distinct mask is reduced once). The basis holds at most n masks with
+    distinct leading bits, in decreasing order, so x = min(x, x ^ b) over it
+    clears x's bits from the top down.
     """
     d = L.dual_datum
+    n = d.rank
     theta = mat_mul(w.matrix, coaction(L.theta0))
     twisted = weyl_mul(w, apply_aut_to_weyl(L.theta0, w)) == weyl_identity(d)
     shift2 = _four_z(w)
     if any(x % 2 for x in shift2):
         raise InvariantViolated("rho_check - w rho_check is not an integer vector")
-    return _Involution(theta, twisted, one_minus(theta), one_minus(mat_neg(theta)),
-                       tuple(x // 2 for x in shift2))
+    imag = [c for c in _root_system(d).coroots
+            if all(sum(map(mul, row, c)) == -x for row, x in zip(theta, c))]
+    for t in count(2):
+        f = [t ** k for k in range(n)]
+        vals = [sum(map(mul, f, c)) for c in imag]
+        if all(vals):
+            break
+    rho_i = ScaledVec([sum(c[k] if v > 0 else -c[k] for c, v in zip(imag, vals))
+                       for k in range(n)], (0,) * n, 2)
+    om, op = one_minus(theta), one_minus(mat_neg(theta))
+    basis: List[int] = []
+    for x in {_parity_mask(g) for g in central_modulus_gens(d, om, op)}:
+        x = _xor_reduce(x, basis)
+        if x:
+            basis.append(x)
+            basis.sort(reverse=True)
+    return _Involution(theta, twisted, om, op, tuple(x // 2 for x in shift2), rho_i, tuple(basis))
 
 
 def _orthogonal(alpha, v: ScaledVec) -> bool:
@@ -186,10 +232,8 @@ def _validity_rows(L: LGroup, mu: TorusPart, w: WeylElem, dif: ScaledVec):
     if not int_ok:
         return rows
 
-    # 2(mu + theta(mu)) has numerators 2 * (1 + theta) mu.num over mu.den
-    two_mu_plus = [2 * sum(map(mul, row, mu.num)) for row in inv.one_plus]
-    e_ok = all(x % mu.den == 0 and (x // mu.den + r - y) % 2 == 0
-               for x, r, y in zip(two_mu_plus, inv.shift, dif.re))
+    target = inv.parity_target(mu)
+    e_ok = target is not None and not any([(t - y) & 1 for t, y in zip(target, dif.re)])
     rows.append(("parity", e_ok,
                  "2(mu + theta(mu)) + (rho_check - w rho_check) = "
                  "lambda - theta(lambda) mod 2Z^n" if e_ok else
@@ -391,29 +435,6 @@ def rad_char(p: LParam) -> TorusCharData:
     return _radical_of(p).char
 
 
-@cache
-def _rho_imaginary(L: LGroup, w: WeylElem) -> ScaledVec:
-    """Half the sum of the imaginary roots made positive by a functional (1, t, t^2, ...), t >= 2.
-
-    The imaginary roots are the roots of the group itself (coroots of the
-    dual datum) negated by theta = w theta0, computed once per (L, w). They
-    are closed under negation and f(-c) = -f(c), so each positive c with
-    theta c = -c adds c or -c, whichever f makes positive.
-    """
-    theta = _involution(L, w).theta
-    imag = [c for c in positive_coroots(L.dual_datum)
-            if all(sum(map(mul, row, c)) == -x for row, x in zip(theta, c))]
-    n = L.dual_datum.rank
-    t = 2
-    while True:
-        f = [t ** k for k in range(n)]
-        vals = [sum(map(mul, f, c)) for c in imag]
-        if all(vals):
-            total = [sum(c[k] if v > 0 else -c[k] for c, v in zip(imag, vals)) for k in range(n)]
-            return ScaledVec(total, (0,) * n, 2)
-        t += 1
-
-
 def central_char(p: LParam) -> ScaledVec:
     """Representative of the central-character class.
 
@@ -424,14 +445,14 @@ def central_char(p: LParam) -> ScaledVec:
     of mu, and any two positive systems differ by a root-lattice element, so
     the class is representative-independent.
     """
-    return _kappa(p.dif, _involution(p.L, p.w).one_plus, p.mu) + _rho_imaginary(p.L, p.w)
+    inv = _involution(p.L, p.w)
+    return _kappa(p.dif, inv.one_plus, p.mu) + inv.rho_i
 
 
-def central_modulus_gens(L: LGroup, w: WeylElem) -> List[Tuple[int, ...]]:
-    """The simple coroots and the columns of 1 - theta and 1 + theta, for theta = w theta0."""
-    inv = _involution(L, w)
-    gens = [tuple(c) for c in L.dual_datum.simple_coroots]
-    for mat in (inv.one_minus, inv.one_plus):
+def central_modulus_gens(d: RootDatum, one_minus_theta, one_plus_theta) -> List[Tuple[int, ...]]:
+    """The simple coroots of d and the columns of 1 - theta and 1 + theta."""
+    gens = [tuple(c) for c in d.simple_coroots]
+    for mat in (one_minus_theta, one_plus_theta):
         gens.extend(transpose(mat))
     return gens
 
@@ -448,37 +469,17 @@ def _xor_reduce(x: int, basis) -> int:
     return x
 
 
-@cache
-def _central_lattice(L: LGroup, w: WeylElem) -> Tuple[int, ...]:
-    """The lattice central_modulus_gens spans, mod 2, as an xor basis, once per (L, w).
-
-    The lattice contains 2Z^n, as (1 - theta) e_k + (1 + theta) e_k = 2 e_k,
-    so an integer vector lies in it exactly when its parity mask lies in the
-    F_2-span of the generators' masks (1 + theta = 1 - theta mod 2, so each
-    distinct mask is reduced once). The basis holds at most n masks with
-    distinct leading bits, in decreasing order, so x = min(x, x ^ b) over it
-    clears x's bits from the top down.
-    """
-    basis: List[int] = []
-    for x in {_parity_mask(g) for g in central_modulus_gens(L, w)}:
-        x = _xor_reduce(x, basis)
-        if x:
-            basis.append(x)
-            basis.sort(reverse=True)
-    return tuple(basis)
-
-
 def central_chars_agree(p: LParam, t1: ScaledVec, t2: ScaledVec) -> bool:
     """t1 - t2 is an integer vector in the span of central_modulus_gens: its parity mask reduces to 0."""
     diff = t1 - t2
     return (diff.den == 1 and not any(diff.im)
-            and not _xor_reduce(_parity_mask(diff.re), _central_lattice(p.L, p.w)))
+            and not _xor_reduce(_parity_mask(diff.re), _involution(p.L, p.w).central))
 
 
 def is_discrete_series(p: LParam) -> bool:
     """lambda regular, and theta acts as inversion on the derived part."""
     d = p.L.dual_datum
-    for alpha in all_roots(d):
+    for alpha in _root_system(d).all_roots:
         if _orthogonal(alpha, p.lam):
             return False
     for c in d.simple_coroots:
@@ -493,14 +494,15 @@ def is_discrete_series(p: LParam) -> bool:
 def _s_hat_roots(p: LParam) -> List[Tuple[int, ...]]:
     """Dual-group roots pairing to zero against both lambda and theta(lambda)."""
     th_lam = p.lam.apply(p.theta)
-    return [alpha for alpha in sorted(all_roots(p.L.dual_datum))
+    return [alpha for alpha in sorted(_root_system(p.L.dual_datum).all_roots)
             if _orthogonal(alpha, p.lam) and _orthogonal(alpha, th_lam)]
 
 
 def _levi_roots(d: RootDatum, theta) -> frozenset:
     """The roots vanishing on ker(1 - theta); for an involution, those negated by theta^T."""
     th_star = transpose(theta)
-    return frozenset(alpha for alpha in all_roots(d) if mat_vec(th_star, alpha) == vneg(alpha))
+    return frozenset(alpha for alpha in _root_system(d).all_roots
+                     if mat_vec(th_star, alpha) == vneg(alpha))
 
 
 def levi_of(p: LParam) -> Tuple[StandardLevi, LParam]:
@@ -588,7 +590,7 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
     against -w0 inf(p) from p's own descent (-w0 permutes the simple roots);
     row 3 reuses lambda_C's descent, as both twists carry -lambda_p, and
     solves a lattice congruence; row 4 reduces its difference against its
-    lattice's xor basis mod 2, cached per (L, w).
+    lattice's xor basis mod 2, read from the record per (L, w).
     """
     d = p.L.dual_datum
     cp = contragredient_param(p)
@@ -675,10 +677,9 @@ def random_param(L: LGroup, rng: Random) -> LParam:
         den = rng.choice([1, 2, 2, 4])
         mu = TorusPart.scaled([rng.randrange(-2 * den, 2 * den + 1) for _ in range(n)], den)
         # t0 = 2(mu + theta(mu)) + (rho_check - w rho_check) must be integral
-        two_mu_plus = [2 * sum(map(mul, row, mu.num)) for row in inv.one_plus]
-        if any(x % mu.den for x in two_mu_plus):
+        t0 = inv.parity_target(mu)
+        if t0 is None:
             continue
-        t0 = [x // mu.den + r for x, r in zip(two_mu_plus, inv.shift)]
         # (1 - theta) x / 2 = t0 / 2 (mod Z^n): solve (1 - theta) y = t0 / 2, then x = 2y
         sol = solve_congruence_scaled(inv.one_minus, t0, 2)
         if sol is None:

@@ -4,8 +4,9 @@ A datum lists simple roots (in X^* = Z^n) and simple coroots (in X_* = Z^n)
 in matching order; everything downstream (Weyl group, Tits group, dual
 group) is derived from these vectors.
 
-The positive (co)roots are found once per datum as integer coefficient
-vectors over the simple (co)roots, by a closure through the Cartan matrix.
+The positive roots and coroots are found once per datum as integer
+coefficient vectors over the simple ones, by one closure through the Cartan
+matrix, and kept in one record with what the Weyl walks read off them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cache
+from operator import mul
 from typing import Tuple
 
 from .errors import (DatumMismatch, InputError, InvalidCartan, NotBasedAut, RankMismatch,
@@ -116,7 +118,7 @@ def _validate_cartan(d: RootDatum) -> None:
     for vecs, name in ((d.simple_roots, "roots"), (d.simple_coroots, "coroots")):
         if m and matrix_rank(vecs) != m:
             raise InvalidCartan(f"simple {name} are linearly dependent")
-    positive_root_table(d)
+    _root_system(d)
 
 
 # ---------------------------------------------------------------------------
@@ -231,57 +233,68 @@ def dual_datum(d: RootDatum) -> RootDatum:
 
 _MAX_COEFF = 6  # E8's highest root; no finite root system has more (Bourbaki, VI, plates)
 
+# table and cotable: ((height, vector, coefficients), ...) of the positive roots and
+# coroots, by height then vector; roots and coroots: their vectors, in that order;
+# all_roots: the roots and their negatives; two_rho_check: the sum of the positive
+# coroots; steps: {positive root: (j, odd)}, j its coroot's index in cotable and bit l
+# of odd set when <root, coroots[l]> is odd; columns[i]: the pairs (j, <alpha_j,
+# alpha-check_i>) with a nonzero pairing
+_RootSystem = namedtuple("_RootSystem",
+                         "table cotable roots coroots all_roots two_rho_check steps columns")
+
 
 @cache
-def positive_root_table(d: RootDatum, coroots: bool = False):
-    """((height, vector, coefficients), ...) of the positive (co)roots, by height then vector.
+def _root_system(d: RootDatum) -> _RootSystem:
+    """The positive roots and coroots of d and what is read off them, once per datum.
 
-    From the simple roots e_i, s_i sends c to c - <beta, alpha_i-check> e_i with
-    <beta, alpha_i-check> = sum_j c_j a[j][i] (a the Cartan matrix; its
-    transpose for coroots); an image with no negative coefficient is kept.
-    Each non-simple positive root is such an image of a lower one. An image
-    coefficient above 6, E8's largest, is refused, so E6-E8 pass and finite type is
-    decided: an infinite type's real roots are unbounded, and the first on a chain of
-    raising steps to pass 6 is an image formed here.
+    One closure on simple coefficients walks each root with its coroot. From
+    the simple roots e_i, s_i sends a root's c to c - <beta, alpha_i-check> e_i
+    and its coroot's cc to cc - <alpha_i, beta-check> e_i, with
+    <beta, alpha_i-check> = sum_j c_j a[j][i] and <alpha_i, beta-check> =
+    sum_j a[i][j] cc_j (a the Cartan matrix); an image with no negative
+    coefficient is kept. Each non-simple positive root is such an image of a
+    lower one. An image coefficient above 6, E8's largest, is refused, so E6-E8
+    pass and finite type is decided: an infinite type's real roots are
+    unbounded, and the first on a chain of raising steps to pass 6 is an image
+    formed here. Every walk on Weyl keys reads columns from this record, so a
+    datum of infinite type raises InvalidCartan before it walks. A root's odd
+    mask is linear in it: the xor of the simple roots' masks over its odd
+    coefficients.
     """
-    a = transpose(cartan_matrix(d)) if coroots else cartan_matrix(d)
-    seen = set(ident(d.nsimple))
-    queue = list(seen)
-    while queue:
-        c = queue.pop()
-        for i in range(d.nsimple):
-            n = sum(cj * a[j][i] for j, cj in enumerate(c) if cj)
-            img = c[:i] + (c[i] - n,) + c[i + 1:]
-            if n and img[i] >= 0 and img not in seen:
-                if img[i] > _MAX_COEFF:
-                    raise InvalidCartan(f"root coefficient above {_MAX_COEFF}: not of finite type")
-                seen.add(img)
-                queue.append(img)
-    cols = transpose(d.simple_coroots if coroots else d.simple_roots)
-    return tuple(sorted((sum(c), mat_vec(cols, c), c) for c in seen))
-
-
-@cache
-def positive_roots(d: RootDatum):
-    """Positive roots, sorted by height then coordinates."""
-    return tuple(v for _, v, _ in positive_root_table(d))
-
-
-@cache
-def positive_coroots(d: RootDatum):
-    return tuple(v for _, v, _ in positive_root_table(d, True))
-
-
-@cache
-def all_roots(d: RootDatum):
-    pos = positive_roots(d)
-    return frozenset(pos).union(vneg(v) for v in pos)
-
-
-@cache
-def two_rho_check(d: RootDatum) -> IntVec:
-    """The sum of the positive coroots, 2 rho_check, as integers."""
-    return tuple(sum(v[k] for v in positive_coroots(d)) for k in range(d.rank))
+    m, a = d.nsimple, cartan_matrix(d)
+    columns = tuple(tuple((j, a[j][i]) for j in range(m) if a[j][i]) for i in range(m))
+    coroot_of = {e: e for e in ident(m)}
+    queue = list(coroot_of)
+    for c in queue:
+        for i, col in enumerate(columns):
+            n = sum(c[j] * x for j, x in col)
+            if n and c[i] >= n:  # the image's coefficients are all nonnegative
+                img = c[:i] + (c[i] - n,) + c[i + 1:]
+                if img not in coroot_of:
+                    if img[i] > _MAX_COEFF:
+                        raise InvalidCartan(
+                            f"root coefficient above {_MAX_COEFF}: not of finite type")
+                    cc = coroot_of[c]
+                    coroot_of[img] = cc[:i] + (cc[i] - sum(map(mul, a[i], cc)),) + cc[i + 1:]
+                    queue.append(img)
+    rcols, ccols = transpose(d.simple_roots), transpose(d.simple_coroots)
+    table = tuple(sorted((sum(c), mat_vec(rcols, c), c) for c in coroot_of))
+    cotable = tuple(sorted((sum(cc), mat_vec(ccols, cc), cc) for cc in coroot_of.values()))
+    roots, coroots = tuple(v for _, v, _ in table), tuple(v for _, v, _ in cotable)
+    index = {cc: j for j, (_, _, cc) in enumerate(cotable)}
+    odd_i = [sum(1 << j for j, (_, _, cc) in enumerate(cotable) if sum(map(mul, row, cc)) & 1)
+             for row in a]
+    steps = {}
+    for _, v, c in table:
+        odd = 0
+        for x, o in zip(c, odd_i):
+            if x & 1:
+                odd ^= o
+        steps[v] = (index[coroot_of[c]], odd)
+    return _RootSystem(table, cotable, roots, coroots,
+                       frozenset(roots).union(vneg(v) for v in roots),
+                       tuple(sum(v[k] for v in coroots) for k in range(d.rank)),
+                       steps, columns)
 
 
 # ---------------------------------------------------------------------------

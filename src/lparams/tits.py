@@ -40,7 +40,7 @@ from .errors import (
 )
 from .gaussian import _ratio, read_rational
 from .intlinalg import ident, mat_mul, one_minus, solve_congruence_scaled
-from .rootdata import BasedAut, RootDatum, cartan_matrix, coaction, identity_aut, two_rho_check
+from .rootdata import BasedAut, RootDatum, _root_system, cartan_matrix, coaction, identity_aut
 from .weyl import (
     WeylElem,
     _fill_matrix,
@@ -219,7 +219,7 @@ def tits_mul(g1: ExtTitsElem, g2: ExtTitsElem) -> ExtTitsElem:
 @cache
 def _four_z(w: WeylElem):
     """4 z(w) = 2 rho_check - w 2 rho_check, once per element."""
-    rc2 = two_rho_check(w.datum)
+    rc2 = _root_system(w.datum).two_rho_check
     return tuple(a - sum(map(mul, row, rc2)) for a, row in zip(rc2, w.matrix))
 
 
@@ -335,7 +335,7 @@ def run_tits_suite(ctx: TitsContext):
 
     s0 = sigma(ctx, longest_element(d))
     sq = tits_mul(s0, s0)
-    ok = sq == torus_elem(ctx, TorusPart.scaled(two_rho_check(d), 2))
+    ok = sq == torus_elem(ctx, TorusPart.scaled(_root_system(d).two_rho_check, 2))
     central = all(tits_mul(sq, g) == tits_mul(g, sq) for g in lifts + [delta_elem(ctx)])
 
     # The second word of w is that of w s_i followed by i, for i its largest

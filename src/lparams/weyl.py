@@ -30,19 +30,11 @@ from __future__ import annotations
 from collections import Counter, defaultdict, namedtuple
 from functools import cache
 from math import prod
-from operator import mul
 from typing import Iterator, Tuple
 
 from .errors import DatumMismatch, InputError, InvariantViolated, clipped_repr, frozen_setattr
 from .intlinalg import ident, mat_neg, mat_vec, transpose
-from .rootdata import (
-    BasedAut,
-    RootDatum,
-    based_aut,
-    cartan_matrix,
-    positive_root_table,
-    positive_roots,
-)
+from .rootdata import BasedAut, RootDatum, _root_system, based_aut
 
 
 class WeylElem:
@@ -140,7 +132,7 @@ def _fill_matrix(u: WeylElem):
 
 
 def _inversion_masks(u: WeylElem):
-    """(N(u), parities) as bitmasks over positive_coroots, filled once per element.
+    """(N(u), parities) as bitmasks over the positive coroots, filled once per element.
 
     Bit j of N(u) is set when u sends the j-th beta-check negative; bit j of
     parities[k] when, in addition, entry k of u(beta-check) is odd. As in
@@ -159,7 +151,7 @@ def _inversion_masks(u: WeylElem):
         u = _step(u, u.word[0])
     if u._masks is None:
         _set_masks(u, (0, (0,) * d.rank))
-    (inv, par), m, steps = u._masks, u.matrix, _root_steps(d)
+    (inv, par), m, steps = u._masks, u.matrix, _root_system(d).steps
     for u in reversed(chain):
         i = u.word[0]
         rm = _row_times(d.simple_roots[i - 1], m)
@@ -176,50 +168,6 @@ def _inversion_masks(u: WeylElem):
     return u._masks
 
 
-@cache
-def _root_steps(d: RootDatum):
-    """{positive root: (j, odd)}, for the mask step of _inversion_masks.
-
-    j is the index of the root's coroot in positive_coroots, and bit l of odd
-    is set when <root, beta-check_l> is odd. A walk on simple coefficients, as
-    in positive_root_table, pairs each root with its coroot: s_i takes a root
-    beta to beta - <beta, alpha-check_i> alpha_i and its coroot to beta-check
-    - <alpha_i, beta-check> alpha-check_i. odd is linear in beta, so the step
-    xors in alpha_i's mask when <beta, alpha-check_i> is odd.
-    """
-    a, cotable = cartan_matrix(d), positive_root_table(d, True)
-    cols = tuple(zip(*a))
-    odd_i = [sum(1 << j for j, (_, _, c) in enumerate(cotable) if sum(map(mul, row, c)) & 1)
-             for row in a]
-    pairs = {e: (e, o) for e, o in zip(ident(d.nsimple), odd_i)}
-    queue = list(pairs)
-    for c in queue:
-        cc, odd = pairs[c]
-        for i, col in enumerate(cols):
-            n = sum(map(mul, c, col))
-            if n and c[i] >= n:
-                img = c[:i] + (c[i] - n,) + c[i + 1:]
-                if img not in pairs:
-                    pairs[img] = (cc[:i] + (cc[i] - sum(map(mul, a[i], cc)),) + cc[i + 1:],
-                                  odd ^ odd_i[i] if n & 1 else odd)
-                    queue.append(img)
-    index = {c: j for j, (_, _, c) in enumerate(cotable)}
-    return {v: (index[pairs[c][0]], pairs[c][1]) for _, v, c in positive_root_table(d)}
-
-
-@cache
-def _cartan_columns(d: RootDatum):
-    """For each simple index i, the pairs (j, <alpha_j, alpha-check_i>) with a nonzero pairing.
-
-    Every walk on keys reads these, so the root closure runs first: a datum of
-    infinite type raises InvalidCartan here instead of walking without end.
-    """
-    positive_root_table(d)
-    a = cartan_matrix(d)
-    return tuple(tuple((j, a[j][i]) for j in range(d.nsimple) if a[j][i])
-                 for i in range(d.nsimple))
-
-
 def _descend(d: RootDatum, re: list, im: list):
     """The dominance descent: walk a point v to the dominant chamber by its simple pairings.
 
@@ -231,9 +179,9 @@ def _descend(d: RootDatum, re: list, im: list):
     reaching s_{i_k} ... s_{i_1} (v); no walk takes more steps than there are
     positive roots.
     """
-    columns = _cartan_columns(d)
-    steps = []
-    for _ in range(len(positive_roots(d)) + 1):
+    rs = _root_system(d)
+    columns, steps = rs.columns, []
+    for _ in range(len(rs.roots) + 1):
         for i, a in enumerate(re):
             if a < 0 or not a and im[i] < 0:
                 break
@@ -273,7 +221,7 @@ def _elem_from_matrix(d: RootDatum, key: Tuple[int, ...], word=None) -> WeylElem
         _hits += 1
         return u
     if word is None:
-        columns, p, word = _cartan_columns(d), list(key), []
+        columns, p, word = _root_system(d).columns, list(key), []
         while True:
             for i, x in enumerate(p):
                 if x < 0:
@@ -310,7 +258,7 @@ _elem_from_matrix.cache_info, _elem_from_matrix.cache_clear = _cache_info, _cach
 def _replay_key(d: RootDatum, word, key) -> list:
     """The key of s_{word[0]} ... s_{word[-1]} x for x with the given key, last letter first."""
     p = list(key)
-    columns = _cartan_columns(d)
+    columns = _root_system(d).columns
     for i in reversed(word):
         x = p[i - 1]
         for j, a in columns[i - 1]:
@@ -336,7 +284,7 @@ def _step(u: WeylElem, i: int) -> WeylElem:
     v = left[i]
     if v is None:
         d, x, p, word = u.datum, u.key[i - 1], list(u.key), u.word
-        for j, a in _cartan_columns(d)[i - 1]:
+        for j, a in _root_system(d).columns[i - 1]:
             p[j] -= a * x
         v = left[i] = _elem_from_matrix(d, tuple(p), word[1:] if word[:1] == (i,) else None)
     return v
@@ -429,7 +377,7 @@ def parabolic_subgroup(d: RootDatum, subset) -> Iterator[WeylElem]:
     """
     global _hits
     letters = sorted(_index(d, i) for i in subset)
-    columns = _cartan_columns(d)
+    columns = _root_system(d).columns
     layer = [weyl_identity(d)]
     yield layer[0]
     while layer:
@@ -464,7 +412,7 @@ def parabolic_subgroup(d: RootDatum, subset) -> Iterator[WeylElem]:
 def weyl_order(d: RootDatum) -> int:
     """|W| = prod(e + 1), interning nothing: n_h - n_{h+1} exponents e equal h, n_h being
     the number of positive roots of height h (Kostant's conjugate partition)."""
-    counts = Counter(h for h, _, _ in positive_root_table(d))
+    counts = Counter(h for h, _, _ in _root_system(d).table)
     return prod((h + 1) ** (n - counts[h + 1]) for h, n in counts.items())
 
 

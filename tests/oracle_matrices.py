@@ -26,8 +26,7 @@ from lparams.errors import InputError, InvalidParam
 from lparams.gaussian import ScaledVec, format_vec, read_rational
 from lparams.intlinalg import (descend_map, mat_mul, mat_neg, one_minus, saturation_projection,
                                vneg)
-from lparams.rootdata import (cartan_matrix, coaction, positive_coroots, positive_root_table,
-                              positive_roots, two_rho_check)
+from lparams.rootdata import _root_system, cartan_matrix, coaction
 from lparams.torus import TorusCharData, TorusParam, _char_data, char_equal, torus_egroup
 from lparams.weyl import (apply_aut_to_weyl, longest_element, simple_reflection, weyl_enumerate,
                           weyl_identity, weyl_inv, weyl_mul)
@@ -58,7 +57,7 @@ def torus_entries(t):
 @cache
 def all_coroots(d):
     """The positive coroots and their negatives."""
-    pos = positive_coroots(d)
+    pos = _root_system(d).coroots
     return frozenset(pos).union(vneg(v) for v in pos)
 
 
@@ -120,9 +119,9 @@ def inversion_masks(u):
     when, in addition, entry k of u(beta-check) is odd.
     """
     d, m = u.datum, u.matrix
-    two_rho = [sum(col) for col in zip(*positive_roots(d))]
+    two_rho = [sum(col) for col in zip(*_root_system(d).roots)]
     inv, par = 0, [0] * d.rank
-    for j, b in enumerate(positive_coroots(d)):
+    for j, b in enumerate(_root_system(d).coroots):
         ub = [sum(map(mul, row, b)) for row in m]
         if sum(map(mul, two_rho, ub)) < 0:
             inv |= 1 << j
@@ -133,7 +132,7 @@ def inversion_masks(u):
 def levi_subsystem(d, subset):
     """Roots supported on the given simple indices."""
     keep = set()
-    for _, alpha, coeffs in positive_root_table(d):
+    for _, alpha, coeffs in _root_system(d).table:
         if all(c == 0 or (i + 1) in subset for i, c in enumerate(coeffs)):
             keep.update((alpha, vneg(alpha)))
     return frozenset(keep)
@@ -162,7 +161,7 @@ def check_titslemma(ctx, w):
     predicted torus part, agreement flag).
     """
     prod = tits.tits_mul(tits.sigma(ctx, w), tits.sigma(ctx, weyl_inv(w)))
-    rc2 = two_rho_check(ctx.datum)
+    rc2 = _root_system(ctx.datum).two_rho_check
     four_z = [a - sum(map(mul, row, rc2)) for a, row in zip(rc2, w.matrix)]
     predicted = tits.TorusPart.scaled(four_z, 4)
     ok = prod.w == weyl_identity(ctx.datum) and prod.eps == 0 and prod.t == predicted
@@ -223,7 +222,7 @@ def multipass_tits_suite(ctx):
 
     s0 = sigma(ctx, longest_element(d))
     sq = tits.tits_mul(s0, s0)
-    ok = sq == tits.torus_elem(ctx, tits.TorusPart.scaled(two_rho_check(d), 2))
+    ok = sq == tits.torus_elem(ctx, tits.TorusPart.scaled(_root_system(d).two_rho_check, 2))
     gens = [sigma(ctx, simple_reflection(d, i)) for i in range(1, d.nsimple + 1)]
     gens.append(tits.delta_elem(ctx))
     central = all(tits.tits_mul(sq, g) == tits.tits_mul(g, sq) for g in gens)

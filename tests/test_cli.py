@@ -358,6 +358,9 @@ def test_integer_past_the_digit_limit_exits_2(capsys, argv):
     code, out = _run(capsys, *argv)
     assert code == 2
     assert out.startswith("RESULT 2 ") and out.count("\n") == 1 and len(out) < 300
+    if argv[0] == "verify-theorem" and hasattr(sys, "get_int_max_str_digits"):
+        # the document is valid JSON: the refusal names the integer, not the syntax
+        assert out.startswith("RESULT 2 parameter input holds an integer past the digit limit: ")
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])

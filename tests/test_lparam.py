@@ -46,7 +46,7 @@ from lparams.lparam import (
     validity_rows,
     verify_contragredient,
 )
-from lparams.rootdata import based_aut, build_datum, coaction, two_rho_check
+from lparams.rootdata import _root_system, based_aut, build_datum, coaction
 from lparams.tits import TorusPart, torus_part
 from lparams.torus import param_to_char, torus_contragredient
 from lparams.weyl import (apply_aut_to_weyl, longest_element, weyl_act, weyl_enumerate,
@@ -448,7 +448,7 @@ def _oracle_validity(L, lam, mu, w):
     rows.append(("integrality", int_ok))
     if not int_ok:
         return rows
-    rc = tuple(Q(x, 2) for x in two_rho_check(d))
+    rc = tuple(Q(x, 2) for x in _root_system(d).two_rho_check)
     lhs = vadd(tuple(2 * x for x in vadd(mu, mat_vec(theta, mu))), _vsub(rc, weyl_act(w, rc)))
     gap = _vsub(lhs, tuple(v.re for v in dif))
     rows.append(("parity", all((x / 2).denominator == 1 for x in gap)))

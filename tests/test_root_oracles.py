@@ -1,10 +1,11 @@
-"""The integer root table and the Levi root set against the routes they replaced.
+"""The integer root tables and the Levi root set against the routes they replaced.
 
-`rootdata.positive_root_table` finds the positive roots as coefficient
-vectors by a closure through the Cartan matrix. The route it replaced, kept
+`rootdata._root_system` finds the positive roots and coroots as coefficient
+vectors by one closure through the Cartan matrix. The route it replaced, kept
 here as a test-only oracle, took the orbit of the simple roots under the
 reflection matrices and expanded each root in the simple roots by a Fraction
-Gauss-Jordan solve to read its sign and height. `lparam._levi_roots` reads
+Gauss-Jordan solve to read its sign and height. Each root's paired coroot is
+checked against the reflection it defines. `lparam._levi_roots` reads
 the Levi roots M as the roots negated by theta transpose; the oracle is the
 annihilator of sympy's kernel of 1 - theta, as levi_of used to compute it.
 The Levi subsystem levi_of once compared against, now the test-only
@@ -20,7 +21,7 @@ from random import Random
 import pytest
 
 from lparams.errors import NormalizationRequired, NotInvolution
-from lparams.intlinalg import mat_vec, one_minus
+from lparams.intlinalg import mat_vec, one_minus, vdot
 from lparams.lgroup import parse_inner_class
 from lparams.lparam import (
     _involution,
@@ -31,16 +32,7 @@ from lparams.lparam import (
     random_param,
     twisted_involutions,
 )
-from lparams.rootdata import (
-    all_roots,
-    build_datum,
-    datum_from_vectors,
-    dual_datum,
-    positive_coroots,
-    positive_root_table,
-    positive_roots,
-    two_rho_check,
-)
+from lparams.rootdata import _root_system, build_datum, datum_from_vectors, dual_datum
 from lparams.tits import torus_part
 from lparams.weyl import weyl_from_word
 from oracle_matrices import all_coroots, levi_subsystem, xcostar_reflections, xstar_reflections
@@ -134,17 +126,32 @@ def test_root_table_matches_orbit_and_expansion(spec):
     d = build_datum(spec)
     # the root closure that decides finite type accepts every supported datum
     assert datum_from_vectors(d.simple_roots, d.simple_coroots, d.rank) == d
+    rs = _root_system(d)
     # 2 rho of d is 2 rho-check of the dual datum, whose coroots are the roots of d
-    for coroots, pos_fn, all_fn, rho_fn in (
-            (False, positive_roots, all_roots, lambda d: two_rho_check(dual_datum(d))),
-            (True, positive_coroots, all_coroots, two_rho_check)):
+    for coroots, got, pos, every, two_rho in (
+            (False, rs.table, rs.roots, rs.all_roots, _root_system(dual_datum(d)).two_rho_check),
+            (True, rs.cotable, rs.coroots, all_coroots(d), rs.two_rho_check)):
         want, orbit = _oracle_table(d, coroots)
-        got = positive_root_table(d, coroots)
         assert got == want
         assert all(type(h) is int and all(type(x) is int for x in c) for h, _, c in got)
-        assert pos_fn(d) == tuple(v for _, v, _ in want)
-        assert all_fn(d) == orbit
-        assert rho_fn(d) == tuple(sum(v[k] for _, v, _ in want) for k in range(d.rank))
+        assert pos == tuple(v for _, v, _ in want)
+        assert every == orbit
+        assert two_rho == tuple(sum(v[k] for _, v, _ in want) for k in range(d.rank))
+
+
+@pytest.mark.parametrize("spec", DATA_SPECS)
+def test_paired_coroots_reflect_the_roots(spec):
+    # each positive root beta is paired with the coroot beta-check of its reflection:
+    # <beta, beta-check> = 2 and x -> x - <x, beta-check> beta permutes the roots
+    rs = _root_system(build_datum(spec))
+    assert sorted(rs.steps) == sorted(rs.roots)
+    assert sorted(j for j, _ in rs.steps.values()) == list(range(len(rs.coroots)))
+    for beta, (j, odd) in rs.steps.items():
+        check = rs.coroots[j]
+        assert vdot(beta, check) == 2
+        image = {tuple(x - vdot(v, check) * b for x, b in zip(v, beta)) for v in rs.all_roots}
+        assert image == rs.all_roots
+        assert odd == sum(1 << k for k, c in enumerate(rs.coroots) if vdot(beta, c) % 2)
 
 
 @pytest.mark.parametrize("spec", ["A4 sc", "B3 ad", "D4 sc", "F4 sc", "GL(5)", "B2 ad x G2 sc"])
@@ -169,7 +176,7 @@ def test_levi_roots_match_sympy_kernel():
         for w in twisted_involutions(L):
             theta = _involution(L, w).theta
             kernel = sympy.Matrix(one_minus(theta)).nullspace()
-            want = frozenset(a for a in all_roots(d)
+            want = frozenset(a for a in _root_system(d).all_roots
                              if all(sum(x * y for x, y in zip(a, v)) == 0 for v in kernel))
             got = _levi_roots(d, theta)
             assert got == want, (group, w.word)

@@ -10,7 +10,7 @@ from lparams.errors import InputError, InvalidCartan, NotBasedAut, RankMismatch
 from lparams.intlinalg import ident, mat_vec, transpose, vdot
 from lparams.rootdata import (
     RootDatum,
-    all_roots,
+    _root_system,
     based_aut,
     build_datum,
     cartan_matrix,
@@ -20,10 +20,7 @@ from lparams.rootdata import (
     dual_datum,
     identity_aut,
     inverse_aut,
-    positive_coroots,
-    positive_roots,
     transpose_aut,
-    two_rho_check,
 )
 from lparams.weyl import neg_w0_aut
 
@@ -72,20 +69,20 @@ def test_cartan_matrices():
 
 
 def test_rho_check_values():
-    assert two_rho_check(build_datum("A1 sc")) == (1,)
-    assert two_rho_check(build_datum("A1 ad")) == (2,)
-    assert two_rho_check(build_datum("A2 sc")) == (2, 2)
-    assert two_rho_check(build_datum("GL(2)")) == (1, -1)
+    assert _root_system(build_datum("A1 sc")).two_rho_check == (1,)
+    assert _root_system(build_datum("A1 ad")).two_rho_check == (2,)
+    assert _root_system(build_datum("A2 sc")).two_rho_check == (2, 2)
+    assert _root_system(build_datum("GL(2)")).two_rho_check == (1, -1)
 
 
 def test_root_closure_counts():
-    assert len(all_roots(build_datum("A2 sc"))) == 6
-    assert len(all_roots(build_datum("B2 sc"))) == 8
-    assert len(all_roots(build_datum("G2 sc"))) == 12
-    assert len(all_roots(build_datum("A3 sc"))) == 12
+    assert len(_root_system(build_datum("A2 sc")).all_roots) == 6
+    assert len(_root_system(build_datum("B2 sc")).all_roots) == 8
+    assert len(_root_system(build_datum("G2 sc")).all_roots) == 12
+    assert len(_root_system(build_datum("A3 sc")).all_roots) == 12
     assert len(all_coroots(build_datum("B2 sc"))) == 8
     d = build_datum("A2 sc")
-    pos = positive_roots(d)
+    pos = _root_system(d).roots
     assert len(pos) == 3
     highest = tuple(a + b for a, b in zip(*d.simple_roots))
     assert highest in pos
@@ -95,7 +92,7 @@ def test_products():
     d = build_datum("A1 sc x A1 sc")
     assert d.rank == 2 and d.nsimple == 2
     assert d.simple_roots == ((2, 0), (0, 2))
-    assert len(all_roots(d)) == 4
+    assert len(_root_system(d).all_roots) == 4
     mixed = build_datum("GL(2) x T1")
     assert mixed.rank == 3 and mixed.nsimple == 1
     assert mixed.simple_roots == ((1, -1, 0),)
@@ -191,9 +188,8 @@ def test_finite_type_matches_the_principal_minor_rule():
 def test_directly_built_datum_of_infinite_type_raises(a):
     # RootDatum validates nothing; the root closure refuses to run without end
     d = RootDatum(len(a), a, ident(len(a)))
-    for fn in (positive_roots, positive_coroots, two_rho_check):
-        with pytest.raises(InvalidCartan, match="not of finite type"):
-            fn(d)
+    with pytest.raises(InvalidCartan, match="not of finite type"):
+        _root_system(d)
 
 
 def test_based_aut_flip_on_a2():

@@ -52,7 +52,7 @@ from lparams.lparam import (
     validity_rows,
     verify_contragredient,
 )
-from lparams.rootdata import all_roots, build_datum, coaction
+from lparams.rootdata import _root_system, build_datum, coaction
 from lparams.tits import TorusPart, torus_part
 from lparams.torus import torus_egroup
 from lparams.weyl import (
@@ -111,7 +111,7 @@ def scan_dominant_rep(d, vec):
     """Greedy ascent recomputing every simple pairing in GaussQ after each reflection."""
     v = tuple(map(read_gauss, vec))
     refls = xcostar_reflections(d)
-    for _ in range(len(all_roots(d)) + 1):
+    for _ in range(len(_root_system(d).all_roots) + 1):
         i = next((k for k in range(d.nsimple)
                   if not _lex_nonneg(sum((a * x for a, x in zip(d.simple_roots[k], v)),
                                          start=GaussQ(0)))), None)
@@ -292,7 +292,7 @@ def stepwise_descent(d, v):
     re, im = list(v.re), list(v.im)
     cols = [[vdot(a, re) for a in d.simple_roots], [vdot(a, im) for a in d.simple_roots]]
     steps = []
-    for _ in range(len(all_roots(d)) + 1):
+    for _ in range(len(_root_system(d).all_roots) + 1):
         i = next((k for k in range(d.nsimple) if (cols[0][k], cols[1][k]) < (0, 0)), None)
         if i is None:
             return ScaledVec(re, im, v.den), steps, list(zip(*cols))

@@ -42,7 +42,6 @@ from lparams.lparam import (
     _radical,
     central_char,
     central_chars_agree,
-    central_modulus_gens,
     conjugate_param,
     contragredient_param,
     inf_char,
@@ -58,7 +57,7 @@ from lparams.lparam import (
     twisted_involutions,
     verify_contragredient,
 )
-from lparams.rootdata import build_datum, cartan_matrix, coaction, positive_roots
+from lparams.rootdata import _root_system, build_datum, cartan_matrix, coaction
 from lparams.tits import TorusPart, chevalley, format_torus_part, tits_inverse, torus_part_zero
 from lparams.torus import char_equal, param_to_char, torus_contragredient, torus_egroup
 from lparams.weilrep import parse_weil_rep, weil_to_lparam
@@ -97,7 +96,7 @@ def descend_columns(d, cols):
     a = cartan_matrix(d)
     columns = [[(j, a[j][i]) for j in range(d.nsimple) if a[j][i]] for i in range(d.nsimple)]
     steps = []
-    for _ in range(len(positive_roots(d)) + 1):
+    for _ in range(len(_root_system(d).roots) + 1):
         for i in range(d.nsimple):
             for col in cols:
                 if col[i]:
@@ -158,7 +157,7 @@ def test_one_loop_descent_on_real_keys(group, inner):
 
 def test_word_path_past_256_roots_matches_column_oracle(cold):
     d = build_datum(" x ".join(["GL(9)"] * 8))
-    assert len(positive_roots(d)) > 256
+    assert len(_root_system(d).roots) > 256
     rng = Random("deep-words")
     for _ in range(20):
         u = weyl_from_word(d, [rng.randrange(1, d.nsimple + 1) for _ in range(rng.randrange(300))])
@@ -170,7 +169,7 @@ def test_cold_intern_of_deep_words_matches_column_oracle(cold):
     element asked for: w0 of 14 x GL(9) has a word of 504 letters, and no parent interned."""
     d = build_datum(" x ".join(["GL(9)"] * 14))
     w0 = weyl.longest_element(d)
-    assert len(w0.word) == len(positive_roots(d)) == 504
+    assert len(w0.word) == len(_root_system(d).roots) == 504
     assert weyl._elem_from_matrix.cache_info().currsize == 1
     assert w0.word == tuple(i for i, _ in descend_columns(d, [list(w0.key)]))
     rng = Random("deep-cold-words")
@@ -249,7 +248,8 @@ def test_cached_row_4_matches_in_span_z(group, inner):
     for w in ws:
         # row 4 reads only L and w
         p = LParam(L, zero, torus_part_zero(n), w, zero)
-        gens = central_modulus_gens(L, w)
+        inv = lparam._involution(L, w)
+        gens = lparam.central_modulus_gens(L.dual_datum, inv.one_minus, inv.one_plus)
         assert sorted(gens) == sorted(oracle_modulus_gens(L, w))
         for k in range(6):
             if k == 0:  # in the lattice
@@ -286,7 +286,7 @@ def rho_imaginary_all_coroots(L, w):
 def test_rho_imaginary_matches_all_coroots_route(group, inner, cold):
     L = _L(group, inner)
     for w in twisted_involutions(L):
-        assert lparam._rho_imaginary(L, w) == rho_imaginary_all_coroots(L, w)
+        assert lparam._involution(L, w).rho_i == rho_imaginary_all_coroots(L, w)
 
 
 def test_row_4_rejects_an_integral_difference_outside_the_lattice():
@@ -597,10 +597,13 @@ def test_benchmark_cold_set_up_empties_the_radical_cache():
         import spans
     finally:
         sys.path.remove(PERFBENCH)
-    lparam._radical(_L("F4 sc", "split"))
-    assert lparam._radical.cache_info().currsize
+    L = _L("F4 sc", "split")
+    lparam._radical(L)
+    lparam._involution(L, weyl.weyl_identity(L.dual_datum))
+    caches = (lparam._radical, lparam._involution, _root_system)
+    assert all(c.cache_info().currsize for c in caches)
     spans.clear_caches()
-    assert lparam._radical.cache_info().currsize == 0
+    assert [c.cache_info().currsize for c in caches] == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import pytest
 import lparams.tits as tits
 from lparams.errors import LparamsError, PreconditionViolated
 from lparams.lgroup import named_inner_class
-from lparams.rootdata import based_aut, build_datum, two_rho_check
+from lparams.rootdata import _root_system, based_aut, build_datum
 from lparams.tits import (
     ExtTitsElem,
     TorusPart,
@@ -97,7 +97,7 @@ def test_w0_lift_square_is_exp_rho_check():
         s = sigma(ctx, longest_element(ctx.datum))
         sq = tits_mul(s, s)
         assert sq.w == weyl_identity(ctx.datum) and sq.eps == 0
-        assert sq.t == TorusPart.scaled(two_rho_check(ctx.datum), 2)
+        assert sq.t == TorusPart.scaled(_root_system(ctx.datum).two_rho_check, 2)
 
 
 def test_check_titslemma_values():

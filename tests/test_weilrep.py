@@ -1,6 +1,7 @@
 """Representations of the real Weil group and the dictionary with GL(n)."""
 
 import re
+import sys
 from fractions import Fraction as Q
 from random import Random
 
@@ -59,6 +60,15 @@ def test_normalization_rules():
     assert r == weil_rep([weil_chi(Q(1, 4), 0), weil_chi(Q(1, 4), 1)])
     with pytest.raises(InputError):
         weil_ind(0, Q(1, 4))
+
+
+def test_an_eps_past_the_digit_limit_is_refused_with_its_size():
+    # as for a Weyl index: repr refuses the int, so the refusal gives its size in bits
+    with pytest.raises(InputError) as exc:
+        weil_chi("1", 10 ** 5000)
+    assert len(str(exc.value)) < 250
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert str(exc.value) == "eps must be 0 or 1, got <int of 16610 bits>"
 
 
 def test_multiset_semantics():

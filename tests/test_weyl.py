@@ -12,7 +12,7 @@ import pytest
 from lparams.errors import InputError
 from lparams.lgroup import lgroup_split
 from lparams.lparam import make_param
-from lparams.rootdata import build_datum, positive_roots
+from lparams.rootdata import _root_system, build_datum
 from lparams.weyl import (
     _elem_from_matrix,
     apply_aut_to_weyl,
@@ -80,17 +80,17 @@ def test_longest_elements():
     # w0 sends every positive root to a negative one
     d = build_datum("B2 sc")
     w0 = longest_element(d)
-    for a in positive_roots(d):
+    for a in _root_system(d).roots:
         img = weyl_act(w0, a, side="X^*")
-        assert tuple(-x for x in img) in positive_roots(d)
+        assert tuple(-x for x in img) in _root_system(d).roots
 
 
 def test_length_matches_word_and_inversions():
     d = build_datum("G2 sc")
     for u in weyl_enumerate(d):
         inv = sum(
-            1 for a in positive_roots(d)
-            if tuple(-x for x in weyl_act(u, a, side="X^*")) in positive_roots(d))
+            1 for a in _root_system(d).roots
+            if tuple(-x for x in weyl_act(u, a, side="X^*")) in _root_system(d).roots)
         assert inv == len(u.word)
         assert weyl_from_word(d, u.word) == u
 
@@ -201,6 +201,16 @@ def test_apply_aut_to_weyl():
     # w0 is central under any diagram symmetry
     w0 = longest_element(d)
     assert apply_aut_to_weyl(flip, w0) == w0
+
+
+def test_an_index_past_the_digit_limit_is_refused_with_its_size():
+    # repr raises ValueError on an int past the interpreter's digit limit (4,300 digits
+    # since 3.10.7); the refusal echoes such an index by its size in bits instead
+    with pytest.raises(InputError) as exc:
+        weyl_from_word(build_datum("A1 sc"), [10 ** 5000])
+    assert len(str(exc.value)) < 250
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert str(exc.value) == "simple index <int of 16610 bits> out of range 1..1"
 
 
 def test_weyl_enumerate_is_not_cached():

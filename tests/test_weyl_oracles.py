@@ -21,7 +21,7 @@ import lparams.weyl as weyl
 from lparams.errors import DatumMismatch, InvariantViolated
 from lparams.intlinalg import ident, mat_mul, mat_neg, mat_vec, transpose, vneg
 from lparams.lgroup import has_compact_cartan, lgroup_compact, lgroup_split, parse_inner_class
-from lparams.rootdata import RootDatum, based_aut, build_datum, coaction, positive_roots
+from lparams.rootdata import RootDatum, _root_system, based_aut, build_datum, coaction
 from lparams.weyl import (
     apply_aut_to_weyl,
     neg_w0_aut,
@@ -53,7 +53,7 @@ def _word_matrix(d, word, reflections=xcostar_reflections):
 @cache
 def ref_canon(d, matrix):
     """(word, xstar) of the element acting on X_* by matrix, by peeling left descents."""
-    pos = frozenset(positive_roots(d))
+    pos = frozenset(_root_system(d).roots)
     refl = xcostar_reflections(d)
     word, m = [], matrix
     for _ in range(len(pos) + 1):
@@ -178,7 +178,8 @@ def test_has_compact_cartan_matches_scan_on_swaps(group, gamma):
 def test_descent_guard_raises_invariant_violated(monkeypatch):
     d = build_datum("A2 sc")
     # allow a single step: the key of w0 needs three
-    monkeypatch.setattr(weyl, "positive_roots", lambda d: ((1, 0),))
+    root_system = weyl._root_system
+    monkeypatch.setattr(weyl, "_root_system", lambda d: root_system(d)._replace(roots=((1, 0),)))
     with pytest.raises(InvariantViolated):
         weyl._descend(d, [-1, -1], [0, 0])
 
@@ -283,7 +284,7 @@ def test_products_on_the_graph_match_matrix_oracle(group, cold):
 def test_seeded_f4_products_on_the_graph_match_matrix_oracle(cold):
     d = build_datum("F4 sc")
     rng = Random("graph:F4 sc")
-    top = 2 * len(positive_roots(d))
+    top = 2 * len(_root_system(d).roots)
     pairs = [tuple(tuple(rng.randrange(1, 5) for _ in range(rng.randrange(top))) for _ in range(2))
              for _ in range(60)]
     _check_products(d, pairs)
@@ -414,7 +415,7 @@ def test_every_neighbour_gets_the_descent_word(group, shuffled, cold, monkeypatc
 def test_random_words_match_descent(group, cold):
     d = build_datum(group)
     rng = Random(f"parent-words:{group}")
-    top = 3 * len(positive_roots(d))
+    top = 3 * len(_root_system(d).roots)
     for _ in range(200):
         u = weyl_from_word(d, [rng.randrange(1, d.nsimple + 1) for _ in range(rng.randrange(top))])
         assert u.word == descent_word(d, u.key)
@@ -466,7 +467,7 @@ def test_masks_from_the_parent_match_the_per_coroot_fill(group, shuffled, cold):
 def test_masks_of_seeded_elements_match_the_per_coroot_fill(group, cold):
     d = build_datum(group)
     rng = Random(f"masks:{group}")
-    top = 2 * len(positive_roots(d))
+    top = 2 * len(_root_system(d).roots)
     for _ in range(500):
         u = weyl_from_word(d, [rng.randrange(1, d.nsimple + 1) for _ in range(rng.randrange(top))])
         assert weyl._inversion_masks(u) == inversion_masks(u)
@@ -520,7 +521,8 @@ def test_fill_of_an_element_interned_alone_interns_its_parents(group, count, col
 
 def test_a_root_missing_from_the_step_table_raises_invariant_violated(cold, monkeypatch):
     d = build_datum("A2 sc")
-    monkeypatch.setattr(weyl, "_root_steps", lambda d: {})
+    root_system = weyl._root_system
+    monkeypatch.setattr(weyl, "_root_system", lambda d: root_system(d)._replace(steps={}))
     with pytest.raises(InvariantViolated):
         weyl._inversion_masks(simple_reflection(d, 1))
 
@@ -537,7 +539,7 @@ SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
 def _draw(data, group, k):
     d = build_datum(group)
-    letters = st.lists(st.integers(1, d.nsimple), max_size=2 * len(positive_roots(d)))
+    letters = st.lists(st.integers(1, d.nsimple), max_size=2 * len(_root_system(d).roots))
     return d, [data.draw(letters) for _ in range(k)]
 
 
