@@ -23,7 +23,6 @@ from .rootdata import (
     based_aut,
     coaction,
     compose_aut,
-    dual_datum,
     identity_aut,
     transpose_aut,
 )
@@ -71,7 +70,7 @@ def lgroup_from_tau(d: RootDatum, tau: BasedAut) -> LGroup:
     if tau.datum != d:
         raise InputError("tau is not an automorphism of the given datum")
     theta0 = transpose_aut(tau)
-    return LGroup(dual_datum(d), theta0, d)
+    return LGroup(theta0.datum, theta0, d)
 
 
 def build_lgroup(d: RootDatum, inner: BasedAut) -> LGroup:

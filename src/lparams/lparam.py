@@ -68,7 +68,6 @@ from .rootdata import (
 )
 from .tits import (
     ExtTitsElem,
-    _four_z,
     TorusPart,
     act_on_torus_part,
     chevalley,
@@ -91,6 +90,7 @@ from .weyl import (
     WeylElem,
     _descend,
     _elem_from_matrix,
+    _four_z,
     _replay_key,
     apply_aut_to_weyl,
     longest_element,

@@ -44,6 +44,7 @@ from .rootdata import BasedAut, RootDatum, _root_system, cartan_matrix, coaction
 from .weyl import (
     WeylElem,
     _fill_matrix,
+    _four_z,
     _inversion_masks,
     _step,
     apply_aut_to_weyl,
@@ -216,13 +217,6 @@ def tits_mul(g1: ExtTitsElem, g2: ExtTitsElem) -> ExtTitsElem:
                                     (e1 + e2) % 2))
 
 
-@cache
-def _four_z(w: WeylElem):
-    """4 z(w) = 2 rho_check - w 2 rho_check, once per element."""
-    rc2 = _root_system(w.datum).two_rho_check
-    return tuple(a - sum(map(mul, row, rc2)) for a, row in zip(rc2, w.matrix))
-
-
 def tits_inverse(g: ExtTitsElem) -> ExtTitsElem:
     """delta^eps sigma_w^{-1} exp(-t), with sigma_w^{-1} = exp(z(w^-1)) sigma_{w^-1} by Tits'
     lemma: exp(theta0^eps(z(w^-1) - w^-1 t)) sigma_{theta0^eps(w^-1)} delta^eps."""
@@ -248,23 +242,6 @@ def chevalley(g: ExtTitsElem) -> ExtTitsElem:
     f, h = den // t.den, den // 4
     num = [h * z - f * x for z, x in zip(_four_z(w), t.num)]
     return _new_tuple(ExtTitsElem, (ctx, TorusPart.scaled(num, den), w, eps))
-
-
-@cache
-def _commutes(a: BasedAut, b: BasedAut) -> bool:
-    """a b = b a, decided once per pair."""
-    return mat_mul(a.matrix, b.matrix) == mat_mul(b.matrix, a.matrix)
-
-
-def aut_on_tits(a: BasedAut, g: ExtTitsElem) -> ExtTitsElem:
-    """Apply a based automorphism; it must commute with the context's theta0."""
-    ctx = g.ctx
-    if a.datum != ctx.datum:
-        raise ContextMismatch("automorphism over a different datum")
-    if not _commutes(a, ctx.theta0):
-        raise PreconditionViolated("automorphism does not commute with theta0")
-    return ExtTitsElem(ctx, act_on_torus_part(coaction(a), g.t),
-                       apply_aut_to_weyl(a, g.w), g.eps)
 
 
 def h_conjugate_to_inverse(g: ExtTitsElem) -> Optional[TorusPart]:
@@ -303,15 +280,22 @@ def h_conjugate_to_inverse(g: ExtTitsElem) -> Optional[TorusPart]:
 def run_tits_suite(ctx: TitsContext):
     """Exhaustive identity checks over the whole Weyl group, in one walk of W.
 
-    Rows are (name, passed, detail). Covers: the braid identity on the
-    sigma lifts for every simple pair, a second reduced word per element
-    giving the same lift (one edge per element, the largest right descent),
-    sigma_i^2 = alpha-check(-1),
-    sigma_w sigma_{w^{-1}} = exp(pi*i*(rho-check - w rho-check)),
+    Rows are (name, passed, detail). Covers: the braid identity on the sigma
+    lifts for every simple pair, a second reduced word per element giving the
+    same lift (one edge per element, the largest right descent),
+    sigma_i^2 = alpha-check(-1), sigma_w sigma_{w^{-1}} = exp(2*pi*i*z(w)),
     sigma_{w0}^2 = exp(2*pi*i*rho-check) and its centrality, equivariance of
-    the lifts under theta0, and C(sigma_w) = (sigma_{w^{-1}})^{-1}. The four
-    per-element rows read only w, w^-1, theta0(w) and w s_i, so one lazy walk
-    of W in (length, word) order runs them all, and W is not stored.
+    the lifts under theta0, and C(sigma_w) = (sigma_{w^{-1}})^{-1}. The three
+    per-element rows read only w, w^-1 and w s_i, so one lazy walk of W in
+    (length, word) order runs them all, and W is not stored.
+
+    Equivariance, delta sigma_w delta = sigma_{theta0(w)} (delta^-1 = delta),
+    is checked on the simple lifts through tits_mul and follows on W: the
+    braid and reduced-word rows make sigma_w the product of the simple lifts
+    along any reduced word i_1 ... i_k of w, tits_mul is associative, and
+    theta0 permutes the simple reflections, so delta sigma_w delta = prod_k
+    delta sigma_{i_k} delta = prod_k sigma_{theta0(i_k)} = sigma_{theta0(w)}.
+    Its detail counts W, or lists the failing generators as one-letter words.
     """
     d = ctx.datum
     one = tits_identity(ctx)
@@ -333,17 +317,21 @@ def run_tits_suite(ctx: TitsContext):
     squares = [i for i, si in enumerate(lifts, 1)
                if tits_mul(si, si) != torus_elem(ctx, TorusPart.scaled(d.simple_coroots[i - 1], 2))]
 
+    delta, perm = delta_elem(ctx), ctx.theta0.perm
+    equi = [[i] for i, si in enumerate(lifts, 1)
+            if tits_mul(tits_mul(delta, si), delta) != lifts[perm[i - 1] - 1]]
+
     s0 = sigma(ctx, longest_element(d))
     sq = tits_mul(s0, s0)
     ok = sq == torus_elem(ctx, TorusPart.scaled(_root_system(d).two_rho_check, 2))
-    central = all(tits_mul(sq, g) == tits_mul(g, sq) for g in lifts + [delta_elem(ctx)])
+    central = all(tits_mul(sq, g) == tits_mul(g, sq) for g in lifts + [delta])
 
     # The second word of w is that of w s_i followed by i, for i its largest
     # right descent. w s_i is one shorter and came earlier in the walk, so its
     # lift times sigma_i is the product along that word: one edge per element.
     # A failed element keeps its own product as its lift, which carries the
     # failure on to the longer words through it.
-    edge, lemma, equi, chev, failed, n = [], [], [], [], {}, 0
+    edge, lemma, chev, failed, n = [], [], [], {}, 0
     for w in parabolic_subgroup(d, range(1, d.nsimple + 1)):
         n += 1
         s, winv = sigma(ctx, w), weyl_inv(w)
@@ -357,8 +345,6 @@ def run_tits_suite(ctx: TitsContext):
                 edge.append(list(w.word))
         if tits_mul(s, sinv) != torus_elem(ctx, TorusPart.scaled(_four_z(w), 4)):
             lemma.append(list(w.word))
-        if aut_on_tits(ctx.theta0, s) != sigma(ctx, apply_aut_to_weyl(ctx.theta0, w)):
-            equi.append(list(w.word))
         if tits_mul(chevalley(s), sinv) != one:
             chev.append(list(w.word))
 

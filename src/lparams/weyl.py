@@ -17,12 +17,13 @@ in Weyl groups, 1994; du Cloux, A transducer approach to Coxeter groups,
 1999). Private slots of each element hold, filled on first use, its left
 neighbours s_i w (one Cartan-column update each), its inverse (its word
 replayed backwards, then linked both ways), its X_* matrix (a rank-one row
-update of its parent's) and its inversion masks (its parent's and one more
-root, found by one row-times-matrix product). A product u v hops from v along
-u's word, one list lookup per letter, and hashes no element; where a neighbour
-is missing it fills that one and replays the rest of the word, so a cold
-product costs what a word replay does. An element keeps one matrix: its action
-on X^* is the transpose of its inverse's X_* matrix.
+update of its parent's), its inversion masks (its parent's and one more root,
+found by one row-times-matrix product) and Tits' 4 z(w) (one matrix-vector
+product). A product u v hops from v along u's word, one list lookup per
+letter, and hashes no element; where a neighbour is missing it fills that one
+and replays the rest of the word, so a cold product costs what a word replay
+does. An element keeps one matrix: its action on X^* is the transpose of its
+inverse's X_* matrix.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict, namedtuple
 from functools import cache
 from math import prod
+from operator import mul
 from typing import Iterator, Tuple
 
 from .errors import DatumMismatch, InputError, InvariantViolated, clipped_repr, frozen_setattr
@@ -43,11 +45,11 @@ class WeylElem:
     key is (<alpha_j, w rho_check>)_j, every entry nonzero; word is the
     canonical reduced word, 1-based. The private slots, None until first use,
     hold the element's place in the Cayley graph: _left[i] is s_i w, _inv the
-    inverse (linked both ways), _mat the action on X_* and _masks the
-    inversion masks of _inversion_masks.
+    inverse (linked both ways), _mat the action on X_*, _masks the inversion
+    masks of _inversion_masks and _z4 the vector 4 z(w) of _four_z.
     """
 
-    __slots__ = ("datum", "key", "word", "_hash", "_left", "_inv", "_mat", "_masks")
+    __slots__ = ("datum", "key", "word", "_hash", "_left", "_inv", "_mat", "_masks", "_z4")
 
     def __init__(self, datum: RootDatum, key: Tuple[int, ...], word: Tuple[int, ...]):
         _set_datum(self, datum)
@@ -59,6 +61,7 @@ class WeylElem:
         _set_inv(self, None)
         _set_mat(self, None)
         _set_masks(self, None)
+        _set_z4(self, None)
 
     __setattr__ = __delattr__ = frozen_setattr
 
@@ -88,7 +91,7 @@ class WeylElem:
 # Each slot's own setter, past the frozen __setattr__: half the cost of
 # object.__setattr__ by name, and every element of a cold enumeration is built here.
 (_set_datum, _set_key, _set_word, _set_hash, _set_left, _set_inv, _set_mat,
- _set_masks) = (getattr(WeylElem, f).__set__ for f in WeylElem.__slots__)
+ _set_masks, _set_z4) = (getattr(WeylElem, f).__set__ for f in WeylElem.__slots__)
 
 
 def _row_times(r, m) -> list:
@@ -166,6 +169,14 @@ def _inversion_masks(u: WeylElem):
             _set_mat(u, _reflect_rows(d, i, m, rm))
         m = u._mat
     return u._masks
+
+
+def _four_z(u: WeylElem):
+    """Tits' lemma's 4 z(u) = 2 rho_check - u 2 rho_check, off u's matrix, once per element."""
+    if u._z4 is None:
+        rc2 = _root_system(u.datum).two_rho_check
+        _set_z4(u, tuple(a - sum(map(mul, row, rc2)) for a, row in zip(rc2, u.matrix)))
+    return u._z4
 
 
 def _descend(d: RootDatum, re: list, im: list):

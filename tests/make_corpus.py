@@ -7,7 +7,7 @@ Each line of a corpus file is one JSON object: the argv given to
 `lparams.cli.main`, the exit code it returned and the text it wrote to stdout.
 The corpus covers `verify-theorem`, `contragredient`, `invariants` and
 `validate-param`, as text and as `--json`, on 20 seeded parameters and on
-lambda = 0 (w = e, mu = 0) for each benchmark configuration; `check-tits`, as
+lambda = 0 (w = e, mu = 0) for each configuration in CONFIGS; `check-tits`, as
 text and as `--json`, on ten small groups; and `fuzz --count 5` on each
 configuration. A change that means to alter output regenerates the corpus
 and shows the changed lines in its diff, like any golden file.
@@ -28,7 +28,8 @@ from random import Random
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "data" / "corpus"
 
-# the benchmark's theorem_fleet and big_weyl configurations: (group, inner class)
+# the benchmark's theorem_fleet and big_weyl configurations, then two whose contragredient
+# is not always the parameter itself (w0 != -1): (group, inner class)
 D4_SWAP = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 CONFIGS = [
     ("A2 sc", "compact"),
@@ -42,6 +43,8 @@ CONFIGS = [
     ("B4 sc", "split"),
     ("F4 sc", "split"),
     ("GL(6)", "split"),
+    ("A3 sc", "split"),
+    ("GL(5)", "compact"),
 ]
 CHECK_TITS = [("A1 sc", "split"), ("A2 sc", "split"), ("B2 sc", "split"), ("G2 sc", "split"),
               ("A3 sc", "split"), ("B3 ad", "split"), ("C3 sc", "split"), ("GL(3)", "split"),

@@ -28,7 +28,7 @@ from lparams.intlinalg import (descend_map, mat_mul, mat_neg, one_minus, saturat
                                vneg)
 from lparams.rootdata import _root_system, cartan_matrix, coaction
 from lparams.torus import TorusCharData, TorusParam, _char_data, char_equal, torus_egroup
-from lparams.weyl import (apply_aut_to_weyl, longest_element, simple_reflection, weyl_enumerate,
+from lparams.weyl import (longest_element, simple_reflection, weyl_enumerate, weyl_from_word,
                           weyl_identity, weyl_inv, weyl_mul)
 
 
@@ -173,6 +173,9 @@ def multipass_tits_suite(ctx):
 
     Products go through tits.tits_mul, looked up on the module at each call,
     so a mutant patched in there reaches this suite and the library's alike.
+    The theta0 row multiplies delta sigma_w delta out on every w, where the
+    library checks the simple lifts and reads the rest off its generator
+    argument: the two agree wherever that argument holds.
     """
     sigma, one, d = tits.sigma, tits.tits_identity(ctx), ctx.datum
     elems = weyl_enumerate(d)
@@ -229,9 +232,12 @@ def multipass_tits_suite(ctx):
     rows.append(("sigma_{w0}^2 = exp(2 pi i rho-check), central", ok and central,
                  f"value {tits.format_torus_part(sq.t)}"))
 
+    # delta sigma_w delta^-1 (delta^2 = 1) multiplied out, against the lift of theta0(w),
+    # whose word is w's with each letter moved by theta0's permutation
+    delta, perm = tits.delta_elem(ctx), ctx.theta0.perm
     bad = [list(w.word) for w in elems
-           if tits.aut_on_tits(ctx.theta0, sigma(ctx, w))
-           != sigma(ctx, apply_aut_to_weyl(ctx.theta0, w))]
+           if tits.tits_mul(tits.tits_mul(delta, sigma(ctx, w)), delta)
+           != sigma(ctx, weyl_from_word(d, [perm[i - 1] for i in w.word]))]
     rows.append(("theta0 equivariance of lifts", not bad,
                  f"{len(elems)} elements" if not bad else f"failing words {bad}"))
 

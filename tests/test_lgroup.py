@@ -15,7 +15,7 @@ from lparams.lgroup import (
     parse_inner_class,
     standard_levis,
 )
-from lparams.rootdata import based_aut, build_datum, dual_datum, identity_aut
+from lparams.rootdata import based_aut, build_datum, dual_datum, identity_aut, transpose_aut
 from lparams.weyl import neg_w0_aut, weyl_enumerate
 
 
@@ -87,6 +87,20 @@ def test_tits_context_lives_on_dual():
     ctx = lgroup_tits_context(lgroup_split(d))
     assert ctx.datum == dual_datum(d)
     assert ctx.theta0.matrix == ident(2)
+
+
+@pytest.mark.parametrize("group,inner", [
+    ("B3 sc", "split"), ("A3 sc", "compact"), ("GL(4)", "compact"),
+    ("D4 sc", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])])
+def test_theta0_lives_on_the_lgroups_own_dual_datum(group, inner):
+    # one dual datum per L-group: theta0 is built over the very object L holds, and
+    # equals the transpose of tau carried to a freshly built dual datum
+    d = build_datum(group)
+    L = parse_inner_class(d, inner)
+    assert L.theta0.datum is L.dual_datum
+    assert L.dual_datum == dual_datum(d) and L.dual_datum.label == dual_datum(d).label
+    tau = based_aut(d, transpose(L.theta0.matrix))
+    assert L.theta0 == transpose_aut(tau) and transpose_aut(tau).datum is not L.dual_datum
 
 
 def test_has_compact_cartan_table():

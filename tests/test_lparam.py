@@ -21,7 +21,7 @@ from lparams.errors import (
 )
 from lparams import lparam
 from lparams.gaussian import GaussQ, ScaledVec
-from lparams.intlinalg import ident, mat_mul, mat_vec, vdot
+from lparams.intlinalg import ident, mat_mul, mat_neg, mat_vec, vdot
 from lparams.lgroup import (build_lgroup, lgroup_compact, lgroup_split, parse_inner_class,
                             standard_levis)
 from lparams.lparam import (
@@ -320,6 +320,56 @@ def test_verify_contragredient_descends_twice(monkeypatch, group, inner):
         calls.clear()
         assert all(ok for _, ok, _ in verify_contragredient(p))
         assert len(calls) == 2
+
+
+D4_SWAP = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+A1A1_SWAP = [[0, 1], [1, 0]]
+SELF_DUAL_DRAWS = 30
+
+
+def _inner_classes(group, inners):
+    """The distinct L-groups of the named group over the given inner classes, in order."""
+    d = build_datum(group)
+    return list(dict.fromkeys(parse_inner_class(d, inner) for inner in inners))
+
+
+def _self_dual_class(L):
+    """w0 = -1 on the dual datum and no radical torus: the corollary's hypotheses."""
+    d = L.dual_datum
+    return longest_element(d).matrix == mat_neg(ident(d.rank)) and not lparam._radical(L).proj
+
+
+def _self_dual_draws(L, group):
+    """For each seeded draw p, whether C(p) is equivalent to p."""
+    rng = Random(f"self-dual:{group}:{L.theta0.matrix}")
+    return [params_equivalent(contragredient_param(p), p)
+            for p in (random_param(L, rng) for _ in range(SELF_DUAL_DRAWS))]
+
+
+@pytest.mark.parametrize("group,inners", [
+    *((g, ("split", "compact")) for g in ("A1 sc", "A1 ad", "B2 sc", "B2 ad", "G2 sc", "B3 sc",
+                                          "B3 ad", "C3 ad", "D4 sc", "F4 sc", "B4 sc")),
+    ("D4 sc", (D4_SWAP,)), ("A1 sc x A1 sc", (A1A1_SWAP,))],
+    ids=lambda x: x if isinstance(x, str) else "-".join(map(str, x)))
+def test_contragredient_is_equivalent_to_p_when_w0_is_minus_one(group, inners):
+    """The theorem's self-dual corollary: where w0 = -1 on the dual torus and L has no
+    radical torus, the Chevalley involution C inverts the torus as w0 does, so it is
+    inner and C(p) is equivalent to p for every p."""
+    for L in _inner_classes(group, inners):
+        assert _self_dual_class(L)
+        assert all(_self_dual_draws(L, group))
+
+
+@pytest.mark.parametrize("group,inner", [
+    ("A2 sc", "split"), ("A2 sc", "compact"), ("A3 sc", "split"), ("A3 sc", "compact"),
+    ("GL(2)", "split"), ("GL(3)", "split"), ("GL(4)", "split"), ("GL(3)", "compact"),
+    ("GL(5)", "compact")])
+def test_contragredient_differs_from_p_somewhere_when_a_hypothesis_fails(group, inner):
+    """Where w0 != -1 or L has a radical torus, some draw's C(p) is a new parameter:
+    the corollary's hypotheses are not idle on these fleets."""
+    (L,) = _inner_classes(group, (inner,))
+    assert not _self_dual_class(L)
+    assert not all(_self_dual_draws(L, group))
 
 
 def test_rad_dual_matches_torus_picture():

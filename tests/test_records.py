@@ -18,7 +18,8 @@ from lparams.rootdata import RootDatum, build_datum
 from lparams.tits import TorusPart, sigma, tits_context, torus_part
 from lparams.torus import param_to_char, random_torus_param, torus_egroup
 from lparams.weilrep import WeilIrr, parse_weil_rep, weil_chi
-from lparams.weyl import WeylElem, _inversion_masks, _step, neg_w0_aut, weyl_from_word, weyl_inv
+from lparams.weyl import (WeylElem, _four_z, _inversion_masks, _step, neg_w0_aut, weyl_from_word,
+                          weyl_inv)
 
 A2 = build_datum("A2 sc")
 L = lgroup_split(A2)
@@ -68,12 +69,14 @@ def test_record_contract(record, other, compared):
     # every field, compared or not, and any new attribute refuse assignment and deletion
     fields = record._fields if isinstance(record, tuple) else type(record).__slots__
     if type(record) is WeylElem:
-        # the Cayley-graph slots, filled here, refuse assignment and deletion like the fields
-        assert {"_left", "_inv", "_mat", "_masks"} <= set(fields)
+        # the Cayley-graph slots and 4 z(w), filled here, refuse assignment and deletion
+        # like the fields
+        assert {"_left", "_inv", "_mat", "_masks", "_z4"} <= set(fields)
         _step(record, 1)
         weyl_inv(record)
         _inversion_masks(record)
-        assert None not in (record._left, record._inv, record._mat, record._masks)
+        _four_z(record)
+        assert None not in (record._left, record._inv, record._mat, record._masks, record._z4)
     for name in (*fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)

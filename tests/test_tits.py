@@ -28,7 +28,6 @@ from lparams.rootdata import _root_system, based_aut, build_datum
 from lparams.tits import (
     ExtTitsElem,
     TorusPart,
-    aut_on_tits,
     chevalley,
     delta_elem,
     elem_to_dict,
@@ -44,7 +43,6 @@ from lparams.tits import (
 )
 from lparams.weyl import (
     longest_element,
-    neg_w0_aut,
     simple_reflection,
     weyl_enumerate,
     weyl_from_word,
@@ -167,32 +165,6 @@ def test_h_conjugate_preconditions():
         h_conjugate_to_inverse(bad)
 
 
-def test_aut_on_tits_respects_products():
-    ctx = _ctx("A2 sc")
-    a = neg_w0_aut(ctx.datum)
-    rng = Random(17)
-    elems = weyl_enumerate(ctx.datum)
-    for _ in range(60):
-        g = ExtTitsElem(ctx, torus_part([Q(rng.randrange(4), 2) for _ in range(2)]),
-                        rng.choice(elems), rng.randrange(2))
-        h = ExtTitsElem(ctx, torus_part([Q(rng.randrange(4), 2) for _ in range(2)]),
-                        rng.choice(elems), rng.randrange(2))
-        assert aut_on_tits(a, tits_mul(g, h)) == tits_mul(
-            aut_on_tits(a, g), aut_on_tits(a, h))
-
-
-
-def test_aut_on_tits_refuses_an_automorphism_not_commuting_with_theta0():
-    d = build_datum("A1 sc x A1 sc x A1 sc")
-    ctx = tits_context(d, based_aut(d, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
-    a = based_aut(d, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-    g = sigma(ctx, simple_reflection(d, 1))
-    for _ in range(2):  # the verdict is cached per pair and must stay a refusal
-        with pytest.raises(PreconditionViolated, match="does not commute with theta0"):
-            aut_on_tits(a, g)
-    # theta0 itself commutes, so the same element is accepted
-    assert aut_on_tits(ctx.theta0, g) == sigma(ctx, simple_reflection(d, 2))
-
 def test_run_tits_suite_all_green():
     for name in ("A1 sc", "A2 sc", "B2 sc", "GL(2)"):
         rows = run_tits_suite(_ctx(name))
@@ -267,6 +239,13 @@ SUITE_CONTEXTS = list(dict.fromkeys(_check_tits_fleet() + [
     ("GL(5)", "compact"), ("A1 sc x A1 sc", json.dumps([[0, 1], [1, 0]]))]))
 
 
+def _suite_ctx(group, inner):
+    """The Tits context of a named group, theta0 a named inner class or a JSON matrix."""
+    d = build_datum(group)
+    theta0 = named_inner_class(d, inner)
+    return tits_context(d, theta0 if theta0 is not None else based_aut(d, json.loads(inner)))
+
+
 def _suite_outcome(suite, ctx):
     """The suite's rows, or the refusal it ends in."""
     try:
@@ -279,21 +258,43 @@ def _suite_outcome(suite, ctx):
                          ids=["real", "half_on_length_3", "half_after_sigma_2"])
 @pytest.mark.parametrize("group,inner", SUITE_CONTEXTS, ids=[f"{g}-{i}" for g, i in SUITE_CONTEXTS])
 def test_one_pass_suite_matches_the_multipass_oracle(group, inner, mutant, monkeypatch):
-    d = build_datum(group)
-    theta0 = named_inner_class(d, inner)
-    ctx = tits_context(d, theta0 if theta0 is not None else based_aut(d, json.loads(inner)))
+    ctx = _suite_ctx(group, inner)
     if mutant is not None:
         monkeypatch.setattr(tits, "tits_mul", mutant(tits.tits_mul))
     assert _suite_outcome(run_tits_suite, ctx) == _suite_outcome(multipass_tits_suite, ctx)
 
 
 def test_suite_makes_one_reduced_word_product_per_element(monkeypatch):
-    """On F4 sc: 32 braid products, 1151 edges, 4 squares, 1152 lemma products,
-    11 for sigma_{w0}^2 and its centrality and 1152 Chevalley products."""
+    """On F4 sc: 32 braid products, 1151 edges, 4 squares, 8 for delta sigma_i delta,
+    1152 lemma products, 11 for sigma_{w0}^2 and its centrality and 1152 Chevalley
+    products."""
     mul, calls = tits.tits_mul, []
     monkeypatch.setattr(tits, "tits_mul", lambda g1, g2: calls.append(1) or mul(g1, g2))
     assert all(ok for _, ok, _ in run_tits_suite(_ctx("F4 sc")))
-    assert len(calls) == 3502
+    assert len(calls) == 3510
+
+
+THETA0_ROW = 5  # "theta0 equivariance of lifts"
+
+
+@pytest.mark.parametrize("group,inner,failing", [
+    ("D4 sc", json.dumps([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]), [[3], [4]]),
+    ("A2 sc", "compact", [[1], [2]]),
+    ("GL(5)", "compact", [[1], [2], [3], [4]]),
+    ("A1 sc x A1 sc", json.dumps([[0, 1], [1, 0]]), [[1], [2]]),
+    ("B3 sc", "split", None),
+])
+def test_theta0_row_alone_fails_when_delta_does_not_move_w(group, inner, failing, monkeypatch):
+    """A tits_mul whose delta leaves sigma_w over w, not over theta0(w), fails the theta0
+    row on its moved generators and no other row; with theta0 trivial it is harmless."""
+    ctx = _suite_ctx(group, inner)
+    monkeypatch.setattr(tits, "apply_aut_to_weyl", lambda a, u: u)
+    rows = run_tits_suite(ctx)
+    assert rows[THETA0_ROW][0] == "theta0 equivariance of lifts"
+    assert [ok for _, ok, _ in rows] == [k != THETA0_ROW or failing is None
+                                         for k in range(len(rows))]
+    if failing is not None:
+        assert rows[THETA0_ROW][2] == f"failing words {failing}"
 
 
 def test_serialization_round_trip():

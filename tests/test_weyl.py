@@ -15,6 +15,8 @@ from lparams.lparam import make_param
 from lparams.rootdata import _root_system, build_datum
 from lparams.weyl import (
     _elem_from_matrix,
+    _four_z,
+    _step,
     apply_aut_to_weyl,
     longest_element,
     neg_w0_aut,
@@ -117,6 +119,33 @@ ORDER_SPECS = ([f"{letter}{n} {lat}" for letter, ranks in
 def test_weyl_order_from_exponents_matches_the_walk(spec):
     d = build_datum(spec)
     assert weyl_order(d) == len(tuple(parabolic_subgroup(d, range(1, d.nsimple + 1))))
+
+
+FOUR_Z_SPECS = ([f"{letter}{n} {lat}" for letter, ranks in
+                 (("A", range(1, 5)), ("B", range(2, 5)), ("C", range(3, 5)), ("D", (4,)),
+                  ("F", (4,)), ("G", (2,)))
+                 for n in ranks for lat in ("sc", "ad")]
+                + [f"GL({n})" for n in range(1, 7)] + ["B2 ad x G2 sc"])
+
+
+@pytest.mark.parametrize("spec", FOUR_Z_SPECS)
+def test_four_z_matches_the_parent_recurrence(spec):
+    """4 z(w) = 2 rho_check - w 2 rho_check, read off w's matrix, against a route that
+    reads no matrix: 4 z(e) = 0 and, for u = s_i v with v u's parent,
+    4 z(u) = 4 z(v) - 2 key(u)_i alpha-check_i, as s_i moves v 2 rho_check by
+    -<alpha_i, v 2 rho_check> alpha-check_i and key(u)_i = -key(v)_i."""
+    d = build_datum(spec)
+    expected = {}
+    for w in weyl_enumerate(d):
+        if not w.word:
+            z4 = (0,) * d.rank
+        else:
+            i = w.word[0]
+            k = w.key[i - 1]
+            z4 = tuple(a - 2 * k * c for a, c in
+                       zip(expected[_step(w, i)], d.simple_coroots[i - 1]))
+        expected[w] = z4
+        assert _four_z(w) == z4, w
 
 
 def test_weyl_order_interns_no_element():
