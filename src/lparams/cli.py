@@ -270,13 +270,13 @@ def cmd_fuzz(args, rep: Report) -> int:
     for i in range(args.count):
         p = random_param(L, rng)
         rows = verify_contragredient(p)
-        ok = all(r[1] for r in rows)
+        ok = all(r.passed for r in rows)
         rep.instance(i, ok, _fmt_param(p))
         if not ok:
             failures += 1
-            for name, rok, detail in rows:
-                if not rok:
-                    rep.check(name, rok, detail)
+            for row in rows:
+                if not row.passed:
+                    rep.check(row.name, False, row.detail)
     if failures:
         return rep.finish(MATH_FAIL, f"{failures}/{args.count} instances failed")
     return rep.finish(OK, f"{args.count}/{args.count} instances verified")

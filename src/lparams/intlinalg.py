@@ -5,9 +5,13 @@ saturations, ranks, unimodular inverses) is read off one Smith factorisation
 per matrix, computed once and cached (invariant factors, u and v, as tuples).
 Right-hand sides travel as integer numerators over one denominator, so a
 congruence solve is two integer matrix-vector products and a divisibility
-test per invariant factor; Smith is the one elimination kernel. The lattice
+test per invariant factor; Smith is the one elimination kernel. The class
+test "is num / den in a Q^n + Z^n", which decides whether two torus parts
+over one theta are T-conjugate (a = 1 - theta), reads only the rows of u
+past the nonzero invariant factors and builds no x. The public lattice
 entry points take int entries only and raise ValueError on a Fraction, a
-float or a bool.
+float or a bool; the library's own callers, whose matrices are int tuples
+built by the library, use the private _congruence, which checks nothing.
 """
 
 from __future__ import annotations
@@ -190,26 +194,35 @@ def solve_congruence_scaled(a: IntMat, num: Sequence[int], den: int):
     """One x = xnum / xden with a x = num / den (mod Z^rows), as (xnum, xden), or None.
 
     a is an integer matrix given as a tuple of row tuples, num integers and
-    den >= 1. With a's cached Smith form u a v = diag(s), the system is
-    solvable iff den divides (u num)_i wherever s_i = 0; then x = v eta with
-    eta_i = (u num)_i / (s_i den) and the free coordinates 0. The answer is
-    reduced: gcd(xden, *xnum) = 1.
+    den >= 1; each is checked, then _congruence solves.
     """
     _ints(*a, num, (den,))
     if len(num) != len(a):
         raise ValueError("right-hand side length does not match the matrix")
     if den < 1:
         raise ValueError("denominator must be positive")
+    return _congruence(a, num, den)
+
+
+def _congruence(a: IntMat, num: Sequence[int], den: int, witness: bool = True):
+    """solve_congruence_scaled on trusted parts: a tuple of int row tuples, num ints, den >= 1.
+
+    With a's cached Smith form u a v = diag(s), s_1 .. s_r nonzero and the
+    rest zero, num / den lies in a Q^cols + Z^rows exactly when den divides
+    (u num)_i for every i > r: the class test, which is all a caller with
+    witness false gets (True, or None). Then x = v eta with eta_i =
+    (u num)_i / (s_i den) for i <= r and the free coordinates 0. The answer
+    is reduced: gcd(xden, *xnum) = 1.
+    """
     factors, u, v = _smith_factors(a)
-    scale = den * lcm(*(s for s in factors if s))
-    eta = [0] * len(v)
-    for i, row in enumerate(u):
-        x = sum(map(mul, row, num))
-        s = factors[i] if i < len(factors) else 0
-        if s:
-            eta[i] = x * (scale // (s * den))
-        elif x % den:
-            return None
+    r = len(factors) - factors.count(0)
+    if any(sum(map(mul, row, num)) % den for row in u[r:]):
+        return None
+    if not witness:
+        return True
+    scale = den * lcm(*factors[:r])
+    eta = [sum(map(mul, row, num)) * (scale // (s * den)) for row, s in zip(u, factors[:r])]
+    eta += [0] * (len(v) - r)
     xnum = [sum(map(mul, row, eta)) for row in v]
     g = gcd(scale, *xnum)
     return tuple(x // g for x in xnum), scale // g

@@ -40,10 +40,12 @@ from .errors import (
     ValidityE,
     ValidityIntegrality,
     clipped_repr,
+    frozen_setattr,
     json_array,
 )
 from .gaussian import ScaledVec, _numeral, format_tuple, format_vec
 from .intlinalg import (
+    _congruence,
     descend_map,
     ident,
     mat_mul,
@@ -52,7 +54,6 @@ from .intlinalg import (
     matrix_rank,
     one_minus,
     saturation_projection,
-    solve_congruence_scaled,
     transpose,
     vneg,
 )
@@ -294,7 +295,8 @@ def params_equivalent(p: LParam, q: LParam) -> bool:
     conjugate; otherwise the u with u(lambda_p) = lambda_q are exactly
     y^{-1} s x for s in the stabilizer W_J of the dominant point, J the
     simple indices of zero pairing. Each such u conjugates p, and the torus
-    parts are compared by a lattice solve. W_J is walked lazily, in (length,
+    parts are compared by the class test: they are T-conjugate exactly when
+    they agree modulo (1 - theta)Q^n + Z^n. W_J is walked lazily, in (length,
     word) order, and the walk stops at the first u that conjugates p to q; W_J
     is {e} for regular lambda, and only a pair that is not conjugate walks all
     of it. verify_contragredient, which has already descended lambda_p, calls
@@ -310,7 +312,11 @@ def _params_equivalent(p: LParam, q: LParam, desc_p) -> bool:
     q with another lambda pays its own descent. The candidate u = e conjugates
     p to itself, so p is used as is; when q reuses desc_p, the candidate for
     s = e is u = e, and no word is replayed. The walk of W_J stops at the
-    first s whose u conjugates p to q.
+    first s whose u conjugates p to q, that is gives q's w and passes the
+    class test. That test reads the Smith form U (1 - theta) V of the (L, w)
+    record's one_minus, looked up when the test runs, and asks that the
+    coordinates of U (mu_q - mu_u(p)) past the nonzero invariant factors be
+    integers; no x is solved for.
     """
     if p.L != q.L:
         raise ContextMismatch("parameters for different L-groups")
@@ -329,7 +335,7 @@ def _params_equivalent(p: LParam, q: LParam, desc_p) -> bool:
         if pc.w != q.w:
             continue
         diff = q.mu - pc.mu
-        if solve_congruence_scaled(_involution(q.L, q.w).one_minus, diff.num, diff.den) is not None:
+        if _congruence(_involution(q.L, q.w).one_minus, diff.num, diff.den, witness=False):
             return True
     return False
 
@@ -383,7 +389,8 @@ def _radical(L: LGroup) -> _Radical:
     what theta0 does, for every w. Where the torus has rank 0, lambda_r,
     dif_r and mu_r are empty for every parameter of L: rad(p), rad(C(p)) and
     the dual's character are one character, checked once by _char_data, and
-    row 2's verdict and text are char_equal and format_vec on it.
+    row 2 is one record per L: char_equal's verdict on it, and its text,
+    written on first read and kept.
     """
     d = L.dual_datum
     proj, uinv, rank = saturation_projection(d.simple_coroots, d.rank)
@@ -392,9 +399,8 @@ def _radical(L: LGroup) -> _Radical:
         return _Radical(proj, eg, None, None, None)
     lam, mu = ScaledVec((), (), 1), TorusPart.scaled((), 1)
     rc = _char_data(eg, lam, lam, mu)
-    kappa = format_vec(rc.kappa)
     return _Radical(proj, eg, TorusParam(eg, lam, mu), rc,
-                    ("rad_char dual", char_equal(rc, rc), f"kappa(C)={kappa} kappa(dual)={kappa}"))
+                    TheoremRow("rad_char dual", char_equal(rc, rc), (rc.kappa, rc.kappa)))
 
 
 def _radical_of(p: LParam, cp: LParam | None = None) -> _Radical:
@@ -417,8 +423,7 @@ def _radical_of(p: LParam, cp: LParam | None = None) -> _Radical:
         neg_lam_r, neg_dif_r = -lam_r, -dif_r
         rc_c = _char_data(eg, neg_lam_r, neg_dif_r, act_on_torus_part(proj, cp.mu))
         rc_dual = _char_data(eg, neg_lam_r, neg_dif_r, -mu_r)
-        row = ("rad_char dual", char_equal(rc_c, rc_dual),
-               f"kappa(C)={format_vec(rc_c.kappa)} kappa(dual)={format_vec(rc_dual.kappa)}")
+        row = TheoremRow("rad_char dual", char_equal(rc_c, rc_dual), (rc_c.kappa, rc_dual.kappa))
     return _Radical(proj, eg, TorusParam(eg, lam_r, mu_r), rc, row)
 
 
@@ -574,8 +579,66 @@ def packet_descriptor(p: LParam) -> PacketDescriptor:
     return PacketDescriptor(levi, inf_char(reduced), rad_char(reduced))
 
 
-def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
-    """The four contragredient checks; each row is (name, passed, detail).
+class TheoremRow:
+    """One theorem row: its name, its verdict and the two values it compared.
+
+    The verdict is decided when the row is built; the detail text is written
+    from the values when it is first read, and kept. A row iterates, indexes
+    and compares equal as the triple (name, passed, detail), so unpacking or
+    indexing a row writes its text; .passed does not. Rows are immutable:
+    on a semisimple L, row 2 is one record per L that every op returns.
+    """
+
+    __slots__ = ("name", "passed", "values", "_detail")
+
+    def __init__(self, name: str, passed: bool, values: tuple):
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "passed", passed)
+        init(self, "values", values)
+        init(self, "_detail", None)
+
+    __setattr__ = __delattr__ = frozen_setattr
+
+    @property
+    def detail(self) -> str:
+        if self._detail is None:
+            a, b = self.values
+            if self.name == "inf_char negation":
+                text = f"inf(C)={format_tuple(a)} dominant(-inf)={format_tuple(b)}"
+            elif self.name == "rad_char dual":
+                text = f"kappa(C)={format_vec(a)} kappa(dual)={format_vec(b)}"
+            elif self.name == "C-twist vs tau-twist conjugacy":
+                text = f"C: mu={format_torus_part(a)} tau: mu={format_torus_part(b)}"
+            else:
+                text = f"tau(C)={format_vec(a)} -tau(p)={format_vec(b)}"
+            object.__setattr__(self, "_detail", text)
+        return self._detail
+
+    def __iter__(self):
+        return iter((self.name, self.passed, self.detail))
+
+    def __getitem__(self, i):
+        return tuple(self)[i]
+
+    def __eq__(self, other):
+        if isinstance(other, (TheoremRow, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"TheoremRow{tuple(self)!r}"
+
+
+def verify_contragredient(p: LParam) -> List[TheoremRow]:
+    """The four contragredient checks, as TheoremRow records.
+
+    Each row's verdict is computed here; its detail text is written only
+    when it is first read, and a row compares equal to the triple (name,
+    passed, detail).
 
     Both dualities send lambda to -lambda over p's w and change only the
     Tits-group part, so C(p) and tau(p), from contragredient_param and
@@ -588,31 +651,22 @@ def verify_contragredient(p: LParam) -> List[Tuple[str, bool, str]]:
     chevalley and tits_inverse on one side and from the torus negation on
     the other; row 1 sets the descent of lambda_C, its dominant point inf(C),
     against -w0 inf(p) from p's own descent (-w0 permutes the simple roots);
-    row 3 reuses lambda_C's descent, as both twists carry -lambda_p, and
-    solves a lattice congruence; row 4 reduces its difference against its
-    lattice's xor basis mod 2, read from the record per (L, w).
+    row 3 reuses lambda_C's descent, as both twists carry -lambda_p, walks
+    W_J and applies the class test, mu_tau - mu_C in (1 - theta)Q^n + Z^n,
+    to each candidate; row 4 reduces its difference against its lattice's
+    xor basis mod 2, read from the record per (L, w).
     """
     d = p.L.dual_datum
     cp = contragredient_param(p)
     desc_c = _dominance_descent(d, cp.lam)
-    rows = []
-
-    want = -inf_char(p).apply(longest_element(d).matrix)
-    got = desc_c[0]
-    # ScaledVecs are in normal form, so equal vectors have equal text
-    ok, text = got == want, format_tuple(got)
-    rows.append(("inf_char negation", ok,
-                 f"inf(C)={text} dominant(-inf)={text if ok else format_tuple(want)}"))
-
-    rows.append(_radical_of(p, cp).row)
-
+    got, want = desc_c[0], -inf_char(p).apply(longest_element(d).matrix)
+    rows = [TheoremRow("inf_char negation", got == want, (got, want)), _radical_of(p, cp).row]
     tp = tau_twist_param(p)
-    rows.append(("C-twist vs tau-twist conjugacy", _params_equivalent(cp, tp, desc_c),
-                 f"C: mu={format_torus_part(cp.mu)} tau: mu={format_torus_part(tp.mu)}"))
-
+    rows.append(TheoremRow("C-twist vs tau-twist conjugacy", _params_equivalent(cp, tp, desc_c),
+                           (cp.mu, tp.mu)))
     tau_c, neg_tau_p = central_char(cp), -central_char(p)
-    rows.append(("central_char flip", central_chars_agree(p, tau_c, neg_tau_p),
-                 f"tau(C)={format_vec(tau_c)} -tau(p)={format_vec(neg_tau_p)}"))
+    rows.append(TheoremRow("central_char flip", central_chars_agree(p, tau_c, neg_tau_p),
+                           (tau_c, neg_tau_p)))
     return rows
 
 
@@ -665,9 +719,11 @@ def random_param(L: LGroup, rng: Random) -> LParam:
     """Seeded valid parameter: pick a twisted involution, then solve for lambda.
 
     Integrality and the parity congruence combine into one congruence for the
-    real part of lambda, handed to the Smith solver; a mu that makes the
-    right-hand side non-integral is redrawn. The free directions (even
-    vectors and theta-fixed vectors) are randomized for coverage.
+    real part of lambda, solved on the cached Smith form of the (L, w)
+    record's 1 - theta, which the library built and is not re-checked; a mu
+    that makes the right-hand side non-integral, or that fails the class
+    test, is redrawn. The free directions (even vectors and theta-fixed
+    vectors) are randomized for coverage.
     """
     n = L.dual_datum.rank
     words = _twisted_involution_set(L)
@@ -681,7 +737,7 @@ def random_param(L: LGroup, rng: Random) -> LParam:
         if t0 is None:
             continue
         # (1 - theta) x / 2 = t0 / 2 (mod Z^n): solve (1 - theta) y = t0 / 2, then x = 2y
-        sol = solve_congruence_scaled(inv.one_minus, t0, 2)
+        sol = _congruence(inv.one_minus, t0, 2)
         if sol is None:
             continue
         y, y_den = sol

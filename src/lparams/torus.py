@@ -28,6 +28,7 @@ from typing import Tuple
 from .errors import ContextMismatch, InputError, InvalidParam, NotInvolution
 from .gaussian import ScaledVec, read_rational
 from .intlinalg import (
+    _congruence,
     ident,
     in_span_z,
     mat_mul,
@@ -168,13 +169,17 @@ def torus_contragredient(p: TorusParam) -> TorusParam:
 
 
 def torus_params_equivalent(p: TorusParam, q: TorusParam) -> bool:
-    """Conjugate by exp(2*pi*i*nu): mu moves by (1-theta-check)nu, lambda is fixed."""
+    """Conjugate by exp(2*pi*i*nu): mu moves by (1-theta-check)nu, lambda is fixed.
+
+    So the torus parts agree modulo (1-theta-check)Q^n + Z^n: the class test
+    on the cached Smith form of 1-theta-check, with no nu built.
+    """
     if p.egroup != q.egroup:
         raise ContextMismatch("parameters into different E-groups")
     if p.lam != q.lam:
         return False
     d = q.mu - p.mu
-    return solve_congruence_scaled(_matrices(p.egroup.theta_check)[0], d.num, d.den) is not None
+    return _congruence(_matrices(p.egroup.theta_check)[0], d.num, d.den, witness=False) is not None
 
 
 def random_torus_param(eg: TorusEGroup, rng: Random) -> TorusParam:

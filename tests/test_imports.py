@@ -1,13 +1,17 @@
 """Import hygiene and the reachable surface of the package.
 
-Every module of the package and every test file uses each name it imports.
+Every module of the package and every test file uses each name it imports: a
+read counts for an import only when it resolves to the import's scope, so a
+parameter or local of the same name does not hide an unused import.
 Every public top-level def or class of the package is reached: referenced
 elsewhere in `src/`, re-exported through the export table of `__init__`, or
 listed below with the reason it stays. The README's "Library API" section
 lists exactly the names of that table, and `lparams` resolves each of them on
 first use. Loading the CLI and the whole library loads none of
 `dataclasses`, `inspect` or `ast`, which cost a CLI process start-up time,
-and each CLI command loads only the modules it runs.
+and each CLI command loads only the modules it runs. The number of
+`functools` caches in `src/` is pinned: a change that adds or drops one
+updates the pin and says why.
 """
 
 import ast
@@ -29,20 +33,93 @@ SRC = ROOT / "src" / "lparams"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TEST_FILES = sorted(TESTS.glob("*.py"))
 
+# functools.cache functions in src/; ROADMAP item 17 moves them into per-datum workspaces
+CACHE_COUNT = 12
+
 # public names that nothing in src/ reaches, each with the reason it stays
 REACHED_FROM_OUTSIDE = {
     "tits.elem_to_dict": "the tits_products benchmark digest writes its elements with it",
 }
 
 
-def _imported_names(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                yield alias.asname or alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                yield alias.asname or alias.name
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_COMPS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _bound_by_import(node):
+    """The names an import statement binds; none for any other node or for __future__."""
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [alias.asname or alias.name for alias in node.names]
+    return []
+
+
+def _locals(fn):
+    """The names a function or lambda binds: its parameters, and what its own body stores,
+    imports or defines, less what it declares global or nonlocal."""
+    args = fn.args
+    names = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg,
+                             args.kwarg] if a}
+    declared = set()
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        node = todo.pop()
+        names.update(_bound_by_import(node))
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif not isinstance(node, _FUNCS + _COMPS):
+            todo.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
+def _unused_imports(tree):
+    """The imported names no read resolves to, with Python's scoping.
+
+    A read resolves to the innermost enclosing function, lambda or
+    comprehension that binds the name, else to the module; class bodies bind
+    nothing here. Defaults, decorators and annotations are read in the
+    enclosing scope, and so is a comprehension's first iterable.
+    """
+    imports, reads = set(), set()
+
+    def visit(node, scopes):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                owner = next((s for s, names in reversed(scopes) if node.id in names), tree)
+                reads.add((owner, node.id))
+            return
+        imports.update((scopes[-1][0] if scopes else tree, name)
+                       for name in _bound_by_import(node))
+        if isinstance(node, _FUNCS):
+            for child in [node.args, *getattr(node, "decorator_list", ()),
+                          getattr(node, "returns", None)]:
+                if child is not None:
+                    visit(child, scopes)
+            inner = (*scopes, (node, _locals(node)))
+            for child in node.body if isinstance(node.body, list) else [node.body]:
+                visit(child, inner)
+        elif isinstance(node, _COMPS):
+            first = node.generators[0]
+            visit(first.iter, scopes)
+            targets = {n.id for g in node.generators for n in ast.walk(g.target)
+                       if isinstance(n, ast.Name)}
+            inner = (*scopes, (node, targets))
+            for child in [*ast.iter_child_nodes(node), first.target, *first.ifs]:
+                if child is not first:
+                    visit(child, inner)
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, scopes)
+
+    visit(tree, ())
+    return sorted(name for scope, name in imports if (scope, name) not in reads)
 
 
 def _names(node):
@@ -74,8 +151,42 @@ LOAD_ALL = ("import lparams.cli\n"
                          ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    unused = sorted(set(_imported_names(tree)) - set(_names(tree)))
+    unused = _unused_imports(tree)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("source, unused", [
+    # a parameter, a local, a lambda parameter or a comprehension target of the same name
+    ("from m import x\ndef f(x):\n    return x\n", ["x"]),
+    ("from m import x\ndef f():\n    x = 1\n    return x\n", ["x"]),
+    ("from m import x\nf = lambda x: x\n", ["x"]),
+    ("from m import x\ny = [x for x in ()]\n", ["x"]),
+    # reads that do reach the import
+    ("from m import x\ndef f(y=x):\n    return y\n", []),
+    ("from m import x\ndef f():\n    global x\n    x = x + 1\n", []),
+    ("from m import x\ndef f():\n    return [x for _ in ()]\n", []),
+    ("from m import x\ny = [z for z in x]\n", []),
+    ("from m import x\nclass C:\n    def f(self, a: x):\n        return a\n", []),
+    ("def f():\n    from m import x\n    def g():\n        return x\n    return g\n", []),
+    ("def f():\n    from m import x\n\ndef g():\n    return x\n", ["x"]),
+    ("from __future__ import annotations\nimport a.b\nc = a.b\n", []),
+], ids=["parameter", "local", "lambda", "comprehension", "default", "global", "free-in-comp",
+        "first-iterable", "annotation", "closure", "other-function", "dotted"])
+def test_unused_import_check_resolves_scopes(source, unused):
+    assert _unused_imports(ast.parse(source)) == unused
+
+
+def test_functools_cache_count_is_pinned():
+    caches = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", "")
+                    if name in ("cache", "lru_cache"):
+                        caches.append(f"{path.stem}.{node.name}")
+    assert len(caches) == CACHE_COUNT, sorted(caches)
 
 
 def test_every_public_name_is_reached():

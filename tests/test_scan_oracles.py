@@ -15,10 +15,18 @@ lambda on a wall and complex lambda: row 1's dominant(-inf) is -w0 inf(p)
 in closed form, `_params_equivalent` reuses a descent it is handed, the
 radical E-group is cached per L, and the descent moves v once by the
 summed coefficients. The per-step update it replaced is kept as an oracle.
+
+Row 3 and `torus_params_equivalent` decide whether two torus parts over one
+theta are T-conjugate by the class test: mu' - mu in (1 - theta)Q^n + Z^n,
+read off the cached Smith form of 1 - theta with no solve. It is checked
+against the public solver and against the other eigenspace, (1 + theta)
+(mu' - mu) in (1 + theta)Z^n, and a recorded mutant of it, which reads the
+rows of u with nonzero invariant factors, fails row 3 alone.
 """
 
 from fractions import Fraction as Q
 from itertools import islice, product
+from operator import mul
 from random import Random
 
 import pytest
@@ -27,7 +35,10 @@ from lparams import lparam, weyl
 from lparams.errors import NormalizationRequired
 from lparams.gaussian import GaussQ, ScaledVec, read_gauss
 from lparams.intlinalg import (
+    _congruence,
+    _smith_factors,
     descend_map,
+    in_span_z,
     mat_mul,
     mat_vec,
     saturation_projection,
@@ -488,3 +499,84 @@ def test_walk_of_w_is_lazy(cold):
     first = list(islice(parabolic_subgroup(d, range(1, d.nsimple + 1)), 10))
     assert [u.word for u in first] == [()] + [(i,) for i in range(1, 10)]
     assert _interned() < 200
+
+
+# ---------------------------------------------------------------------------
+# the class test: mu' - mu in (1 - theta)Q^n + Z^n, in Smith coordinates
+
+def oracle_same_class(theta, diff):
+    """diff in (1 - theta)Q^n + Z^n for an involution theta, read on the other eigenspace.
+
+    Over Q the image of 1 - theta is the kernel of 1 + theta, so diff lies in
+    it plus Z^n exactly when (1 + theta)diff = (1 + theta)k for an integer
+    vector k: an integer vector in the Z-span of the columns of 1 + theta.
+    """
+    n = len(theta)
+    one_plus = [[int(r == c) + theta[r][c] for c in range(n)] for r in range(n)]
+    image = [sum(map(mul, row, diff.num)) for row in one_plus]
+    return (not any(x % diff.den for x in image)
+            and in_span_z([x // diff.den for x in image], list(zip(*one_plus))))
+
+
+def class_draws(L, count=40):
+    """Seeded (theta's record, mu' - mu, conjugate by construction) over L's twisted involutions.
+
+    Odd draws move mu by (1 - theta)nu for a rational nu, which conjugates;
+    even draws move it by a random shift with denominator 2, 3 or 4, which
+    often does not.
+    """
+    rng = Random(f"class-test:{L.g_datum.label}")
+    words = twisted_involutions(L)
+    n = L.dual_datum.rank
+    for k in range(count):
+        inv = lparam._involution(L, rng.choice(words))
+        den = rng.choice([1, 2, 3, 4])
+        mu = TorusPart.scaled([rng.randrange(-2 * den, 2 * den + 1) for _ in range(n)], den)
+        if k % 2:
+            nu = [rng.randrange(-6, 7) for _ in range(n)]
+            shift = TorusPart.scaled([sum(map(mul, row, nu)) for row in inv.one_minus],
+                                     rng.choice([1, 2, 3, 4, 6]))
+        else:
+            sden = rng.choice([2, 3, 4])
+            shift = TorusPart.scaled([rng.randrange(-sden, sden + 1) for _ in range(n)], sden)
+        yield inv, (mu + shift) - mu, bool(k % 2)
+
+
+@pytest.mark.parametrize("group,inner", BENCH, ids=_ids(BENCH))
+def test_class_test_matches_the_solver_and_the_other_eigenspace(group, inner):
+    verdicts = set()
+    for inv, diff, conjugate in class_draws(_L(group, inner)):
+        got = _congruence(inv.one_minus, diff.num, diff.den, witness=False) is not None
+        sol = solve_congruence_scaled(inv.one_minus, diff.num, diff.den)
+        assert got == (sol is not None) == oracle_same_class(inv.theta, diff), diff
+        assert got or not conjugate
+        # the sampler's solve: the same (xnum, xden) as the public solver
+        assert _congruence(inv.one_minus, diff.num, diff.den) == sol
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def mutant_class_test(a, num, den, witness=True):
+    """A recorded mutant of the class test: it reads the rows of u with nonzero invariant factors."""
+    factors, u, _ = _smith_factors(a)
+    r = len(factors) - factors.count(0)
+    return None if any(sum(map(mul, row, num)) % den for row in u[:r]) else True
+
+
+def test_class_test_mutant_reading_factor_rows_is_killed(monkeypatch):
+    killed = {}
+    for group, inner in BENCH:
+        L = _L(group, inner)
+        # the oracle test above sees it
+        assert any((mutant_class_test(inv.one_minus, diff.num, diff.den) is not None)
+                   != (solve_congruence_scaled(inv.one_minus, diff.num, diff.den) is not None)
+                   for inv, diff, _ in class_draws(L))
+        # and row 3 fails under it, alone; the parameters are drawn before it is in place
+        rng = Random(f"class-mutant:{group}")
+        params = [random_param(L, rng) for _ in range(20)]
+        with monkeypatch.context() as m:
+            m.setattr(lparam, "_congruence", mutant_class_test)
+            passed = [[row.passed for row in verify_contragredient(p)] for p in params]
+        assert all(row[0] and row[1] and row[3] for row in passed)
+        killed[group] = sum(not row[2] for row in passed)
+    assert all(killed.values()), killed
